@@ -7,11 +7,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use shapefrag_core::{fragment, fragment_par, neighborhood};
+use shapefrag_core::{fragment, neighborhood, validate_extract_fragment_par};
 use shapefrag_rdf::Term;
 use shapefrag_shacl::shape::PathOrId;
 use shapefrag_shacl::validator::Context;
-use shapefrag_shacl::{PathExpr, Schema, Shape};
+use shapefrag_shacl::{Budget, PathExpr, Schema, Shape, ShapeDef};
 use shapefrag_workloads::tyrolean::{generate, schema, TyroleanConfig};
 
 fn config() -> Criterion {
@@ -96,6 +96,14 @@ fn bench_neighborhood(c: &mut Criterion) {
         PathExpr::Prop(schema("author")),
         Shape::geq(1, PathExpr::Prop(schema("email")), Shape::True),
     );
+    // The parallel route is the extraction engine over one ⊤-targeted
+    // definition: `Frag(G, { φ ∧ ⊤ }) = Frag(G, { φ })`.
+    let all_nodes = Schema::new([ShapeDef::new(
+        Term::iri("http://tkg.example.org/FragShape"),
+        frag_shape.clone(),
+        Shape::True,
+    )])
+    .unwrap();
     let mut group = c.benchmark_group("fragment");
     group.bench_function("sequential", |b| {
         b.iter(|| fragment(&empty, &graph, std::slice::from_ref(&frag_shape)));
@@ -105,7 +113,16 @@ fn bench_neighborhood(c: &mut Criterion) {
             BenchmarkId::new("parallel", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| fragment_par(&empty, &graph, std::slice::from_ref(&frag_shape), workers));
+                b.iter(|| {
+                    validate_extract_fragment_par(
+                        &all_nodes,
+                        &graph,
+                        workers,
+                        Budget::unlimited(),
+                        None,
+                    )
+                    .unwrap()
+                });
             },
         );
     }

@@ -20,12 +20,11 @@ use std::time::Duration;
 use shapefrag_analyze::{analyze_schema, simplify, SimplifyLevel};
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
 use shapefrag_core::{
-    validate_batch_par, validate_batch_par_stats, validate_extract_fragment,
-    validate_extract_fragment_par, validate_extract_fragment_par_stats,
+    validate_batch_par, validate_extract_fragment, validate_extract_fragment_par,
     validate_extract_fragment_per_node,
 };
 use shapefrag_shacl::validator::{validate, validate_batch};
-use shapefrag_shacl::Schema;
+use shapefrag_shacl::{Budget, Schema};
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, sample_induced, TyroleanConfig};
 
@@ -179,13 +178,21 @@ fn main() {
         let max_threads = opts.threads.iter().copied().max().unwrap_or(1);
         assert_eq!(
             reference,
-            validate_batch_par(&schema, &frozen, max_threads),
+            validate_batch_par(&schema, &frozen, max_threads, Budget::unlimited(), None)
+                .expect("an unlimited budget cannot fault")
+                .0,
             "parallel validation diverged at {individuals} individuals"
         );
         {
             let (seq_report, seq_frag) = validate_extract_fragment(&schema, &frozen);
-            let (par_report, par_frag) =
-                validate_extract_fragment_par(&schema, &frozen, max_threads);
+            let (par_report, par_frag, _) = validate_extract_fragment_par(
+                &schema,
+                &frozen,
+                max_threads,
+                Budget::unlimited(),
+                None,
+            )
+            .expect("an unlimited budget cannot fault");
             assert_eq!(
                 seq_report, par_report,
                 "parallel extraction report diverged at {individuals} individuals"
@@ -229,11 +236,22 @@ fn main() {
             let mut val_stats = None;
             let mut ext_stats = None;
             for _ in 0..runs {
-                let ((_, vs), d) = time(|| validate_batch_par_stats(&schema, &frozen, threads));
+                let (res, d) = time(|| {
+                    validate_batch_par(&schema, &frozen, threads, Budget::unlimited(), None)
+                });
+                let (_, vs) = res.expect("an unlimited budget cannot fault");
                 s_val_par.push(d);
                 val_stats = Some(vs);
-                let ((_, _, es), d) =
-                    time(|| validate_extract_fragment_par_stats(&schema, &frozen, threads));
+                let (res, d) = time(|| {
+                    validate_extract_fragment_par(
+                        &schema,
+                        &frozen,
+                        threads,
+                        Budget::unlimited(),
+                        None,
+                    )
+                });
+                let (_, _, es) = res.expect("an unlimited budget cannot fault");
                 s_ext_par.push(d);
                 ext_stats = Some(es);
             }

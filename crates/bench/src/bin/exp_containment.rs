@@ -8,7 +8,7 @@
 //! validates a Tyrolean graph two ways:
 //!
 //! - plain: [`validate_batch`] with a fresh memo, no containment index;
-//! - containment: [`validate_batch_containment`] with a
+//! - containment: [`validate_batch_containment_governed`] with a
 //!   [`ContainmentMatrix`]-derived index attached, so decided bits of an
 //!   equivalent or subsuming definition answer top-level checks without
 //!   evaluating the shape body.
@@ -27,8 +27,10 @@ use std::time::Duration;
 use shapefrag_analyze::ContainmentMatrix;
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
 use shapefrag_rdf::Term;
-use shapefrag_shacl::validator::{validate_batch, validate_batch_containment, ConformanceMemo};
-use shapefrag_shacl::{Schema, Shape, ShapeDef};
+use shapefrag_shacl::validator::{
+    validate_batch, validate_batch_containment_governed, ConformanceMemo,
+};
+use shapefrag_shacl::{ExecCtx, Schema, Shape, ShapeDef};
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, TyroleanConfig};
 
@@ -137,8 +139,13 @@ fn main() {
     let baseline = validate_batch(&schema, frozen.as_ref());
     let memo = Arc::new(ConformanceMemo::new());
     memo.attach_containment(Arc::clone(&index));
-    let (assisted, shapes_skipped) =
-        validate_batch_containment(&schema, frozen.as_ref(), Arc::clone(&memo));
+    let (assisted, shapes_skipped) = validate_batch_containment_governed(
+        &schema,
+        frozen.as_ref(),
+        Arc::clone(&memo),
+        ExecCtx::unbounded(),
+    )
+    .expect("an unbounded context cannot fault");
     assert_eq!(
         baseline, assisted,
         "containment-assisted report diverged from plain batch"
@@ -165,7 +172,12 @@ fn main() {
         let (_, t) = time(|| {
             let memo = Arc::new(ConformanceMemo::new());
             memo.attach_containment(Arc::clone(&index));
-            validate_batch_containment(&schema, frozen.as_ref(), memo)
+            validate_batch_containment_governed(
+                &schema,
+                frozen.as_ref(),
+                memo,
+                ExecCtx::unbounded(),
+            )
         });
         s_cont.push(t);
     }

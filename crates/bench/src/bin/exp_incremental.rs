@@ -8,9 +8,10 @@
 //! vocabulary). Per `(size, ratio)` cell it reports the median wall-clock
 //! of
 //!
-//! - the incremental path: `apply` (change-impact routing + selective
-//!   memo invalidation over the [`DeltaGraph`] overlay), sequential and
-//!   at the largest `--threads` count, and
+//! - the incremental path: `apply_governed` with an unlimited budget
+//!   (change-impact routing + selective memo invalidation over the
+//!   [`DeltaGraph`] overlay), on one worker and on a validator seeded
+//!   with the largest `--threads` count, and
 //! - the scratch path: replay the edits into a mutable graph, re-freeze,
 //!   and `validate_batch` the snapshot (what a non-incremental server
 //!   has to do per batch),
@@ -28,8 +29,8 @@ use rand::{Rng, SeedableRng};
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
 use shapefrag_core::{EditOp, EditScript, IncrementalValidator};
 use shapefrag_rdf::{Graph, Triple};
-use shapefrag_shacl::validator::validate_batch;
-use shapefrag_shacl::Schema;
+use shapefrag_shacl::validator::{validate_batch, ValidationReport};
+use shapefrag_shacl::{Budget, Schema};
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, sample_induced, TyroleanConfig};
 
@@ -121,6 +122,12 @@ fn random_script(graph: &Graph, k: usize, seed: u64) -> EditScript {
     EditScript::new(ops)
 }
 
+/// Applies a script with no resource limit.
+fn apply(inc: &mut IncrementalValidator, script: &EditScript) -> ValidationReport {
+    inc.apply_governed(script, Budget::unlimited(), None)
+        .expect("an unlimited budget cannot fault")
+}
+
 /// The inverse script: undoes an all-effective batch exactly, restoring
 /// the pre-batch graph between timed runs.
 fn inverse(script: &EditScript) -> EditScript {
@@ -165,6 +172,11 @@ fn main() {
         let (inc_seed, t_seed) =
             time(|| IncrementalValidator::new(Arc::clone(&schema), Arc::clone(&frozen)));
         let mut inc = inc_seed;
+        let mut inc_par = IncrementalValidator::with_threads(
+            Arc::clone(&schema),
+            Arc::clone(&frozen),
+            par_threads,
+        );
 
         let mut ratio_rows = Vec::new();
         for (j, &ratio) in RATIOS.iter().enumerate() {
@@ -185,23 +197,23 @@ fn main() {
                     }
                 }
             }
-            let report = inc.apply(&script);
+            let report = apply(&mut inc, &script);
             assert_eq!(
                 report,
                 validate_batch(&schema, &post),
                 "incremental diverged from scratch at {individuals}/{ratio}"
             );
-            inc.apply(&undo);
+            apply(&mut inc, &undo);
 
             // Incremental path, sequential and parallel, restoring the
             // base state between timed runs.
             let mut s_inc = Vec::with_capacity(runs);
             let mut s_inc_par = Vec::with_capacity(runs);
             for _ in 0..runs {
-                s_inc.push(time(|| inc.apply(&script)).1);
-                inc.apply(&undo);
-                s_inc_par.push(time(|| inc.apply_par(&script, par_threads)).1);
-                inc.apply_par(&undo, par_threads);
+                s_inc.push(time(|| apply(&mut inc, &script)).1);
+                apply(&mut inc, &undo);
+                s_inc_par.push(time(|| apply(&mut inc_par, &script)).1);
+                apply(&mut inc_par, &undo);
             }
 
             // Scratch path: replay + re-freeze + full batch validation.

@@ -12,6 +12,11 @@
 //! deadline expires (abort latency = observed runtime minus the
 //! configured deadline).
 //!
+//! `validate_batch` is itself the governed driver run under an unbounded
+//! context, so the two sides time the same code: the overhead column is
+//! the noise floor of this comparison, and the bookkeeping cost proper
+//! is paid on both sides.
+//!
 //! Results are written to `BENCH_robustness.json`. The contract (DESIGN.md
 //! §9) is ≤ 5% governance overhead on the largest workload graph.
 

@@ -20,6 +20,7 @@ use shapefrag_shacl::{Nnf, Schema, Shape};
 use crate::neighborhood::{
     collect_neighborhood_many, materialize, neighborhood_nnf_ids, IdTriples,
 };
+use crate::parallel::fault_of;
 
 /// Computes the shape fragment `Frag(G, S)` for request shapes `S`.
 pub fn fragment<G: GraphAccess>(schema: &Schema, graph: &G, shapes: &[Shape]) -> Graph {
@@ -37,22 +38,8 @@ pub fn schema_fragment<G: GraphAccess>(schema: &Schema, graph: &G) -> Graph {
 /// `hasShape` sub-shapes) and the conforming nodes' neighborhoods are
 /// collected by the batched Table 2 collector.
 pub fn fragment_ids<G: GraphAccess>(schema: &Schema, graph: &G, shapes: &[Shape]) -> IdTriples {
-    let memo = Arc::new(ConformanceMemo::new());
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let nodes: Vec<TermId> = graph.node_ids().into_iter().collect();
-    let mut out = IdTriples::default();
-    for shape in shapes {
-        let nnf = Nnf::from_shape(shape);
-        let decisions = ctx.conforms_all_nnf(&nodes, &nnf);
-        let conforming: Vec<TermId> = nodes
-            .iter()
-            .zip(decisions)
-            .filter(|(_, ok)| *ok)
-            .map(|(&v, _)| v)
-            .collect();
-        collect_neighborhood_many(&mut ctx, &conforming, &nnf, &mut out);
-    }
-    out
+    fragment_ids_governed(schema, graph, shapes, ExecCtx::unbounded())
+        .expect("an unbounded context cannot fault")
 }
 
 /// Resource-governed [`fragment`]: computes `Frag(G, S)` under a deadline /
@@ -64,6 +51,16 @@ pub fn fragment_governed<G: GraphAccess>(
     shapes: &[Shape],
     exec: ExecCtx,
 ) -> Result<Graph, EngineError> {
+    fragment_ids_governed(schema, graph, shapes, exec).map(|ids| materialize(graph, &ids))
+}
+
+/// The loop behind [`fragment_ids`] and [`fragment_governed`].
+fn fragment_ids_governed<G: GraphAccess>(
+    schema: &Schema,
+    graph: &G,
+    shapes: &[Shape],
+    exec: ExecCtx,
+) -> Result<IdTriples, EngineError> {
     let memo = Arc::new(ConformanceMemo::new());
     let mut ctx = Context::with_memo(schema, graph, memo).with_exec(exec);
     let nodes: Vec<TermId> = graph.node_ids().into_iter().collect();
@@ -71,9 +68,7 @@ pub fn fragment_governed<G: GraphAccess>(
     for shape in shapes {
         let nnf = Nnf::from_shape(shape);
         let decisions = ctx.conforms_all_nnf(&nodes, &nnf);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
+        fault_of(&mut ctx)?;
         let conforming: Vec<TermId> = nodes
             .iter()
             .zip(decisions)
@@ -81,20 +76,9 @@ pub fn fragment_governed<G: GraphAccess>(
             .map(|(&v, _)| v)
             .collect();
         collect_neighborhood_many(&mut ctx, &conforming, &nnf, &mut out);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
+        fault_of(&mut ctx)?;
     }
-    Ok(materialize(graph, &out))
-}
-
-/// Resource-governed [`schema_fragment`].
-pub fn schema_fragment_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    exec: ExecCtx,
-) -> Result<Graph, EngineError> {
-    fragment_governed(schema, graph, &schema.request_shapes(), exec)
+    Ok(out)
 }
 
 /// Per-node reference implementation of [`fragment_ids`] (one neighborhood
@@ -115,23 +99,6 @@ pub fn fragment_ids_per_node<G: GraphAccess>(
         }
     }
     out
-}
-
-/// Parallel fragment computation: a thin wrapper over the cost-routed
-/// work-stealing engine ([`crate::parallel::fragment_ids_par`]), kept for
-/// source compatibility. Produces exactly the same fragment as
-/// [`fragment`] — neighborhoods are independent per (node, shape) pair and
-/// the id-triple union is order-free.
-pub fn fragment_par<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    shapes: &[Shape],
-    workers: usize,
-) -> Graph {
-    materialize(
-        graph,
-        &crate::parallel::fragment_ids_par(schema, graph, shapes, workers),
-    )
 }
 
 /// The set of nodes conforming to a shape — a shape viewed as a unary query
@@ -277,7 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fragment_equals_sequential() {
+    fn all_node_target_extraction_equals_request_fragment() {
+        // Frag(G, {φ ∧ ⊤}) = Frag(G, {φ}): the extraction engine over a
+        // ⊤-targeted schema reproduces `fragment` at every thread count.
         let mut triples = Vec::new();
         for i in 0..40 {
             triples.push(t(&format!("n{i}"), "p", &format!("n{}", (i + 1) % 40)));
@@ -285,19 +254,25 @@ mod tests {
                 triples.push(t(&format!("n{i}"), "type", "C"));
             }
         }
-        let g = Graph::from_triples(triples);
-        let shapes = vec![
-            Shape::geq(
-                1,
-                p("p"),
-                Shape::geq(1, p("type"), Shape::has_value(term("C"))),
-            ),
-            Shape::for_all(p("type"), Shape::has_value(term("C"))),
-        ];
-        let schema = Schema::empty();
-        let seq = fragment(&schema, &g, &shapes);
-        let par = fragment_par(&schema, &g, &shapes, 4);
-        assert_eq!(seq, par);
+        let g = Graph::from_triples(triples).freeze();
+        let shape = Shape::geq(
+            1,
+            p("p"),
+            Shape::geq(1, p("type"), Shape::has_value(term("C"))),
+        );
+        let expected = fragment(&Schema::empty(), &g, std::slice::from_ref(&shape));
+        let schema = Schema::new([ShapeDef::new(term("S"), shape, Shape::True)]).unwrap();
+        for threads in [1, 4] {
+            let (_, frag, _) = crate::validate_extract_fragment_par(
+                &schema,
+                &g,
+                threads,
+                shapefrag_govern::Budget::unlimited(),
+                None,
+            )
+            .unwrap();
+            assert_eq!(frag.to_graph(&g), expected, "threads = {threads}");
+        }
     }
 
     #[test]

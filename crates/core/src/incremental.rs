@@ -55,19 +55,17 @@
 //! never half-invalidated.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use shapefrag_analyze::{impact_profiles, ContainmentMatrix, ImpactProfile};
-use shapefrag_govern::{Budget, CancelToken, EngineError, ExecCtx};
+use shapefrag_govern::{Budget, CancelToken, EngineError};
 use shapefrag_rdf::{ntriples, DeltaGraph, FrozenGraph, ParseError, TermId, Triple};
-use shapefrag_sched::{run, WorkUnit};
 use shapefrag_shacl::validator::{
     ConformanceMemo, ContainmentIndex, Context, ValidationReport, Violation,
 };
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
-use crate::parallel::{chunk_len, spans_for, unit_cost, Span};
+use crate::parallel::{exec_ctx, fault_of, push_units, run_governed};
 
 /// One edit: add or remove a single triple. Adding a triple that is
 /// already present (or removing one that is absent) is a no-op.
@@ -80,8 +78,8 @@ pub enum EditOp {
 }
 
 /// An ordered batch of edits, applied atomically by
-/// [`IncrementalValidator::apply`] — the report always reflects either
-/// none or all of the script.
+/// [`IncrementalValidator::apply_governed`] — the report always reflects
+/// either none or all of the script.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EditScript {
     /// The edits, in application order (later ops see earlier ones).
@@ -176,6 +174,8 @@ pub struct IncrementalValidator {
     /// Per definition (in `schema.iter()` order): the current target row,
     /// sorted ascending by focus id, with each node's conformance bit.
     state: Vec<Vec<(TermId, bool)>>,
+    /// Worker threads for seeding and every edit batch.
+    threads: usize,
 }
 
 impl IncrementalValidator {
@@ -185,7 +185,7 @@ impl IncrementalValidator {
     }
 
     /// Seeds the state with a full validation of `base` on `threads`
-    /// workers.
+    /// workers; every later edit batch runs on the same count.
     pub fn with_threads(schema: Arc<Schema>, base: Arc<FrozenGraph>, threads: usize) -> Self {
         let delta = DeltaGraph::new(base);
         let profiles = impact_profiles(schema.iter());
@@ -194,8 +194,17 @@ impl IncrementalValidator {
         memo.attach_containment(Arc::clone(&containment));
         let empty = vec![Vec::new(); schema.len()];
         let impacts: Vec<Impact> = (0..schema.len()).map(|_| Impact::All).collect();
-        let state = revalidate(&schema, &delta, &empty, &memo, &impacts, threads, None)
-            .expect("ungoverned revalidation cannot fault");
+        let state = revalidate(
+            &schema,
+            &delta,
+            &empty,
+            &memo,
+            &impacts,
+            threads,
+            Budget::unlimited(),
+            None,
+        )
+        .expect("an unlimited budget cannot fault");
         IncrementalValidator {
             schema,
             profiles,
@@ -203,6 +212,7 @@ impl IncrementalValidator {
             memo,
             containment,
             state,
+            threads,
         }
     }
 
@@ -308,55 +318,18 @@ impl IncrementalValidator {
         impacts
     }
 
-    /// Applies an edit batch and returns the incrementally-maintained
-    /// report (identical to a from-scratch `validate_batch` on the
-    /// post-edit overlay).
-    pub fn apply(&mut self, script: &EditScript) -> ValidationReport {
-        self.apply_par(script, 1)
-    }
-
-    /// [`IncrementalValidator::apply`] on `threads` workers: impact
-    /// routing and target recomputation run sequentially, the re-checks
-    /// run as cost-ordered work-stealing units.
-    pub fn apply_par(&mut self, script: &EditScript, threads: usize) -> ValidationReport {
-        let Some((touched, removed)) = self.stage(script) else {
-            return self.report();
-        };
-        let impacts = self.route_and_invalidate(&touched, &removed);
-        self.state = revalidate(
-            &self.schema,
-            &self.delta,
-            &self.state,
-            &self.memo,
-            &impacts,
-            threads,
-            None,
-        )
-        .expect("ungoverned revalidation cannot fault");
-        self.report()
-    }
-
-    /// Resource-governed [`IncrementalValidator::apply`]: on a fault the
-    /// overlay is rolled back to its pre-batch contents, the rows are left
-    /// untouched, and the memo is fully cleared — the state is never
-    /// half-updated.
+    /// Applies an edit batch under `budget` (and `cancel`, if given) and
+    /// returns the incrementally-maintained report — identical to a
+    /// from-scratch `validate_batch` on the post-edit overlay. Impact
+    /// routing and target recomputation run sequentially; the re-checks
+    /// run as cost-ordered work-stealing units on the thread count given
+    /// to [`IncrementalValidator::with_threads`], each worker under
+    /// `budget.split(threads)`. On a fault the overlay is rolled back to
+    /// its pre-batch contents, the rows are left untouched, and the memo is
+    /// fully cleared — the state is never half-updated.
     pub fn apply_governed(
         &mut self,
         script: &EditScript,
-        budget: Budget,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ValidationReport, EngineError> {
-        self.apply_par_governed(script, 1, budget, cancel)
-    }
-
-    /// Governed [`IncrementalValidator::apply_par`]: every worker runs
-    /// under `budget.split(threads)` plus the shared cancellation token;
-    /// the first fault in planning order wins and triggers the rollback
-    /// described on [`IncrementalValidator::apply_governed`].
-    pub fn apply_par_governed(
-        &mut self,
-        script: &EditScript,
-        threads: usize,
         budget: Budget,
         cancel: Option<&CancelToken>,
     ) -> Result<ValidationReport, EngineError> {
@@ -371,8 +344,9 @@ impl IncrementalValidator {
             &self.state,
             &self.memo,
             &impacts,
-            threads,
-            Some((budget, cancel)),
+            self.threads,
+            budget,
+            cancel,
         ) {
             Ok(state) => {
                 self.state = state;
@@ -538,6 +512,7 @@ struct RowPlan<'a> {
 /// exactly the impact-routed `(shape, focus)` pairs and reusing every
 /// other bit from `state`. Must be called after memo invalidation; it
 /// re-binds the memo to the post-edit fingerprint itself.
+#[allow(clippy::too_many_arguments)]
 fn revalidate(
     schema: &Schema,
     delta: &DeltaGraph,
@@ -545,26 +520,15 @@ fn revalidate(
     memo: &Arc<ConformanceMemo>,
     impacts: &[Impact],
     threads: usize,
-    governor: Option<(Budget, Option<&CancelToken>)>,
+    budget: Budget,
+    cancel: Option<&CancelToken>,
 ) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
     memo.rebind(schema, delta);
     let threads = threads.max(1);
-    if threads == 1 {
-        return revalidate_seq(schema, delta, state, memo, impacts, governor);
-    }
-    let attach = |budget: Budget, cancel: Option<&CancelToken>| {
-        let mut exec = ExecCtx::with_budget(budget);
-        if let Some(token) = cancel {
-            exec = exec.with_cancel(token);
-        }
-        exec
-    };
     // Planning (impact filtering + target recomputation) runs
-    // sequentially under the full budget, like the parallel batch driver.
-    let mut plan_ctx = Context::with_memo(schema, delta, Arc::clone(memo));
-    if let Some((budget, cancel)) = governor {
-        plan_ctx = plan_ctx.with_exec(attach(budget, cancel));
-    }
+    // sequentially under the full budget, like the batch engines' planner.
+    let mut plan_ctx =
+        Context::with_memo(schema, delta, Arc::clone(memo)).with_exec(exec_ctx(budget, cancel));
     // Route each re-check through `HasShape(name)` so the def-level bit
     // lands in the memo under the definition's own id, where containment
     // derivation can reach it.
@@ -573,157 +537,59 @@ fn revalidate(
         .map(|def| Shape::HasShape(def.name.clone()))
         .collect();
     let mut plans: Vec<RowPlan> = Vec::with_capacity(schema.len());
-    let mut units: Vec<WorkUnit<Span>> = Vec::new();
+    let mut units = Vec::new();
     let mut seq = 0;
     for (d, def) in schema.iter().enumerate() {
-        if governor.is_some() {
-            plan_ctx.exec().check_now()?;
-        }
+        plan_ctx.exec().check_now()?;
         let targets = plan_ctx.target_nodes(&def.target);
-        if let Some(e) = plan_ctx.take_fault() {
-            return Err(e);
-        }
+        fault_of(&mut plan_ctx)?;
         let plan = plan_row(&wrapped[d], targets, &state[d], &impacts[d]);
         let nnf = Nnf::from_shape(&def.shape);
-        let chunk = chunk_len(plan.to_check.len(), threads);
-        let mut spans = Vec::new();
-        spans_for(plan.to_check.len(), chunk, d, &mut seq, &mut spans);
-        for s in spans {
-            units.push(WorkUnit {
-                cost: unit_cost(schema, &nnf, s.hi - s.lo),
-                item: s,
-            });
-        }
+        push_units(
+            schema,
+            &nnf,
+            plan.to_check.len(),
+            threads,
+            d,
+            &mut seq,
+            &mut units,
+        );
         plans.push(plan);
     }
     drop(plan_ctx);
 
-    /// Per-unit output: `(seq, def, lo, decisions)`.
-    type UnitBits = (usize, usize, usize, Vec<bool>);
-    let per_worker: Vec<Vec<UnitBits>>;
-    match governor {
-        None => {
-            (per_worker, _) = run(
-                units,
-                threads,
-                |_| {
-                    (
-                        Context::with_memo(schema, delta, Arc::clone(memo)),
-                        Vec::<UnitBits>::new(),
-                    )
-                },
-                |(ctx, out), span: Span| {
-                    let plan = &plans[span.def];
-                    let nodes = &plan.to_check[span.lo..span.hi];
-                    let decisions = ctx.conforms_all(nodes, plan.shape);
-                    out.push((span.seq, span.def, span.lo, decisions));
-                },
-                |_, (_, out)| out,
-            );
-        }
-        Some((budget, cancel)) => {
-            let worker_budget = budget.split(threads);
-            let fault: Mutex<Option<(usize, EngineError)>> = Mutex::new(None);
-            let abort = AtomicBool::new(false);
-            let record_fault = |seq: usize, e: EngineError| {
-                let mut slot = fault.lock().expect("fault slot poisoned");
-                match &*slot {
-                    Some((s, _)) if *s <= seq => {}
-                    _ => *slot = Some((seq, e)),
-                }
-                abort.store(true, Ordering::Release);
-            };
-            (per_worker, _) = run(
-                units,
-                threads,
-                |_| {
-                    (
-                        Context::with_memo(schema, delta, Arc::clone(memo))
-                            .with_exec(attach(worker_budget, cancel)),
-                        Vec::<UnitBits>::new(),
-                    )
-                },
-                |(ctx, out), span: Span| {
-                    if abort.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let plan = &plans[span.def];
-                    let nodes = &plan.to_check[span.lo..span.hi];
-                    let decisions = ctx.conforms_all(nodes, plan.shape);
-                    if let Some(e) = ctx.take_fault() {
-                        record_fault(span.seq, e);
-                        return;
-                    }
-                    out.push((span.seq, span.def, span.lo, decisions));
-                },
-                |_, (_, out)| out,
-            );
-            if let Some((_, e)) = fault.into_inner().expect("fault slot poisoned") {
-                return Err(e);
-            }
-        }
-    }
+    /// Per-unit output: `(def, lo, decisions)`.
+    type UnitBits = (usize, usize, Vec<bool>);
+    let (per_worker, _) = run_governed(
+        units,
+        threads,
+        budget,
+        cancel,
+        |exec| {
+            (
+                Context::with_memo(schema, delta, Arc::clone(memo)).with_exec(exec),
+                Vec::<UnitBits>::new(),
+            )
+        },
+        |(ctx, out), span| {
+            let plan = &plans[span.def];
+            let decisions = ctx.conforms_all(&plan.to_check[span.lo..span.hi], plan.shape);
+            fault_of(ctx)?;
+            out.push((span.def, span.lo, decisions));
+            Ok(())
+        },
+        |(_, out)| out,
+    )?;
     // Stitch decisions back into the rows: per definition, order the unit
     // outputs by their offset and splice them into the unfilled entries.
     let mut per_def: Vec<Vec<(usize, Vec<bool>)>> = (0..plans.len()).map(|_| Vec::new()).collect();
-    for (_, def, lo, decisions) in per_worker.into_iter().flatten() {
+    for (def, lo, decisions) in per_worker.into_iter().flatten() {
         per_def[def].push((lo, decisions));
     }
     let mut rows = Vec::with_capacity(plans.len());
     for (plan, mut parts) in plans.into_iter().zip(per_def) {
         parts.sort_by_key(|(lo, _)| *lo);
         let mut bits = parts.into_iter().flat_map(|(_, d)| d);
-        let row = plan
-            .entries
-            .into_iter()
-            .map(|(node, reused)| {
-                let bit =
-                    reused.unwrap_or_else(|| bits.next().expect("one decision per unfilled entry"));
-                (node, bit)
-            })
-            .collect();
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-fn revalidate_seq(
-    schema: &Schema,
-    delta: &DeltaGraph,
-    state: &[Vec<(TermId, bool)>],
-    memo: &Arc<ConformanceMemo>,
-    impacts: &[Impact],
-    governor: Option<(Budget, Option<&CancelToken>)>,
-) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
-    let mut ctx = Context::with_memo(schema, delta, Arc::clone(memo));
-    if let Some((budget, cancel)) = governor {
-        let mut exec = ExecCtx::with_budget(budget);
-        if let Some(token) = cancel {
-            exec = exec.with_cancel(token);
-        }
-        ctx = ctx.with_exec(exec);
-    }
-    // Same `HasShape(name)` routing as the parallel path: def-level bits
-    // must land under the definition's id for containment derivation.
-    let wrapped: Vec<Shape> = schema
-        .iter()
-        .map(|def| Shape::HasShape(def.name.clone()))
-        .collect();
-    let mut rows = Vec::with_capacity(schema.len());
-    for (d, def) in schema.iter().enumerate() {
-        if governor.is_some() {
-            ctx.exec().check_now()?;
-        }
-        let targets = ctx.target_nodes(&def.target);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let plan = plan_row(&wrapped[d], targets, &state[d], &impacts[d]);
-        let decisions = ctx.conforms_all(&plan.to_check, plan.shape);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let mut bits = decisions.into_iter();
         let row = plan
             .entries
             .into_iter()
@@ -811,6 +677,11 @@ mod tests {
         IncrementalValidator::new(Arc::clone(schema), Arc::new(g.freeze()))
     }
 
+    fn apply(inc: &mut IncrementalValidator, script: &EditScript) -> ValidationReport {
+        inc.apply_governed(script, Budget::unlimited(), None)
+            .expect("an unlimited budget cannot fault")
+    }
+
     #[test]
     fn seed_report_matches_validate_batch() {
         let schema = person_schema();
@@ -833,7 +704,7 @@ mod tests {
             EditOp::Remove(t("alice", "name", "a")),
             EditOp::Add(t("carol", "type", "Person")),
         ]);
-        let report = inc.apply(&script);
+        let report = apply(&mut inc, &script);
         let scratch = validate_batch(&schema, inc.graph());
         assert_eq!(report, scratch);
         assert_eq!(report.checked, 3);
@@ -851,7 +722,7 @@ mod tests {
             EditOp::Add(t("alice", "type", "Person")), // already present
             EditOp::Remove(t("zed", "type", "Person")), // absent
         ]);
-        assert_eq!(inc.apply(&script), before);
+        assert_eq!(apply(&mut inc, &script), before);
         assert_eq!(inc.graph().delta_len(), 0);
     }
 
@@ -863,9 +734,10 @@ mod tests {
         let memo_before = inc.memo().len();
         // `hobby` is outside the shape's alphabet; only the new node's
         // target membership is recomputed, no conformance bit is dropped.
-        let report = inc.apply(&EditScript::new([EditOp::Add(t(
-            "alice", "hobby", "chess",
-        ))]));
+        let report = apply(
+            &mut inc,
+            &EditScript::new([EditOp::Add(t("alice", "hobby", "chess"))]),
+        );
         assert_eq!(report, validate_batch(&schema, inc.graph()));
         assert_eq!(inc.memo().len(), memo_before);
     }
@@ -943,13 +815,19 @@ mod tests {
         let schema = person_schema();
         let g = seed_graph();
         let mut inc = validator(&schema, &g);
-        inc.apply(&EditScript::new([EditOp::Add(t("bob", "name", "b"))]));
+        apply(
+            &mut inc,
+            &EditScript::new([EditOp::Add(t("bob", "name", "b"))]),
+        );
         let before = inc.report();
         inc.compact();
         assert_eq!(inc.graph().delta_len(), 0);
         assert_eq!(inc.report(), before);
         // And edits keep flowing after compaction.
-        let report = inc.apply(&EditScript::new([EditOp::Remove(t("bob", "name", "b"))]));
+        let report = apply(
+            &mut inc,
+            &EditScript::new([EditOp::Remove(t("bob", "name", "b"))]),
+        );
         assert_eq!(report, validate_batch(&schema, inc.graph()));
     }
 
@@ -958,13 +836,14 @@ mod tests {
         let schema = person_schema();
         let g = seed_graph();
         let mut seq = validator(&schema, &g);
-        let mut par = validator(&schema, &g);
+        let mut par =
+            IncrementalValidator::with_threads(Arc::clone(&schema), Arc::new(g.freeze()), 4);
         let script = EditScript::new([
             EditOp::Add(t("bob", "name", "b")),
             EditOp::Add(t("carol", "type", "Person")),
             EditOp::Add(t("carol", "name", "c")),
         ]);
-        assert_eq!(seq.apply(&script), par.apply_par(&script, 4));
+        assert_eq!(apply(&mut seq, &script), apply(&mut par, &script));
     }
 
     #[test]
@@ -985,7 +864,7 @@ mod tests {
         assert_eq!(inc.report(), before);
         assert_eq!(inc.memo().len(), 0);
         // And the validator still works after the fault.
-        let report = inc.apply(&script);
+        let report = apply(&mut inc, &script);
         assert_eq!(report, validate_batch(&schema, inc.graph()));
     }
 

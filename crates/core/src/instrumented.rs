@@ -20,17 +20,15 @@
 //!   API consumers.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
-use shapefrag_analyze::{shape_shares_work, Diagnostic, SimplifyLevel};
+use shapefrag_analyze::{Diagnostic, SimplifyLevel};
+use shapefrag_govern::Budget;
 use shapefrag_rdf::{Graph, GraphAccess, Term, TermId};
 use shapefrag_shacl::path::PathExpr;
-use shapefrag_shacl::validator::{ConformanceMemo, Context, ValidationReport, Violation};
+use shapefrag_shacl::validator::{Context, ValidationReport, Violation};
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
-use crate::neighborhood::{
-    collect_neighborhood_many, conforms_and_collect, materialize, neighborhood_nnf_ids, IdTriples,
-};
+use crate::neighborhood::{conforms_and_collect, materialize, neighborhood_nnf_ids, IdTriples};
 
 /// The fragment collected by [`validate_extract_fragment`], kept as interned
 /// id triples (the cheap form an instrumented validator accumulates);
@@ -201,38 +199,25 @@ impl TargetEvidence {
     }
 }
 
-/// Parallel validation: a thin wrapper over the cost-routed work-stealing
-/// engine ([`crate::parallel::validate_batch_par`]), kept for source
-/// compatibility. Produces exactly the report of
-/// [`shapefrag_shacl::validator::validate`], with violations in a
-/// canonical `(shape, focus)` order.
-pub fn validate_par<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    workers: usize,
-) -> ValidationReport {
-    let mut report = crate::parallel::validate_batch_par(schema, graph, workers);
-    report
-        .violations
-        .sort_by(|a, b| (&a.shape, &a.focus).cmp(&(&b.shape, &b.focus)));
-    report
-}
-
 /// Validates and, in the same pass, extracts the schema's shape fragment
 /// `Frag(G, H)` (the union of `B(v, φ ∧ τ)` over all conforming target
 /// nodes). This is the configuration the Figure 1 overhead experiment
 /// measures against plain validation.
 ///
-/// Runs set-at-a-time: each definition's targets are decided in one
-/// [`Context::conforms_all_nnf`] batch over a fresh shared memo and the
-/// conforming nodes' neighborhoods are collected by the batched Table 2
-/// collector. Produces exactly the report and fragment of
+/// The single-threaded, ungoverned run of
+/// [`crate::validate_extract_fragment_par`]: each definition's targets are
+/// decided in one [`Context::conforms_all_nnf`] batch over a shared memo
+/// and the conforming nodes' neighborhoods are collected by the batched
+/// Table 2 collector. Produces exactly the report and fragment of
 /// [`validate_extract_fragment_per_node`].
 pub fn validate_extract_fragment<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
 ) -> (ValidationReport, SchemaFragment) {
-    validate_extract_fragment_with_memo(schema, graph, Arc::new(ConformanceMemo::new()))
+    let (report, fragment, _) =
+        crate::parallel::validate_extract_fragment_par(schema, graph, 1, Budget::unlimited(), None)
+            .expect("an unlimited budget cannot fault");
+    (report, fragment)
 }
 
 /// Below this many target nodes per definition, the single-pass per-node
@@ -256,56 +241,6 @@ pub fn validate_extract_fragment_simplified<G: GraphAccess>(
     let (simplified, diags) = shapefrag_analyze::simplify(schema, SimplifyLevel::Fragment);
     let (report, fragment) = validate_extract_fragment(&simplified, graph);
     (report, fragment, diags)
-}
-
-pub fn validate_extract_fragment_with_memo<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    memo: Arc<ConformanceMemo>,
-) -> (ValidationReport, SchemaFragment) {
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let mut report = ValidationReport::default();
-    let mut all = IdTriples::default();
-    let mut journal: Vec<(TermId, TermId, TermId)> = Vec::new();
-    for def in schema.iter() {
-        let shape_nnf = Nnf::from_shape(&def.shape);
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
-        report.checked += targets.len();
-        if targets.len() < BATCH_MIN_TARGETS || !shape_shares_work(schema, &shape_nnf) {
-            // Small target set, or a shape the batch kernels cannot share
-            // any work on: one instrumented traversal per node, producing
-            // the identical verdicts and union.
-            for &node in &targets {
-                journal.clear();
-                if conforms_and_collect(&mut ctx, node, &shape_nnf, &mut journal) {
-                    all.extend(journal.iter().copied());
-                    evidence.collect(&mut ctx, node, &mut all);
-                } else {
-                    report.violations.push(Violation {
-                        shape: def.name.clone(),
-                        focus: graph.term(node).clone(),
-                    });
-                }
-            }
-            continue;
-        }
-        let decisions = ctx.conforms_all_nnf(&targets, &shape_nnf);
-        let mut conforming: Vec<TermId> = Vec::with_capacity(targets.len());
-        for (node, ok) in targets.iter().zip(decisions) {
-            if ok {
-                conforming.push(*node);
-                evidence.collect(&mut ctx, *node, &mut all);
-            } else {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-        collect_neighborhood_many(&mut ctx, &conforming, &shape_nnf, &mut all);
-    }
-    (report, SchemaFragment { triples: all })
 }
 
 /// The per-node reference implementation of [`validate_extract_fragment`]:
@@ -520,44 +455,6 @@ mod tests {
         let g = Graph::from_triples([t("a", "q", "b"), t("a", "q", "c"), t("d", "q", "e")]);
         let (_, fast) = validate_extract_fragment(&schema, &g);
         assert_eq!(fast.to_graph(&g), schema_fragment(&schema, &g));
-    }
-
-    #[test]
-    fn parallel_validation_matches_sequential() {
-        // A multi-definition schema with mixed outcomes.
-        let schema = Schema::new([
-            ShapeDef::new(
-                term("S1"),
-                Shape::geq(1, p("author"), Shape::True),
-                Shape::geq(1, p("type"), Shape::has_value(term("Paper"))),
-            ),
-            ShapeDef::new(
-                term("S2"),
-                Shape::geq(1, p("title"), Shape::True),
-                Shape::geq(1, p("type"), Shape::has_value(term("Paper"))),
-            ),
-            ShapeDef::new(
-                term("S3"),
-                Shape::leq(1, p("author"), Shape::True),
-                Shape::geq(1, p("author"), Shape::True),
-            ),
-        ])
-        .unwrap();
-        let g = Graph::from_triples([
-            t("p1", "type", "Paper"),
-            t("p1", "author", "a"),
-            t("p1", "author", "b"),
-            t("p2", "type", "Paper"),
-            t("p2", "title", "x"),
-        ]);
-        let mut sequential = validate(&schema, &g);
-        sequential
-            .violations
-            .sort_by(|a, b| (&a.shape, &a.focus).cmp(&(&b.shape, &b.focus)));
-        for workers in [1, 2, 4] {
-            let parallel = validate_par(&schema, &g, workers);
-            assert_eq!(sequential, parallel, "workers = {workers}");
-        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   (Theorem 4.1).
 //! - [`instrumented`] — validation with simultaneous provenance extraction
 //!   (§5.2, the pySHACL-fragments strategy).
+//! - [`parallel`] — the governed work-stealing engines, one driver per
+//!   output: [`validate_batch_par`] for reports and
+//!   [`validate_extract_fragment_par`] for reports plus `Frag(G, H)`.
 //! - [`provenance`] — why / why-not explanations (Remark 3.7).
 //! - [`to_sparql`] — translation of neighborhoods and fragments to SPARQL
 //!   (§5.1: Lemma 5.1, Proposition 5.3, Corollary 5.5).
@@ -58,21 +61,17 @@ pub mod to_sparql;
 
 pub use fragment::{
     conforming_nodes, fragment, fragment_governed, fragment_ids, fragment_ids_per_node,
-    fragment_par, schema_fragment, schema_fragment_governed,
+    schema_fragment,
 };
 pub use incremental::{EditOp, EditScript, IncrementalValidator};
 pub use instrumented::{
     validate_extract_fragment, validate_extract_fragment_per_node,
-    validate_extract_fragment_simplified, validate_extract_fragment_with_memo, validate_par,
-    validate_with_provenance, ProvenancedReport, SchemaFragment,
+    validate_extract_fragment_simplified, validate_with_provenance, ProvenancedReport,
+    SchemaFragment,
 };
 pub use neighborhood::{
     collect_neighborhood_many, conforms_and_collect, neighborhood, neighborhood_governed,
     neighborhood_term, IdTriples,
 };
-pub use parallel::{
-    fragment_ids_par, fragment_ids_par_stats, validate_batch_par, validate_batch_par_containment,
-    validate_batch_par_governed, validate_batch_par_stats, validate_extract_fragment_par,
-    validate_extract_fragment_par_stats,
-};
+pub use parallel::{validate_batch_par, validate_extract_fragment_par};
 pub use provenance::{describe, explain, minimal_witness, Explanation};

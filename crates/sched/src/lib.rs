@@ -12,9 +12,9 @@
 //! therefore launch first and cheap ones backfill idle workers, which keeps
 //! the makespan close to the critical path without any dynamic profiling.
 //!
-//! Threads come from `std::thread::scope` via the vendored `crossbeam`
-//! shim; locks come from the vendored `parking_lot` shim (non-poisoning, so
-//! a panicking unit cannot wedge its siblings' queues). With `threads <= 1`
+//! Threads come from `std::thread::scope` and locks from `std::sync::Mutex`;
+//! a poisoned lock is recovered with `PoisonError::into_inner`, so a
+//! panicking unit cannot wedge its siblings' queues. With `threads <= 1`
 //! (or a single unit) the scheduler degenerates to an inline loop with no
 //! spawns and no locks, so the single-threaded overhead over a plain
 //! `for` loop is a sort.
@@ -22,9 +22,8 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One schedulable unit: an opaque item plus its static cost estimate.
 /// Higher cost ⇒ dispatched earlier.
@@ -51,17 +50,6 @@ pub struct RunStats {
     pub busy_nanos: u64,
     /// Summed wall-clock nanoseconds workers spent looking for work.
     pub idle_nanos: u64,
-    /// Shape definitions the planner settled without evaluation (answers
-    /// derived from an equivalent definition's memo bits). Filled by the
-    /// containment-aware drivers; the scheduler itself leaves it 0.
-    pub shapes_skipped: u64,
-    /// `(shape, node)` conformance answers derived through containment
-    /// edges instead of evaluation. Filled by the drivers.
-    pub checks_derived: u64,
-    /// Target lists reused from an earlier definition with a syntactically
-    /// identical target shape, instead of re-resolving. Filled by the
-    /// drivers.
-    pub targets_deduped: u64,
 }
 
 impl RunStats {
@@ -94,6 +82,12 @@ impl XorShift {
         self.0 = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
+}
+
+/// Locks a queue, recovering the data from a poisoned lock: a panicking
+/// unit leaves the queues themselves consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Per-worker counters folded into [`RunStats`] after the join.
@@ -168,16 +162,16 @@ where
         let mut state = init(me);
         loop {
             // 1. Own deque, expensive end first.
-            let mut unit = locals[me].lock().pop_front();
+            let mut unit = lock(&locals[me]).pop_front();
             // 2. Refill a batch from the global pool's expensive end.
             if unit.is_none() {
-                let mut pool = global.lock();
+                let mut pool = lock(&global);
                 if !pool.is_empty() {
                     stats.refills += 1;
                     let batch = (pool.len().div_ceil(threads)).clamp(1, 8);
                     unit = pool.pop();
                     if batch > 1 {
-                        let mut local = locals[me].lock();
+                        let mut local = lock(&locals[me]);
                         // Tail pops arrive in descending cost order, so
                         // push_back keeps the deque's front the dearest.
                         for _ in 1..batch {
@@ -197,7 +191,7 @@ where
                     if victim == me {
                         continue;
                     }
-                    if let Some(stolen) = locals[victim].lock().pop_back() {
+                    if let Some(stolen) = lock(&locals[victim]).pop_back() {
                         stats.steals += 1;
                         unit = Some(stolen);
                         break;
@@ -227,16 +221,15 @@ where
         (finish(me, state), stats)
     };
 
-    let per_worker: Vec<(R, WorkerStats)> = crossbeam::thread::scope(|scope| {
+    let per_worker: Vec<(R, WorkerStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|me| scope.spawn(move |_| worker_loop(me)))
+            .map(|me| scope.spawn(move || worker_loop(me)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("scheduler worker panicked"))
             .collect()
-    })
-    .expect("scheduler scope failed");
+    });
 
     let mut stats = RunStats {
         threads,

@@ -51,8 +51,8 @@ pub use schema::{Schema, SchemaError, ShapeDef};
 pub use shape::{PathOrId, Shape};
 pub use shapefrag_govern::{Budget, CancelToken, EngineError, ErrorCode, ExecCtx};
 pub use validator::{
-    schema_fingerprint, validate, validate_batch, validate_batch_containment,
-    validate_batch_containment_governed, validate_batch_governed, validate_batch_with_memo,
-    validate_governed, ConformanceMemo, ContainmentIndex, Context, ValidationReport, Violation,
+    schema_fingerprint, validate, validate_batch, validate_batch_containment_governed,
+    validate_batch_governed, validate_governed, ConformanceMemo, ContainmentIndex, Context,
+    ValidationReport, Violation,
 };
 pub use writer::{schema_to_shapes_graph, schema_to_shapes_graph_strict, schema_to_turtle};

@@ -9,9 +9,8 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use shapefrag_govern::{EngineError, ExecCtx};
 use shapefrag_rdf::graph::IntMap;
 use shapefrag_rdf::{Graph, GraphAccess, Term, TermId};
@@ -153,6 +152,17 @@ impl ContainmentIndex {
     }
 }
 
+/// Poison-tolerant read access: memo facts are published whole, so data
+/// behind a lock poisoned by a panicking worker is still valid.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Poison-tolerant write access (see [`read`]).
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Default for ConformanceMemo {
     fn default() -> Self {
         ConformanceMemo::new()
@@ -178,18 +188,18 @@ impl ConformanceMemo {
     /// the memo is already bound to a schema with a different fingerprint —
     /// a matrix computed for another schema must never derive bits here.
     pub fn attach_containment(&self, index: Arc<ContainmentIndex>) -> bool {
-        if let Some((schema_fp, _)) = *self.binding.read() {
+        if let Some((schema_fp, _)) = *read(&self.binding) {
             if schema_fp != index.schema_fp {
                 return false;
             }
         }
-        *self.containment.write() = Some(index);
+        *write(&self.containment) = Some(index);
         true
     }
 
     /// The attached containment index, if any.
     pub fn containment(&self) -> Option<Arc<ContainmentIndex>> {
-        self.containment.read().clone()
+        read(&self.containment).clone()
     }
 
     /// `(derived answers, derivation attempts that found nothing)` since
@@ -215,7 +225,7 @@ impl ConformanceMemo {
 
     /// Looks up a decided fact.
     pub fn lookup(&self, shape: u32, node: TermId) -> Option<bool> {
-        self.shard(shape, node).read().get(&(shape, node)).copied()
+        read(self.shard(shape, node)).get(&(shape, node)).copied()
     }
 
     /// [`ConformanceMemo::lookup`] extended with subsumption derivation:
@@ -228,7 +238,7 @@ impl ConformanceMemo {
         if let Some(v) = self.lookup(shape, node) {
             return Some(v);
         }
-        let index = self.containment.read().clone()?;
+        let index = read(&self.containment).clone()?;
         let derived = index
             .subs_of(shape)
             .iter()
@@ -256,34 +266,34 @@ impl ConformanceMemo {
 
     /// Records a decided fact.
     pub fn insert(&self, shape: u32, node: TermId, value: bool) {
-        self.shard(shape, node).write().insert((shape, node), value);
+        write(self.shard(shape, node)).insert((shape, node), value);
     }
 
     /// Number of decided facts.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| read(s).len()).sum()
     }
 
     /// True iff nothing has been decided yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.shards.iter().all(|s| read(s).is_empty())
     }
 
     /// Binds the memo to a `(schema, graph)` fingerprint on first use;
     /// returns `false` when the memo is already bound to a *different*
     /// pair (the caller must then run unmemoized).
     fn bind_or_check(&self, fingerprint: (u64, u64)) -> bool {
-        if let Some(bound) = *self.binding.read() {
+        if let Some(bound) = *read(&self.binding) {
             return bound == fingerprint;
         }
-        let mut slot = self.binding.write();
+        let mut slot = write(&self.binding);
         match *slot {
             Some(bound) => bound == fingerprint,
             None => {
                 *slot = Some(fingerprint);
                 // An index attached before the first binding was taken on
                 // trust; now that the schema is known, drop a mismatch.
-                let mut idx = self.containment.write();
+                let mut idx = write(&self.containment);
                 if idx.as_ref().is_some_and(|i| i.schema_fp != fingerprint.0) {
                     *idx = None;
                 }
@@ -298,7 +308,7 @@ impl ConformanceMemo {
     /// impact-routed pairs are dropped and everything else is reused.
     pub fn invalidate(&self, shape: u32, nodes: impl IntoIterator<Item = TermId>) {
         for node in nodes {
-            self.shard(shape, node).write().remove(&(shape, node));
+            write(self.shard(shape, node)).remove(&(shape, node));
         }
     }
 
@@ -307,7 +317,7 @@ impl ConformanceMemo {
     /// is a wildcard with unbounded depth (any edit may flip any focus).
     pub fn invalidate_shape(&self, shape: u32) {
         for shard in self.shards.iter() {
-            shard.write().retain(|key, _| key.0 != shape);
+            write(shard).retain(|key, _| key.0 != shape);
         }
     }
 
@@ -317,10 +327,10 @@ impl ConformanceMemo {
     /// as it is along a delta/compaction lineage).
     pub fn rebind<G: GraphAccess>(&self, schema: &Schema, graph: &G) {
         let fingerprint = memo_fingerprint(schema, graph);
-        *self.binding.write() = Some(fingerprint);
+        *write(&self.binding) = Some(fingerprint);
         // A containment index proven over a different schema must not
         // survive the rebind.
-        let mut idx = self.containment.write();
+        let mut idx = write(&self.containment);
         if idx.as_ref().is_some_and(|i| i.schema_fp != fingerprint.0) {
             *idx = None;
         }
@@ -332,10 +342,10 @@ impl ConformanceMemo {
     /// cleared, never half-invalidated.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard.write().clear();
+            write(shard).clear();
         }
-        *self.binding.write() = None;
-        *self.containment.write() = None;
+        *write(&self.binding) = None;
+        *write(&self.containment) = None;
         self.containment_hits.store(0, Ordering::Relaxed);
         self.containment_misses.store(0, Ordering::Relaxed);
     }
@@ -1016,7 +1026,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
         {
             // Pin every stripe for read once, then the scan is lock-free
             // per node (readers share stripes; only writers exclude).
-            let tables: Vec<_> = memo.shards.iter().map(|s| s.read()).collect();
+            let tables: Vec<_> = memo.shards.iter().map(read).collect();
             let probe = |shape: u32, node: TermId| -> Option<bool> {
                 tables[ConformanceMemo::shard_index(shape, node)]
                     .get(&(shape, node))
@@ -1378,39 +1388,19 @@ pub fn validate<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport 
 /// memo, so `hasShape` sub-shapes are checked once per node across all
 /// referencing targets and path work is shared via the multi-source kernel.
 pub fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
-    validate_batch_with_memo(schema, graph, Arc::new(ConformanceMemo::new()))
+    validate_batch_governed(schema, graph, ExecCtx::unbounded())
+        .expect("an unbounded context cannot fault")
 }
 
-/// [`validate_batch`] against a caller-provided memo (which must belong to
-/// this `(graph, schema)` pair); lets parallel drivers share decisions
-/// across worker threads.
-pub fn validate_batch_with_memo<G: GraphAccess>(
+/// Resource-governed [`validate_batch`]: the set-at-a-time driver under a
+/// deadline/budget/cancellation governor.
+pub fn validate_batch_governed<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
-    memo: Arc<ConformanceMemo>,
-) -> ValidationReport {
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let mut report = ValidationReport::default();
-    for def in schema.iter() {
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        // Route the top-level check through the *named* path so the
-        // definition's own bits land in the memo (`def(name)` defaults to
-        // the definition's shape, so the answers are identical). Named
-        // bits are what makes subsumption derivation and cross-def reuse
-        // possible.
-        let shape = Shape::HasShape(def.name.clone());
-        let conforming = ctx.conforms_all(&targets, &shape);
-        report.checked += targets.len();
-        for (node, ok) in targets.iter().zip(conforming) {
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-    }
-    report
+    exec: ExecCtx,
+) -> Result<ValidationReport, EngineError> {
+    validate_batch_containment_governed(schema, graph, Arc::new(ConformanceMemo::new()), exec)
+        .map(|(report, _)| report)
 }
 
 /// Which definitions a containment-aware driver can settle without any
@@ -1440,43 +1430,17 @@ fn covered_defs(schema: &Schema, index: Option<&ContainmentIndex>) -> Vec<bool> 
     covered
 }
 
-/// [`validate_batch_with_memo`] with subsumption-keyed reuse: the memo's
-/// attached [`ContainmentIndex`] (see
-/// [`ConformanceMemo::attach_containment`]) lets decided bits of related
-/// shapes answer top-level checks without evaluation. Returns the report —
-/// bit-identical to the other drivers' — plus the number of definitions
-/// that needed no shape-body evaluation at all (fully derived from an
-/// equivalent definition's bits).
-pub fn validate_batch_containment<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    memo: Arc<ConformanceMemo>,
-) -> (ValidationReport, u64) {
-    let covered = covered_defs(schema, memo.containment().as_deref());
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let mut report = ValidationReport::default();
-    let mut skipped = 0u64;
-    for (i, def) in schema.iter().enumerate() {
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        let shape = Shape::HasShape(def.name.clone());
-        let conforming = ctx.conforms_all(&targets, &shape);
-        report.checked += targets.len();
-        if covered[i] {
-            skipped += 1;
-        }
-        for (node, ok) in targets.iter().zip(conforming) {
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-    }
-    (report, skipped)
-}
-
-/// Resource-governed [`validate_batch_containment`].
+/// The sequential set-at-a-time driver every batch entry point runs,
+/// against a caller-provided memo (which must belong to this
+/// `(graph, schema)` pair). Each top-level check is routed through the
+/// *named* path (`def(name)` is the definition's shape, so the answers are
+/// identical), which lands the definition's own bits in the memo; when the
+/// memo carries a [`ContainmentIndex`] (see
+/// [`ConformanceMemo::attach_containment`]) decided bits of related shapes
+/// then answer top-level checks without evaluation. Returns the report —
+/// bit-identical to [`validate`]'s — plus the number of definitions that
+/// needed no shape-body evaluation at all (fully derived from an
+/// equivalent definition's bits), or the first resource fault.
 pub fn validate_batch_containment_governed<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
@@ -1486,8 +1450,7 @@ pub fn validate_batch_containment_governed<G: GraphAccess>(
     let covered = covered_defs(schema, memo.containment().as_deref());
     let mut ctx = Context::with_memo(schema, graph, memo).with_exec(exec);
     let mut report = ValidationReport::default();
-    let mut skipped = 0u64;
-    for (i, def) in schema.iter().enumerate() {
+    for def in schema.iter() {
         ctx.exec.check_now()?;
         let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
         if let Some(e) = ctx.take_fault() {
@@ -1499,9 +1462,6 @@ pub fn validate_batch_containment_governed<G: GraphAccess>(
             return Err(e);
         }
         report.checked += targets.len();
-        if covered[i] {
-            skipped += 1;
-        }
         for (node, ok) in targets.iter().zip(conforming) {
             if !ok {
                 report.violations.push(Violation {
@@ -1511,6 +1471,7 @@ pub fn validate_batch_containment_governed<G: GraphAccess>(
             }
         }
     }
+    let skipped = covered.iter().filter(|&&c| c).count() as u64;
     Ok((report, skipped))
 }
 
@@ -1547,39 +1508,6 @@ pub fn validate_governed<G: GraphAccess>(
     Ok(report)
 }
 
-/// Resource-governed [`validate_batch`]: the set-at-a-time driver under a
-/// deadline/budget/cancellation governor.
-pub fn validate_batch_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    exec: ExecCtx,
-) -> Result<ValidationReport, EngineError> {
-    let mut ctx =
-        Context::with_memo(schema, graph, Arc::new(ConformanceMemo::new())).with_exec(exec);
-    let mut report = ValidationReport::default();
-    for def in schema.iter() {
-        ctx.exec.check_now()?;
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let conforming = ctx.conforms_all(&targets, &def.shape);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        report.checked += targets.len();
-        for (node, ok) in targets.iter().zip(conforming) {
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1606,6 +1534,16 @@ mod tests {
 
     fn p(n: &str) -> PathExpr {
         PathExpr::Prop(iri(n))
+    }
+
+    fn batch_with_memo(
+        schema: &Schema,
+        g: &impl GraphAccess,
+        memo: Arc<ConformanceMemo>,
+    ) -> ValidationReport {
+        validate_batch_containment_governed(schema, g, memo, ExecCtx::unbounded())
+            .unwrap()
+            .0
     }
 
     fn check(g: &Graph, node: &str, shape: &Shape) -> bool {
@@ -2004,7 +1942,7 @@ mod tests {
         .unwrap();
         let g = Graph::from_triples([t("a", "p", "x"), t("a", "p", "y"), t("x", "type", "C")]);
         let memo = Arc::new(ConformanceMemo::new());
-        let report = validate_batch_with_memo(&schema, &g, Arc::clone(&memo));
+        let report = batch_with_memo(&schema, &g, Arc::clone(&memo));
         // x and y were each decided once for Typed.
         let sid = schema.name_id(&term("Typed")).unwrap();
         assert_eq!(memo.lookup(sid, g.id_of(&term("x")).unwrap()), Some(true));
@@ -2043,7 +1981,13 @@ mod tests {
         assert_eq!(index.related_closure(0), vec![0, 1, 2]);
         let memo = Arc::new(ConformanceMemo::new());
         assert!(memo.attach_containment(Arc::clone(&index)));
-        let (report, skipped) = validate_batch_containment(&schema, &g, Arc::clone(&memo));
+        let (report, skipped) = validate_batch_containment_governed(
+            &schema,
+            &g,
+            Arc::clone(&memo),
+            ExecCtx::unbounded(),
+        )
+        .unwrap();
         // C is fully derived from A's bits (equivalent shape, same target).
         assert_eq!(skipped, 1);
         let (hits, _) = memo.containment_counters();
@@ -2053,7 +1997,7 @@ mod tests {
         // A memo bound to a different schema refuses the index.
         let other = Schema::new([ShapeDef::new(term("Z"), mk(1), target)]).unwrap();
         let memo2 = Arc::new(ConformanceMemo::new());
-        let _ = validate_batch_with_memo(&other, &g, Arc::clone(&memo2));
+        let _ = batch_with_memo(&other, &g, Arc::clone(&memo2));
         assert!(!memo2.attach_containment(index));
         assert!(memo2.containment().is_none());
     }
@@ -2071,8 +2015,8 @@ mod tests {
         let g = Graph::from_triples([t("a", "p", "b")]);
         let f = g.freeze();
         let memo = Arc::new(ConformanceMemo::new());
-        let r_mut = validate_batch_with_memo(&schema, &g, Arc::clone(&memo));
-        let r_frozen = validate_batch_with_memo(&schema, &f, Arc::clone(&memo));
+        let r_mut = batch_with_memo(&schema, &g, Arc::clone(&memo));
+        let r_frozen = batch_with_memo(&schema, &f, Arc::clone(&memo));
         assert_eq!(r_mut, r_frozen);
     }
 
@@ -2088,12 +2032,12 @@ mod tests {
         let g1 = Graph::from_triples([t("a", "p", "b")]);
         let g2 = Graph::from_triples([t("c", "q", "d"), t("c", "q", "e")]);
         let memo = Arc::new(ConformanceMemo::new());
-        let r1 = validate_batch_with_memo(&schema, &g1, Arc::clone(&memo));
+        let r1 = batch_with_memo(&schema, &g1, Arc::clone(&memo));
         assert_eq!(r1, validate(&schema, &g1));
         let before = memo.len();
         // Mismatched attachment: the run must be correct (unmemoized) and
         // must not write g2 facts into g1's memo.
-        let r2 = validate_batch_with_memo(&schema, &g2, Arc::clone(&memo));
+        let r2 = batch_with_memo(&schema, &g2, Arc::clone(&memo));
         assert_eq!(r2, validate(&schema, &g2));
         assert_eq!(memo.len(), before, "detached run must not touch the memo");
     }

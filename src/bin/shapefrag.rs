@@ -35,7 +35,9 @@
 //! `4` a resource fault — the `--deadline-ms` / `--budget-steps` governor
 //! tripped before the run finished.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use shape_fragments::analyze::{
@@ -43,14 +45,13 @@ use shape_fragments::analyze::{
     Diagnostic,
 };
 use shape_fragments::core::{
-    explain, fragment_par, schema_fragment, schema_fragment_governed, to_sparql,
-    validate_batch_par, validate_batch_par_governed, EditScript, IncrementalValidator,
+    explain, to_sparql, validate_batch_par, validate_extract_fragment_par, EditScript,
+    IncrementalValidator,
 };
-use shape_fragments::govern::{Budget, EngineError, ExecCtx};
+use shape_fragments::govern::{Budget, EngineError};
 use shape_fragments::rdf::{ntriples, turtle, Graph, Term};
 use shape_fragments::serve::{ServeConfig, Server, SnapshotSource};
 use shape_fragments::shacl::parser::{parse_shape_defs_turtle, parse_shapes_turtle_with_spans};
-use shape_fragments::shacl::validator::validate;
 use shape_fragments::shacl::{Schema, Shape};
 
 fn main() -> ExitCode {
@@ -140,7 +141,9 @@ fn load_schema(path: &str) -> Result<Schema, CliError> {
 }
 
 /// Extracts a `--threads N` option from an argument list, returning the
-/// worker count (default 1) and the remaining arguments.
+/// worker count (default 1) and the remaining arguments. The count is
+/// clamped to the host's available parallelism: workers beyond the core
+/// count only contend for it.
 fn take_threads(args: &[String]) -> Result<(usize, Vec<String>), String> {
     let mut threads = 1usize;
     let mut rest = Vec::new();
@@ -158,14 +161,15 @@ fn take_threads(args: &[String]) -> Result<(usize, Vec<String>), String> {
             rest.push(arg.clone());
         }
     }
-    Ok((threads, rest))
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    Ok((threads.min(cores), rest))
 }
 
 /// Extracts `--deadline-ms N` and `--budget-steps N` from an argument
-/// list, returning the resulting [`Budget`] (if any flag was given) and
-/// the remaining arguments.
-fn take_budget(args: &[String]) -> Result<(Option<Budget>, Vec<String>), String> {
-    let mut budget: Option<Budget> = None;
+/// list, returning the resulting [`Budget`] (unlimited when neither flag
+/// is given) and the remaining arguments.
+fn take_budget(args: &[String]) -> Result<(Budget, Vec<String>), String> {
+    let mut budget = Budget::unlimited();
     let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -178,15 +182,10 @@ fn take_budget(args: &[String]) -> Result<(Option<Budget>, Vec<String>), String>
         match arg.as_str() {
             "--deadline-ms" => {
                 let ms = parse_u64("--deadline-ms", it.next())?;
-                budget = Some(
-                    budget
-                        .unwrap_or_else(Budget::unlimited)
-                        .deadline(Duration::from_millis(ms)),
-                );
+                budget = budget.deadline(Duration::from_millis(ms));
             }
             "--budget-steps" => {
-                let steps = parse_u64("--budget-steps", it.next())?;
-                budget = Some(budget.unwrap_or_else(Budget::unlimited).steps(steps));
+                budget = budget.steps(parse_u64("--budget-steps", it.next())?);
             }
             _ => rest.push(arg.clone()),
         }
@@ -269,21 +268,12 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
     let as_ttl = rest.iter().any(|a| a == "--report-ttl");
     let schema = load_schema(shapes_path)?;
     let data = load_data(data_path)?;
-    // Validation is read-only: run it over the CSR snapshot. With more
-    // than one worker, the cost-routed work-stealing engine produces the
-    // identical report.
+    // Validation is read-only: run it over the CSR snapshot. A governor
+    // trip exits with the resource-fault code instead of a partial report.
     let frozen = data.freeze();
-    let report = match budget {
-        // The governor routes through the governed engines; a trip exits
-        // with the resource-fault code instead of a partial report.
-        Some(budget) => {
-            match validate_batch_par_governed(&schema, &frozen, threads, budget, None) {
-                Ok(report) => report,
-                Err(e) => return Ok(resource_fault_exit(&e)),
-            }
-        }
-        None if threads > 1 => validate_batch_par(&schema, &frozen, threads),
-        None => validate(&schema, &frozen),
+    let report = match validate_batch_par(&schema, &frozen, threads, budget, None) {
+        Ok((report, _)) => report,
+        Err(e) => return Ok(resource_fault_exit(&e)),
     };
     if as_ttl {
         let graph = report.to_graph();
@@ -310,19 +300,13 @@ fn cmd_fragment(args: &[String]) -> Result<ExitCode, CliError> {
     let schema = load_schema(shapes_path)?;
     let data = load_data(data_path)?;
     // Extraction reads the graph many times over: freeze once up front.
+    // One instrumented pass validates and collects `Frag(G, H)` (§5.2); a
+    // governor trip exits with the resource-fault code instead of a
+    // truncated fragment.
     let frozen = data.freeze();
-    let fragment = match budget {
-        // Governed extraction runs the sequential governed collector
-        // (extraction has no governed parallel driver yet); a trip exits
-        // with the resource-fault code instead of a truncated fragment.
-        Some(budget) => {
-            match schema_fragment_governed(&schema, &frozen, ExecCtx::with_budget(budget)) {
-                Ok(fragment) => fragment,
-                Err(e) => return Ok(resource_fault_exit(&e)),
-            }
-        }
-        None if threads > 1 => fragment_par(&schema, &frozen, &schema.request_shapes(), threads),
-        None => schema_fragment(&schema, &frozen),
+    let fragment = match validate_extract_fragment_par(&schema, &frozen, threads, budget, None) {
+        Ok((_, fragment, _)) => fragment.to_graph(&frozen),
+        Err(e) => return Ok(resource_fault_exit(&e)),
     };
     eprintln!(
         "fragment: {} of {} triples ({} shape definitions)",
@@ -397,19 +381,15 @@ fn cmd_update(args: &[String]) -> Result<ExitCode, CliError> {
     let [shapes_path, data_path, edits_path] = args.as_slice() else {
         return Err(usage().into());
     };
-    let schema = std::sync::Arc::new(load_schema(shapes_path)?);
+    let schema = Arc::new(load_schema(shapes_path)?);
     let data = load_data(data_path)?;
     let edits_text = std::fs::read_to_string(edits_path)
         .map_err(|e| format!("cannot read {edits_path}: {e}"))?;
     let script = EditScript::parse(&edits_text).map_err(|e| format!("{edits_path}: {e}"))?;
-    let mut inc =
-        IncrementalValidator::with_threads(schema, std::sync::Arc::new(data.freeze()), threads);
-    let report = match budget {
-        Some(budget) => match inc.apply_par_governed(&script, threads, budget, None) {
-            Ok(report) => report,
-            Err(e) => return Ok(resource_fault_exit(&e)),
-        },
-        None => inc.apply_par(&script, threads),
+    let mut inc = IncrementalValidator::with_threads(schema, Arc::new(data.freeze()), threads);
+    let report = match inc.apply_governed(&script, budget, None) {
+        Ok(report) => report,
+        Err(e) => return Ok(resource_fault_exit(&e)),
     };
     let graph = inc.graph();
     eprintln!(

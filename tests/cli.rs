@@ -343,3 +343,98 @@ fn bad_governance_flag_values_are_usage_errors() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--deadline-ms"));
 }
+
+/// `--threads` and a generous `--budget-steps` change nothing: `validate`,
+/// `fragment -o` and `update` print and write the same bytes, and
+/// `fragment` writes exactly `Frag(G, H)` as `schema_fragment` computes it.
+#[test]
+fn threads_and_generous_budgets_give_identical_outputs() {
+    let (dir, shapes, data) = fixtures();
+    let edits = write_file(
+        dir.path(),
+        "edits.nt",
+        "+ <http://example.org/noise> <http://example.org/author> <http://example.org/ann> .\n",
+    );
+    let (s, d, e) = (
+        shapes.to_str().unwrap(),
+        data.to_str().unwrap(),
+        edits.to_str().unwrap(),
+    );
+    let mut outputs = Vec::new();
+    for threads in ["1", "4"] {
+        for budget in [&[][..], &["--budget-steps", "1000000"][..]] {
+            let run = |command: &[&str]| {
+                let mut args = command.to_vec();
+                args.extend(["--threads", threads]);
+                args.extend(budget);
+                let out = shapefrag(&args);
+                (out.status.code(), out.stdout)
+            };
+            let out_path = dir
+                .path()
+                .join(format!("frag-{threads}-{}.nt", budget.len()));
+            let fragment = run(&["fragment", s, d, "-o", out_path.to_str().unwrap()]);
+            assert_eq!(fragment.0, Some(0));
+            let written = std::fs::read_to_string(&out_path).expect("fragment file");
+            outputs.push((run(&["validate", s, d]), written, run(&["update", s, d, e])));
+        }
+    }
+    assert!(outputs.windows(2).all(|w| w[0] == w[1]), "{outputs:?}");
+
+    let schema = shape_fragments::shacl::parser::parse_shapes_turtle(
+        &std::fs::read_to_string(&shapes).unwrap(),
+    )
+    .unwrap();
+    let graph =
+        shape_fragments::rdf::turtle::parse(&std::fs::read_to_string(&data).unwrap()).unwrap();
+    let definitional = shape_fragments::core::schema_fragment(&schema, &graph);
+    assert_eq!(
+        outputs[0].1,
+        shape_fragments::rdf::ntriples::serialize(&definitional)
+    );
+}
+
+/// `update` exits with the verdict of the edited graph: 1 when the script
+/// leaves a violation, 0 when it repairs the last one.
+#[test]
+fn update_exit_code_follows_the_edited_graph() {
+    let (dir, shapes, data) = fixtures();
+    let violating = write_file(
+        dir.path(),
+        "violating.nt",
+        "- <http://example.org/good> <http://example.org/author> <http://example.org/ann> .\n",
+    );
+    let repairing = write_file(
+        dir.path(),
+        "repairing.nt",
+        "+ <http://example.org/bad> <http://example.org/author> <http://example.org/bea> .\n",
+    );
+    let (s, d) = (shapes.to_str().unwrap(), data.to_str().unwrap());
+
+    let out = shapefrag(&["update", s, d, violating.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "violations remain → exit 1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("http://example.org/good"), "{stdout}");
+
+    let out = shapefrag(&["update", s, d, repairing.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "repaired → exit 0");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("conforms"));
+}
+
+/// A step budget trips the governed extraction on several workers too.
+#[test]
+fn governed_parallel_fragment_exits_with_resource_fault() {
+    let (_dir, shapes, data) = fixtures();
+    let out = shapefrag(&[
+        "fragment",
+        shapes.to_str().unwrap(),
+        data.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--budget-steps",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(4), "budget trip → exit 4");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("resource fault"), "{stderr}");
+}

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use shape_fragments::core::{fragment_governed, neighborhood_governed, schema_fragment_governed};
+use shape_fragments::core::{fragment_governed, neighborhood_governed};
 use shape_fragments::govern::{Budget, BudgetKind, CancelToken, EngineError, ExecCtx};
 use shape_fragments::rdf::{ntriples, turtle};
 use shape_fragments::shacl::parser::parse_shapes_turtle;
@@ -300,7 +300,7 @@ fn step_budget_faults_are_structured_across_the_stack() {
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        schema_fragment_governed(&named, &graph, tiny()),
+        fragment_governed(&named, &graph, &named.request_shapes(), tiny()),
         Err(EngineError::BudgetExceeded { .. })
     ));
 
@@ -395,7 +395,7 @@ fn frozen_backend_honors_step_budgets() {
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        schema_fragment_governed(&named, &frozen, tiny()),
+        fragment_governed(&named, &frozen, &named.request_shapes(), tiny()),
         Err(EngineError::BudgetExceeded { .. })
     ));
 
@@ -468,8 +468,13 @@ fn frozen_governed_agrees_with_mutable_ungoverned() {
     assert_eq!(plain, governed);
 
     let plain_frag = schema_fragment(&schema, &graph);
-    let governed_frag = schema_fragment_governed(&schema, &frozen, ExecCtx::unbounded())
-        .expect("unbounded context cannot fault");
+    let governed_frag = fragment_governed(
+        &schema,
+        &frozen,
+        &schema.request_shapes(),
+        ExecCtx::unbounded(),
+    )
+    .expect("unbounded context cannot fault");
     assert_eq!(plain_frag, governed_frag);
 }
 
@@ -482,12 +487,12 @@ fn frozen_governed_agrees_with_mutable_ungoverned() {
 /// partial report leaks out.
 #[test]
 fn parallel_engine_surfaces_budget_exhaustion() {
-    use shape_fragments::core::validate_batch_par_governed;
+    use shape_fragments::core::validate_batch_par;
 
     let frozen = generate(&TyroleanConfig::new(400, 0xBE)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
     for threads in [1, 2, 4, 8] {
-        match validate_batch_par_governed(
+        match validate_batch_par(
             &schema,
             &frozen,
             threads,
@@ -508,7 +513,7 @@ fn parallel_engine_surfaces_budget_exhaustion() {
 /// one `Cancelled` error.
 #[test]
 fn parallel_engine_observes_cross_thread_cancellation() {
-    use shape_fragments::core::validate_batch_par_governed;
+    use shape_fragments::core::validate_batch_par;
 
     let frozen = generate(&TyroleanConfig::new(600, 0xCC)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
@@ -517,7 +522,7 @@ fn parallel_engine_observes_cross_thread_cancellation() {
     let (tx, rx) = mpsc::channel();
 
     let worker = thread::spawn(move || loop {
-        match validate_batch_par_governed(
+        match validate_batch_par(
             &schema,
             &frozen,
             4,
@@ -547,16 +552,15 @@ fn parallel_engine_observes_cross_thread_cancellation() {
 /// report at every thread count.
 #[test]
 fn parallel_engine_unbounded_agrees_with_sequential() {
-    use shape_fragments::core::validate_batch_par_governed;
+    use shape_fragments::core::validate_batch_par;
     use shape_fragments::shacl::validator::validate_batch;
 
     let frozen = generate(&TyroleanConfig::new(150, 0xA8)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
     let sequential = validate_batch(&schema, &frozen);
     for threads in [1, 2, 4, 8] {
-        let report =
-            validate_batch_par_governed(&schema, &frozen, threads, Budget::unlimited(), None)
-                .expect("unlimited budget cannot fault");
+        let (report, _) = validate_batch_par(&schema, &frozen, threads, Budget::unlimited(), None)
+            .expect("unlimited budget cannot fault");
         assert_eq!(sequential, report, "threads = {threads}");
     }
 }
@@ -577,7 +581,12 @@ fn governed_and_ungoverned_agree_when_unbounded() {
     assert_eq!(plain, governed);
 
     let plain_frag = schema_fragment(&schema, &graph);
-    let governed_frag = schema_fragment_governed(&schema, &graph, ExecCtx::unbounded())
-        .expect("unbounded context cannot fault");
+    let governed_frag = fragment_governed(
+        &schema,
+        &graph,
+        &schema.request_shapes(),
+        ExecCtx::unbounded(),
+    )
+    .expect("unbounded context cannot fault");
     assert_eq!(plain_frag, governed_frag);
 }

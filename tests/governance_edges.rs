@@ -3,15 +3,15 @@
 //! parallel workers, and [`ConformanceMemo`]'s lock stripes under worker
 //! panics. The memo is shared across validation workers; a panicking
 //! worker must neither wedge the other threads nor hide the facts it
-//! already published (the compat `parking_lot` lock deliberately has no
-//! poisoning, matching the real crate's semantics).
+//! already published (the memo recovers a poisoned stripe with
+//! `PoisonError::into_inner`: every update leaves a stripe valid, so the
+//! data behind the poison flag is sound).
 
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread;
 use std::time::Duration;
 
-use parking_lot::RwLock;
 use shape_fragments::govern::{Budget, BudgetKind, EngineError, ExecCtx};
 use shape_fragments::rdf::TermId;
 use shape_fragments::shacl::ConformanceMemo;
@@ -124,9 +124,10 @@ fn memo_facts_survive_worker_panic() {
 }
 
 /// The sharper case: a thread panics while *holding* a stripe's write
-/// guard (mid-insert, as far as the lock is concerned). The compat
-/// `parking_lot` lock ignores poisoning, so readers and writers on other
-/// threads proceed and see whatever was written before the panic.
+/// guard (mid-insert, as far as the lock is concerned). `std` poisons the
+/// lock; the memo's idiom, `unwrap_or_else(PoisonError::into_inner)`, lets
+/// readers and writers on other threads proceed and see whatever was
+/// written before the panic.
 #[test]
 fn stripe_write_lock_poisoning_is_invisible_to_other_threads() {
     type Stripe = RwLock<Vec<(u32, bool)>>;
@@ -135,12 +136,16 @@ fn stripe_write_lock_poisoning_is_invisible_to_other_threads() {
     let poisoner = {
         let stripe = Arc::clone(&stripe);
         thread::spawn(move || {
-            let mut guard = stripe.write();
+            let mut guard = stripe.write().unwrap_or_else(PoisonError::into_inner);
             guard.push((7, true));
             panic!("die while holding the write guard");
         })
     };
     assert!(poisoner.join().is_err());
+    assert!(
+        stripe.is_poisoned(),
+        "the panic must have poisoned the stripe"
+    );
 
     // A reader on another thread must not block or panic, and must see
     // the pre-panic write. Run it through a channel with a timeout so a
@@ -150,7 +155,10 @@ fn stripe_write_lock_poisoning_is_invisible_to_other_threads() {
     let reader = {
         let stripe = Arc::clone(&stripe);
         thread::spawn(move || {
-            let seen = stripe.read().clone();
+            let seen = stripe
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
             let _ = tx.send(seen);
         })
     };
@@ -161,6 +169,12 @@ fn stripe_write_lock_poisoning_is_invisible_to_other_threads() {
     assert_eq!(seen, vec![(7, true)]);
 
     // And the stripe stays writable.
-    stripe.write().push((8, false));
-    assert_eq!(stripe.read().len(), 2);
+    stripe
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push((8, false));
+    assert_eq!(
+        stripe.read().unwrap_or_else(PoisonError::into_inner).len(),
+        2
+    );
 }

@@ -22,9 +22,9 @@ use common::{graph_strategy, shape_strategy};
 use shape_fragments::analyze::{subsumes, ContainmentMatrix};
 use shape_fragments::rdf::Term;
 use shape_fragments::shacl::validator::{
-    validate_batch, validate_batch_containment, ConformanceMemo, Context,
+    validate_batch, validate_batch_containment_governed, ConformanceMemo, Context,
 };
-use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
+use shape_fragments::shacl::{ExecCtx, Nnf, PathExpr, Schema, Shape, ShapeDef};
 
 fn shape_name(i: usize) -> Term {
     Term::iri(format!("{}S{i}", common::NS))
@@ -167,13 +167,15 @@ proptest! {
         let plain = validate_batch(&schema, &g);
         let memo = Arc::new(ConformanceMemo::new());
         memo.attach_containment(Arc::clone(&index));
-        let (assisted, _skipped) = validate_batch_containment(&schema, &g, memo);
+        let (assisted, _skipped) =
+            validate_batch_containment_governed(&schema, &g, memo, ExecCtx::unbounded()).unwrap();
         prop_assert_eq!(plain, assisted);
 
         let plain = validate_batch(&schema, &f);
         let memo = Arc::new(ConformanceMemo::new());
         memo.attach_containment(Arc::clone(&index));
-        let (assisted, _skipped) = validate_batch_containment(&schema, &f, memo);
+        let (assisted, _skipped) =
+            validate_batch_containment_governed(&schema, &f, memo, ExecCtx::unbounded()).unwrap();
         prop_assert_eq!(plain, assisted);
     }
 }

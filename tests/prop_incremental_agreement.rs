@@ -10,7 +10,7 @@
 //!
 //! - pure additions, pure removals, mixed add/remove scripts (including
 //!   add-then-remove of the same triple), and all-no-op scripts;
-//! - sequential `apply` vs parallel `apply_par`;
+//! - one worker vs several (`IncrementalValidator::with_threads`);
 //! - governed runs under a tiny step budget: a fault rolls back the
 //!   overlay and the report, and leaves the memo *fully* cleared — never
 //!   half-invalidated (every surviving entry would otherwise be allowed
@@ -27,7 +27,7 @@ use common::{graph_strategy, object_term, pred, shape_strategy};
 use shape_fragments::core::{EditOp, EditScript, IncrementalValidator};
 use shape_fragments::govern::{Budget, EngineError};
 use shape_fragments::rdf::{Graph, Iri, Term, Triple};
-use shape_fragments::shacl::validator::validate_batch;
+use shape_fragments::shacl::validator::{validate_batch, ValidationReport};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 
 fn shape_name(i: usize) -> Term {
@@ -90,6 +90,12 @@ fn script_strategy(max_ops: usize) -> impl Strategy<Value = EditScript> {
     prop::collection::vec(edit_strategy(), 0..max_ops).prop_map(EditScript::new)
 }
 
+/// Applies a script with no resource limit.
+fn apply(inc: &mut IncrementalValidator, script: &EditScript) -> ValidationReport {
+    inc.apply_governed(script, Budget::unlimited(), None)
+        .expect("an unlimited budget cannot fault")
+}
+
 /// Replays a script on a mutable [`Graph`] the way the overlay does:
 /// last-write-wins per triple, idempotent adds and removes.
 fn replay(graph: &mut Graph, script: &EditScript) {
@@ -123,7 +129,7 @@ proptest! {
         prop_assert_eq!(inc.report(), validate_batch(&schema, &mutable));
 
         for script in &scripts {
-            let report = inc.apply(script);
+            let report = apply(&mut inc, script);
             replay(&mut mutable, script);
             // Same interning order on both backends → reports compare
             // verbatim (term ids and violation order included).
@@ -155,15 +161,16 @@ proptest! {
         let mut inc = IncrementalValidator::new(Arc::clone(&schema), Arc::new(g.freeze()));
         let before = inc.report();
         let memo_before = inc.memo().len();
-        let report = inc.apply(&EditScript::new(ops));
+        let report = apply(&mut inc, &EditScript::new(ops));
         prop_assert_eq!(report, before);
         prop_assert_eq!(inc.graph().delta_len(), 0);
         // A no-op batch stages nothing, so the memo is not even re-bound.
         prop_assert_eq!(inc.memo().len(), memo_before);
     }
 
-    /// `apply_par` produces the identical report to sequential `apply`
-    /// (and to from-scratch) for every thread count we run.
+    /// A validator on several workers produces the identical report to a
+    /// one-worker validator (and to from-scratch) for every thread count
+    /// we run.
     #[test]
     fn parallel_apply_matches_sequential(
         schema in schema_strategy(),
@@ -176,8 +183,8 @@ proptest! {
         let mut seq = IncrementalValidator::new(Arc::clone(&schema), Arc::clone(&frozen));
         let mut par =
             IncrementalValidator::with_threads(Arc::clone(&schema), frozen, threads);
-        let a = seq.apply(&script);
-        let b = par.apply_par(&script, threads);
+        let a = apply(&mut seq, &script);
+        let b = apply(&mut par, &script);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&a, &validate_batch(&schema, par.graph()));
     }
@@ -195,13 +202,14 @@ proptest! {
         threads in 1usize..4,
     ) {
         let schema = Arc::new(schema);
-        let mut inc = IncrementalValidator::new(Arc::clone(&schema), Arc::new(g.freeze()));
+        let mut inc =
+            IncrementalValidator::with_threads(Arc::clone(&schema), Arc::new(g.freeze()), threads);
         let before = inc.report();
         let added_before = inc.graph().added_len();
         let removed_before = inc.graph().removed_len();
 
         let budget = Budget::unlimited().steps(steps);
-        match inc.apply_par_governed(&script, threads, budget, None) {
+        match inc.apply_governed(&script, budget, None) {
             Ok(report) => {
                 prop_assert_eq!(&report, &validate_batch(&schema, inc.graph()));
             }
@@ -217,7 +225,7 @@ proptest! {
         }
 
         // The validator must remain correct after either outcome.
-        let after = inc.apply(&script);
+        let after = apply(&mut inc, &script);
         prop_assert_eq!(&after, &validate_batch(&schema, inc.graph()));
     }
 
@@ -232,13 +240,13 @@ proptest! {
     ) {
         let schema = Arc::new(schema);
         let mut inc = IncrementalValidator::new(Arc::clone(&schema), Arc::new(g.freeze()));
-        let report = inc.apply(&first);
+        let report = apply(&mut inc, &first);
         inc.compact();
         prop_assert_eq!(inc.graph().delta_len(), 0);
         prop_assert_eq!(&report, &inc.report());
         prop_assert_eq!(&report, &validate_batch(&schema, inc.graph()));
 
-        let report = inc.apply(&second);
+        let report = apply(&mut inc, &second);
         prop_assert_eq!(&report, &validate_batch(&schema, inc.graph()));
     }
 }
@@ -321,7 +329,10 @@ fn stripe_invalidation_covers_containment_closure() {
 
     // `alt` is readable by Wide only: Narrow and Other route Untouched,
     // so neither gets re-checked and nothing refills their stripes.
-    let report = inc.apply(&EditScript::new([EditOp::Add(t("alice", "alt", "x"))]));
+    let report = apply(
+        &mut inc,
+        &EditScript::new([EditOp::Add(t("alice", "alt", "x"))]),
+    );
     assert_eq!(report, validate_batch(&schema, inc.graph()));
     assert_eq!(report, inc.report());
 
@@ -337,7 +348,10 @@ fn stripe_invalidation_covers_containment_closure() {
 
     // The validator stays exact afterwards, including for edits that
     // re-impact the dropped definition.
-    let report = inc.apply(&EditScript::new([EditOp::Remove(t("alice", "name", "n2"))]));
+    let report = apply(
+        &mut inc,
+        &EditScript::new([EditOp::Remove(t("alice", "name", "n2"))]),
+    );
     assert_eq!(report, validate_batch(&schema, inc.graph()));
     assert_eq!(inc.memo().lookup(narrow, alice), Some(false));
 }

@@ -1,18 +1,18 @@
-//! Agreement between the cost-routed work-stealing parallel engines
-//! (DESIGN.md §12) and the single-threaded frozen batch drivers.
+//! Agreement between the cost-routed work-stealing engines (DESIGN.md
+//! §12) and the sequential drivers over the frozen backend.
 //!
-//! On random graphs and random nonrecursive schemas, the parallel engines
-//! at 1, 2, 4 and 8 worker threads must agree **exactly** with the
-//! sequential drivers:
+//! On random graphs and random nonrecursive schemas, the engines at 1, 2,
+//! 4 and 8 worker threads must agree **exactly** with the sequential
+//! drivers:
 //!
 //! - `validate_batch_par` reproduces `validate_batch`'s report bit for
 //!   bit — same `checked` count and the same violations in the same
 //!   (definition-major, target-minor) order;
 //! - `validate_extract_fragment_par` reproduces both the report and the
 //!   extracted fragment of `validate_extract_fragment`;
-//! - `fragment_ids_par` reproduces `fragment_ids`'s id-triple set, and
-//!   the materialized parallel fragment answers the generated SPARQL
-//!   fragment query with the same bindings as the sequential one.
+//! - its fragment is the request-shape fragment `fragment_ids` computes
+//!   over `{ φ ∧ τ }`, and it answers the generated SPARQL fragment query
+//!   with the same bindings as the sequential one.
 
 mod common;
 
@@ -21,15 +21,27 @@ use proptest::prelude::*;
 use common::{graph_strategy, shape_strategy};
 use shape_fragments::core::to_sparql::fragment_query;
 use shape_fragments::core::{
-    fragment_ids, fragment_ids_par, fragment_par, validate_batch_par, validate_extract_fragment,
-    validate_extract_fragment_par,
+    fragment, validate_batch_par, validate_extract_fragment, validate_extract_fragment_par,
+    SchemaFragment,
 };
-use shape_fragments::rdf::Term;
-use shape_fragments::shacl::validator::validate_batch;
+use shape_fragments::govern::Budget;
+use shape_fragments::rdf::{FrozenGraph, Term};
+use shape_fragments::shacl::validator::{validate_batch, ValidationReport};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::eval;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+fn extract_par(
+    schema: &Schema,
+    f: &FrozenGraph,
+    threads: usize,
+) -> (ValidationReport, SchemaFragment) {
+    let (report, fragment, _) =
+        validate_extract_fragment_par(schema, f, threads, Budget::unlimited(), None)
+            .expect("an unlimited budget cannot fault");
+    (report, fragment)
+}
 
 fn shape_name(i: usize) -> Term {
     Term::iri(format!("{}S{i}", common::NS))
@@ -78,7 +90,8 @@ proptest! {
         let f = g.freeze();
         let sequential = validate_batch(&schema, &f);
         for threads in THREADS {
-            let parallel = validate_batch_par(&schema, &f, threads);
+            let (parallel, _) = validate_batch_par(&schema, &f, threads, Budget::unlimited(), None)
+                .expect("an unlimited budget cannot fault");
             prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
         }
     }
@@ -91,22 +104,21 @@ proptest! {
         let (seq_report, seq_frag) = validate_extract_fragment(&schema, &f);
         let seq_frag = seq_frag.to_graph(&f);
         for threads in THREADS {
-            let (report, frag) = validate_extract_fragment_par(&schema, &f, threads);
+            let (report, frag) = extract_par(&schema, &f, threads);
             prop_assert_eq!(&seq_report, &report, "threads = {}", threads);
             prop_assert_eq!(&seq_frag, &frag.to_graph(&f), "threads = {}", threads);
         }
     }
 
-    /// Parallel request-shape fragments reproduce the sequential id-triple
-    /// set exactly.
+    /// The parallel extraction's fragment is exactly the sequential
+    /// request-shape fragment `Frag(G, { φ ∧ τ })`, on every graph.
     #[test]
     fn parallel_fragment_ids_agree(g in graph_strategy(14), schema in schema_strategy()) {
         let f = g.freeze();
-        let shapes = schema.request_shapes();
-        let sequential = fragment_ids(&schema, &f, &shapes);
+        let sequential = fragment(&schema, &f, &schema.request_shapes());
         for threads in THREADS {
-            let parallel = fragment_ids_par(&schema, &f, &shapes, threads);
-            prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
+            let (_, parallel) = extract_par(&schema, &f, threads);
+            prop_assert_eq!(&sequential, &parallel.to_graph(&f), "threads = {}", threads);
         }
     }
 
@@ -118,9 +130,9 @@ proptest! {
         let f = g.freeze();
         let shapes = schema.request_shapes();
         let query = fragment_query(&schema, &shapes);
-        let seq_frag = fragment_par(&schema, &f, &shapes, 1);
+        let seq_frag = fragment(&schema, &f, &shapes);
         for threads in [2, 8] {
-            let par_frag = fragment_par(&schema, &f, &shapes, threads);
+            let par_frag = extract_par(&schema, &f, threads).1.to_graph(&f);
             prop_assert_eq!(&seq_frag, &par_frag, "threads = {}", threads);
             prop_assert_eq!(
                 eval(&seq_frag, &query),
