@@ -148,13 +148,13 @@ fn bench_trace_batching(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("trace_ablation");
     group.bench_function("batched", |b| {
-        b.iter(|| compiled.trace(&graph, review, &targets));
+        b.iter(|| compiled.trace(&graph, &[review], Some(&targets)));
     });
     group.bench_function("per-endpoint", |b| {
         b.iter(|| {
             let mut out = BTreeSet::new();
             for &x in &targets {
-                out.extend(compiled.trace(&graph, review, &BTreeSet::from([x])));
+                out.extend(compiled.trace(&graph, &[review], Some(&BTreeSet::from([x]))));
             }
             out
         });

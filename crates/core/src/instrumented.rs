@@ -138,7 +138,7 @@ impl TargetEvidence {
                     let target_set = BTreeSet::from([cid]);
                     for class in classes {
                         let chain: Vec<_> = ctx
-                            .trace_path(&sub_star, class, &target_set)
+                            .trace_path(&sub_star, &[class], Some(&target_set))
                             .into_iter()
                             .collect();
                         chains.insert(class, chain);

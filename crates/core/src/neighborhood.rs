@@ -6,16 +6,17 @@
 //! negation normal form ([`Nnf`]), with negation only on atomic shapes.
 //!
 //! The implementation follows Table 2 case by case. For the quantifier
-//! cases, all qualifying endpoints `x` are traced in one batched
+//! cases, all qualifying endpoints `x` are traced in one
 //! [`Context::trace_path`] call (one backward product-BFS over the whole
-//! endpoint set instead of one per endpoint).
+//! endpoint set instead of one per endpoint); the batch collector
+//! ([`collect_neighborhood_many`]) also traces all foci in that one call.
 //!
 //! The headline correctness property is **Sufficiency** (Theorem 3.4):
 //! if `G, v ⊨ φ` then `G', v ⊨ φ` for every `G'` with
 //! `B(v, G, φ) ⊆ G' ⊆ G`. It is exercised extensively by the property
 //! tests in `tests/`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::BuildHasherDefault;
 
 use shapefrag_govern::EngineError;
@@ -102,11 +103,17 @@ pub fn collect_neighborhood_into<G: GraphAccess>(
 /// focus nodes the caller has already established to conform to φ.
 ///
 /// Equals running [`collect_neighborhood_into`] per node, but path endpoints
-/// come from one multi-source RPQ pass over all foci, traces are batched
-/// through [`Context::trace_path_many`], and sub-neighborhoods of quantifier
-/// endpoints are collected once per *distinct* endpoint instead of once per
-/// referencing focus (the collection is focus-independent, so the unions
-/// coincide).
+/// come from one multi-source RPQ pass over all foci, each quantifier path
+/// is traced once for all foci by one multi-source [`Context::trace_path`]
+/// call, and sub-neighborhoods of quantifier endpoints are collected once
+/// per *distinct* endpoint instead of once per referencing focus (the
+/// collection is focus-independent, so the unions coincide).
+///
+/// One trace call suffices because every focus `vᵢ` is traced to
+/// `⟦E⟧(vᵢ) ∩ Q` for a qualifying set `Q` shared by all foci (every
+/// endpoint for `∀` and `eq`, the endpoints conforming to ψ for `≥n E.ψ`,
+/// to ¬ψ for `≤n E.ψ`), and the multi-source trace to `Q` is exactly the
+/// union of those per-focus traces.
 pub fn collect_neighborhood_many<G: GraphAccess>(
     ctx: &mut Context<'_, G>,
     nodes: &[TermId],
@@ -116,8 +123,8 @@ pub fn collect_neighborhood_many<G: GraphAccess>(
     collect_many(ctx, nodes, shape, out);
 }
 
-/// Below this many focus nodes the multi-source kernel's fixed costs
-/// (bitset rows, request batching) outweigh the sharing it buys; per-node
+/// Below this many focus nodes the multi-source evaluation kernel's fixed
+/// costs (bitset rows, set unions) outweigh the sharing it buys; per-node
 /// Table 2 collection is faster and produces the identical union.
 const BATCH_MIN_FOCI: usize = 4;
 
@@ -170,10 +177,7 @@ fn collect_many_inner<G: GraphAccess>(
 
         Nnf::Eq(PathOrId::Path(e), p) => {
             let union = e.clone().or(PathExpr::Prop(p.clone()));
-            let endpoint_sets = ctx.eval_path_many(&union, nodes);
-            let requests: Vec<(TermId, BTreeSet<TermId>)> =
-                nodes.iter().copied().zip(endpoint_sets).collect();
-            append_trace_many(ctx, &union, &requests, out);
+            out.extend(ctx.trace_path(&union, nodes, None));
         }
         Nnf::Eq(PathOrId::Id, p) => {
             if let Some(pid) = ctx.graph.id_of_iri(p) {
@@ -220,16 +224,9 @@ fn collect_many_inner<G: GraphAccess>(
             batch_quantifier(ctx, nodes, e, &negated, out);
         }
         Nnf::ForAll(e, inner) => {
-            let endpoint_sets = ctx.eval_path_many(e, nodes);
-            let mut distinct: BTreeSet<TermId> = BTreeSet::new();
-            for set in &endpoint_sets {
-                distinct.extend(set.iter().copied());
-            }
-            let requests: Vec<(TermId, BTreeSet<TermId>)> =
-                nodes.iter().copied().zip(endpoint_sets).collect();
-            append_trace_many(ctx, e, &requests, out);
+            out.extend(ctx.trace_path(e, nodes, None));
             if !matches!(inner.as_ref(), Nnf::True) {
-                let distinct: Vec<TermId> = distinct.into_iter().collect();
+                let distinct = endpoint_union(ctx, e, nodes);
                 collect_many(ctx, &distinct, inner, out);
             }
         }
@@ -244,11 +241,11 @@ fn collect_many_inner<G: GraphAccess>(
     }
 }
 
-/// Shared machinery for batch `≥n E.ψ` / `≤n E.ψ` collection: for each
-/// focus, the qualifying endpoints are its `E`-candidates conforming to
-/// `inner` (already the negated shape for `≤`); all per-focus traces run in
-/// one batch and each distinct qualifying endpoint's `inner`-neighborhood
-/// is collected once.
+/// Shared machinery for batch `≥n E.ψ` / `≤n E.ψ` collection: the
+/// qualifying endpoints `Q` are the foci's `E`-candidates conforming to
+/// `inner` (already the negated shape for `≤`), decided once per distinct
+/// candidate; one trace covers every focus's paths into `Q`, and each
+/// endpoint in `Q` has its `inner`-neighborhood collected once.
 fn batch_quantifier<G: GraphAccess>(
     ctx: &mut Context<'_, G>,
     nodes: &[TermId],
@@ -256,32 +253,31 @@ fn batch_quantifier<G: GraphAccess>(
     inner: &Nnf,
     out: &mut IdTriples,
 ) {
-    let cand_sets = ctx.eval_path_many(e, nodes);
     if matches!(inner, Nnf::True) {
-        let requests: Vec<(TermId, BTreeSet<TermId>)> =
-            nodes.iter().copied().zip(cand_sets).collect();
-        append_trace_many(ctx, e, &requests, out);
+        out.extend(ctx.trace_path(e, nodes, None));
         return;
     }
-    let mut union: BTreeSet<TermId> = BTreeSet::new();
-    for set in &cand_sets {
-        union.extend(set.iter().copied());
-    }
-    let union_vec: Vec<TermId> = union.into_iter().collect();
-    let decided = ctx.conforms_all_nnf(&union_vec, inner);
-    let ok: HashMap<TermId, bool> = union_vec
-        .iter()
-        .copied()
-        .zip(decided.iter().copied())
+    let candidates = endpoint_union(ctx, e, nodes);
+    let decided = ctx.conforms_all_nnf(&candidates, inner);
+    let qualifying: Vec<TermId> = candidates
+        .into_iter()
+        .zip(decided)
+        .filter(|(_, ok)| *ok)
+        .map(|(x, _)| x)
         .collect();
-    let requests: Vec<(TermId, BTreeSet<TermId>)> = nodes
-        .iter()
-        .zip(cand_sets)
-        .map(|(&v, cands)| (v, cands.into_iter().filter(|x| ok[x]).collect()))
-        .collect();
-    append_trace_many(ctx, e, &requests, out);
-    let qualifying: Vec<TermId> = union_vec.into_iter().filter(|x| ok[x]).collect();
+    let targets: BTreeSet<TermId> = qualifying.iter().copied().collect();
+    out.extend(ctx.trace_path(e, nodes, Some(&targets)));
     collect_many(ctx, &qualifying, inner, out);
+}
+
+/// The distinct endpoints `⋃ᵢ ⟦E⟧(nodes[i])`, in ascending order.
+fn endpoint_union<G: GraphAccess>(
+    ctx: &mut Context<'_, G>,
+    e: &PathExpr,
+    nodes: &[TermId],
+) -> Vec<TermId> {
+    let union: BTreeSet<TermId> = ctx.eval_path_many(e, nodes).into_iter().flatten().collect();
+    union.into_iter().collect()
 }
 
 /// Materializes id triples into a [`Graph`].
@@ -474,44 +470,7 @@ fn append_trace<G: GraphAccess>(
             }
         }
         _ => {
-            journal.extend(ctx.trace_path(e, v, targets));
-        }
-    }
-}
-
-/// Batched [`append_trace`]: appends `graph(paths(E, G, from, targets))`
-/// for every request. Requests must satisfy `targets ⊆ ⟦E⟧(from)` (they are
-/// always built from a preceding [`Context::eval_path_many`] here), so for
-/// single-property paths every target is a direct neighbor of its focus and
-/// the triples can be emitted without consulting the trace kernel.
-fn append_trace_many<G: GraphAccess>(
-    ctx: &mut Context<'_, G>,
-    e: &PathExpr,
-    requests: &[(TermId, BTreeSet<TermId>)],
-    out: &mut IdTriples,
-) {
-    match e {
-        PathExpr::Prop(p) => {
-            if let Some(pid) = ctx.graph.id_of_iri(p) {
-                for (v, targets) in requests {
-                    out.extend(targets.iter().map(|&x| (*v, pid, x)));
-                }
-            }
-        }
-        PathExpr::Inverse(inner) if matches!(inner.as_ref(), PathExpr::Prop(_)) => {
-            let PathExpr::Prop(p) = inner.as_ref() else {
-                unreachable!()
-            };
-            if let Some(pid) = ctx.graph.id_of_iri(p) {
-                for (v, targets) in requests {
-                    out.extend(targets.iter().map(|&x| (x, pid, *v)));
-                }
-            }
-        }
-        _ => {
-            for traced in ctx.trace_path_many(e, requests) {
-                out.extend(traced);
-            }
+            journal.extend(ctx.trace_path(e, &[v], Some(targets)));
         }
     }
 }
@@ -556,7 +515,7 @@ fn collect_inner<G: GraphAccess>(
         Nnf::Eq(PathOrId::Path(e), p) => {
             let union = e.clone().or(PathExpr::Prop(p.clone()));
             let endpoints = ctx.eval_path(&union, v);
-            out.extend(ctx.trace_path(&union, v, &endpoints));
+            out.extend(ctx.trace_path(&union, &[v], Some(&endpoints)));
         }
         Nnf::Eq(PathOrId::Id, p) => {
             // {(v, p, v)}; conformance guarantees the triple is in G.
@@ -595,14 +554,14 @@ fn collect_inner<G: GraphAccess>(
             // ⊤ endpoints: every candidate qualifies and contributes no
             // sub-neighborhood — skip the per-endpoint recursion.
             if matches!(inner.as_ref(), Nnf::True) {
-                out.extend(ctx.trace_path(e, v, &candidates));
+                out.extend(ctx.trace_path(e, &[v], Some(&candidates)));
                 return;
             }
             let qualifying: BTreeSet<TermId> = candidates
                 .into_iter()
                 .filter(|x| ctx.conforms_nnf(*x, inner))
                 .collect();
-            out.extend(ctx.trace_path(e, v, &qualifying));
+            out.extend(ctx.trace_path(e, &[v], Some(&qualifying)));
             for x in qualifying {
                 collect(ctx, x, inner, out);
             }
@@ -617,7 +576,7 @@ fn collect_inner<G: GraphAccess>(
                 .into_iter()
                 .filter(|x| ctx.conforms_nnf(*x, &negated))
                 .collect();
-            out.extend(ctx.trace_path(e, v, &qualifying));
+            out.extend(ctx.trace_path(e, &[v], Some(&qualifying)));
             for x in qualifying {
                 collect(ctx, x, &negated, out);
             }
@@ -626,7 +585,7 @@ fn collect_inner<G: GraphAccess>(
         // ∀E.ψ: all E-paths and all endpoint ψ-neighborhoods.
         Nnf::ForAll(e, inner) => {
             let endpoints = ctx.eval_path(e, v);
-            out.extend(ctx.trace_path(e, v, &endpoints));
+            out.extend(ctx.trace_path(e, &[v], Some(&endpoints)));
             if matches!(inner.as_ref(), Nnf::True) {
                 return;
             }
@@ -641,7 +600,7 @@ fn collect_inner<G: GraphAccess>(
             let reachable = ctx.eval_path(e, v);
             let p_values = prop_objects(ctx.graph, v, p);
             let only_e: BTreeSet<TermId> = reachable.difference(&p_values).copied().collect();
-            out.extend(ctx.trace_path(e, v, &only_e));
+            out.extend(ctx.trace_path(e, &[v], Some(&only_e)));
             if let Some(pid) = ctx.graph.id_of_iri(p) {
                 for x in p_values.difference(&reachable) {
                     out.insert((v, pid, *x));
@@ -666,7 +625,7 @@ fn collect_inner<G: GraphAccess>(
             let reachable = ctx.eval_path(e, v);
             let p_values = prop_objects(ctx.graph, v, p);
             let common: BTreeSet<TermId> = reachable.intersection(&p_values).copied().collect();
-            out.extend(ctx.trace_path(e, v, &common));
+            out.extend(ctx.trace_path(e, &[v], Some(&common)));
             if let Some(pid) = ctx.graph.id_of_iri(p) {
                 for x in &common {
                     out.insert((v, pid, *x));
@@ -716,7 +675,7 @@ fn collect_inner<G: GraphAccess>(
                     }
                 }
             }
-            out.extend(ctx.trace_path(e, v, &clashing));
+            out.extend(ctx.trace_path(e, &[v], Some(&clashing)));
         }
 
         // ¬closed(P): the offending triples with properties outside P.
@@ -757,7 +716,7 @@ fn collect_not_cmp<G: GraphAccess>(
             }
         }
     }
-    out.extend(ctx.trace_path(e, v, &witnesses_x));
+    out.extend(ctx.trace_path(e, &[v], Some(&witnesses_x)));
 }
 
 /// `x OP y` as literals; `false` when either is not a literal or the

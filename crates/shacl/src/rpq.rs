@@ -7,16 +7,20 @@
 //! 1. **Evaluation** `⟦E⟧^G(a)` — the set of nodes reachable from `a` along
 //!    paths matching `E` (Table 1 semantics, including the identity pairs
 //!    contributed by `E?` and `E*`).
-//! 2. **Tracing** `⋃_{x ∈ X} graph(paths(E, G, a, x))` — the subgraph traced
-//!    out by all `E`-paths from `a` to nodes in a target set `X` (§3.2).
+//! 2. **Tracing** `⋃_{a ∈ A} ⋃_{x ∈ X} graph(paths(E, G, a, x))` — the
+//!    subgraph traced out by all `E`-paths from a set of sources `A` to
+//!    nodes in a target set `X` (§3.2). A single source is the paper's
+//!    per-node case; a set of foci sharing one target set is the union a
+//!    shape fragment needs, computed in one pass.
 //!
 //! Both work on the *product* of the graph with a Thompson NFA compiled
-//! from `E`. For tracing, a product edge lies on an accepting run from
-//! `(a, q₀)` to some `(x, q_F)` iff its source is forward-reachable and its
-//! target is backward-reachable; the union of the underlying forward triples
-//! of all such edges is exactly `graph(paths(E, G, a, X))` — the paper's
-//! possibly-infinite path sets collapse to this finite edge set because
-//! `graph(·)` only keeps the triples (cf. Proposition 3.1 and §3.3).
+//! from `E`. For tracing, a product edge lies on an accepting run from some
+//! `(a, q₀)` to some `(x, q_F)` iff its source is forward-reachable from
+//! `A × {q₀}` and its target is backward-reachable from `X × {q_F}`; the
+//! union of the underlying forward triples of all such edges is exactly
+//! `graph(paths(E, G, A, X))` — the paper's possibly-infinite path sets
+//! collapse to this finite edge set because `graph(·)` only keeps the
+//! triples (cf. Proposition 3.1 and §3.3).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
@@ -170,18 +174,16 @@ impl FrontierMatrix {
     }
 }
 
-/// Per-worker scratch space for the multi-source kernels: the forward and
-/// backward [`FrontierMatrix`] pair plus the worklist and bitset buffers
-/// the BFS passes need. Owned by a [`PathCache`] (one per context, one
-/// context per worker thread), so chunk after chunk reuses the same
-/// allocations and the frontiers stay pre-sized to the CSR.
+/// Per-worker scratch space for the multi-source evaluation kernel: the
+/// forward [`FrontierMatrix`] plus the worklist and bitset buffers the BFS
+/// pass needs. Owned by a [`PathCache`] (one per context, one context per
+/// worker thread), so chunk after chunk reuses the same allocations and
+/// the frontier stays pre-sized to the CSR.
 pub struct FrontierScratch {
     fwd: FrontierMatrix,
-    bwd: FrontierMatrix,
     queue: VecDeque<(TermId, u32)>,
     seed_buf: Vec<u64>,
     copy_buf: Vec<u64>,
-    gate_buf: Vec<u64>,
 }
 
 impl FrontierScratch {
@@ -189,11 +191,9 @@ impl FrontierScratch {
     pub fn new() -> Self {
         FrontierScratch {
             fwd: FrontierMatrix::new(),
-            bwd: FrontierMatrix::new(),
             queue: VecDeque::new(),
             seed_buf: Vec::new(),
             copy_buf: Vec::new(),
-            gate_buf: Vec::new(),
         }
     }
 }
@@ -202,15 +202,6 @@ impl Default for FrontierScratch {
     fn default() -> Self {
         FrontierScratch::new()
     }
-}
-
-fn bits_intersect(a: &[u64], b: &[u64], out: &mut [u64]) -> bool {
-    let mut any = false;
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x & y;
-        any |= *o != 0;
-    }
-    any
 }
 
 fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
@@ -665,55 +656,66 @@ impl CompiledPath {
         Ok(self.try_eval_from(graph, from, ctx)?.contains(&to))
     }
 
-    /// Computes `⋃_{x ∈ targets} graph(paths(E, G, from, x))` as a set of
-    /// id triples `(s, p, o)` of the underlying graph.
+    /// Computes `⋃_{a ∈ sources} ⋃_{x ∈ targets} graph(paths(E, G, a, x))`
+    /// as a set of id triples `(s, p, o)` of the underlying graph.
     ///
-    /// `targets` is the set of admissible endpoints; pass the result of
-    /// [`CompiledPath::eval_from`] (possibly filtered by a shape) — nodes in
-    /// `targets` not actually reachable are ignored.
+    /// `targets` is the set of admissible endpoints; `None` admits every
+    /// endpoint. Nodes in `targets` no source reaches are ignored, so a
+    /// caller tracing foci `vᵢ` to `Tᵢ = ⟦E⟧(vᵢ) ∩ Q` for one shared `Q`
+    /// gets `⋃ᵢ graph(paths(E, G, vᵢ, Tᵢ))` from a single call with
+    /// `targets = Q`: every traced edge lies on an accepting run from some
+    /// source `vᵢ` to some `x ∈ Q`, and such an `x` is in `Tᵢ`.
     pub fn trace<G: GraphAccess>(
         &self,
         graph: &G,
-        from: TermId,
-        targets: &BTreeSet<TermId>,
+        sources: &[TermId],
+        targets: Option<&BTreeSet<TermId>>,
     ) -> TraceSet {
-        self.try_trace(graph, from, targets, &ExecCtx::unbounded())
+        self.try_trace(graph, sources, targets, &ExecCtx::unbounded())
             .expect("unbounded context cannot fail")
     }
 
     /// Governed [`CompiledPath::trace`]: every BFS pop and edge expansion in
-    /// the forward, backward, and collection phases ticks the context.
+    /// the forward, backward, and collection phases ticks the context, and
+    /// every discovered product pair is charged to the memory budget.
     pub fn try_trace<G: GraphAccess>(
         &self,
         graph: &G,
-        from: TermId,
-        targets: &BTreeSet<TermId>,
+        sources: &[TermId],
+        targets: Option<&BTreeSet<TermId>>,
         ctx: &ExecCtx,
     ) -> Result<TraceSet, EngineError> {
+        let admits = |x: &TermId| targets.is_none_or(|t| t.contains(x));
         let mut out = BTreeSet::new();
         if let Some((pid, inv)) = self.simple {
             // paths(p, G, a, x) is the single length-one path; its graph is
             // the forward triple.
-            ctx.tick(targets.len() as u64)?;
-            for &x in targets {
-                if inv {
-                    if graph.contains_ids(x, pid, from) {
-                        out.insert((x, pid, from));
+            let label = ResolvedLabel::Prop(pid);
+            for &from in sources {
+                let mut edges = 0u64;
+                successors(graph, from, &label, inv, |pred, x| {
+                    edges += 1;
+                    if admits(&x) {
+                        out.insert(oriented(from, pred, x, inv));
                     }
-                } else if graph.contains_ids(from, pid, x) {
-                    out.insert((from, pid, x));
-                }
+                });
+                ctx.tick(1 + edges)?;
             }
             return Ok(out);
         }
 
-        // Forward reachability over the product graph.
+        // Forward reachability over the product graph from every source.
         let states = self.nfa.state_count();
+        let (start, accept) = (self.nfa.start, self.nfa.accept);
         let mut mem = MemGuard::new(ctx);
         let mut forward = ProductSet::new(states);
         let mut queue: VecDeque<(TermId, u32)> = VecDeque::new();
-        forward.insert(from, self.nfa.start);
-        queue.push_back((from, self.nfa.start));
+        for &from in sources {
+            if forward.insert(from, start) {
+                queue.push_back((from, start));
+            }
+        }
+        mem.charge(queue.len() as u64 * PAIR_COST)?;
         while let Some((node, q)) = queue.pop_front() {
             let mut discovered = 0u64;
             let mut edges = 0u64;
@@ -736,15 +738,15 @@ impl CompiledPath {
             mem.charge(discovered * PAIR_COST)?;
         }
 
-        // Backward reachability from accepting target pairs, restricted to
-        // forward-reachable pairs.
+        // Backward reachability from admissible accepting pairs, restricted
+        // to forward-reachable pairs.
         let mut backward = ProductSet::new(states);
-        let mut queue: VecDeque<(TermId, u32)> = VecDeque::new();
-        for &x in targets {
-            if forward.contains(x, self.nfa.accept) && backward.insert(x, self.nfa.accept) {
-                queue.push_back((x, self.nfa.accept));
+        for &x in &forward.per_state[accept as usize] {
+            if admits(&x) && backward.insert(x, accept) {
+                queue.push_back((x, accept));
             }
         }
+        mem.charge(queue.len() as u64 * PAIR_COST)?;
         while let Some((node, q)) = queue.pop_front() {
             let mut discovered = 0u64;
             let mut edges = 0u64;
@@ -771,7 +773,8 @@ impl CompiledPath {
             mem.charge(discovered * PAIR_COST)?;
         }
 
-        // Collect edges whose source is reachable and target co-reachable.
+        // Collect edges whose source is reachable and target co-reachable
+        // (backward pairs are forward-reachable by construction).
         for (q, nodes) in backward.per_state.iter().enumerate() {
             for &node in nodes {
                 let mut edges = 0u64;
@@ -779,11 +782,7 @@ impl CompiledPath {
                     successors(graph, node, label, *inv, |pred, n2| {
                         edges += 1;
                         if backward.contains(n2, *next) {
-                            if *inv {
-                                out.insert((n2, pred, node));
-                            } else {
-                                out.insert((node, pred, n2));
-                            }
+                            out.insert(oriented(node, pred, n2, *inv));
                         }
                     });
                 }
@@ -866,183 +865,6 @@ impl CompiledPath {
                     for_each_bit(bits, |i| {
                         results[base + i].insert(node);
                     });
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// Batched tracing: for each request `(from, targets)`, computes
-    /// `⋃_{x ∈ targets} graph(paths(E, G, from, x))`, sharing the forward
-    /// and backward product traversals across all requests in a chunk.
-    ///
-    /// An edge `(node, q) → (n2, next)` of the product graph lies on an
-    /// accepting run for request `i` iff `i ∈ forward(node, q)` and
-    /// `i ∈ backward(n2, next)`, where the backward bits are seeded from
-    /// each request's admissible targets at the accept state and propagated
-    /// through forward-reachable pairs only. Results are per-request and
-    /// identical to [`CompiledPath::trace`].
-    pub fn trace_many<G: GraphAccess>(
-        &self,
-        graph: &G,
-        requests: &[(TermId, BTreeSet<TermId>)],
-    ) -> Vec<TraceSet> {
-        self.try_trace_many(graph, requests, &ExecCtx::unbounded())
-            .expect("unbounded context cannot fail")
-    }
-
-    /// Governed [`CompiledPath::trace_many`]. Allocates a fresh
-    /// [`FrontierScratch`]; hot callers reuse a per-worker scratch.
-    pub fn try_trace_many<G: GraphAccess>(
-        &self,
-        graph: &G,
-        requests: &[(TermId, BTreeSet<TermId>)],
-        ctx: &ExecCtx,
-    ) -> Result<Vec<TraceSet>, EngineError> {
-        self.try_trace_many_with(graph, requests, ctx, &mut FrontierScratch::new())
-    }
-
-    /// [`CompiledPath::try_trace_many`] over caller-owned scratch buffers,
-    /// allocation-free across chunks once the scratch is warm.
-    pub fn try_trace_many_with<G: GraphAccess>(
-        &self,
-        graph: &G,
-        requests: &[(TermId, BTreeSet<TermId>)],
-        ctx: &ExecCtx,
-        scratch: &mut FrontierScratch,
-    ) -> Result<Vec<TraceSet>, EngineError> {
-        if let Some((pid, inv)) = self.simple {
-            return requests
-                .iter()
-                .map(|(from, targets)| {
-                    ctx.tick(1 + targets.len() as u64)?;
-                    let mut out = BTreeSet::new();
-                    for &x in targets {
-                        if inv {
-                            if graph.contains_ids(x, pid, *from) {
-                                out.insert((x, pid, *from));
-                            }
-                        } else if graph.contains_ids(*from, pid, x) {
-                            out.insert((*from, pid, x));
-                        }
-                    }
-                    Ok(out)
-                })
-                .collect();
-        }
-        let states = self.nfa.state_count();
-        let node_cap = graph.term_count();
-        let mut results: Vec<TraceSet> = vec![BTreeSet::new(); requests.len()];
-        for (chunk_idx, chunk) in requests.chunks(SOURCE_CHUNK).enumerate() {
-            ctx.check_now()?;
-            let base = chunk_idx * SOURCE_CHUNK;
-            let words = chunk.len().div_ceil(64);
-            let sources: Vec<TermId> = chunk.iter().map(|(from, _)| *from).collect();
-            let mut mem = MemGuard::new(ctx);
-            self.forward_bits(graph, &sources, ctx, &mut mem, scratch)?;
-
-            // Backward propagation restricted to forward-reachable pairs:
-            // bits flowing into (m, prev) are the mover's bits intersected
-            // with forward(m, prev).
-            let FrontierScratch {
-                fwd,
-                bwd: backward,
-                queue,
-                seed_buf: seed,
-                copy_buf,
-                gate_buf: gated,
-            } = scratch;
-            let forward: &FrontierMatrix = fwd;
-            backward.reset(states, node_cap, words);
-            queue.clear();
-            seed.clear();
-            seed.resize(words, 0);
-            copy_buf.clear();
-            copy_buf.resize(words, 0);
-            gated.clear();
-            gated.resize(words, 0);
-            for (i, (_, targets)) in chunk.iter().enumerate() {
-                seed.fill(0);
-                seed[i / 64] = 1u64 << (i % 64);
-                for &x in targets {
-                    let reached = forward
-                        .get(x, self.nfa.accept)
-                        .is_some_and(|bits| bits[i / 64] & seed[i / 64] != 0);
-                    if reached && backward.union(x, self.nfa.accept, seed) {
-                        queue.push_back((x, self.nfa.accept));
-                    }
-                }
-            }
-            while let Some((node, q)) = queue.pop_front() {
-                if !backward.copy_into(node, q, copy_buf) {
-                    continue;
-                }
-                let mut pushed = 0u64;
-                let mut edges = 0u64;
-                for &prev in &self.eps_rev[q as usize] {
-                    let fwd_bits = match forward.get(node, prev) {
-                        Some(bits) => bits,
-                        None => continue,
-                    };
-                    if bits_intersect(copy_buf, fwd_bits, gated)
-                        && backward.union(node, prev, gated)
-                    {
-                        pushed += 1;
-                        queue.push_back((node, prev));
-                    }
-                }
-                for (label, inv, prev) in &self.resolved_rev[q as usize] {
-                    let mut grown: Vec<TermId> = Vec::new();
-                    predecessors(graph, node, label, *inv, |_pred, m| {
-                        edges += 1;
-                        if forward.get(m, *prev).is_some() {
-                            grown.push(m);
-                        }
-                    });
-                    for m in grown {
-                        let fwd_bits = forward.get(m, *prev).expect("filtered above");
-                        if bits_intersect(copy_buf, fwd_bits, gated)
-                            && backward.union(m, *prev, gated)
-                        {
-                            pushed += 1;
-                            queue.push_back((m, *prev));
-                        }
-                    }
-                }
-                ctx.tick(1 + edges)?;
-                mem.charge(pushed * (PAIR_COST + 8 * words as u64))?;
-            }
-
-            // Edge collection: attribute each surviving product edge to the
-            // requests in forward(src pair) ∩ backward(dst pair).
-            for idx in 0..backward.touched.len() {
-                let (node, q) = backward.decode(backward.touched[idx]);
-                let fwd_bits = match forward.get(node, q) {
-                    Some(bits) => bits,
-                    None => continue,
-                };
-                for (label, inv, next) in &self.resolved[q as usize] {
-                    let mut hits: Vec<(TermId, TermId)> = Vec::new();
-                    successors(graph, node, label, *inv, |pred, n2| {
-                        hits.push((pred, n2));
-                    });
-                    ctx.tick(1 + hits.len() as u64)?;
-                    for (pred, n2) in hits {
-                        let bwd_bits = match backward.get(n2, *next) {
-                            Some(bits) => bits,
-                            None => continue,
-                        };
-                        if bits_intersect(fwd_bits, bwd_bits, gated) {
-                            let triple = if *inv {
-                                (n2, pred, node)
-                            } else {
-                                (node, pred, n2)
-                            };
-                            for_each_bit(gated, |i| {
-                                results[base + i].insert(triple);
-                            });
-                        }
-                    }
                 }
             }
         }
@@ -1156,6 +978,16 @@ fn successors<G: GraphAccess>(
     }
 }
 
+/// The stored triple behind one product-graph step from `node` to `next`
+/// over `pred`: an inverse step consumes `(next, pred, node)`.
+fn oriented(node: TermId, pred: TermId, next: TermId, inverse: bool) -> (TermId, TermId, TermId) {
+    if inverse {
+        (next, pred, node)
+    } else {
+        (node, pred, next)
+    }
+}
+
 /// Enumerates the `(predicate id, predecessor)` pairs that reach `node` by
 /// one transition with the given label/direction (the reverse of
 /// [`successors`]).
@@ -1244,15 +1076,15 @@ impl PathCache {
         self.get(path, graph).eval_from(graph, from)
     }
 
-    /// Convenience: trace `graph(paths(E, G, from, targets))`.
+    /// Convenience: trace `graph(paths(E, G, sources, targets))`.
     pub fn trace<G: GraphAccess>(
         &mut self,
         path: &PathExpr,
         graph: &G,
-        from: TermId,
-        targets: &BTreeSet<TermId>,
+        sources: &[TermId],
+        targets: Option<&BTreeSet<TermId>>,
     ) -> TraceSet {
-        self.get(path, graph).trace(graph, from, targets)
+        self.get(path, graph).trace(graph, sources, targets)
     }
 
     /// Convenience: set-at-a-time `⟦E⟧^G(sources[i])` for all sources.
@@ -1265,19 +1097,6 @@ impl PathCache {
         let compiled = Self::compiled(&mut self.cache, path, graph);
         compiled
             .try_eval_from_many_with(graph, sources, &ExecCtx::unbounded(), &mut self.scratch)
-            .expect("unbounded context cannot fail")
-    }
-
-    /// Convenience: batched tracing for all `(from, targets)` requests.
-    pub fn trace_many<G: GraphAccess>(
-        &mut self,
-        path: &PathExpr,
-        graph: &G,
-        requests: &[(TermId, BTreeSet<TermId>)],
-    ) -> Vec<TraceSet> {
-        let compiled = Self::compiled(&mut self.cache, path, graph);
-        compiled
-            .try_trace_many_with(graph, requests, &ExecCtx::unbounded(), &mut self.scratch)
             .expect("unbounded context cannot fail")
     }
 
@@ -1297,11 +1116,12 @@ impl PathCache {
         &mut self,
         path: &PathExpr,
         graph: &G,
-        from: TermId,
-        targets: &BTreeSet<TermId>,
+        sources: &[TermId],
+        targets: Option<&BTreeSet<TermId>>,
         ctx: &ExecCtx,
     ) -> Result<TraceSet, EngineError> {
-        self.get(path, graph).try_trace(graph, from, targets, ctx)
+        self.get(path, graph)
+            .try_trace(graph, sources, targets, ctx)
     }
 
     /// Governed [`PathCache::eval_many`].
@@ -1314,18 +1134,6 @@ impl PathCache {
     ) -> Result<Vec<BTreeSet<TermId>>, EngineError> {
         let compiled = Self::compiled(&mut self.cache, path, graph);
         compiled.try_eval_from_many_with(graph, sources, ctx, &mut self.scratch)
-    }
-
-    /// Governed [`PathCache::trace_many`].
-    pub fn try_trace_many<G: GraphAccess>(
-        &mut self,
-        path: &PathExpr,
-        graph: &G,
-        requests: &[(TermId, BTreeSet<TermId>)],
-        ctx: &ExecCtx,
-    ) -> Result<Vec<TraceSet>, EngineError> {
-        let compiled = Self::compiled(&mut self.cache, path, graph);
-        compiled.try_trace_many_with(graph, requests, ctx, &mut self.scratch)
     }
 }
 
@@ -1528,7 +1336,7 @@ mod tests {
         let g = Graph::from_triples([t("a", "p", "b"), t("a", "p", "c"), t("x", "p", "y")]);
         let c = CompiledPath::new(&p("p"), &g);
         let targets = BTreeSet::from([id(&g, "b")]);
-        let traced = c.trace(&g, id(&g, "a"), &targets);
+        let traced = c.trace(&g, &[id(&g, "a")], Some(&targets));
         assert_eq!(traced.len(), 1);
         let (s, _, o) = traced.into_iter().next().unwrap();
         assert_eq!(g.term(s).to_string(), n("a"));
@@ -1540,7 +1348,7 @@ mod tests {
         let g = Graph::from_triples([t("a", "p", "b")]);
         let c = CompiledPath::new(&p("p").inverse(), &g);
         let targets = BTreeSet::from([id(&g, "a")]);
-        let traced = c.trace(&g, id(&g, "b"), &targets);
+        let traced = c.trace(&g, &[id(&g, "b")], Some(&targets));
         assert_eq!(traced.len(), 1);
         let (s, _, o) = traced.into_iter().next().unwrap();
         // The underlying triple is stored forward: (a, p, b).
@@ -1561,7 +1369,7 @@ mod tests {
         let targets = BTreeSet::from([id(&g, "c")]);
         let traced = names(
             &g,
-            &c.trace(&g, id(&g, "a"), &targets)
+            &c.trace(&g, &[id(&g, "a")], Some(&targets))
                 .into_iter()
                 .map(|(s, _, _)| s)
                 .collect(),
@@ -1582,7 +1390,7 @@ mod tests {
         ]);
         let c = CompiledPath::new(&p("p").star(), &g);
         let targets = BTreeSet::from([id(&g, "d")]);
-        let traced = c.trace(&g, id(&g, "a"), &targets);
+        let traced = c.trace(&g, &[id(&g, "a")], Some(&targets));
         assert_eq!(traced.len(), 4);
     }
 
@@ -1593,7 +1401,7 @@ mod tests {
         let g = Graph::from_triples([t("a", "p", "b"), t("b", "p", "c"), t("c", "p", "b")]);
         let c = CompiledPath::new(&p("p").star(), &g);
         let targets = BTreeSet::from([id(&g, "c")]);
-        let traced = c.trace(&g, id(&g, "a"), &targets);
+        let traced = c.trace(&g, &[id(&g, "a")], Some(&targets));
         assert_eq!(traced.len(), 3);
     }
 
@@ -1603,7 +1411,7 @@ mod tests {
         let g = Graph::from_triples([t("a", "p", "b")]);
         let c = CompiledPath::new(&p("p").star(), &g);
         let targets = BTreeSet::from([id(&g, "a")]);
-        let traced = c.trace(&g, id(&g, "a"), &targets);
+        let traced = c.trace(&g, &[id(&g, "a")], Some(&targets));
         assert!(traced.is_empty());
     }
 
@@ -1612,7 +1420,7 @@ mod tests {
         let g = Graph::from_triples([t("a", "p", "b"), t("x", "p", "y")]);
         let c = CompiledPath::new(&p("p"), &g);
         let targets = BTreeSet::from([id(&g, "y")]);
-        assert!(c.trace(&g, id(&g, "a"), &targets).is_empty());
+        assert!(c.trace(&g, &[id(&g, "a")], Some(&targets)).is_empty());
     }
 
     #[test]
@@ -1628,7 +1436,7 @@ mod tests {
         let c = CompiledPath::new(&e, &g);
         let a = id(&g, "a");
         for x in c.eval_from(&g, a) {
-            let traced = c.trace(&g, a, &BTreeSet::from([x]));
+            let traced = c.trace(&g, &[a], Some(&BTreeSet::from([x])));
             let f = Graph::from_triples(traced.iter().map(|&(s, pp, o)| g.triple_of(s, pp, o)));
             let cf = CompiledPath::new(&e, &f);
             let a_f = f.id_of(g.term(a)).expect("start node in traced graph");
@@ -1742,7 +1550,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_many_matches_trace() {
+    fn multi_source_trace_is_union_of_single_source_traces() {
+        // "z" has only an `r` edge, which no expression mentions, so it
+        // reaches no target over any edge.
         let g = Graph::from_triples([
             t("a", "p", "b"),
             t("b", "p", "d"),
@@ -1751,63 +1561,107 @@ mod tests {
             t("d", "p", "e"),
             t("b", "q", "c"),
             t("e", "q", "a"),
+            t("z", "r", "w"),
         ]);
         let exprs = [
             p("p"),
+            p("p").inverse(),
             p("p").star(),
             p("p").or(p("q")).star(),
             p("p").then(p("q")),
-            p("q").inverse(),
+            p("q").inverse().then(p("p").star()),
         ];
-        let all: Vec<&str> = vec!["a", "b", "c", "d", "e"];
+        let sources: Vec<TermId> = ["a", "b", "c", "d", "e", "z"]
+            .iter()
+            .map(|s| id(&g, s))
+            .collect();
         for e in &exprs {
             let c = CompiledPath::new(e, &g);
-            let requests: Vec<(TermId, BTreeSet<TermId>)> = all
-                .iter()
-                .map(|s| {
-                    let from = id(&g, s);
-                    (from, c.eval_from(&g, from))
-                })
-                .collect();
-            let batch = c.trace_many(&g, &requests);
-            for (i, (from, targets)) in requests.iter().enumerate() {
-                assert_eq!(
-                    batch[i],
-                    c.trace(&g, *from, targets),
-                    "expr {e}, source {}",
-                    all[i]
-                );
+            let reached: BTreeSet<TermId> =
+                sources.iter().flat_map(|&v| c.eval_from(&g, v)).collect();
+            // Every endpoint, and a strict subset of them.
+            let half: BTreeSet<TermId> = reached.iter().copied().step_by(2).collect();
+            for targets in [&reached, &half] {
+                let union: TraceSet = sources
+                    .iter()
+                    .flat_map(|&v| c.trace(&g, &[v], Some(targets)))
+                    .collect();
+                assert_eq!(c.trace(&g, &sources, Some(targets)), union, "expr {e}");
             }
+            assert_eq!(
+                c.trace(&g, &sources, None),
+                c.trace(&g, &sources, Some(&reached)),
+                "expr {e}: no target filter means every endpoint"
+            );
+            assert!(c.trace(&g, &[id(&g, "z")], None).is_empty(), "expr {e}");
         }
     }
 
     #[test]
-    fn trace_many_separates_overlapping_sources() {
-        // Both sources reach d through shared edges, but only edges on
-        // *that source's* paths may appear in its result.
+    fn multi_source_trace_keeps_only_edges_to_shared_targets() {
+        // a and b overlap on m -> d; x reaches only w, which is not a
+        // target, so its edge must not appear.
         let g = Graph::from_triples([
             t("a", "p", "m"),
             t("b", "p", "m"),
             t("m", "p", "d"),
             t("b", "p", "d"),
+            t("x", "p", "w"),
         ]);
         let c = CompiledPath::new(&p("p").plus(), &g);
-        let d = id(&g, "d");
-        let requests = vec![
-            (id(&g, "a"), BTreeSet::from([d])),
-            (id(&g, "b"), BTreeSet::from([d])),
-        ];
-        let batch = c.trace_many(&g, &requests);
-        // Source a never uses b's edges.
-        let a_subjects: BTreeSet<String> =
-            names(&g, &batch[0].iter().map(|&(s, _, _)| s).collect());
-        assert_eq!(a_subjects, BTreeSet::from([n("a"), n("m")]));
-        let b_subjects: BTreeSet<String> =
-            names(&g, &batch[1].iter().map(|&(s, _, _)| s).collect());
-        assert_eq!(b_subjects, BTreeSet::from([n("b"), n("m")]));
-        for (i, (from, targets)) in requests.iter().enumerate() {
-            assert_eq!(batch[i], c.trace(&g, *from, targets));
-        }
+        let targets = BTreeSet::from([id(&g, "d")]);
+        let sources = [id(&g, "a"), id(&g, "b"), id(&g, "x")];
+        let traced = c.trace(&g, &sources, Some(&targets));
+        let subjects = names(&g, &traced.iter().map(|&(s, _, _)| s).collect());
+        assert_eq!(subjects, BTreeSet::from([n("a"), n("b"), n("m")]));
+        assert_eq!(traced.len(), 4);
+        // Duplicate sources change nothing.
+        let doubled = [sources[0], sources[1], sources[0], sources[2]];
+        assert_eq!(c.trace(&g, &doubled, Some(&targets)), traced);
+    }
+
+    /// A chain x0 -p-> x1 -p-> … with every node a source of `p*`.
+    fn chain_trace_inputs(len: usize) -> (Graph, CompiledPath, Vec<TermId>) {
+        let g =
+            Graph::from_triples((0..len).map(|i| t(&format!("x{i}"), "p", &format!("x{}", i + 1))));
+        let c = CompiledPath::new(&p("p").star(), &g);
+        let sources = (0..len).map(|i| id(&g, &format!("x{i}"))).collect();
+        (g, c, sources)
+    }
+
+    #[test]
+    fn multi_source_trace_honours_step_budget() {
+        let (g, c, sources) = chain_trace_inputs(64);
+        let ctx = ExecCtx::with_budget(shapefrag_govern::Budget::unlimited().steps(50));
+        let err = c.try_trace(&g, &sources, None, &ctx).unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::BudgetExceeded {
+                kind: shapefrag_govern::BudgetKind::Steps,
+                ..
+            }
+        ));
+        // The same trace fits a generous budget and matches the ungoverned one.
+        let ctx = ExecCtx::with_budget(shapefrag_govern::Budget::unlimited().steps(1_000_000));
+        let governed = c.try_trace(&g, &sources, None, &ctx).unwrap();
+        assert_eq!(governed, c.trace(&g, &sources, None));
+        assert_eq!(governed.len(), 64);
+    }
+
+    #[test]
+    fn multi_source_trace_honours_memory_budget() {
+        let (g, c, sources) = chain_trace_inputs(64);
+        let budget = shapefrag_govern::Budget::unlimited().memory_bytes(10 * PAIR_COST);
+        let err = c
+            .try_trace(&g, &sources, None, &ExecCtx::with_budget(budget))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            EngineError::BudgetExceeded {
+                kind: shapefrag_govern::BudgetKind::Memory,
+                ..
+            }
+        ));
     }
 
     #[test]

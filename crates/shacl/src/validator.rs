@@ -502,16 +502,18 @@ impl<'a, G: GraphAccess> Context<'a, G> {
         }
     }
 
-    /// `graph(paths(E, G, from, targets))` as id triples.
+    /// `⋃_{a ∈ sources} graph(paths(E, G, a, targets))` as id triples, in
+    /// one pass over the product graph whatever the number of sources;
+    /// `None` admits every endpoint (see [`crate::rpq::CompiledPath::trace`]).
     pub fn trace_path(
         &mut self,
         path: &PathExpr,
-        from: TermId,
-        targets: &BTreeSet<TermId>,
+        sources: &[TermId],
+        targets: Option<&BTreeSet<TermId>>,
     ) -> BTreeSet<(TermId, TermId, TermId)> {
         match self
             .paths
-            .try_trace(path, self.graph, from, targets, &self.exec)
+            .try_trace(path, self.graph, sources, targets, &self.exec)
         {
             Ok(out) => out,
             Err(e) => {
@@ -735,24 +737,6 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Err(e) => {
                 self.record_fault(e);
                 vec![BTreeSet::new(); sources.len()]
-            }
-        }
-    }
-
-    /// Batched path tracing through the multi-source kernel.
-    pub fn trace_path_many(
-        &mut self,
-        path: &PathExpr,
-        requests: &[(TermId, BTreeSet<TermId>)],
-    ) -> Vec<BTreeSet<(TermId, TermId, TermId)>> {
-        match self
-            .paths
-            .try_trace_many(path, self.graph, requests, &self.exec)
-        {
-            Ok(out) => out,
-            Err(e) => {
-                self.record_fault(e);
-                vec![BTreeSet::new(); requests.len()]
             }
         }
     }

@@ -438,3 +438,59 @@ fn governed_parallel_fragment_exits_with_resource_fault() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("resource fault"), "{stderr}");
 }
+
+/// On a Vardi distance-3 schema (one quantifier over a six-step path),
+/// `fragment` trips a tiny step budget with exit 4, while a generous one
+/// writes the same bytes as an ungoverned run.
+#[test]
+fn governed_vardi_fragment_trips_or_matches_ungoverned_bytes() {
+    use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
+    use shape_fragments::workloads::dblp::{authored_by, vardi_shape, Bibliography, DblpConfig};
+
+    let dir = tempdir::TempDir::new();
+    let target = Shape::geq(1, PathExpr::Prop(authored_by()).inverse(), Shape::True);
+    let schema = Schema::new([ShapeDef::new(
+        shape_fragments::rdf::Term::iri("http://example.org/shapes/Vardi3"),
+        vardi_shape(3),
+        target,
+    )])
+    .expect("one nonrecursive definition");
+    let bib = Bibliography::generate(&DblpConfig {
+        first_year: 2019,
+        last_year: 2021,
+        papers_per_year: 40,
+        new_authors_per_year: 20,
+        ..DblpConfig::default()
+    });
+    let shapes = write_file(
+        dir.path(),
+        "vardi.ttl",
+        &shape_fragments::shacl::schema_to_turtle(&schema),
+    );
+    let data = write_file(
+        dir.path(),
+        "dblp.nt",
+        &shape_fragments::rdf::ntriples::serialize(&bib.full_graph()),
+    );
+    let (s, d) = (shapes.to_str().unwrap(), data.to_str().unwrap());
+    let extract = |name: &str, budget: &[&str]| {
+        let path = dir.path().join(name);
+        let mut args = vec!["fragment", s, d, "-o", path.to_str().unwrap()];
+        args.extend(budget);
+        let out = shapefrag(&args);
+        (out, std::fs::read(&path).ok())
+    };
+
+    let (out, _) = extract("tiny.nt", &["--budget-steps", "200"]);
+    assert_eq!(out.status.code(), Some(4), "budget trip → exit 4");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("resource fault"), "{stderr}");
+
+    let (out, free) = extract("free.nt", &[]);
+    assert_eq!(out.status.code(), Some(0));
+    let free = free.expect("ungoverned fragment written");
+    assert!(free.len() > 1_000, "the hub's distance-3 ball is traced");
+    let (out, governed) = extract("governed.nt", &["--budget-steps", "1000000000"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(governed.expect("governed fragment written"), free);
+}

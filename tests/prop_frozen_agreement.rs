@@ -134,8 +134,8 @@ proptest! {
             let endpoints = ctx_g.eval_path(&path, v);
             prop_assert_eq!(&endpoints, &ctx_f.eval_path(&path, v));
             prop_assert_eq!(
-                ctx_g.trace_path(&path, v, &endpoints),
-                ctx_f.trace_path(&path, v, &endpoints)
+                ctx_g.trace_path(&path, &[v], Some(&endpoints)),
+                ctx_f.trace_path(&path, &[v], Some(&endpoints))
             );
         }
     }

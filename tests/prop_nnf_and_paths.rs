@@ -54,7 +54,7 @@ proptest! {
         let compiled = CompiledPath::new(&path, &g);
         for a in g.node_ids() {
             for b in compiled.eval_from(&g, a) {
-                let traced = compiled.trace(&g, a, &BTreeSet::from([b]));
+                let traced = compiled.trace(&g, &[a], Some(&BTreeSet::from([b])));
                 let f = Graph::from_triples(
                     traced.iter().map(|&(s, p, o)| g.triple_of(s, p, o)),
                 );
@@ -101,26 +101,61 @@ proptest! {
         }
     }
 
-    /// Traced subgraphs only contain graph triples, and tracing the full
-    /// endpoint set equals the union of per-endpoint traces.
+    /// Traced subgraphs only contain graph triples, tracing the full
+    /// endpoint set equals the union of per-endpoint traces, and tracing a
+    /// source set `A` to `X` equals the union of the per-source traces, for
+    /// `X` the whole endpoint union of `A` and for a subset of it.
     #[test]
     fn trace_is_union_of_singletons(
         g in graph_strategy(8),
         path in path_strategy(),
+        source_mask in any::<u64>(),
+        target_mask in any::<u64>(),
     ) {
         let compiled = CompiledPath::new(&path, &g);
         for a in g.node_ids().into_iter().take(3) {
             let endpoints = compiled.eval_from(&g, a);
-            let batched = compiled.trace(&g, a, &endpoints);
+            let batched = compiled.trace(&g, &[a], Some(&endpoints));
             let mut unioned = BTreeSet::new();
             for &b in &endpoints {
-                unioned.extend(compiled.trace(&g, a, &BTreeSet::from([b])));
+                unioned.extend(compiled.trace(&g, &[a], Some(&BTreeSet::from([b]))));
             }
             prop_assert_eq!(&batched, &unioned, "batched trace differs for {}", path);
             for &(s, p, o) in &batched {
                 prop_assert!(g.contains_ids(s, p, o));
             }
         }
+
+        let sources: Vec<_> = g
+            .node_ids()
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| source_mask >> (i % 64) & 1 == 1)
+            .map(|(_, v)| v)
+            .collect();
+        let reached: BTreeSet<_> = sources
+            .iter()
+            .flat_map(|&a| compiled.eval_from(&g, a))
+            .collect();
+        let subset: BTreeSet<_> = reached
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| target_mask >> (i % 64) & 1 == 1)
+            .map(|(_, &x)| x)
+            .collect();
+        for targets in [&reached, &subset] {
+            let multi = compiled.trace(&g, &sources, Some(targets));
+            let mut unioned = BTreeSet::new();
+            for &a in &sources {
+                unioned.extend(compiled.trace(&g, &[a], Some(targets)));
+            }
+            prop_assert_eq!(&multi, &unioned, "multi-source trace differs for {}", path);
+        }
+        prop_assert_eq!(
+            compiled.trace(&g, &sources, None),
+            compiled.trace(&g, &sources, Some(&reached)),
+            "unfiltered trace differs for {}", path
+        );
     }
 
     /// Conformance of any node is decidable coherently for shapes vs their

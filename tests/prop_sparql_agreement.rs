@@ -66,7 +66,7 @@ proptest! {
         for ((t, h), bindings) in grouped {
             let via_query = bindings_to_graph(&bindings, "s", "p", "o");
             let (Some(a), Some(b)) = (g.id_of(&t), g.id_of(&h)) else { continue };
-            let traced = compiled.trace(&g, a, &BTreeSet::from([b]));
+            let traced = compiled.trace(&g, &[a], Some(&BTreeSet::from([b])));
             let native = shape_fragments::core::neighborhood::materialize(
                 &g,
                 &traced.into_iter().collect(),

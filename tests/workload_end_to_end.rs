@@ -1,11 +1,20 @@
-//! End-to-end integration over the benchmark workload: the 57-shape suite
+//! End-to-end integration over the benchmark workloads: the 57-shape suite
 //! against a sampled tourism graph, exercised through every major pipeline
 //! at once — validation, instrumented extraction, native fragments, and
-//! the SHACL write→parse round trip.
+//! the SHACL write→parse round trip — and the Vardi shapes on a DBLP slice
+//! against the paper's oracles.
 
-use shape_fragments::core::{schema_fragment, validate_extract_fragment};
+use shape_fragments::core::neighborhood::materialize;
+use shape_fragments::core::to_sparql::fragment_via_sparql;
+use shape_fragments::core::{
+    fragment_ids_per_node, schema_fragment, validate_extract_fragment,
+    validate_extract_fragment_par,
+};
+use shape_fragments::rdf::Term;
 use shape_fragments::shacl::validator::validate;
-use shape_fragments::shacl::{schema_to_turtle, Schema};
+use shape_fragments::shacl::{schema_to_turtle, Budget, PathExpr, Schema, Shape, ShapeDef};
+use shape_fragments::sparql::eval::EvalConfig;
+use shape_fragments::workloads::dblp::{authored_by, vardi_shape, Bibliography, DblpConfig};
 use shape_fragments::workloads::shapes57::{benchmark_schema, benchmark_shapes};
 use shape_fragments::workloads::tyrolean::{generate, sample_induced, TyroleanConfig};
 
@@ -91,4 +100,63 @@ fn fragment_validates_after_extraction() {
         validate(&clean, &frag).conforms(),
         "Frag(G, H) violates H at workload scale"
     );
+}
+
+/// The Vardi distance-`k` shapes of §5.3.2 on a small DBLP slice: the
+/// instrumented engine at one and two threads and the set-at-a-time
+/// `schema_fragment` both trace each quantifier path once for all foci,
+/// and must still equal the per-node Table 2 oracle; at distance 1 they
+/// must also equal the fragment the generated SPARQL query computes
+/// (Lemma 5.1 / Prop. 5.3). The benchmark's target (the objects of
+/// `authoredBy`) puts every authorship triple of a conforming author into
+/// the fragment as target evidence, which covers every traced path edge;
+/// the `⊤` target leaves the traced paths as the only evidence.
+#[test]
+fn vardi_fragments_match_per_node_and_sparql_oracles() {
+    let bib = Bibliography::generate(&DblpConfig {
+        first_year: 2018,
+        last_year: 2021,
+        papers_per_year: 40,
+        new_authors_per_year: 20,
+        seed: 11,
+        ..DblpConfig::default()
+    });
+    let graph = bib.slice(2019);
+    let authors = Shape::geq(1, PathExpr::Prop(authored_by()).inverse(), Shape::True);
+    for target in [authors, Shape::True] {
+        for k in [1, 2, 3] {
+            let name = Term::iri(format!("http://example.org/shapes/Vardi{k}"));
+            let schema = Schema::new([ShapeDef::new(name, vardi_shape(k), target.clone())])
+                .expect("one nonrecursive definition");
+            let requests = schema.request_shapes();
+            let oracle = materialize(&graph, &fragment_ids_per_node(&schema, &graph, &requests));
+            assert!(!oracle.is_empty(), "distance {k}: the hub's ball is traced");
+            for threads in [1, 2] {
+                let (_, extracted, _) = validate_extract_fragment_par(
+                    &schema,
+                    &graph,
+                    threads,
+                    Budget::unlimited(),
+                    None,
+                )
+                .expect("unbounded extraction");
+                assert_eq!(
+                    extracted.to_graph(&graph),
+                    oracle,
+                    "distance {k}, {threads} threads, target {target}"
+                );
+            }
+            assert_eq!(
+                schema_fragment(&schema, &graph),
+                oracle,
+                "distance {k}, target {target}"
+            );
+            if k == 1 {
+                let via_sparql =
+                    fragment_via_sparql(&schema, &graph, &requests, &EvalConfig::indexed())
+                        .expect("the query fits the default evaluation limits");
+                assert_eq!(via_sparql, oracle, "target {target}");
+            }
+        }
+    }
 }
