@@ -1,13 +1,18 @@
 //! Parser throughput: N-Triples and Turtle loading, plus shapes-graph
 //! translation (Appendix A) — the data-ingestion side excluded from the
-//! paper's timers but load-bearing for a practical engine.
+//! paper's timers but load-bearing for a practical engine. The `load` and
+//! `emit` groups set the CLI's id-level paths beside the `Graph` round
+//! trips they replace: the frozen loader against `parse` + `freeze`, and
+//! the fragment's id-triple writer against `to_graph` + `serialize`.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use shapefrag_core::validate_extract_fragment;
 use shapefrag_rdf::{ntriples, turtle};
 use shapefrag_shacl::parser::parse_shapes_turtle;
+use shapefrag_workloads::shapes57::benchmark_schema;
 use shapefrag_workloads::tyrolean::{generate, TyroleanConfig};
 
 fn config() -> Criterion {
@@ -58,6 +63,29 @@ fn bench_parsing(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(nt.len() as u64));
     group.bench_function("ntriples_serialize", |b| {
         b.iter(|| ntriples::serialize(&graph));
+    });
+    group.finish();
+
+    // The Turtle form the CLI workloads load: full IRIs, no prefixes.
+    let data_ttl = turtle::serialize(&graph, &[]);
+    let mut group = c.benchmark_group("load");
+    group.throughput(Throughput::Bytes(data_ttl.len() as u64));
+    group.bench_function("turtle_parse_freeze", |b| {
+        b.iter(|| turtle::parse(&data_ttl).unwrap().freeze());
+    });
+    group.bench_function("turtle_frozen", |b| {
+        b.iter(|| turtle::parse_frozen(&data_ttl).unwrap());
+    });
+    group.finish();
+
+    let frozen = graph.freeze();
+    let (_, fragment) = validate_extract_fragment(&benchmark_schema(), &frozen);
+    let mut group = c.benchmark_group("emit");
+    group.bench_function("fragment_to_graph_serialize", |b| {
+        b.iter(|| ntriples::serialize(&fragment.to_graph(&frozen)));
+    });
+    group.bench_function("fragment_ids", |b| {
+        b.iter(|| fragment.to_ntriples(&frozen));
     });
     group.finish();
 

@@ -54,8 +54,9 @@ pub fn fragment_governed<G: GraphAccess>(
     fragment_ids_governed(schema, graph, shapes, exec).map(|ids| materialize(graph, &ids))
 }
 
-/// The loop behind [`fragment_ids`] and [`fragment_governed`].
-fn fragment_ids_governed<G: GraphAccess>(
+/// Id-triple form of [`fragment_governed`], the loop behind it and
+/// [`fragment_ids`]; write the result with `ntriples::serialize_ids`.
+pub fn fragment_ids_governed<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
     shapes: &[Shape],

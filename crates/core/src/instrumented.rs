@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use shapefrag_analyze::{Diagnostic, SimplifyLevel};
 use shapefrag_govern::Budget;
-use shapefrag_rdf::{Graph, GraphAccess, Term, TermId};
+use shapefrag_rdf::{ntriples, Graph, GraphAccess, Term, TermId};
 use shapefrag_shacl::path::PathExpr;
 use shapefrag_shacl::validator::{Context, ValidationReport, Violation};
 use shapefrag_shacl::{Nnf, Schema, Shape};
@@ -53,6 +53,13 @@ impl SchemaFragment {
     /// the graph the fragment was extracted from).
     pub fn to_graph<G: GraphAccess>(&self, graph: &G) -> Graph {
         materialize(graph, &self.triples)
+    }
+
+    /// Writes the fragment as N-Triples straight from its id triples (the
+    /// same bytes as `ntriples::serialize(&self.to_graph(graph))`; `graph`
+    /// must be the graph the fragment was extracted from).
+    pub fn to_ntriples<G: GraphAccess>(&self, graph: &G) -> String {
+        ntriples::serialize_ids(graph, self.triples.iter().copied())
     }
 
     /// Wraps an already-collected id-triple set (the parallel engine's

@@ -60,8 +60,8 @@ pub mod provenance;
 pub mod to_sparql;
 
 pub use fragment::{
-    conforming_nodes, fragment, fragment_governed, fragment_ids, fragment_ids_per_node,
-    schema_fragment,
+    conforming_nodes, fragment, fragment_governed, fragment_ids, fragment_ids_governed,
+    fragment_ids_per_node, schema_fragment,
 };
 pub use incremental::{EditOp, EditScript, IncrementalValidator};
 pub use instrumented::{

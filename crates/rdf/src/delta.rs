@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use crate::access::GraphAccess;
 use crate::frozen::FrozenGraph;
-use crate::graph::{Graph, Interner, TermId};
+use crate::graph::{Interner, TermId};
 use crate::term::{Iri, Term, Triple};
 
 /// Two ascending iterators merged into one ascending iterator; equal
@@ -89,7 +89,7 @@ fn merge<T: Ord + Copy>(
 }
 
 /// One side of the delta (added triples or tombstones): the same three
-/// indexes as the mutable [`Graph`], tree-keyed so every run iterates
+/// indexes as the mutable [`crate::Graph`], tree-keyed so every run iterates
 /// ascending, but sized to the delta rather than the dataset.
 #[derive(Debug, Default, Clone)]
 struct DeltaIndex {
@@ -270,13 +270,9 @@ impl DeltaGraph {
     /// view changed (re-adding a live triple is a no-op; re-adding a
     /// tombstoned base triple clears the tombstone).
     pub fn insert(&mut self, triple: &Triple) -> Option<(TermId, TermId, TermId)> {
-        assert!(
-            triple.subject.is_subject(),
-            "triple subject must be an IRI or blank node"
-        );
-        let s = self.terms.intern(&triple.subject);
-        let p = self.terms.intern(&Term::Iri(triple.predicate.clone()));
-        let o = self.terms.intern(&triple.object);
+        let (s, p, o) =
+            self.terms
+                .intern_triple(&triple.subject, &triple.predicate, &triple.object);
         self.insert_ids(s, p, o).then_some((s, p, o))
     }
 
@@ -477,13 +473,7 @@ impl DeltaGraph {
     /// base. Cost is one full index rebuild, amortized by running it only
     /// when `delta_len()` crosses the caller's threshold.
     pub fn compact(&self) -> FrozenGraph {
-        let mut g = Graph::new();
-        g.terms = self.terms.clone();
-        g.reserve(self.len);
-        for (s, p, o) in self.iter_ids() {
-            g.insert_ids(s, p, o);
-        }
-        g.freeze()
+        FrozenGraph::from_log(self.terms.clone(), self.iter_ids().collect())
     }
 }
 
@@ -552,6 +542,7 @@ impl GraphAccess for DeltaGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Graph;
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Iri::new(p), Term::iri(o))

@@ -1,7 +1,9 @@
 //! Immutable compressed-sparse-row snapshot of a [`Graph`].
 //!
-//! [`FrozenGraph`] is built once via [`Graph::freeze`] and stores every
-//! index as sorted contiguous arrays of dense `u32` ids:
+//! [`FrozenGraph`] is built once — straight from a parser's id log by the
+//! frozen loaders ([`crate::turtle::parse_frozen`],
+//! [`crate::ntriples::parse_frozen`]), or via [`Graph::freeze`] — and
+//! stores every index as sorted contiguous arrays of dense `u32` ids:
 //!
 //! - forward `(s, p) → [o]` and backward `(o, p) → [s]` adjacency as
 //!   two-level CSR (per-node predicate list + per-pair object/subject run),
@@ -48,35 +50,34 @@ struct CsrIndex {
 }
 
 impl CsrIndex {
-    /// Builds one direction from the mutable backend's node → predicate →
-    /// neighbor index. BTree iteration is already ascending, so every run
-    /// lands pre-sorted.
-    fn build(
-        n_terms: usize,
-        index: &crate::graph::IntMap<
-            TermId,
-            std::collections::BTreeMap<TermId, std::collections::BTreeSet<TermId>>,
-        >,
-    ) -> Self {
-        let mut csr = CsrIndex {
-            node_offsets: Vec::with_capacity(n_terms + 1),
-            preds: Vec::new(),
-            neighbor_starts: Vec::new(),
-            neighbors: Vec::new(),
-        };
-        for n in 0..n_terms as u32 {
-            csr.node_offsets.push(csr.preds.len() as u32);
-            if let Some(by_pred) = index.get(&TermId(n)) {
-                for (&p, neighbors) in by_pred {
-                    csr.preds.push(p);
-                    csr.neighbor_starts.push(csr.neighbors.len() as u32);
-                    csr.neighbors.extend(neighbors.iter().copied());
-                }
+    /// Builds one direction from `(node, predicate, neighbor)` keys sorted
+    /// ascending and free of duplicates, so every run lands pre-sorted.
+    fn from_sorted(n_terms: usize, sorted: &[(TermId, TermId, TermId)]) -> Self {
+        // Per-node predicate counts first, prefix-summed into offsets below.
+        let mut node_offsets = vec![0u32; n_terms + 1];
+        let mut preds = Vec::new();
+        let mut neighbor_starts = Vec::new();
+        let mut neighbors = Vec::with_capacity(sorted.len());
+        let mut last = None;
+        for &(node, pred, neighbor) in sorted {
+            if last != Some((node, pred)) {
+                last = Some((node, pred));
+                node_offsets[node.0 as usize + 1] += 1;
+                preds.push(pred);
+                neighbor_starts.push(neighbors.len() as u32);
             }
+            neighbors.push(neighbor);
         }
-        csr.node_offsets.push(csr.preds.len() as u32);
-        csr.neighbor_starts.push(csr.neighbors.len() as u32);
-        csr
+        for n in 0..n_terms {
+            node_offsets[n + 1] += node_offsets[n];
+        }
+        neighbor_starts.push(neighbors.len() as u32);
+        CsrIndex {
+            node_offsets,
+            preds,
+            neighbor_starts,
+            neighbors,
+        }
     }
 
     /// The sorted predicate run of `node` (empty for out-of-range ids,
@@ -156,34 +157,63 @@ impl Graph {
     /// anything keyed by id — compiled paths, conformance memos, collected
     /// id-triples — transfers between the backends.
     pub fn freeze(&self) -> FrozenGraph {
-        let n_terms = self.terms.len();
-        let fwd = CsrIndex::build(n_terms, &self.spo);
-        let bwd = CsrIndex::build(n_terms, &self.ops);
+        FrozenGraph::from_log(self.terms.clone(), self.iter_ids().collect())
+    }
+}
 
-        let mut pred_ids: Vec<TermId> = self.pso.keys().copied().collect();
-        pred_ids.sort_unstable();
-        let mut pred_edge_starts = Vec::with_capacity(pred_ids.len() + 1);
-        let mut pred_edges = Vec::with_capacity(self.len);
-        for p in &pred_ids {
-            pred_edge_starts.push(pred_edges.len() as u32);
-            pred_edges.extend(self.pso[p].iter().copied());
+impl FrozenGraph {
+    /// The one CSR constructor, behind the frozen loaders, [`Graph::freeze`]
+    /// and [`crate::DeltaGraph::compact`]: sorts the id triples (set
+    /// semantics by dedup), then builds each index from one sorted copy
+    /// keyed for it.
+    pub(crate) fn from_log(terms: Interner, mut triples: Vec<(TermId, TermId, TermId)>) -> Self {
+        triples.sort_unstable();
+        triples.dedup();
+        let n_terms = terms.len();
+        let fwd = CsrIndex::from_sorted(n_terms, &triples);
+
+        let mut keyed: Vec<_> = triples.iter().map(|&(s, p, o)| (o, p, s)).collect();
+        keyed.sort_unstable();
+        let bwd = CsrIndex::from_sorted(n_terms, &keyed);
+
+        for (k, &(s, p, o)) in keyed.iter_mut().zip(&triples) {
+            *k = (p, s, o);
+        }
+        keyed.sort_unstable();
+        let mut pred_ids = Vec::new();
+        let mut pred_edge_starts = Vec::new();
+        let mut pred_edges = Vec::with_capacity(keyed.len());
+        for &(p, s, o) in &keyed {
+            if pred_ids.last() != Some(&p) {
+                pred_ids.push(p);
+                pred_edge_starts.push(pred_edges.len() as u32);
+            }
+            pred_edges.push((s, o));
         }
         pred_edge_starts.push(pred_edges.len() as u32);
 
+        let mut is_node = vec![false; n_terms];
+        for &(s, _, o) in &triples {
+            is_node[s.0 as usize] = true;
+            is_node[o.0 as usize] = true;
+        }
+        let nodes = (0..n_terms as u32)
+            .filter(|&n| is_node[n as usize])
+            .map(TermId)
+            .collect();
+
         FrozenGraph {
-            terms: self.terms.clone(),
+            terms,
             fwd,
             bwd,
             pred_ids,
             pred_edge_starts,
             pred_edges,
-            nodes: self.node_ids().into_iter().collect(),
-            len: self.len,
+            nodes,
+            len: triples.len(),
         }
     }
-}
 
-impl FrozenGraph {
     /// The snapshot's interner (shared id space with the source graph);
     /// the delta overlay clones it to extend the id space without
     /// renumbering.

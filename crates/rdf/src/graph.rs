@@ -17,6 +17,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+use crate::frozen::FrozenGraph;
 use crate::term::{Iri, Term, Triple};
 
 /// A minimal FxHash-style hasher for the id-keyed indexes: ids are dense
@@ -74,6 +75,25 @@ impl Interner {
         id
     }
 
+    /// Interns a triple's terms in subject, predicate, object order — the
+    /// order every id space in the crate is built in.
+    pub(crate) fn intern_triple(
+        &mut self,
+        s: &Term,
+        p: &Iri,
+        o: &Term,
+    ) -> (TermId, TermId, TermId) {
+        assert!(
+            s.is_subject(),
+            "triple subject must be an IRI or blank node"
+        );
+        (
+            self.intern(s),
+            self.intern(&Term::Iri(p.clone())),
+            self.intern(o),
+        )
+    }
+
     pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
         self.lookup.get(term).copied()
     }
@@ -85,6 +105,53 @@ impl Interner {
     /// Number of interned terms (the id space is `0..len`).
     pub(crate) fn len(&self) -> usize {
         self.terms.len()
+    }
+}
+
+/// What the parsers write into: an interner plus the id triples in document
+/// order, duplicates included. Each triple interns its subject, predicate
+/// and object in that order, exactly as [`Graph::insert`] does, so both
+/// finishes — [`TripleLog::into_graph`] and [`TripleLog::into_frozen`] —
+/// hand out the ids `parse(text).freeze()` would.
+#[derive(Default)]
+pub(crate) struct TripleLog {
+    terms: Interner,
+    triples: Vec<(TermId, TermId, TermId)>,
+}
+
+impl TripleLog {
+    /// A log pre-sized for about `triples` statements.
+    pub(crate) fn with_capacity(triples: usize) -> Self {
+        let mut log = TripleLog::default();
+        log.terms.lookup.reserve(triples);
+        log.terms.terms.reserve(triples);
+        log.triples.reserve(triples);
+        log
+    }
+
+    /// Appends one triple.
+    pub(crate) fn push(&mut self, s: &Term, p: &Iri, o: &Term) {
+        let ids = self.terms.intern_triple(s, p, o);
+        self.triples.push(ids);
+    }
+
+    /// Finishes the log into a mutable [`Graph`].
+    pub(crate) fn into_graph(self) -> Graph {
+        let mut g = Graph {
+            terms: self.terms,
+            ..Graph::default()
+        };
+        g.spo.reserve(self.triples.len() / 2);
+        g.ops.reserve(self.triples.len() / 2);
+        for (s, p, o) in self.triples {
+            g.insert_ids(s, p, o);
+        }
+        g
+    }
+
+    /// Finishes the log into a CSR snapshot without building a [`Graph`].
+    pub(crate) fn into_frozen(self) -> FrozenGraph {
+        FrozenGraph::from_log(self.terms, self.triples)
     }
 }
 
@@ -144,13 +211,9 @@ impl Graph {
 
     /// Inserts a triple; returns `true` if it was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        assert!(
-            triple.subject.is_subject(),
-            "triple subject must be an IRI or blank node"
-        );
-        let s = self.terms.intern(&triple.subject);
-        let p = self.terms.intern(&Term::Iri(triple.predicate.clone()));
-        let o = self.terms.intern(&triple.object);
+        let (s, p, o) =
+            self.terms
+                .intern_triple(&triple.subject, &triple.predicate, &triple.object);
         self.insert_ids(s, p, o)
     }
 

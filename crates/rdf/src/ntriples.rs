@@ -6,8 +6,10 @@
 
 use shapefrag_govern::ErrorCode;
 
+use crate::access::GraphAccess;
 use crate::error::{LossyLoad, ParseError};
-use crate::graph::Graph;
+use crate::frozen::FrozenGraph;
+use crate::graph::{Graph, TermId, TripleLog};
 use crate::term::{BlankNode, Iri, Literal, Term, Triple};
 use crate::vocab::XSD_STRING;
 
@@ -23,17 +25,33 @@ fn bytecount_newlines(input: &str) -> usize {
 
 /// Parses an N-Triples document into a [`Graph`].
 pub fn parse(input: &str) -> Result<Graph, ParseError> {
-    let mut graph = Graph::new();
-    graph.reserve(estimated_statements(input));
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let triple = parse_line(line, lineno + 1)?;
-        graph.insert(triple);
+    parse_log(input).map(TripleLog::into_graph)
+}
+
+/// Parses an N-Triples document straight into a [`FrozenGraph`]: same
+/// triples and ids as `parse(input)?.freeze()`, without building the
+/// mutable indexes in between.
+pub fn parse_frozen(input: &str) -> Result<FrozenGraph, ParseError> {
+    parse_log(input).map(TripleLog::into_frozen)
+}
+
+/// The one N-Triples document parser, writing into an id log.
+fn parse_log(input: &str) -> Result<TripleLog, ParseError> {
+    let mut log = TripleLog::with_capacity(estimated_statements(input));
+    for (lineno, line) in statement_lines(input) {
+        let t = parse_line(line, lineno)?;
+        log.push(&t.subject, &t.predicate, &t.object);
     }
-    Ok(graph)
+    Ok(log)
+}
+
+/// Non-blank, non-comment lines, trimmed, with their 1-based numbers.
+fn statement_lines(input: &str) -> impl Iterator<Item = (usize, &str)> {
+    input
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.trim()))
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
 }
 
 /// Error-recovering parse: the format is line-oriented, so recovery is
@@ -41,15 +59,11 @@ pub fn parse(input: &str) -> Result<Graph, ParseError> {
 /// and is skipped, every well-formed line contributes its triple.
 pub fn parse_lossy(input: &str) -> LossyLoad {
     let mut report = LossyLoad::default();
-    report.graph.reserve(estimated_statements(input));
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match parse_line(line, lineno + 1) {
-            Ok(triple) => {
-                report.graph.insert(triple);
+    let mut log = TripleLog::with_capacity(estimated_statements(input));
+    for (lineno, line) in statement_lines(input) {
+        match parse_line(line, lineno) {
+            Ok(t) => {
+                log.push(&t.subject, &t.predicate, &t.object);
                 report.statements_ok += 1;
             }
             Err(e) => {
@@ -58,6 +72,7 @@ pub fn parse_lossy(input: &str) -> LossyLoad {
             }
         }
     }
+    report.graph = log.into_graph();
     report
 }
 
@@ -276,14 +291,33 @@ impl Cursor {
     }
 }
 
-/// Serializes one term in N-Triples syntax.
-fn write_term(out: &mut String, term: &Term) {
-    match term {
-        Term::Iri(iri) => {
-            out.push('<');
-            out.push_str(iri.as_str());
-            out.push('>');
+/// Writes an IRI as an `IRIREF`: the characters the grammar forbids
+/// inside `<…>` (U+0000–U+0020 and `<`, `>`, `"`, `{`, `}`, `|`, `^`,
+/// `` ` ``, `\`) become `\uXXXX` escapes, so every IRI the data model
+/// holds reads back unchanged.
+fn write_iri(out: &mut String, iri: &str) {
+    let forbidden =
+        |c: char| c <= ' ' || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\');
+    out.push('<');
+    if iri.contains(forbidden) {
+        for c in iri.chars() {
+            if forbidden(c) {
+                out.push_str(&format!("\\u{:04X}", c as u32));
+            } else {
+                out.push(c);
+            }
         }
+    } else {
+        out.push_str(iri);
+    }
+    out.push('>');
+}
+
+/// Serializes one term in N-Triples syntax — the one term writer, shared
+/// with the Turtle serializer.
+pub(crate) fn write_term(out: &mut String, term: &Term) {
+    match term {
+        Term::Iri(iri) => write_iri(out, iri.as_str()),
         Term::Blank(b) => {
             out.push_str("_:");
             out.push_str(b.as_str());
@@ -296,9 +330,8 @@ fn write_term(out: &mut String, term: &Term) {
                 out.push('@');
                 out.push_str(lang);
             } else if lit.datatype().as_str() != XSD_STRING {
-                out.push_str("^^<");
-                out.push_str(lit.datatype().as_str());
-                out.push('>');
+                out.push_str("^^");
+                write_iri(out, lit.datatype().as_str());
             }
         }
     }
@@ -306,18 +339,56 @@ fn write_term(out: &mut String, term: &Term) {
 
 /// Serializes a graph as N-Triples (sorted, deterministic).
 pub fn serialize(graph: &Graph) -> String {
-    let mut triples: Vec<_> = graph.iter().collect();
-    triples.sort();
-    let mut out = String::with_capacity(triples.len() * 64);
-    for t in triples {
-        write_term(&mut out, &t.subject);
+    serialize_ids(graph, graph.iter_ids())
+}
+
+/// Serializes id triples of `graph` as N-Triples, in the order of the
+/// materialized [`Triple`]s, without materializing them. Duplicates are
+/// written once.
+pub fn serialize_ids<G: GraphAccess>(
+    graph: &G,
+    triples: impl IntoIterator<Item = (TermId, TermId, TermId)>,
+) -> String {
+    let mut out = String::new();
+    write_sorted(&mut out, graph, triples, write_term);
+    out
+}
+
+/// The one statement writer behind the N-Triples and Turtle serializers:
+/// ranks the distinct terms once by [`Term`]'s order, sorts the `u32`
+/// triples by rank (the order of sorting the materialized [`Triple`]s),
+/// drops duplicates, and writes `s p o .` lines with `write_node`.
+pub(crate) fn write_sorted<G: GraphAccess>(
+    out: &mut String,
+    graph: &G,
+    triples: impl IntoIterator<Item = (TermId, TermId, TermId)>,
+    mut write_node: impl FnMut(&mut String, &Term),
+) {
+    let triples: Vec<_> = triples.into_iter().collect();
+    let mut by_rank: Vec<TermId> = triples.iter().flat_map(|&(s, p, o)| [s, p, o]).collect();
+    by_rank.sort_unstable();
+    by_rank.dedup();
+    by_rank.sort_unstable_by(|&a, &b| graph.term(a).cmp(graph.term(b)));
+    let mut rank = vec![0u32; graph.term_count()];
+    for (r, id) in by_rank.iter().enumerate() {
+        rank[id.0 as usize] = r as u32;
+    }
+    let rank_of = |id: TermId| rank[id.0 as usize];
+    let mut ranked: Vec<[u32; 3]> = triples
+        .iter()
+        .map(|&(s, p, o)| [rank_of(s), rank_of(p), rank_of(o)])
+        .collect();
+    ranked.sort_unstable();
+    ranked.dedup();
+    out.reserve(ranked.len() * 64);
+    for [s, p, o] in ranked {
+        write_node(out, graph.term(by_rank[s as usize]));
         out.push(' ');
-        write_term(&mut out, &Term::Iri(t.predicate.clone()));
+        write_node(out, graph.term(by_rank[p as usize]));
         out.push(' ');
-        write_term(&mut out, &t.object);
+        write_node(out, graph.term(by_rank[o as usize]));
         out.push_str(" .\n");
     }
-    out
 }
 
 #[cfg(test)]
@@ -418,6 +489,23 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.statements_ok, 1);
         assert_eq!(report.graph.len(), 1);
+    }
+
+    #[test]
+    fn forbidden_iri_characters_are_escaped_and_read_back() {
+        let mut g = Graph::new();
+        g.insert(Triple::new(
+            Term::iri("http://a/x>y z{|}^`\\\"<"),
+            Iri::new("http://e/p"),
+            Term::Literal(Literal::typed("v", Iri::new("http://dt/a b"))),
+        ));
+        let text = serialize(&g);
+        assert_eq!(
+            text,
+            "<http://a/x\\u003Ey\\u0020z\\u007B\\u007C\\u007D\\u005E\\u0060\\u005C\\u0022\\u003C> \
+             <http://e/p> \"v\"^^<http://dt/a\\u0020b> .\n"
+        );
+        assert_eq!(parse(&text).unwrap(), g);
     }
 
     #[test]

@@ -15,9 +15,11 @@ use std::collections::HashMap;
 use shapefrag_govern::ErrorCode;
 
 use crate::error::{LossyLoad, ParseError};
-use crate::graph::Graph;
+use crate::frozen::FrozenGraph;
+use crate::graph::{Graph, TripleLog};
+use crate::ntriples::{write_sorted, write_term};
 use crate::span::{Span, TripleSpans};
-use crate::term::{BlankNode, Iri, Literal, Term, Triple};
+use crate::term::{BlankNode, Iri, Literal, Term};
 use crate::vocab::{rdf, xsd};
 
 /// Deepest allowed nesting of blank-node property lists `[...]` and
@@ -30,7 +32,16 @@ const MAX_NESTING: usize = 128;
 pub fn parse(input: &str) -> Result<Graph, ParseError> {
     let mut parser = Parser::new(input);
     parser.parse_document()?;
-    Ok(parser.graph)
+    Ok(parser.log.into_graph())
+}
+
+/// Parses a Turtle document straight into a [`FrozenGraph`]: same triples
+/// and ids as `parse(input)?.freeze()`, without building the mutable
+/// indexes in between.
+pub fn parse_frozen(input: &str) -> Result<FrozenGraph, ParseError> {
+    let mut parser = Parser::new(input);
+    parser.parse_document()?;
+    Ok(parser.log.into_frozen())
 }
 
 /// [`parse`], additionally recording where each subject and each
@@ -40,7 +51,7 @@ pub fn parse_with_spans(input: &str) -> Result<(Graph, TripleSpans), ParseError>
     let mut parser = Parser::new(input);
     parser.spans = Some(TripleSpans::default());
     parser.parse_document()?;
-    Ok((parser.graph, parser.spans.unwrap_or_default()))
+    Ok((parser.log.into_graph(), parser.spans.unwrap_or_default()))
 }
 
 /// Error-recovering parse: statements that fail are skipped up to the next
@@ -74,45 +85,43 @@ pub fn parse_lossy(input: &str) -> LossyLoad {
             }
         }
     }
-    report.graph = parser.graph;
+    report.graph = parser.log.into_graph();
     report
 }
 
 struct Parser<'a> {
-    chars: Vec<char>,
+    input: &'a str,
+    /// Byte offset of the cursor in `input`, always on a char boundary.
     pos: usize,
+    /// 1-based line and column of the cursor, counted in characters.
     line: usize,
     column: usize,
     prefixes: HashMap<String, String>,
     base: String,
-    graph: Graph,
+    log: TripleLog,
     blank_counter: usize,
     depth: usize,
     /// When set, subject / predicate source positions are recorded as
     /// statements parse (see [`parse_with_spans`]).
     spans: Option<TripleSpans>,
-    _input: &'a str,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        // Pre-size the graph from the document length: Turtle statements
+        // Pre-size the log from the document length: Turtle statements
         // average well under 100 bytes in the corpora we load, and
-        // `reserve` tolerates overshoot on small documents.
-        let mut graph = Graph::new();
-        graph.reserve(input.len() / 100);
+        // overshoot on small documents is harmless.
         Parser {
-            chars: input.chars().collect(),
+            input,
             pos: 0,
             line: 1,
             column: 1,
             prefixes: HashMap::new(),
             base: String::new(),
-            graph,
+            log: TripleLog::with_capacity(input.len() / 100),
             blank_counter: 0,
             depth: 0,
             spans: None,
-            _input: input,
         }
     }
 
@@ -151,17 +160,26 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    /// The character starting at byte offset `at`.
+    fn char_at(&self, at: usize) -> Option<char> {
+        match *self.input.as_bytes().get(at)? {
+            b if b.is_ascii() => Some(b as char),
+            _ => self.input[at..].chars().next(),
+        }
     }
 
+    fn peek(&self) -> Option<char> {
+        self.char_at(self.pos)
+    }
+
+    /// The character `offset` characters past the cursor.
     fn peek_at(&self, offset: usize) -> Option<char> {
-        self.chars.get(self.pos + offset).copied()
+        self.input[self.pos..].chars().nth(offset)
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.column = 1;
@@ -199,22 +217,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes the ASCII keyword `kw` (case-insensitively) when it is next
+    /// and followed by whitespace or a delimiter.
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        let kw_chars: Vec<char> = kw.chars().collect();
-        if self.pos + kw_chars.len() > self.chars.len() {
+        let end = self.pos + kw.len();
+        let matches = self
+            .input
+            .as_bytes()
+            .get(self.pos..end)
+            .is_some_and(|next| next.eq_ignore_ascii_case(kw.as_bytes()));
+        if !matches || matches!(self.char_at(end), Some(c) if c.is_alphanumeric() || c == '_') {
             return false;
         }
-        for (i, kc) in kw_chars.iter().enumerate() {
-            if !self.chars[self.pos + i].eq_ignore_ascii_case(kc) {
-                return false;
-            }
-        }
-        // Keyword must be followed by whitespace or delimiter.
-        match self.peek_at(kw_chars.len()) {
-            Some(c) if c.is_alphanumeric() || c == '_' => return false,
-            _ => {}
-        }
-        for _ in 0..kw_chars.len() {
+        for _ in 0..kw.len() {
             self.bump();
         }
         true
@@ -403,8 +418,7 @@ impl<'a> Parser<'a> {
                 if subject.is_literal() {
                     return Err(self.error("literal in subject position"));
                 }
-                self.graph
-                    .insert(Triple::new(subject.clone(), predicate.clone(), object));
+                self.log.push(subject, &predicate, &object);
                 self.skip_ws();
                 if self.peek() == Some(',') {
                     self.bump();
@@ -484,18 +498,10 @@ impl<'a> Parser<'a> {
     }
 
     fn looking_at_boolean(&self) -> bool {
-        for kw in ["true", "false"] {
-            let kc: Vec<char> = kw.chars().collect();
-            if self.pos + kc.len() <= self.chars.len()
-                && (0..kc.len()).all(|i| self.chars[self.pos + i] == kc[i])
-            {
-                match self.peek_at(kc.len()) {
-                    Some(c) if is_pname_char(c) || c == ':' => continue,
-                    _ => return true,
-                }
-            }
-        }
-        false
+        ["true", "false"].iter().any(|kw| {
+            self.input[self.pos..].starts_with(kw)
+                && !matches!(self.char_at(self.pos + kw.len()), Some(c) if is_pname_char(c) || c == ':')
+        })
     }
 
     fn parse_boolean_literal(&mut self) -> Result<Literal, ParseError> {
@@ -812,10 +818,8 @@ impl<'a> Parser<'a> {
         let mut tail = Term::Iri(rdf::nil());
         for item in items.into_iter().rev() {
             let cell = Term::Blank(self.fresh_blank());
-            self.graph
-                .insert(Triple::new(cell.clone(), rdf::first(), item));
-            self.graph
-                .insert(Triple::new(cell.clone(), rdf::rest(), tail));
+            self.log.push(&cell, &rdf::first(), &item);
+            self.log.push(&cell, &rdf::rest(), &tail);
             tail = cell;
         }
         Ok(tail)
@@ -854,8 +858,8 @@ pub fn read_list(graph: &Graph, head: &Term) -> Option<Vec<Term>> {
 }
 
 /// Serializes a graph as Turtle with the given prefix map
-/// (`prefix name → namespace IRI`). Unknown namespaces fall back to full
-/// IRIs.
+/// (`prefix name → namespace IRI`), one sorted statement per line. Unknown
+/// namespaces fall back to full IRIs, written by the N-Triples term writer.
 pub fn serialize(graph: &Graph, prefixes: &[(&str, &str)]) -> String {
     let mut out = String::new();
     for (name, ns) in prefixes {
@@ -864,42 +868,33 @@ pub fn serialize(graph: &Graph, prefixes: &[(&str, &str)]) -> String {
     if !prefixes.is_empty() {
         out.push('\n');
     }
-    let shorten = |iri: &Iri| -> String {
-        for (name, ns) in prefixes {
-            if let Some(local) = iri.as_str().strip_prefix(ns) {
-                if !local.is_empty()
-                    && local
-                        .chars()
-                        .all(|c| c.is_alphanumeric() || c == '_' || c == '-')
-                {
-                    return format!("{name}:{local}");
+    let write_node = |out: &mut String, t: &Term| {
+        if let Term::Iri(iri) = t {
+            for (name, ns) in prefixes {
+                if let Some(local) = iri.as_str().strip_prefix(ns) {
+                    if !local.is_empty()
+                        && local
+                            .chars()
+                            .all(|c| c.is_alphanumeric() || c == '_' || c == '-')
+                    {
+                        out.push_str(name);
+                        out.push(':');
+                        out.push_str(local);
+                        return;
+                    }
                 }
             }
         }
-        iri.to_string()
+        write_term(out, t);
     };
-    let term_str = |t: &Term| -> String {
-        match t {
-            Term::Iri(iri) => shorten(iri),
-            other => other.to_string(),
-        }
-    };
-    let mut triples: Vec<_> = graph.iter().collect();
-    triples.sort();
-    for t in triples {
-        out.push_str(&format!(
-            "{} {} {} .\n",
-            term_str(&t.subject),
-            shorten(&t.predicate),
-            term_str(&t.object)
-        ));
-    }
+    write_sorted(&mut out, graph, graph.iter_ids(), write_node);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Triple;
 
     #[test]
     fn basic_triples() {
@@ -1113,6 +1108,39 @@ ex:s ex:langs ( "en" "fr" "de" ) ."#,
     fn error_carries_position() {
         let err = parse("<http://e/a> <http://e/p>\n  @@@ .").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn error_positions_count_characters_on_non_ascii_input() {
+        // Columns count characters, not bytes: multi-byte characters before
+        // the error (and inside a multi-line long string) move it by one.
+        let cases = [
+            (
+                "@prefix ex: <http://e/> .\nex:café ex:naïve \"ünïcödé 中文 🦀\" ; ex:p @ .",
+                (2, 40, ErrorCode::UnexpectedChar),
+            ),
+            (
+                "@prefix ex: <http://e/> .\nex:s ex:p \"\"\"λ\n中🦀 ü\"\"\" ; ex:q ex:ö ; ~ .",
+                (3, 23, ErrorCode::UnexpectedChar),
+            ),
+            (
+                "<http://e/ä> <http://e/p> <http://e/ö",
+                (1, 38, ErrorCode::UnterminatedIri),
+            ),
+            (
+                "@prefix ex: <http://e/> .\nex:s ex:p \"é\\q\" .",
+                (2, 15, ErrorCode::InvalidEscape),
+            ),
+            ("@préfix ex: <http://e/> .", (1, 2, ErrorCode::Syntax)),
+            (
+                "@prefix ex: <http://e/> .\nex:日本 ex:p truex .",
+                (2, 17, ErrorCode::Syntax),
+            ),
+        ];
+        for (input, expected) in cases {
+            let err = parse(input).unwrap_err();
+            assert_eq!((err.line, err.column, err.code), expected, "{input}");
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use shapefrag_analyze::{analyze_schema, has_deny, to_json as diags_to_json};
-use shapefrag_core::{fragment_governed, EditScript, IncrementalValidator};
+use shapefrag_core::{fragment_ids_governed, EditScript, IncrementalValidator};
 use shapefrag_govern::{Budget, EngineError, ErrorCode, ExecCtx};
-use shapefrag_rdf::{ntriples, turtle, Graph, Term};
+use shapefrag_rdf::{ntriples, turtle, FrozenGraph, Term};
 use shapefrag_shacl::validator::{
     validate_batch_containment_governed, ConformanceMemo, ValidationReport,
 };
@@ -119,18 +119,18 @@ pub fn exec_from_headers(req: &Request, cfg: &ServeConfig) -> Result<ExecCtx, Re
     Ok(ExecCtx::with_budget(budget_from_headers(req, cfg)?))
 }
 
-/// Parses a posted RDF payload as Turtle or N-Triples, honoring the
-/// `Content-Type` header (defaults to Turtle, which accepts the N-Triples
-/// subset for untyped clients).
-fn parse_body_graph(req: &Request) -> Result<Graph, EngineError> {
+/// Parses a posted RDF payload as Turtle or N-Triples straight into a
+/// frozen graph, honoring the `Content-Type` header (defaults to Turtle,
+/// which accepts the N-Triples subset for untyped clients).
+fn parse_body_graph(req: &Request) -> Result<FrozenGraph, EngineError> {
     let text = std::str::from_utf8(&req.body).map_err(|_| {
         EngineError::malformed(ErrorCode::Syntax, "request body is not valid UTF-8")
     })?;
     let content_type = req.header("content-type").unwrap_or("text/turtle");
     if content_type.starts_with("application/n-triples") {
-        ntriples::parse(text).map_err(EngineError::from)
+        ntriples::parse_frozen(text).map_err(EngineError::from)
     } else {
-        turtle::parse(text).map_err(EngineError::from)
+        turtle::parse_frozen(text).map_err(EngineError::from)
     }
 }
 
@@ -199,7 +199,7 @@ fn handle_validate(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
         match parse_body_graph(req) {
             Ok(graph) => validate_batch_containment_governed(
                 &snapshot.schema,
-                &graph.freeze(),
+                &graph,
                 Arc::clone(&memo),
                 exec,
             ),
@@ -370,14 +370,15 @@ fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
             .containment_misses
             .fetch_add(1, Ordering::Relaxed);
     }
-    match with_view!(snapshot, |g| fragment_governed(
+    let body = with_view!(snapshot, |g| fragment_ids_governed(
         &snapshot.schema,
         g,
         &shapes,
         exec
-    )) {
-        Ok(fragment) => {
-            let body = ntriples::serialize(&fragment);
+    )
+    .map(|ids| ntriples::serialize_ids(g, ids)));
+    match body {
+        Ok(body) => {
             if let Some(rep) = rep {
                 let mut cache = state.fragments.lock().unwrap_or_else(|e| e.into_inner());
                 cache.roll_to(snapshot.epoch);

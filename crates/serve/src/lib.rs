@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use shapefrag_govern::CancelToken;
-use shapefrag_rdf::{ntriples, turtle, Graph};
+use shapefrag_rdf::{ntriples, turtle, FrozenGraph};
 use shapefrag_shacl::parser::parse_shapes_turtle_with_spans;
 use shapefrag_shacl::Schema;
 
@@ -124,8 +124,8 @@ pub enum SnapshotSource {
     Inline { shapes: String, data: String },
 }
 
-/// Parses the source into a deny-gated schema and a data graph.
-pub(crate) fn load_source(source: &SnapshotSource) -> Result<(Arc<Schema>, Graph), String> {
+/// Parses the source into a deny-gated schema and a frozen data graph.
+pub(crate) fn load_source(source: &SnapshotSource) -> Result<(Arc<Schema>, FrozenGraph), String> {
     let (shapes_text, data_text, data_is_nt) = match source {
         SnapshotSource::Files { shapes, data } => {
             let shapes_text = std::fs::read_to_string(shapes)
@@ -142,25 +142,26 @@ pub(crate) fn load_source(source: &SnapshotSource) -> Result<(Arc<Schema>, Graph
     let (schema, _spans) =
         parse_shapes_turtle_with_spans(&shapes_text).map_err(|e| format!("shapes: {e}"))?;
     handlers::check_schema(&schema)?;
-    let graph = if data_is_nt {
-        ntriples::parse(&data_text).map_err(|e| format!("data: {e}"))?
+    let parse = if data_is_nt {
+        ntriples::parse_frozen
     } else {
-        turtle::parse(&data_text).map_err(|e| format!("data: {e}"))?
+        turtle::parse_frozen
     };
+    let graph = parse(&data_text).map_err(|e| format!("data: {e}"))?;
     Ok((Arc::new(schema), graph))
 }
 
-/// Freezes a graph into a published-ready snapshot. The containment
+/// Wraps a frozen graph into a published-ready snapshot. The containment
 /// matrix is computed here, once per schema load — every request against
 /// the epoch shares it.
-pub(crate) fn build_snapshot(epoch: u64, schema: Arc<Schema>, graph: Graph) -> Snapshot {
+pub(crate) fn build_snapshot(epoch: u64, schema: Arc<Schema>, graph: FrozenGraph) -> Snapshot {
     let triples = graph.len();
     let matrix = Arc::new(shapefrag_analyze::ContainmentMatrix::of_schema(&schema));
     let containment = Arc::new(matrix.to_index(&schema));
     Snapshot {
         epoch,
         schema,
-        frozen: Arc::new(graph.freeze()),
+        frozen: Arc::new(graph),
         delta: None,
         matrix,
         containment,

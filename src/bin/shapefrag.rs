@@ -49,7 +49,7 @@ use shape_fragments::core::{
     IncrementalValidator,
 };
 use shape_fragments::govern::{Budget, EngineError};
-use shape_fragments::rdf::{ntriples, turtle, Graph, Term};
+use shape_fragments::rdf::{ntriples, turtle, FrozenGraph, ParseError, Term};
 use shape_fragments::serve::{ServeConfig, Server, SnapshotSource};
 use shape_fragments::shacl::parser::{parse_shape_defs_turtle, parse_shapes_turtle_with_spans};
 use shape_fragments::shacl::{Schema, Shape};
@@ -199,13 +199,26 @@ fn resource_fault_exit(e: &EngineError) -> ExitCode {
     ExitCode::from(4)
 }
 
-fn load_data(path: &str) -> Result<Graph, String> {
+/// Reads a data file and parses it as N-Triples (`.nt`, `.ntriples`) or
+/// Turtle with the matching parser of the given pair.
+fn read_data<T>(
+    path: &str,
+    parse_nt: fn(&str) -> Result<T, ParseError>,
+    parse_ttl: fn(&str) -> Result<T, ParseError>,
+) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if path.ends_with(".nt") || path.ends_with(".ntriples") {
-        ntriples::parse(&text).map_err(|e| format!("{path}: {e}"))
+    let parse = if path.ends_with(".nt") || path.ends_with(".ntriples") {
+        parse_nt
     } else {
-        turtle::parse(&text).map_err(|e| format!("{path}: {e}"))
-    }
+        parse_ttl
+    };
+    parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Loads a data file straight into the CSR snapshot every read-only
+/// command runs on.
+fn load_frozen(path: &str) -> Result<FrozenGraph, String> {
+    read_data(path, ntriples::parse_frozen, turtle::parse_frozen)
 }
 
 fn cmd_analyze(args: &[String]) -> Result<ExitCode, CliError> {
@@ -267,10 +280,9 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
     };
     let as_ttl = rest.iter().any(|a| a == "--report-ttl");
     let schema = load_schema(shapes_path)?;
-    let data = load_data(data_path)?;
     // Validation is read-only: run it over the CSR snapshot. A governor
     // trip exits with the resource-fault code instead of a partial report.
-    let frozen = data.freeze();
+    let frozen = load_frozen(data_path)?;
     let report = match validate_batch_par(&schema, &frozen, threads, budget, None) {
         Ok((report, _)) => report,
         Err(e) => return Ok(resource_fault_exit(&e)),
@@ -298,23 +310,22 @@ fn cmd_fragment(args: &[String]) -> Result<ExitCode, CliError> {
         return Err(usage().into());
     };
     let schema = load_schema(shapes_path)?;
-    let data = load_data(data_path)?;
-    // Extraction reads the graph many times over: freeze once up front.
-    // One instrumented pass validates and collects `Frag(G, H)` (§5.2); a
-    // governor trip exits with the resource-fault code instead of a
-    // truncated fragment.
-    let frozen = data.freeze();
+    let frozen = load_frozen(data_path)?;
+    // One instrumented pass validates and collects `Frag(G, H)` (§5.2) as
+    // id triples, written out without materializing a graph; a governor
+    // trip exits with the resource-fault code instead of a truncated
+    // fragment.
     let fragment = match validate_extract_fragment_par(&schema, &frozen, threads, budget, None) {
-        Ok((_, fragment, _)) => fragment.to_graph(&frozen),
+        Ok((_, fragment, _)) => fragment,
         Err(e) => return Ok(resource_fault_exit(&e)),
     };
     eprintln!(
         "fragment: {} of {} triples ({} shape definitions)",
         fragment.len(),
-        data.len(),
+        frozen.len(),
         schema.len()
     );
-    let text = ntriples::serialize(&fragment);
+    let text = fragment.to_ntriples(&frozen);
     match rest {
         [] => {
             print!("{text}");
@@ -333,7 +344,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, CliError> {
         return Err(usage().into());
     };
     let schema = load_schema(shapes_path)?;
-    let data = load_data(data_path)?;
+    let data = read_data(data_path, ntriples::parse, turtle::parse)?;
     let node = Term::iri(node_iri.trim_start_matches('<').trim_end_matches('>'));
     let defs: Vec<_> = match rest {
         [] => schema.iter().collect(),
@@ -382,11 +393,11 @@ fn cmd_update(args: &[String]) -> Result<ExitCode, CliError> {
         return Err(usage().into());
     };
     let schema = Arc::new(load_schema(shapes_path)?);
-    let data = load_data(data_path)?;
+    let frozen = load_frozen(data_path)?;
     let edits_text = std::fs::read_to_string(edits_path)
         .map_err(|e| format!("cannot read {edits_path}: {e}"))?;
     let script = EditScript::parse(&edits_text).map_err(|e| format!("{edits_path}: {e}"))?;
-    let mut inc = IncrementalValidator::with_threads(schema, Arc::new(data.freeze()), threads);
+    let mut inc = IncrementalValidator::with_threads(schema, Arc::new(frozen), threads);
     let report = match inc.apply_governed(&script, budget, None) {
         Ok(report) => report,
         Err(e) => return Ok(resource_fault_exit(&e)),

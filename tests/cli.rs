@@ -494,3 +494,155 @@ fn governed_vardi_fragment_trips_or_matches_ungoverned_bytes() {
     assert_eq!(out.status.code(), Some(0));
     assert_eq!(governed.expect("governed fragment written"), free);
 }
+
+const LOADER_SHAPES: &str = r#"
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix ex: <http://example.org/> .
+ex:PaperShape a sh:NodeShape ;
+  sh:targetClass ex:Paper ;
+  sh:property [ sh:path ex:author ; sh:minCount 1 ; sh:node ex:AuthorShape ] .
+ex:AuthorShape a sh:NodeShape ;
+  sh:property [ sh:path ex:name ; sh:minCount 1 ] .
+ex:LangsShape a sh:NodeShape ;
+  sh:targetSubjectsOf ex:langs ;
+  sh:property [ sh:path ( ex:langs [ sh:zeroOrMorePath rdf:rest ] rdf:first ) ; sh:minCount 2 ] .
+"#;
+
+/// Turtle with blank nodes, a `( … )` collection and a repeated triple.
+const LOADER_DATA_TTL: &str = r#"
+@prefix ex: <http://example.org/> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+ex:good rdf:type ex:Paper ; ex:author [ ex:name "Ann"@en ] , ex:bob .
+ex:bob ex:name "Bob" .
+ex:bad rdf:type ex:Paper ; ex:author ex:carl .
+ex:good ex:langs ( "en" "fr" 3 ) .
+ex:good rdf:type ex:Paper .
+ex:noise ex:p ex:q .
+"#;
+
+/// N-Triples with labelled blank nodes and a repeated line.
+const LOADER_DATA_NT: &str = "\
+<http://example.org/good> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Paper> .
+<http://example.org/good> <http://example.org/author> _:ann .
+_:ann <http://example.org/name> \"Ann\"@en .
+<http://example.org/bad> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Paper> .
+<http://example.org/bad> <http://example.org/author> <http://example.org/carl> .
+<http://example.org/good> <http://example.org/langs> _:l1 .
+_:l1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> \"en\" .
+_:l1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> _:l2 .
+_:l2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> \"2\"^^<http://www.w3.org/2001/XMLSchema#integer> .
+_:l2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil> .
+<http://example.org/other> <http://example.org/langs> _:l2 .
+<http://example.org/good> <http://example.org/author> _:ann .
+";
+
+const LOADER_EDITS: &str = "\
++ <http://example.org/carl> <http://example.org/name> \"Carl\" .
+- <http://example.org/bob> <http://example.org/name> \"Bob\" .
++ <http://example.org/dora> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Paper> .
+";
+
+/// `validate`, `fragment -o` and `update` load the data file straight into
+/// the frozen graph and write the fragment from its id triples. The
+/// fragment file is byte for byte `ntriples::serialize(&schema_fragment(..))`
+/// at every thread count, and the printed reports are the ones the
+/// `Graph`-building loader printed.
+#[test]
+fn frozen_loader_and_id_writer_match_the_graph_path() {
+    use shape_fragments::core::schema_fragment;
+    use shape_fragments::rdf::{ntriples, turtle};
+
+    let dir = tempdir::TempDir::new();
+    let shapes = write_file(dir.path(), "loader-shapes.ttl", LOADER_SHAPES);
+    let edits = write_file(dir.path(), "loader-edits.nt", LOADER_EDITS);
+    let schema = shape_fragments::shacl::parser::parse_shapes_turtle(LOADER_SHAPES).unwrap();
+    let cases = [
+        (
+            "loader-data.ttl",
+            LOADER_DATA_TTL,
+            turtle::parse(LOADER_DATA_TTL).unwrap(),
+            "1 violations (3 checks):\n  \
+             node <http://example.org/bad> does not conform to shape <http://example.org/PaperShape>\n\n",
+            "2 violations (4 checks):\n  \
+             node <http://example.org/good> does not conform to shape <http://example.org/PaperShape>\n  \
+             node <http://example.org/dora> does not conform to shape <http://example.org/PaperShape>\n\n",
+        ),
+        (
+            "loader-data.nt",
+            LOADER_DATA_NT,
+            ntriples::parse(LOADER_DATA_NT).unwrap(),
+            "2 violations (4 checks):\n  \
+             node <http://example.org/other> does not conform to shape <http://example.org/LangsShape>\n  \
+             node <http://example.org/bad> does not conform to shape <http://example.org/PaperShape>\n\n",
+            "2 violations (5 checks):\n  \
+             node <http://example.org/other> does not conform to shape <http://example.org/LangsShape>\n  \
+             node <http://example.org/dora> does not conform to shape <http://example.org/PaperShape>\n\n",
+        ),
+    ];
+    let (s, e) = (shapes.to_str().unwrap(), edits.to_str().unwrap());
+    for (name, text, graph, validated, updated) in cases {
+        let data = write_file(dir.path(), name, text);
+        let d = data.to_str().unwrap();
+        let expected = ntriples::serialize(&schema_fragment(&schema, &graph.freeze()));
+        assert!(expected.contains("_:"), "the fragment holds blank nodes");
+        assert!(expected.contains("rdf-syntax-ns#first"), "and list cells");
+        for threads in ["1", "2"] {
+            let out_path = dir.path().join(format!("{name}-{threads}.out.nt"));
+            let out = shapefrag(&[
+                "fragment",
+                s,
+                d,
+                "-o",
+                out_path.to_str().unwrap(),
+                "--threads",
+                threads,
+            ]);
+            assert_eq!(out.status.code(), Some(0));
+            assert_eq!(std::fs::read_to_string(&out_path).unwrap(), expected);
+
+            let out = shapefrag(&["validate", s, d, "--threads", threads]);
+            assert_eq!(out.status.code(), Some(1));
+            assert_eq!(String::from_utf8_lossy(&out.stdout), validated);
+
+            let out = shapefrag(&["update", s, d, e, "--threads", threads]);
+            assert_eq!(out.status.code(), Some(1));
+            assert_eq!(String::from_utf8_lossy(&out.stdout), updated);
+        }
+    }
+}
+
+/// An IRI holding characters IRIREF forbids is escaped on output, so a
+/// written fragment validates again instead of failing to parse.
+#[test]
+fn fragment_output_with_escaped_iris_reads_back() {
+    let dir = tempdir::TempDir::new();
+    let shapes = write_file(
+        dir.path(),
+        "any.ttl",
+        "@prefix sh: <http://www.w3.org/ns/shacl#> .\n\
+         @prefix ex: <http://e/> .\n\
+         ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:p ;\n  \
+         sh:property [ sh:path ex:p ; sh:minCount 1 ] .\n",
+    );
+    let data = write_file(
+        dir.path(),
+        "odd.nt",
+        "<http://a/x\\u003Ey> <http://e/p> <http://e/o> .\n",
+    );
+    let out_path = dir.path().join("odd-frag.nt");
+    let (s, d, o) = (
+        shapes.to_str().unwrap(),
+        data.to_str().unwrap(),
+        out_path.to_str().unwrap(),
+    );
+    let out = shapefrag(&["fragment", s, d, "-o", o]);
+    assert_eq!(out.status.code(), Some(0));
+    let written = std::fs::read_to_string(&out_path).unwrap();
+    assert_eq!(
+        written,
+        "<http://a/x\\u003Ey> <http://e/p> <http://e/o> .\n"
+    );
+    let out = shapefrag(&["validate", s, o]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}

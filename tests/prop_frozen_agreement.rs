@@ -13,15 +13,25 @@
 //! - **Kernel agreement** — validation reports, path evaluation and
 //!   tracing, fragment extraction, and SPARQL query results are identical
 //!   whichever backend the generic kernels run over.
+//! - **Constructor and writer agreement** — the frozen loaders, `freeze`
+//!   and `DeltaGraph::compact` share one sort-based CSR constructor; a
+//!   document loaded frozen equals `parse(text).freeze()` id for id, a
+//!   compacted overlay equals a fresh freeze of the same edits, and the
+//!   id-level N-Triples writer writes the bytes of the materialized graph.
 
 mod common;
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use common::{graph_strategy, path_strategy, shape_strategy};
+use common::{graph_strategy, object_term, path_strategy, shape_strategy};
+use shape_fragments::core::neighborhood::materialize;
 use shape_fragments::core::to_sparql::fragment_query;
 use shape_fragments::core::{schema_fragment, validate_extract_fragment};
-use shape_fragments::rdf::{Graph, GraphAccess, Term, TermId};
+use shape_fragments::rdf::{
+    ntriples, turtle, DeltaGraph, Graph, GraphAccess, Term, TermId, Triple,
+};
 use shape_fragments::shacl::validator::{validate, validate_batch, Context};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::eval;
@@ -73,8 +83,153 @@ fn all_ids(g: &Graph) -> Vec<TermId> {
     ids.into_iter().collect()
 }
 
+/// Every accessor of two backends agrees on every id of the id space:
+/// same terms under the same ids, same triples, same runs in the same
+/// order.
+fn assert_same_view(a: &impl GraphAccess, b: &impl GraphAccess) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    prop_assert_eq!(a.term_count(), b.term_count());
+    prop_assert_eq!(
+        a.iter_ids().collect::<Vec<_>>(),
+        b.iter_ids().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(a.node_ids(), b.node_ids());
+    let ids: Vec<TermId> = (0..a.term_count() as u32).map(TermId).collect();
+    for &x in &ids {
+        prop_assert_eq!(a.term(x), b.term(x));
+        prop_assert_eq!(b.id_of(a.term(x)), Some(x));
+        prop_assert_eq!(
+            a.out_edges_ids(x).collect::<Vec<_>>(),
+            b.out_edges_ids(x).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            a.in_edges_ids(x).collect::<Vec<_>>(),
+            b.in_edges_ids(x).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            a.edges_with_predicate_ids(x).collect::<Vec<_>>(),
+            b.edges_with_predicate_ids(x).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            a.predicates_out_ids(x).collect::<Vec<_>>(),
+            b.predicates_out_ids(x).collect::<Vec<_>>()
+        );
+        for &y in &ids {
+            prop_assert_eq!(
+                a.objects_ids(x, y).collect::<Vec<_>>(),
+                b.objects_ids(x, y).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                a.subjects_ids(x, y).collect::<Vec<_>>(),
+                b.subjects_ids(x, y).collect::<Vec<_>>()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `text`'s statement lines with every `k`-th one (from `shift`) written
+/// a second time right after itself, so the document repeats statements.
+fn with_repeats(text: &str, k: usize, shift: usize) -> String {
+    let mut out = String::new();
+    for (i, line) in text.lines().enumerate() {
+        out.push_str(line);
+        out.push('\n');
+        if (i + shift).is_multiple_of(k) {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// A Turtle tail exercising blank-node property lists and collections
+/// (whose synthesized cells intern after the serialized triples), stated
+/// twice.
+fn turtle_tail() -> String {
+    let ns = common::NS;
+    let stmt =
+        format!("<{ns}n0> <{ns}p0> ( <{ns}n1> \"w0\"@en 3 ) ; <{ns}p1> [ <{ns}p2> <{ns}n2> ] .\n");
+    format!("{stmt}{stmt}")
+}
+
+/// One random edit: add or remove a triple over the strategy's universe.
+fn edit_strategy() -> impl Strategy<Value = (bool, Triple)> {
+    (
+        any::<bool>(),
+        prop_oneof![4 => (0u8..6).prop_map(common::node_term), 1 => Just(Term::blank("b0"))],
+        0u8..4,
+        object_term(),
+    )
+        .prop_map(|(add, s, p, o)| (add, Triple::new(s, common::pred(p), o)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The frozen loaders equal parse-then-freeze on N-Triples and Turtle
+    /// documents that repeat statements: same ids, same triples, same
+    /// runs.
+    #[test]
+    fn frozen_loaders_agree_with_parse_then_freeze(
+        g in graph_strategy(16),
+        k in 1usize..4,
+        shift in 0usize..4,
+    ) {
+        let nt = with_repeats(&ntriples::serialize(&g), k, shift);
+        let loaded = ntriples::parse_frozen(&nt)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{nt}")))?;
+        assert_same_view(&loaded, &ntriples::parse(&nt).unwrap().freeze())?;
+        prop_assert_eq!(loaded.len(), g.len());
+
+        let ttl = with_repeats(&turtle::serialize(&g, &[]), k, shift) + &turtle_tail();
+        let loaded = turtle::parse_frozen(&ttl)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{ttl}")))?;
+        assert_same_view(&loaded, &turtle::parse(&ttl).unwrap().freeze())?;
+    }
+
+    /// The id-level writer writes the bytes of the materialized subset,
+    /// whatever mix of IRIs, blank nodes and lang / typed literals the
+    /// subset holds, and writes repeated ids once.
+    #[test]
+    fn id_writer_matches_materialized_serialization(
+        g in graph_strategy(20),
+        keep in prop::collection::vec(0u8..3, 20),
+    ) {
+        let f = g.freeze();
+        let mut picked = Vec::new();
+        for (i, t) in f.iter_ids().enumerate() {
+            match keep[i % keep.len()] {
+                0 => {}
+                1 => picked.push(t),
+                _ => picked.extend([t, t]),
+            }
+        }
+        let set = picked.iter().copied().collect();
+        prop_assert_eq!(
+            ntriples::serialize_ids(&f, picked),
+            ntriples::serialize(&materialize(&f, &set))
+        );
+    }
+
+    /// Compacting an overlay after random edits equals freezing a graph
+    /// that received the same edits: same ids, same triples, same runs.
+    #[test]
+    fn compact_agrees_with_fresh_freeze(
+        g in graph_strategy(14),
+        edits in prop::collection::vec(edit_strategy(), 0..12),
+    ) {
+        let mut d = DeltaGraph::new(Arc::new(g.freeze()));
+        let mut replayed = g;
+        for (add, t) in edits {
+            if add {
+                prop_assert_eq!(d.insert(&t).is_some(), replayed.insert(t));
+            } else {
+                prop_assert_eq!(d.remove(&t).is_some(), replayed.remove(&t));
+            }
+        }
+        assert_same_view(&d.compact(), &replayed.freeze())?;
+    }
 
     /// Every per-id accessor agrees, element for element, in order.
     #[test]

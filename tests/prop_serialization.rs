@@ -1,12 +1,28 @@
 //! Round-trip property tests for the RDF serializers: any graph the data
 //! model can represent must survive N-Triples and Turtle serialization,
-//! including literals with awkward lexical forms.
+//! including literals with awkward lexical forms and IRIs holding the
+//! characters `IRIREF` forbids (written as `\uXXXX` escapes).
 
 mod common;
 
 use proptest::prelude::*;
 
 use shape_fragments::rdf::{ntriples, turtle, Graph, Iri, Literal, Term, Triple};
+
+/// IRIs under `base`, mostly plain, sometimes holding characters `IRIREF`
+/// forbids (`<>"{}|^`, backtick, backslash, space and controls).
+fn iri_strategy(base: &'static str) -> impl Strategy<Value = Iri> {
+    const AWKWARD: [char; 16] = [
+        'a', 'z', '<', '>', '"', '{', '}', '|', '^', '`', '\\', ' ', '\t', '\n', '\u{0}', '\u{1f}',
+    ];
+    prop_oneof![
+        3 => "[a-z]{1,6}".prop_map(move |s| Iri::new(format!("{base}{s}"))),
+        1 => prop::collection::vec(0..AWKWARD.len(), 1..6).prop_map(move |ix| {
+            let local: String = ix.into_iter().map(|i| AWKWARD[i]).collect();
+            Iri::new(format!("{base}{local}"))
+        }),
+    ]
+}
 
 /// Terms with adversarial literal content (quotes, escapes, newlines,
 /// unicode, language tags, datatypes).
@@ -23,14 +39,15 @@ fn literal_strategy() -> impl Strategy<Value = Literal> {
             .prop_map(|(lang, s)| { Literal::lang_string(s.replace(['\\', '"'], ""), &lang) }),
         any::<i64>().prop_map(Literal::integer),
         any::<bool>().prop_map(Literal::boolean),
-        // Custom datatype.
-        "[a-z]{1,8}".prop_map(|s| Literal::typed(s, Iri::new("http://dt.example.org/t"))),
+        // Custom datatype, sometimes with an awkward IRI.
+        ("[a-z]{1,8}", iri_strategy("http://dt.example.org/"))
+            .prop_map(|(s, dt)| Literal::typed(s, dt)),
     ]
 }
 
 fn term_strategy() -> impl Strategy<Value = Term> {
     prop_oneof![
-        3 => "[a-z]{1,6}".prop_map(|s| Term::iri(format!("http://e/{s}"))),
+        3 => iri_strategy("http://e/").prop_map(Term::Iri),
         1 => "[A-Za-z][A-Za-z0-9]{0,5}".prop_map(Term::blank),
         2 => literal_strategy().prop_map(Term::Literal),
     ]
@@ -40,10 +57,10 @@ fn any_graph() -> impl Strategy<Value = Graph> {
     prop::collection::vec(
         (
             prop_oneof![
-                3 => "[a-z]{1,6}".prop_map(|s| Term::iri(format!("http://e/{s}"))),
+                3 => iri_strategy("http://e/").prop_map(Term::Iri),
                 1 => "[A-Za-z][A-Za-z0-9]{0,5}".prop_map(Term::blank),
             ],
-            "[a-z]{1,6}".prop_map(|s| Iri::new(format!("http://e/p/{s}"))),
+            iri_strategy("http://e/p/"),
             term_strategy(),
         ),
         0..25,
