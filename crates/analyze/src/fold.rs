@@ -14,7 +14,7 @@
 //!   (or a statically-unsatisfiable one with `⊥`, or drop it from an
 //!   enclosing `∧`/`∨`). These preserve conformance but can change the
 //!   neighborhood, so at [`SimplifyLevel::Fragment`] they are *gated* on
-//!   the collection polarity of the subterm (see [`can_true`]/[`can_false`]):
+//!   the collection polarity of the subterm (see `can_true`/`can_false`):
 //!   a subterm `ψ ≡ ⊥` is never collected positively (no node conforms, and
 //!   Table 2 only descends into conforming subterms), so `ψ → ⊥` is safe
 //!   exactly where `ψ` is collected positively only — and dually for `⊤`.

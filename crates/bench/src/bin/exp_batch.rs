@@ -8,8 +8,9 @@
 //! - validation with fragment extraction:
 //!   `validate_extract_fragment_per_node` vs. the batch
 //!   `validate_extract_fragment`, and
-//! - the frozen backend: the same batch kernels over a [`FrozenGraph`]
-//!   CSR snapshot (freeze time reported separately).
+//! - the frozen backend: the same batch kernels over a
+//!   [`FrozenGraph`](shapefrag_rdf::FrozenGraph) CSR snapshot (freeze time
+//!   reported separately).
 //!
 //! Results (and the batch/per-node speedup per size) are written to
 //! `BENCH_validation.json` in the working directory. Run with `--scale` to

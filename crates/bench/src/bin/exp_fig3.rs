@@ -16,7 +16,7 @@
 use shapefrag_bench::{ms, print_table, time_avg, ExpOptions};
 use shapefrag_core::fragment;
 use shapefrag_core::to_sparql::fragment_via_sparql;
-use shapefrag_rdf::Term;
+use shapefrag_rdf::{GraphAccess, Term};
 use shapefrag_shacl::validator::Context;
 use shapefrag_shacl::Schema;
 use shapefrag_sparql::eval::EvalConfig;

@@ -10,8 +10,8 @@
 //!
 //! - the incremental path: `apply_governed` with an unlimited budget
 //!   (change-impact routing + selective memo invalidation over the
-//!   [`DeltaGraph`] overlay), on one worker and on a validator seeded
-//!   with the largest `--threads` count, and
+//!   [`DeltaGraph`](shapefrag_rdf::DeltaGraph) overlay), on one worker and
+//!   on a validator seeded with the largest `--threads` count, and
 //! - the scratch path: replay the edits into a mutable graph, re-freeze,
 //!   and `validate_batch` the snapshot (what a non-incremental server
 //!   has to do per batch),

@@ -1,4 +1,4 @@
-//! Minimal offline stand-in for [`criterion`].
+//! Minimal offline stand-in for the `criterion` crate.
 //!
 //! Provides the benchmark-definition API this workspace's benches use
 //! (`criterion_group!` / `criterion_main!`, `Criterion`, benchmark groups,

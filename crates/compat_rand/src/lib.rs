@@ -1,4 +1,4 @@
-//! Minimal offline stand-in for [`rand`] 0.8.
+//! Minimal offline stand-in for the `rand` 0.8 crate.
 //!
 //! Provides `StdRng` (a SplitMix64 generator — deterministic, seedable,
 //! statistically fine for workload synthesis, *not* cryptographic),

@@ -59,7 +59,7 @@ use std::sync::Arc;
 
 use shapefrag_analyze::{impact_profiles, ContainmentMatrix, ImpactProfile};
 use shapefrag_govern::{Budget, CancelToken, EngineError};
-use shapefrag_rdf::{ntriples, DeltaGraph, FrozenGraph, ParseError, TermId, Triple};
+use shapefrag_rdf::{ntriples, DeltaGraph, FrozenGraph, GraphAccess, ParseError, TermId, Triple};
 use shapefrag_shacl::validator::{
     ConformanceMemo, ContainmentIndex, Context, ValidationReport, Violation,
 };

@@ -1076,7 +1076,7 @@ fn lit_expr(l: &Literal) -> Box<Expr> {
 mod tests {
     use super::*;
     use crate::neighborhood::neighborhood_term;
-    use shapefrag_rdf::Triple;
+    use shapefrag_rdf::{GraphAccess, Triple};
     use shapefrag_shacl::validator::Context;
 
     fn iri(n: &str) -> Iri {

@@ -2,18 +2,21 @@
 //!
 //! All read-only kernels (path evaluation, validation, neighborhood
 //! collection, SPARQL) are generic over [`GraphAccess`], so they run
-//! unchanged over the mutable [`Graph`] (hash/tree indexes, incremental
-//! construction) and the immutable [`FrozenGraph`](crate::FrozenGraph)
-//! (contiguous CSR arrays, built once via [`Graph::freeze`]).
+//! unchanged over the three backends: the mutable [`Graph`](crate::Graph)
+//! builder, the immutable [`FrozenGraph`](crate::FrozenGraph) (contiguous
+//! CSR arrays) and the [`DeltaGraph`](crate::DeltaGraph) write overlay.
+//! `Graph` answers its adjacency reads from a `FrozenGraph` snapshot, so
+//! there are two adjacency implementations: the CSR and the overlay's
+//! merge over it.
 //!
 //! Implementations must agree exactly — same triples, same ids, same
 //! deterministic iteration order (ascending by id at every level). The
-//! property suite `tests/prop_frozen_agreement.rs` checks this on random
-//! graphs for every accessor.
+//! property suite `tests/prop_frozen_agreement.rs` checks every accessor
+//! of every backend against a linear scan of the sorted triple list.
 
 use std::collections::BTreeSet;
 
-use crate::graph::{Graph, TermId};
+use crate::graph::TermId;
 use crate::term::{Iri, Term, Triple};
 
 /// Read-only access to an id-interned RDF graph.
@@ -68,7 +71,9 @@ pub trait GraphAccess: Sync {
     fn id_of(&self, term: &Term) -> Option<TermId>;
 
     /// The id of an IRI used as a predicate or node.
-    fn id_of_iri(&self, iri: &Iri) -> Option<TermId>;
+    fn id_of_iri(&self, iri: &Iri) -> Option<TermId> {
+        self.id_of(&Term::Iri(iri.clone()))
+    }
 
     /// Materializes an id triple into a [`Triple`].
     fn triple_of(&self, s: TermId, p: TermId, o: TermId) -> Triple {
@@ -80,6 +85,47 @@ pub trait GraphAccess: Sync {
             predicate: pred,
             object: self.term(o).clone(),
         }
+    }
+
+    /// Iterates all triples, ascending by (s, p, o) id.
+    fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
+        self.iter_ids()
+            .map(move |(s, p, o)| self.triple_of(s, p, o))
+    }
+
+    /// Objects of `(s, p, ?)` as terms; empty if `s` or `p` unknown.
+    fn objects_for<'a>(&'a self, s: &Term, p: &Iri) -> Vec<&'a Term> {
+        match (self.id_of(s), self.id_of_iri(p)) {
+            (Some(s), Some(p)) => self.objects_ids(s, p).map(|o| self.term(o)).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Subjects of `(?, p, o)` as terms; empty if `o` or `p` unknown.
+    fn subjects_for<'a>(&'a self, o: &Term, p: &Iri) -> Vec<&'a Term> {
+        match (self.id_of(o), self.id_of_iri(p)) {
+            (Some(o), Some(p)) => self.subjects_ids(o, p).map(|s| self.term(s)).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// All nodes of the graph as terms, ascending by id.
+    fn nodes(&self) -> Vec<&Term> {
+        self.node_ids()
+            .into_iter()
+            .map(|id| self.term(id))
+            .collect()
+    }
+
+    /// All distinct predicates, ascending by id.
+    fn predicates(&self) -> Vec<&Iri> {
+        let ids: BTreeSet<TermId> = self.iter_ids().map(|(_, p, _)| p).collect();
+        ids.into_iter()
+            .filter_map(|p| match self.term(p) {
+                Term::Iri(iri) => Some(iri),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Triples matching an optional pattern on each position.
@@ -135,71 +181,5 @@ pub trait GraphAccess: Sync {
             }
         }
         out
-    }
-}
-
-impl GraphAccess for Graph {
-    fn len(&self) -> usize {
-        Graph::len(self)
-    }
-
-    fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
-    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        Graph::contains_ids(self, s, p, o)
-    }
-
-    fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        Graph::objects_ids(self, s, p)
-    }
-
-    fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        Graph::subjects_ids(self, o, p)
-    }
-
-    fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        Graph::out_edges_ids(self, s)
-    }
-
-    fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        Graph::in_edges_ids(self, o)
-    }
-
-    fn edges_with_predicate_ids(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        Graph::edges_with_predicate_ids(self, p)
-    }
-
-    fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
-        Graph::predicates_out_ids(self, s)
-    }
-
-    fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        Graph::iter_ids(self)
-    }
-
-    fn node_ids(&self) -> BTreeSet<TermId> {
-        Graph::node_ids(self)
-    }
-
-    fn term(&self, id: TermId) -> &Term {
-        Graph::term(self, id)
-    }
-
-    fn id_of(&self, term: &Term) -> Option<TermId> {
-        Graph::id_of(self, term)
-    }
-
-    fn id_of_iri(&self, iri: &Iri) -> Option<TermId> {
-        Graph::id_of_iri(self, iri)
-    }
-
-    fn triple_of(&self, s: TermId, p: TermId, o: TermId) -> Triple {
-        Graph::triple_of(self, s, p, o)
-    }
-
-    fn triples_matching(&self, s: Option<&Term>, p: Option<&Iri>, o: Option<&Term>) -> Vec<Triple> {
-        Graph::triples_matching(self, s, p, o)
     }
 }

@@ -11,7 +11,7 @@
 //! - the closed-check (`predicates_out_ids`) keeps a base predicate only
 //!   while at least one of its objects survives the tombstones, and dedups
 //!   against added predicates;
-//! - `iter_ids` yields exactly the order the other two backends use
+//! - `iter_ids` yields exactly the order the other backends use
 //!   (subject, then predicate, then object), so memo fingerprints and
 //!   report orderings transfer.
 //!
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use crate::access::GraphAccess;
 use crate::frozen::FrozenGraph;
 use crate::graph::{Interner, TermId};
-use crate::term::{Iri, Term, Triple};
+use crate::term::{Term, Triple};
 
 /// Two ascending iterators merged into one ascending iterator; equal
 /// elements (possible only where the sides are allowed to overlap, e.g.
@@ -88,9 +88,10 @@ fn merge<T: Ord + Copy>(
     }
 }
 
-/// One side of the delta (added triples or tombstones): the same three
-/// indexes as the mutable [`crate::Graph`], tree-keyed so every run iterates
-/// ascending, but sized to the delta rather than the dataset.
+/// One side of the delta (added triples or tombstones): the three access
+/// orders the CSR keeps (forward, backward, per predicate), tree-keyed so
+/// every run iterates ascending and edits stay cheap, and sized to the
+/// delta rather than the dataset.
 #[derive(Debug, Default, Clone)]
 struct DeltaIndex {
     /// s → p → {o}
@@ -294,13 +295,7 @@ impl DeltaGraph {
     /// Removes a triple from the merged view. Returns the id triple iff the
     /// view changed (removing an absent triple is a no-op).
     pub fn remove(&mut self, triple: &Triple) -> Option<(TermId, TermId, TermId)> {
-        let (Some(s), Some(p), Some(o)) = (
-            self.terms.get(&triple.subject),
-            self.terms.get(&Term::Iri(triple.predicate.clone())),
-            self.terms.get(&triple.object),
-        ) else {
-            return None;
-        };
+        let (s, p, o) = self.terms.triple_ids(triple)?;
         self.remove_ids(s, p, o).then_some((s, p, o))
     }
 
@@ -318,24 +313,38 @@ impl DeltaGraph {
 
     /// True iff the triple is in the merged view.
     pub fn contains(&self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.terms.get(&triple.subject),
-            self.terms.get(&Term::Iri(triple.predicate.clone())),
-            self.terms.get(&triple.object),
-        ) else {
-            return false;
-        };
-        self.contains_ids(s, p, o)
+        self.terms
+            .triple_ids(triple)
+            .is_some_and(|(s, p, o)| self.contains_ids(s, p, o))
     }
 
-    /// True iff the id-level triple is in the merged view.
-    pub fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
+    /// Re-freezes the merged view into a fresh CSR snapshot.
+    ///
+    /// The compacted graph keeps this overlay's interner (base ids plus
+    /// delta ids, unchanged), so everything keyed by id — memo entries,
+    /// compiled paths, stored target lists — remains valid against the new
+    /// base. Cost is one full index rebuild, amortized by running it only
+    /// when `delta_len()` crosses the caller's threshold.
+    pub fn compact(&self) -> FrozenGraph {
+        FrozenGraph::from_log(self.terms.clone(), self.iter_ids().collect())
+    }
+}
+
+impl GraphAccess for DeltaGraph {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn term_count(&self) -> usize {
+        self.terms.len()
+    }
+
+    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
         self.added.contains(s, p, o)
             || (self.base.contains_ids(s, p, o) && !self.removed.contains(s, p, o))
     }
 
-    /// Objects of `(s, p, ?)` as ids, ascending.
-    pub fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
+    fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
         let live_base = self
             .base
             .objects_ids(s, p)
@@ -343,8 +352,7 @@ impl DeltaGraph {
         merge(live_base, self.added.objects(s, p))
     }
 
-    /// Subjects of `(?, p, o)` as ids, ascending.
-    pub fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
+    fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
         let live_base = self
             .base
             .subjects_ids(o, p)
@@ -352,8 +360,7 @@ impl DeltaGraph {
         merge(live_base, self.added.subjects(o, p))
     }
 
-    /// Outgoing `(predicate, object)` id pairs of a subject, ascending.
-    pub fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+    fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
         let live_base = self
             .base
             .out_edges_ids(s)
@@ -361,8 +368,7 @@ impl DeltaGraph {
         merge(live_base, self.added.out_edges(s))
     }
 
-    /// Incoming `(predicate, subject)` id pairs of an object, ascending.
-    pub fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+    fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
         let live_base = self
             .base
             .in_edges_ids(o)
@@ -370,11 +376,7 @@ impl DeltaGraph {
         merge(live_base, self.added.in_edges(o))
     }
 
-    /// All `(s, o)` id pairs with predicate `p`, ascending.
-    pub fn edges_with_predicate_ids(
-        &self,
-        p: TermId,
-    ) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+    fn edges_with_predicate_ids(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
         let live_base = self
             .base
             .edges_with_predicate_ids(p)
@@ -382,11 +384,10 @@ impl DeltaGraph {
         merge(live_base, self.added.pred_edges(p))
     }
 
-    /// Distinct outgoing predicates of a subject, ascending — the closed
-    /// check. A base predicate stays listed only while at least one of its
+    /// The closed check. A base predicate stays listed only while at least one of its
     /// objects survives the tombstones; the merge dedups predicates present
     /// on both sides.
-    pub fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
+    fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
         let live_base = self.base.predicates_out_ids(s).filter(move |&p| {
             self.base
                 .objects_ids(s, p)
@@ -395,17 +396,16 @@ impl DeltaGraph {
         merge(live_base, self.added.preds_out(s))
     }
 
-    /// All triples as id tuples, ascending by (s, p, o) — same order as the
-    /// mutable and frozen backends.
-    pub fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
+    /// Same order as the other backends: ascending by (s, p, o).
+    fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
         (0..self.terms.len() as u32).flat_map(move |s| {
             self.out_edges_ids(TermId(s))
                 .map(move |(p, o)| (TermId(s), p, o))
         })
     }
 
-    /// All nodes (subjects and objects of live triples) as ids.
-    pub fn node_ids(&self) -> BTreeSet<TermId> {
+    /// Subjects and objects of live triples.
+    fn node_ids(&self) -> BTreeSet<TermId> {
         let mut nodes: BTreeSet<TermId> = self.base.node_ids_slice().iter().copied().collect();
         // Tombstones may have orphaned some base nodes: re-check liveness
         // of exactly the endpoints the tombstones touch.
@@ -432,116 +432,20 @@ impl DeltaGraph {
         nodes
     }
 
-    /// Resolves an id back to its term.
-    pub fn term(&self, id: TermId) -> &Term {
+    fn term(&self, id: TermId) -> &Term {
         self.terms.resolve(id)
     }
 
-    /// The id of a term, if interned (base or delta).
-    pub fn id_of(&self, term: &Term) -> Option<TermId> {
-        self.terms.get(term)
-    }
-
-    /// The id of an IRI used as a predicate or node.
-    pub fn id_of_iri(&self, iri: &Iri) -> Option<TermId> {
-        self.terms.get(&Term::Iri(iri.clone()))
-    }
-
-    /// Materializes an id triple into a [`Triple`].
-    pub fn triple_of(&self, s: TermId, p: TermId, o: TermId) -> Triple {
-        let Term::Iri(pred) = self.term(p).clone() else {
-            unreachable!("predicate ids always resolve to IRIs");
-        };
-        Triple {
-            subject: self.term(s).clone(),
-            predicate: pred,
-            object: self.term(o).clone(),
-        }
-    }
-
-    /// Iterates all triples of the merged view.
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.iter_ids()
-            .map(move |(s, p, o)| self.triple_of(s, p, o))
-    }
-
-    /// Re-freezes the merged view into a fresh CSR snapshot.
-    ///
-    /// The compacted graph keeps this overlay's interner (base ids plus
-    /// delta ids, unchanged), so everything keyed by id — memo entries,
-    /// compiled paths, stored target lists — remains valid against the new
-    /// base. Cost is one full index rebuild, amortized by running it only
-    /// when `delta_len()` crosses the caller's threshold.
-    pub fn compact(&self) -> FrozenGraph {
-        FrozenGraph::from_log(self.terms.clone(), self.iter_ids().collect())
-    }
-}
-
-impl GraphAccess for DeltaGraph {
-    fn len(&self) -> usize {
-        DeltaGraph::len(self)
-    }
-
-    fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
-    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        DeltaGraph::contains_ids(self, s, p, o)
-    }
-
-    fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        DeltaGraph::objects_ids(self, s, p)
-    }
-
-    fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        DeltaGraph::subjects_ids(self, o, p)
-    }
-
-    fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        DeltaGraph::out_edges_ids(self, s)
-    }
-
-    fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        DeltaGraph::in_edges_ids(self, o)
-    }
-
-    fn edges_with_predicate_ids(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        DeltaGraph::edges_with_predicate_ids(self, p)
-    }
-
-    fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
-        DeltaGraph::predicates_out_ids(self, s)
-    }
-
-    fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        DeltaGraph::iter_ids(self)
-    }
-
-    fn node_ids(&self) -> BTreeSet<TermId> {
-        DeltaGraph::node_ids(self)
-    }
-
-    fn term(&self, id: TermId) -> &Term {
-        DeltaGraph::term(self, id)
-    }
-
+    /// Base or delta terms.
     fn id_of(&self, term: &Term) -> Option<TermId> {
-        DeltaGraph::id_of(self, term)
-    }
-
-    fn id_of_iri(&self, iri: &Iri) -> Option<TermId> {
-        DeltaGraph::id_of_iri(self, iri)
-    }
-
-    fn triple_of(&self, s: TermId, p: TermId, o: TermId) -> Triple {
-        DeltaGraph::triple_of(self, s, p, o)
+        self.terms.get(term)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Iri;
     use crate::Graph;
 
     fn t(s: &str, p: &str, o: &str) -> Triple {

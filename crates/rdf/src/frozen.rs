@@ -1,9 +1,10 @@
-//! Immutable compressed-sparse-row snapshot of a [`Graph`].
+//! Immutable compressed-sparse-row graph: the one adjacency read backend.
 //!
 //! [`FrozenGraph`] is built once — straight from a parser's id log by the
 //! frozen loaders ([`crate::turtle::parse_frozen`],
-//! [`crate::ntriples::parse_frozen`]), or via [`Graph::freeze`] — and
-//! stores every index as sorted contiguous arrays of dense `u32` ids:
+//! [`crate::ntriples::parse_frozen`]), via [`Graph::freeze`], or lazily as
+//! the snapshot behind a [`Graph`]'s adjacency reads — and stores every
+//! index as sorted contiguous arrays of dense `u32` ids:
 //!
 //! - forward `(s, p) → [o]` and backward `(o, p) → [s]` adjacency as
 //!   two-level CSR (per-node predicate list + per-pair object/subject run),
@@ -16,13 +17,13 @@
 //!
 //! Freeze invariants (checked by `tests/prop_frozen_agreement.rs`):
 //!
-//! - **Id stability**: the interner is shared with the source `Graph`
+//! - **Id stability**: the interner is a clone of the source `Graph`'s
 //!   (cloning bumps `Arc` refcounts, not allocations), so a `TermId` means
-//!   the same term in both backends and compiled paths / memo keys can be
-//!   reused across them.
+//!   the same term in both and compiled paths / memo keys can be reused
+//!   across them.
 //! - **Sortedness**: every adjacency run is ascending by id, and
-//!   [`GraphAccess::iter_ids`] yields triples in exactly the order the
-//!   mutable backend does (subject, then predicate, then object).
+//!   [`GraphAccess::iter_ids`] yields triples ascending by (subject,
+//!   predicate, object), the order of the source graph's triple set.
 //! - **Same triple set**: `freeze` is a pure snapshot; later mutations of
 //!   the source `Graph` are not reflected.
 
@@ -30,7 +31,7 @@ use std::collections::BTreeSet;
 
 use crate::access::GraphAccess;
 use crate::graph::{Graph, Interner, TermId};
-use crate::term::{Iri, Term, Triple};
+use crate::term::Term;
 
 /// One level of a two-level CSR index: per node, a sorted run of
 /// predicates; per (node, predicate) pair, a sorted run of neighbor ids.
@@ -128,8 +129,8 @@ impl CsrIndex {
     }
 }
 
-/// An immutable CSR snapshot of a [`Graph`]; see the module docs for the
-/// layout and invariants. Build with [`Graph::freeze`].
+/// An immutable CSR graph; see the module docs for the layout and
+/// invariants. Build with a frozen loader or [`Graph::freeze`].
 #[derive(Debug, Default, Clone)]
 pub struct FrozenGraph {
     terms: Interner,
@@ -231,36 +232,43 @@ impl FrozenGraph {
         self.len == 0
     }
 
-    /// True iff the id-level triple is in the graph.
-    pub fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
+    /// All nodes as a sorted slice (no allocation; prefer over
+    /// [`GraphAccess::node_ids`] on the frozen backend).
+    pub fn node_ids_slice(&self) -> &[TermId] {
+        &self.nodes
+    }
+}
+
+impl GraphAccess for FrozenGraph {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn term_count(&self) -> usize {
+        self.terms.len()
+    }
+
+    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
         self.fwd.neighbor_run(s, p).binary_search(&o).is_ok()
     }
 
-    /// Objects of `(s, p, ?)` as ids, ascending.
-    pub fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
+    fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
         self.fwd.neighbor_run(s, p).iter().copied()
     }
 
-    /// Subjects of `(?, p, o)` as ids, ascending.
-    pub fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
+    fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
         self.bwd.neighbor_run(o, p).iter().copied()
     }
 
-    /// Outgoing `(predicate, object)` id pairs of a subject, ascending.
-    pub fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+    fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
         self.fwd.edges(s)
     }
 
-    /// Incoming `(predicate, subject)` id pairs of an object, ascending.
-    pub fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+    fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
         self.bwd.edges(o)
     }
 
-    /// All `(s, o)` id pairs with predicate `p`, ascending.
-    pub fn edges_with_predicate_ids(
-        &self,
-        p: TermId,
-    ) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+    fn edges_with_predicate_ids(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
         let run = match self.pred_ids.binary_search(&p) {
             Ok(k) => {
                 &self.pred_edges
@@ -271,14 +279,12 @@ impl FrozenGraph {
         run.iter().copied()
     }
 
-    /// Distinct outgoing predicates of a subject, ascending — the `closed`
-    /// constraint's scan, served from one contiguous slice.
-    pub fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
+    /// The `closed` constraint's scan, served from one contiguous slice.
+    fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
         self.fwd.pred_run(s).iter().copied()
     }
 
-    /// All triples as id tuples, ascending by (s, p, o).
-    pub fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
+    fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
         (0..self.terms.len() as u32).flat_map(move |s| {
             self.fwd
                 .edges(TermId(s))
@@ -286,111 +292,23 @@ impl FrozenGraph {
         })
     }
 
-    /// All nodes as a sorted slice (no allocation; prefer over
-    /// [`GraphAccess::node_ids`] on the frozen backend).
-    pub fn node_ids_slice(&self) -> &[TermId] {
-        &self.nodes
-    }
-
-    /// Resolves an id back to its term.
-    pub fn term(&self, id: TermId) -> &Term {
-        self.terms.resolve(id)
-    }
-
-    /// The id of a term, if interned in the source graph at freeze time.
-    pub fn id_of(&self, term: &Term) -> Option<TermId> {
-        self.terms.get(term)
-    }
-
-    /// The id of an IRI used as a predicate or node.
-    pub fn id_of_iri(&self, iri: &Iri) -> Option<TermId> {
-        self.terms.get(&Term::Iri(iri.clone()))
-    }
-
-    /// Materializes an id triple into a [`Triple`].
-    pub fn triple_of(&self, s: TermId, p: TermId, o: TermId) -> Triple {
-        let Term::Iri(pred) = self.term(p).clone() else {
-            unreachable!("predicate ids always resolve to IRIs");
-        };
-        Triple {
-            subject: self.term(s).clone(),
-            predicate: pred,
-            object: self.term(o).clone(),
-        }
-    }
-
-    /// Iterates all triples (same order as the source graph).
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.iter_ids()
-            .map(move |(s, p, o)| self.triple_of(s, p, o))
-    }
-}
-
-impl GraphAccess for FrozenGraph {
-    fn len(&self) -> usize {
-        FrozenGraph::len(self)
-    }
-
-    fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
-    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        FrozenGraph::contains_ids(self, s, p, o)
-    }
-
-    fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        FrozenGraph::objects_ids(self, s, p)
-    }
-
-    fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        FrozenGraph::subjects_ids(self, o, p)
-    }
-
-    fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        FrozenGraph::out_edges_ids(self, s)
-    }
-
-    fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        FrozenGraph::in_edges_ids(self, o)
-    }
-
-    fn edges_with_predicate_ids(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        FrozenGraph::edges_with_predicate_ids(self, p)
-    }
-
-    fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
-        FrozenGraph::predicates_out_ids(self, s)
-    }
-
-    fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        FrozenGraph::iter_ids(self)
-    }
-
     fn node_ids(&self) -> BTreeSet<TermId> {
         self.nodes.iter().copied().collect()
     }
 
     fn term(&self, id: TermId) -> &Term {
-        FrozenGraph::term(self, id)
+        self.terms.resolve(id)
     }
 
     fn id_of(&self, term: &Term) -> Option<TermId> {
-        FrozenGraph::id_of(self, term)
-    }
-
-    fn id_of_iri(&self, iri: &Iri) -> Option<TermId> {
-        FrozenGraph::id_of_iri(self, iri)
-    }
-
-    fn triple_of(&self, s: TermId, p: TermId, o: TermId) -> Triple {
-        FrozenGraph::triple_of(self, s, p, o)
+        self.terms.get(term)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::{Iri, Triple};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Iri::new(p), Term::iri(o))

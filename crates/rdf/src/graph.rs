@@ -1,26 +1,28 @@
-//! In-memory indexed RDF graph store.
+//! The mutable RDF graph: a builder over one sorted id-triple set.
 //!
 //! A [`Graph`] is a finite set of triples with set semantics. Terms are
-//! interned into dense [`TermId`]s; three indexes (subject→predicate→objects,
-//! object→predicate→subjects, predicate→(subject,object) pairs) support the
-//! access paths needed by path evaluation, validation, and SPARQL:
+//! interned into dense [`TermId`]s and the triples are kept as one ordered
+//! set of id triples, ascending by (subject, predicate, object), so
+//! insertion, removal, membership and iteration order are all plain set
+//! operations.
 //!
-//! - `objects(s, p)` / `subjects(o, p)` — forward/backward edge steps,
-//! - `predicates_out(s)` — all outgoing properties (closedness constraints),
-//! - `edges_with_predicate(p)` — predicate scans.
-//!
-//! Sets are `BTreeSet`s over ids so iteration order is deterministic for a
-//! given insertion sequence, which keeps experiments reproducible.
+//! Adjacency reads (`objects_ids`, `subjects_ids`, edge scans, the closed
+//! check) go through [`GraphAccess`] and are answered by a
+//! [`FrozenGraph`] CSR snapshot built on the first such read and dropped by
+//! every mutation, so the mutable graph reads through the same code as the
+//! frozen loaders' output. Writers that only walk the triples in order
+//! (N-Triples, Turtle) never build the snapshot.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use crate::access::GraphAccess;
 use crate::frozen::FrozenGraph;
 use crate::term::{Iri, Term, Triple};
 
-/// A minimal FxHash-style hasher for the id-keyed indexes: ids are dense
+/// A minimal FxHash-style hasher for id-keyed maps and sets: ids are dense
 /// `u32`s, so the default SipHash costs dominate hot lookups otherwise.
 #[derive(Default)]
 pub struct IntHasher(u64);
@@ -98,6 +100,15 @@ impl Interner {
         self.lookup.get(term).copied()
     }
 
+    /// The ids of a triple's terms, if all three are interned.
+    pub(crate) fn triple_ids(&self, t: &Triple) -> Option<(TermId, TermId, TermId)> {
+        Some((
+            self.get(&t.subject)?,
+            self.get(&Term::Iri(t.predicate.clone()))?,
+            self.get(&t.object)?,
+        ))
+    }
+
     pub(crate) fn resolve(&self, id: TermId) -> &Term {
         &self.terms[id.0 as usize]
     }
@@ -137,16 +148,11 @@ impl TripleLog {
 
     /// Finishes the log into a mutable [`Graph`].
     pub(crate) fn into_graph(self) -> Graph {
-        let mut g = Graph {
+        Graph {
             terms: self.terms,
-            ..Graph::default()
-        };
-        g.spo.reserve(self.triples.len() / 2);
-        g.ops.reserve(self.triples.len() / 2);
-        for (s, p, o) in self.triples {
-            g.insert_ids(s, p, o);
+            triples: self.triples.into_iter().collect(),
+            snapshot: OnceLock::new(),
         }
-        g
     }
 
     /// Finishes the log into a CSR snapshot without building a [`Graph`].
@@ -155,17 +161,26 @@ impl TripleLog {
     }
 }
 
-/// An in-memory RDF graph (a finite set of triples) with set semantics.
-#[derive(Default, Clone)]
+/// An in-memory RDF graph (a finite set of triples) with set semantics;
+/// see the module docs for how reads are served.
+#[derive(Default)]
 pub struct Graph {
     pub(crate) terms: Interner,
-    /// s → p → {o}
-    pub(crate) spo: IntMap<TermId, BTreeMap<TermId, BTreeSet<TermId>>>,
-    /// o → p → {s}
-    pub(crate) ops: IntMap<TermId, BTreeMap<TermId, BTreeSet<TermId>>>,
-    /// p → {(s, o)}
-    pub(crate) pso: IntMap<TermId, BTreeSet<(TermId, TermId)>>,
-    pub(crate) len: usize,
+    /// The triples as ids, ascending by (s, p, o).
+    triples: BTreeSet<(TermId, TermId, TermId)>,
+    /// The CSR snapshot behind the adjacency reads: built on the first one,
+    /// dropped by every `&mut self` method, not copied by `clone`.
+    snapshot: OnceLock<FrozenGraph>,
+}
+
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Graph {
+            terms: self.terms.clone(),
+            triples: self.triples.clone(),
+            snapshot: OnceLock::new(),
+        }
+    }
 }
 
 impl Graph {
@@ -174,135 +189,47 @@ impl Graph {
         Graph::default()
     }
 
-    /// Builds a graph from an iterator of triples, pre-sizing the interner
-    /// and indexes from the iterator's size hint.
+    /// Builds a graph from an iterator of triples.
     pub fn from_triples(triples: impl IntoIterator<Item = Triple>) -> Self {
-        let iter = triples.into_iter();
         let mut g = Graph::new();
-        g.reserve(iter.size_hint().0);
-        for t in iter {
+        for t in triples {
             g.insert(t);
         }
         g
     }
 
-    /// Pre-reserves capacity for roughly `triples` additional triples.
-    ///
-    /// Sizing heuristic: a graph of `n` triples interns at most `2n + p`
-    /// terms but real corpora share most subjects/objects; `n` term slots
-    /// and `n / 2` subject/object index slots avoid the worst rehash
-    /// cascades without overshooting small graphs.
-    pub fn reserve(&mut self, triples: usize) {
-        self.terms.lookup.reserve(triples);
-        self.terms.terms.reserve(triples);
-        self.spo.reserve(triples / 2);
-        self.ops.reserve(triples / 2);
-    }
-
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.len
+        self.triples.len()
     }
 
     /// True iff the graph has no triples.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.triples.is_empty()
     }
 
     /// Inserts a triple; returns `true` if it was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
-        let (s, p, o) =
-            self.terms
-                .intern_triple(&triple.subject, &triple.predicate, &triple.object);
-        self.insert_ids(s, p, o)
-    }
-
-    /// Inserts by pre-interned ids (ids must come from this graph).
-    pub(crate) fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        let added = self
-            .spo
-            .entry(s)
-            .or_default()
-            .entry(p)
-            .or_default()
-            .insert(o);
-        if added {
-            self.ops
-                .entry(o)
-                .or_default()
-                .entry(p)
-                .or_default()
-                .insert(s);
-            self.pso.entry(p).or_default().insert((s, o));
-            self.len += 1;
-        }
-        added
+        self.snapshot.take();
+        let ids = self
+            .terms
+            .intern_triple(&triple.subject, &triple.predicate, &triple.object);
+        self.triples.insert(ids)
     }
 
     /// Removes a triple; returns `true` if it was present.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.terms.get(&triple.subject),
-            self.terms.get(&Term::Iri(triple.predicate.clone())),
-            self.terms.get(&triple.object),
-        ) else {
-            return false;
-        };
-        let removed = self
-            .spo
-            .get_mut(&s)
-            .and_then(|m| m.get_mut(&p))
-            .map(|set| set.remove(&o))
-            .unwrap_or(false);
-        if removed {
-            let m = self.spo.get_mut(&s).expect("spo entry exists");
-            if m.get(&p).is_some_and(|set| set.is_empty()) {
-                m.remove(&p);
-            }
-            if m.is_empty() {
-                self.spo.remove(&s);
-            }
-            if let Some(m) = self.ops.get_mut(&o) {
-                if let Some(set) = m.get_mut(&p) {
-                    set.remove(&s);
-                    if set.is_empty() {
-                        m.remove(&p);
-                    }
-                }
-                if m.is_empty() {
-                    self.ops.remove(&o);
-                }
-            }
-            if let Some(set) = self.pso.get_mut(&p) {
-                set.remove(&(s, o));
-                if set.is_empty() {
-                    self.pso.remove(&p);
-                }
-            }
-            self.len -= 1;
-        }
-        removed
+        self.snapshot.take();
+        self.terms
+            .triple_ids(triple)
+            .is_some_and(|ids| self.triples.remove(&ids))
     }
 
     /// True iff the triple is in the graph.
     pub fn contains(&self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.terms.get(&triple.subject),
-            self.terms.get(&Term::Iri(triple.predicate.clone())),
-            self.terms.get(&triple.object),
-        ) else {
-            return false;
-        };
-        self.contains_ids(s, p, o)
-    }
-
-    /// True iff the id-level triple is in the graph.
-    pub fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.spo
-            .get(&s)
-            .and_then(|m| m.get(&p))
-            .map(|set| set.contains(&o))
-            .unwrap_or(false)
+        self.terms
+            .triple_ids(triple)
+            .is_some_and(|ids| self.triples.contains(&ids))
     }
 
     /// Extends the graph with all triples of `other`.
@@ -311,13 +238,13 @@ impl Graph {
     /// interner exactly once (via an id→id translation table) instead of
     /// re-interning a cloned [`Term`] per triple occurrence.
     pub fn extend(&mut self, other: &Graph) {
-        self.reserve(other.len);
+        self.snapshot.take();
         let mut map: Vec<Option<TermId>> = vec![None; other.terms.len()];
-        for (s, p, o) in other.iter_ids() {
+        for &(s, p, o) in &other.triples {
             let s = self.translate_id(other, &mut map, s);
             let p = self.translate_id(other, &mut map, p);
             let o = self.translate_id(other, &mut map, o);
-            self.insert_ids(s, p, o);
+            self.triples.insert((s, p, o));
         }
     }
 
@@ -338,14 +265,10 @@ impl Graph {
         self.terms.get(term)
     }
 
-    /// The id of an IRI used as a predicate or node.
-    pub fn id_of_iri(&self, iri: &Iri) -> Option<TermId> {
-        self.terms.get(&Term::Iri(iri.clone()))
-    }
-
     /// Interns a term without adding any triple (useful for focus nodes not
     /// yet mentioned in the graph).
     pub fn intern(&mut self, term: &Term) -> TermId {
+        self.snapshot.take();
         self.terms.intern(term)
     }
 
@@ -354,190 +277,19 @@ impl Graph {
         self.terms.resolve(id)
     }
 
-    /// Iterates all triples (deterministic order per index structure).
+    /// Iterates all triples, ascending by (s, p, o) id.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.iter_ids()
-            .map(move |(s, p, o)| self.triple_of(s, p, o))
+        GraphAccess::iter(self)
     }
 
-    /// Iterates all triples as id tuples.
+    /// Iterates all triples as id tuples, ascending by (s, p, o).
     pub fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        let mut subjects: Vec<_> = self.spo.keys().copied().collect();
-        subjects.sort_unstable();
-        subjects.into_iter().flat_map(move |s| {
-            self.spo[&s]
-                .iter()
-                .flat_map(move |(p, objs)| objs.iter().map(move |o| (s, *p, *o)))
-        })
+        self.triples.iter().copied()
     }
 
-    /// Materializes an id triple into a [`Triple`].
-    pub fn triple_of(&self, s: TermId, p: TermId, o: TermId) -> Triple {
-        let Term::Iri(pred) = self.term(p).clone() else {
-            unreachable!("predicate ids always resolve to IRIs");
-        };
-        Triple {
-            subject: self.term(s).clone(),
-            predicate: pred,
-            object: self.term(o).clone(),
-        }
-    }
-
-    /// Objects of `(s, p, ?)` as ids.
-    pub fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        self.spo
-            .get(&s)
-            .and_then(|m| m.get(&p))
-            .into_iter()
-            .flat_map(|set| set.iter().copied())
-    }
-
-    /// Subjects of `(?, p, o)` as ids.
-    pub fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        self.ops
-            .get(&o)
-            .and_then(|m| m.get(&p))
-            .into_iter()
-            .flat_map(|set| set.iter().copied())
-    }
-
-    /// Outgoing `(predicate, object)` id pairs of a subject.
-    pub fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        self.spo.get(&s).into_iter().flat_map(|m| {
-            m.iter()
-                .flat_map(|(p, objs)| objs.iter().map(move |o| (*p, *o)))
-        })
-    }
-
-    /// Incoming `(predicate, subject)` id pairs of an object.
-    pub fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        self.ops.get(&o).into_iter().flat_map(|m| {
-            m.iter()
-                .flat_map(|(p, subs)| subs.iter().map(move |s| (*p, *s)))
-        })
-    }
-
-    /// All `(s, o)` id pairs with predicate `p`.
-    pub fn edges_with_predicate_ids(
-        &self,
-        p: TermId,
-    ) -> impl Iterator<Item = (TermId, TermId)> + '_ {
-        self.pso
-            .get(&p)
-            .into_iter()
-            .flat_map(|set| set.iter().copied())
-    }
-
-    /// Objects of `(s, p, ?)` as terms; empty if `s` or `p` unknown.
-    pub fn objects_for<'a>(&'a self, s: &Term, p: &Iri) -> Vec<&'a Term> {
-        match (self.id_of(s), self.id_of_iri(p)) {
-            (Some(s), Some(p)) => self.objects_ids(s, p).map(|o| self.term(o)).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Subjects of `(?, p, o)` as terms; empty if `o` or `p` unknown.
-    pub fn subjects_for<'a>(&'a self, o: &Term, p: &Iri) -> Vec<&'a Term> {
-        match (self.id_of(o), self.id_of_iri(p)) {
-            (Some(o), Some(p)) => self.subjects_ids(o, p).map(|s| self.term(s)).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Triples matching an optional pattern on each position.
-    pub fn triples_matching(
-        &self,
-        s: Option<&Term>,
-        p: Option<&Iri>,
-        o: Option<&Term>,
-    ) -> Vec<Triple> {
-        let sid = s.map(|t| self.id_of(t));
-        let pid = p.map(|t| self.id_of_iri(t));
-        let oid = o.map(|t| self.id_of(t));
-        // Any bound-but-unknown term means no matches.
-        if sid == Some(None) || pid == Some(None) || oid == Some(None) {
-            return Vec::new();
-        }
-        let sid = sid.flatten();
-        let pid = pid.flatten();
-        let oid = oid.flatten();
-        let mut out = Vec::new();
-        match (sid, pid, oid) {
-            (Some(s), Some(p), Some(o)) => {
-                if self.contains_ids(s, p, o) {
-                    out.push(self.triple_of(s, p, o));
-                }
-            }
-            (Some(s), Some(p), None) => {
-                for o in self.objects_ids(s, p) {
-                    out.push(self.triple_of(s, p, o));
-                }
-            }
-            (Some(s), None, oid) => {
-                for (p, o) in self.out_edges_ids(s) {
-                    if oid.is_none_or(|x| x == o) {
-                        out.push(self.triple_of(s, p, o));
-                    }
-                }
-            }
-            (None, Some(p), Some(o)) => {
-                for s in self.subjects_ids(o, p) {
-                    out.push(self.triple_of(s, p, o));
-                }
-            }
-            (None, Some(p), None) => {
-                for (s, o) in self.edges_with_predicate_ids(p) {
-                    out.push(self.triple_of(s, p, o));
-                }
-            }
-            (None, None, Some(o)) => {
-                for (p, s) in self.in_edges_ids(o) {
-                    out.push(self.triple_of(s, p, o));
-                }
-            }
-            (None, None, None) => {
-                for (s, p, o) in self.iter_ids() {
-                    out.push(self.triple_of(s, p, o));
-                }
-            }
-        }
-        out
-    }
-
-    /// All nodes of the graph (subjects and objects of triples), i.e. the
-    /// paper's `N(G)`, as ids.
-    pub fn node_ids(&self) -> BTreeSet<TermId> {
-        let mut nodes = BTreeSet::new();
-        for (s, _p, o) in self.iter_ids() {
-            nodes.insert(s);
-            nodes.insert(o);
-        }
-        nodes
-    }
-
-    /// All nodes of the graph as terms.
-    pub fn nodes(&self) -> Vec<&Term> {
-        self.node_ids()
-            .into_iter()
-            .map(|id| self.term(id))
-            .collect()
-    }
-
-    /// All distinct predicates.
-    pub fn predicates(&self) -> Vec<&Iri> {
-        let mut ids: Vec<_> = self.pso.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter()
-            .filter_map(|p| match self.term(*p) {
-                Term::Iri(iri) => Some(iri),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Distinct outgoing predicates of a subject, as ids.
-    pub fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
-        self.spo.get(&s).into_iter().flat_map(|m| m.keys().copied())
+    /// The CSR snapshot serving the adjacency reads, built on first use.
+    fn snapshot(&self) -> &FrozenGraph {
+        self.snapshot.get_or_init(|| self.freeze())
     }
 
     /// True iff `other` contains every triple of `self`.
@@ -548,7 +300,7 @@ impl Graph {
 
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.is_subgraph_of(other)
+        self.len() == other.len() && self.is_subgraph_of(other)
     }
 }
 
@@ -556,7 +308,7 @@ impl Eq for Graph {}
 
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Graph({} triples) {{", self.len)?;
+        writeln!(f, "Graph({} triples) {{", self.len())?;
         let mut triples: Vec<_> = self.iter().collect();
         triples.sort();
         for t in triples {
@@ -577,6 +329,62 @@ impl Extend<Triple> for Graph {
         for t in iter {
             self.insert(t);
         }
+    }
+}
+
+/// Counts, terms, membership and iteration come from the builder; the six
+/// adjacency accessors and `node_ids` from the snapshot.
+impl GraphAccess for Graph {
+    fn len(&self) -> usize {
+        Graph::len(self)
+    }
+
+    fn term_count(&self) -> usize {
+        self.terms.len()
+    }
+
+    fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
+        self.triples.contains(&(s, p, o))
+    }
+
+    fn objects_ids(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
+        self.snapshot().objects_ids(s, p)
+    }
+
+    fn subjects_ids(&self, o: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
+        self.snapshot().subjects_ids(o, p)
+    }
+
+    fn out_edges_ids(&self, s: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+        self.snapshot().out_edges_ids(s)
+    }
+
+    fn in_edges_ids(&self, o: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+        self.snapshot().in_edges_ids(o)
+    }
+
+    fn edges_with_predicate_ids(&self, p: TermId) -> impl Iterator<Item = (TermId, TermId)> + '_ {
+        self.snapshot().edges_with_predicate_ids(p)
+    }
+
+    fn predicates_out_ids(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
+        self.snapshot().predicates_out_ids(s)
+    }
+
+    fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
+        Graph::iter_ids(self)
+    }
+
+    fn node_ids(&self) -> BTreeSet<TermId> {
+        self.snapshot().node_ids()
+    }
+
+    fn term(&self, id: TermId) -> &Term {
+        Graph::term(self, id)
+    }
+
+    fn id_of(&self, term: &Term) -> Option<TermId> {
+        Graph::id_of(self, term)
     }
 }
 
@@ -695,6 +503,46 @@ mod tests {
         // The `terms` slot and the `lookup` key are the same allocation.
         assert_eq!(Arc::strong_count(&i.terms[id.0 as usize]), 2);
         assert_eq!(i.resolve(id), &Term::iri("shared"));
+    }
+
+    #[test]
+    fn every_mutation_drops_the_snapshot() {
+        let (a, p) = (Term::iri("a"), Iri::new("p"));
+        let objects =
+            |g: &Graph| -> Vec<Term> { g.objects_for(&a, &p).into_iter().cloned().collect() };
+        let mut g = Graph::from_triples([t("a", "p", "b")]);
+        assert_eq!(objects(&g), [Term::iri("b")]);
+        g.insert(t("a", "p", "c"));
+        assert_eq!(objects(&g), [Term::iri("b"), Term::iri("c")]);
+        g.remove(&t("a", "p", "b"));
+        assert_eq!(objects(&g), [Term::iri("c")]);
+        let lonely = g.intern(&Term::iri("lonely"));
+        assert_eq!(g.snapshot().term_count(), g.term_count());
+        assert_eq!(g.out_edges_ids(lonely).count(), 0);
+        g.extend(&Graph::from_triples([t("a", "p", "d")]));
+        assert_eq!(objects(&g), [Term::iri("c"), Term::iri("d")]);
+    }
+
+    #[test]
+    fn clones_do_not_share_the_snapshot() {
+        let (a, p) = (Term::iri("a"), Iri::new("p"));
+        let g = Graph::from_triples([t("a", "p", "b")]);
+        assert_eq!(g.objects_for(&a, &p).len(), 1);
+        let mut copy = g.clone();
+        assert!(copy.snapshot.get().is_none());
+        assert_eq!(copy.objects_for(&a, &p).len(), 1);
+        copy.insert(t("a", "p", "c"));
+        assert_eq!(copy.objects_for(&a, &p).len(), 2);
+        assert_eq!(g.objects_for(&a, &p).len(), 1);
+        assert_eq!(g.node_ids().len(), 2);
+    }
+
+    #[test]
+    fn serializing_never_builds_the_snapshot() {
+        let g = Graph::from_triples([t("a", "p", "b"), t("b", "q", "c")]);
+        assert!(!crate::ntriples::serialize(&g).is_empty());
+        assert!(!crate::turtle::serialize(&g, &[]).is_empty());
+        assert!(g.snapshot.get().is_none());
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //!
 //! RDF substrate for the shape-fragments workspace: terms, typed literal
 //! values with the paper's `<` partial order and `~` language-tag relation,
-//! an indexed in-memory [`Graph`] store, and N-Triples / Turtle I/O.
+//! the mutable [`Graph`] builder, the [`FrozenGraph`] CSR that serves every
+//! adjacency read (a `Graph` reads through a lazily built snapshot), the
+//! [`DeltaGraph`] write overlay, the [`GraphAccess`] read trait over all
+//! three, and N-Triples / Turtle I/O.
 //!
 //! This crate is self-contained (no external RDF dependencies) and provides
 //! the data model assumed by the paper's preliminaries (§2): nodes
 //! `N = I ∪ B ∪ L` and RDF triples `(I ∪ B) × I × N`.
 //!
 //! ```
-//! use shapefrag_rdf::{turtle, ntriples, Term, Iri};
+//! use shapefrag_rdf::{turtle, ntriples, GraphAccess, Iri, Term};
 //!
 //! let graph = turtle::parse(r#"
 //!     @prefix ex: <http://example.org/> .

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 
 use shapefrag_govern::ErrorCode;
 
+use crate::access::GraphAccess;
 use crate::error::{LossyLoad, ParseError};
 use crate::frozen::FrozenGraph;
 use crate::graph::{Graph, TripleLog};

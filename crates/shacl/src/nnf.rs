@@ -101,7 +101,7 @@ impl Nnf {
 
     /// Converts back to the general shape algebra (injective on semantics:
     /// `to_shape` of an NNF conforms exactly like the NNF itself).
-    /// Iterative for the same reason as [`convert`]/[`transform`].
+    /// Iterative for the same reason as `convert`/`transform`.
     pub fn to_shape(&self) -> Shape {
         enum Job<'a> {
             Enter(&'a Nnf),

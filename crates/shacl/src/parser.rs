@@ -15,7 +15,7 @@ use std::fmt;
 use shapefrag_govern::{EngineError, ErrorCode};
 use shapefrag_rdf::turtle::{self, read_list};
 use shapefrag_rdf::vocab::{rdf, rdfs, sh};
-use shapefrag_rdf::{Graph, Iri, Literal, Span, Term, TripleSpans};
+use shapefrag_rdf::{Graph, GraphAccess, Iri, Literal, Span, Term, TripleSpans};
 
 use crate::node_test::{NodeKind, NodeTest};
 use crate::path::PathExpr;

@@ -175,7 +175,7 @@ impl FrontierMatrix {
 }
 
 /// Per-worker scratch space for the multi-source evaluation kernel: the
-/// forward [`FrontierMatrix`] plus the worklist and bitset buffers the BFS
+/// forward `FrontierMatrix` plus the worklist and bitset buffers the BFS
 /// pass needs. Owned by a [`PathCache`] (one per context, one context per
 /// worker thread), so chunk after chunk reuses the same allocations and
 /// the frontier stays pre-sized to the CSR.

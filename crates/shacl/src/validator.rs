@@ -35,7 +35,7 @@ type MemoShard = RwLock<HashMap<(u32, TermId), bool>>;
 ///
 /// Conformance of a node to a *named* shape is a pure function of the graph
 /// and schema, so once decided it can be reused by every referencing target
-/// — and by every worker thread. The table is split into [`MEMO_SHARDS`]
+/// — and by every worker thread. The table is split into `MEMO_SHARDS`
 /// lock stripes keyed by a hash of `(shape, node)`, so concurrent workers
 /// contend only when they touch the same stripe at the same instant. A memo
 /// is valid for exactly one `(graph, schema)` pair; the first
@@ -412,6 +412,22 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             memo: None,
             exec: ExecCtx::unbounded(),
             fault: None,
+        }
+    }
+
+    /// Term-level convenience for [`Context::conforms`]; nodes not occurring
+    /// in the graph still have well-defined conformance (e.g. to `⊤` or
+    /// `hasValue`). A node with no incident triple reaches at most itself
+    /// along any path, so an absent node is decided over an empty graph
+    /// holding only that node.
+    pub fn conforms_term(&mut self, node: &Term, shape: &Shape) -> bool {
+        match self.graph.id_of(node) {
+            Some(id) => self.conforms(id, shape),
+            None => {
+                let mut lone = Graph::new();
+                let id = lone.intern(node);
+                Context::new(self.schema, &lone).conforms(id, shape)
+            }
         }
     }
 
@@ -1201,29 +1217,6 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     }
 }
 
-impl<'a> Context<'a, Graph> {
-    /// Term-level convenience for [`Context::conforms`]; nodes not occurring
-    /// in the graph still have well-defined conformance (e.g. to `⊤` or
-    /// `hasValue`). Only available on the mutable backend, because an
-    /// unknown focus node must be interned into a local graph clone.
-    pub fn conforms_term(&mut self, node: &Term, shape: &Shape) -> bool {
-        match self.graph.id_of(node) {
-            Some(id) => self.conforms(id, shape),
-            None => {
-                // Node absent from the graph: evaluate against the empty
-                // neighborhood semantics — paths evaluate to ∅ (or {node}
-                // for nullable paths, which cannot be represented without an
-                // id; we fall back to a local graph clone with the node
-                // interned).
-                let mut g = self.graph.clone();
-                let id = g.intern(node);
-                let mut ctx = Context::new(self.schema, &g);
-                ctx.conforms(id, shape)
-            }
-        }
-    }
-}
-
 /// A literal comparison operator used by the property-pair shapes
 /// (`lessThan`, `lessThanEq`, and the Remark 2.3 `moreThan` variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1534,6 +1527,40 @@ mod tests {
         let schema = Schema::empty();
         let mut ctx = Context::new(&schema, g);
         ctx.conforms_term(&term(node), shape)
+    }
+
+    #[test]
+    fn absent_node_conformance_matches_deciding_over_a_graph_clone() {
+        let schema = Schema::new([ShapeDef::new(
+            term("S"),
+            Shape::geq(1, p("p"), Shape::True),
+            Shape::False,
+        )])
+        .unwrap();
+        let g = Graph::from_triples([t("a", "p", "b"), t("b", "p", "v")]);
+        let shapes = [
+            Shape::geq(1, p("p").star(), Shape::HasValue(term("z"))),
+            Shape::geq(1, p("p"), Shape::True),
+            Shape::Closed(BTreeSet::new()),
+            Shape::Not(Box::new(Shape::HasValue(term("x")))),
+            Shape::HasShape(term("S")),
+        ];
+        // Both answers occur: z reaches itself along p*, x is excluded by ¬hasValue(x).
+        for node in ["z", "x"] {
+            let node = term(node);
+            assert!(g.id_of(&node).is_none());
+            for shape in &shapes {
+                let mut cloned = g.clone();
+                let id = cloned.intern(&node);
+                let expected = Context::new(&schema, &cloned).conforms(id, shape);
+                let mut ctx = Context::new(&schema, &g);
+                assert_eq!(
+                    ctx.conforms_term(&node, shape),
+                    expected,
+                    "{node} {shape:?}"
+                );
+            }
+        }
     }
 
     #[test]

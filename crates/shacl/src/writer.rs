@@ -434,6 +434,7 @@ mod tests {
     use crate::parser::schema_from_shapes_graph;
     use crate::schema::ShapeDef;
     use crate::validator::Context;
+    use shapefrag_rdf::GraphAccess;
 
     fn term(n: &str) -> Term {
         Term::iri(format!("http://e/{n}"))

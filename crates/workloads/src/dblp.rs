@@ -200,6 +200,7 @@ pub fn vardi_shape(k: usize) -> Shape {
 mod tests {
     use super::*;
     use shapefrag_core::fragment;
+    use shapefrag_rdf::GraphAccess;
     use shapefrag_shacl::validator::Context;
     use shapefrag_shacl::Schema;
 

@@ -319,6 +319,7 @@ pub fn generate(config: &EcommerceConfig) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shapefrag_rdf::GraphAccess;
 
     #[test]
     fn deterministic_and_scaled() {

@@ -14,7 +14,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use shapefrag_rdf::vocab::{rdf, rdfs, xsd};
-use shapefrag_rdf::{Graph, Iri, Literal, Term, Triple};
+use shapefrag_rdf::{Graph, GraphAccess, Iri, Literal, Term, Triple};
 
 /// The namespace of the synthetic tourism graph.
 pub const TKG_NS: &str = "http://tkg.example.org/";

@@ -10,6 +10,7 @@
 
 use shape_fragments::core::fragment;
 use shape_fragments::rdf::ntriples;
+use shape_fragments::rdf::GraphAccess;
 use shape_fragments::shacl::validator::Context;
 use shape_fragments::shacl::Schema;
 use shape_fragments::workloads::dblp::{

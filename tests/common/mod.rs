@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use shape_fragments::rdf::{Graph, Iri, Literal, Term, Triple};
+use shape_fragments::rdf::{Graph, GraphAccess, Iri, Literal, Term, Triple};
 use shape_fragments::shacl::node_test::{NodeKind, NodeTest};
 use shape_fragments::shacl::shape::PathOrId;
 use shape_fragments::shacl::{PathExpr, Shape};

@@ -23,7 +23,7 @@ use shape_fragments::shacl::parser::parse_shapes_turtle;
 use shape_fragments::shacl::validator::{validate_batch_governed, validate_governed, Context};
 use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::{eval_select_governed, parse_select, EvalConfig};
-use shapefrag_rdf::{Graph, Iri, Term, Triple};
+use shapefrag_rdf::{Graph, GraphAccess, Iri, Term, Triple};
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, TyroleanConfig};
 

@@ -21,7 +21,7 @@ use shape_fragments::core::{
     fragment_ids, fragment_ids_per_node, validate_extract_fragment,
     validate_extract_fragment_per_node,
 };
-use shape_fragments::rdf::{Graph, Term, TermId};
+use shape_fragments::rdf::{Graph, GraphAccess, Term, TermId};
 use shape_fragments::shacl::validator::{validate, validate_batch, Context};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 

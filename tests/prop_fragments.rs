@@ -11,7 +11,7 @@ use shape_fragments::core::{
     validate_with_provenance,
 };
 use shape_fragments::govern::Budget;
-use shape_fragments::rdf::Term;
+use shape_fragments::rdf::{GraphAccess, Term};
 use shape_fragments::shacl::validator::{validate, Context};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 

@@ -1,9 +1,13 @@
-//! Agreement between the two [`GraphAccess`] backends: the mutable
-//! [`Graph`] (hash/tree indexes) and the immutable [`FrozenGraph`] CSR
-//! snapshot built by [`Graph::freeze`].
+//! Agreement between the [`GraphAccess`] backends: the mutable [`Graph`]
+//! builder (which reads through a lazily built CSR snapshot), the immutable
+//! [`FrozenGraph`] CSR built by [`Graph::freeze`] or a frozen loader, and
+//! the [`DeltaGraph`] overlay.
 //!
-//! Two layers are exercised on random graphs:
+//! These layers are exercised on random graphs:
 //!
+//! - **Scan reference** — every accessor of every backend equals a linear
+//!   scan of that backend's sorted `iter_ids()` list, contents and order,
+//!   so the CSR is checked against something other than itself.
 //! - **Accessor agreement** — every trait accessor (`contains_ids`,
 //!   `objects_ids`, `subjects_ids`, `out_edges_ids`, `in_edges_ids`,
 //!   `edges_with_predicate_ids`, `predicates_out_ids`, `iter_ids`,
@@ -21,6 +25,7 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -128,6 +133,71 @@ fn assert_same_view(a: &impl GraphAccess, b: &impl GraphAccess) -> Result<(), Te
     Ok(())
 }
 
+/// Every accessor of `b` equals a linear scan of its `iter_ids()` list,
+/// which must hold exactly `expected`, strictly ascending by id.
+fn assert_matches_scan(
+    b: &impl GraphAccess,
+    expected: &BTreeSet<Triple>,
+) -> Result<(), TestCaseError> {
+    let all: Vec<(TermId, TermId, TermId)> = b.iter_ids().collect();
+    prop_assert!(
+        all.windows(2).all(|w| w[0] < w[1]),
+        "iter_ids not strictly ascending"
+    );
+    let triples: BTreeSet<Triple> = all.iter().map(|&(s, p, o)| b.triple_of(s, p, o)).collect();
+    prop_assert_eq!(&triples, expected);
+    prop_assert_eq!(b.len(), all.len());
+    let nodes: BTreeSet<TermId> = all.iter().flat_map(|&(s, _, o)| [s, o]).collect();
+    prop_assert_eq!(b.node_ids(), nodes);
+    let ids: Vec<TermId> = (0..b.term_count() as u32).map(TermId).collect();
+    for &x in &ids {
+        prop_assert_eq!(b.id_of(b.term(x)), Some(x));
+        let out: Vec<_> = all
+            .iter()
+            .filter(|t| t.0 == x)
+            .map(|&(_, p, o)| (p, o))
+            .collect();
+        prop_assert_eq!(b.out_edges_ids(x).collect::<Vec<_>>(), out.clone());
+        let mut preds: Vec<_> = out.iter().map(|&(p, _)| p).collect();
+        preds.dedup();
+        prop_assert_eq!(b.predicates_out_ids(x).collect::<Vec<_>>(), preds);
+        let mut inc: Vec<_> = all
+            .iter()
+            .filter(|t| t.2 == x)
+            .map(|&(s, p, _)| (p, s))
+            .collect();
+        inc.sort_unstable();
+        prop_assert_eq!(b.in_edges_ids(x).collect::<Vec<_>>(), inc);
+        let by_pred: Vec<_> = all
+            .iter()
+            .filter(|t| t.1 == x)
+            .map(|&(s, _, o)| (s, o))
+            .collect();
+        prop_assert_eq!(b.edges_with_predicate_ids(x).collect::<Vec<_>>(), by_pred);
+        for &y in &ids {
+            let objects: Vec<_> = all
+                .iter()
+                .filter(|t| (t.0, t.1) == (x, y))
+                .map(|t| t.2)
+                .collect();
+            prop_assert_eq!(b.objects_ids(x, y).collect::<Vec<_>>(), objects);
+            let subjects: Vec<_> = all
+                .iter()
+                .filter(|t| (t.2, t.1) == (x, y))
+                .map(|t| t.0)
+                .collect();
+            prop_assert_eq!(b.subjects_ids(x, y).collect::<Vec<_>>(), subjects);
+            for &z in &ids {
+                prop_assert_eq!(
+                    b.contains_ids(x, y, z),
+                    all.binary_search(&(x, y, z)).is_ok()
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 /// `text`'s statement lines with every `k`-th one (from `shift`) written
 /// a second time right after itself, so the document repeats statements.
 fn with_repeats(text: &str, k: usize, shift: usize) -> String {
@@ -229,6 +299,34 @@ proptest! {
             }
         }
         assert_same_view(&d.compact(), &replayed.freeze())?;
+    }
+
+    /// Each backend answers every accessor as a scan of its sorted triple
+    /// list does: the builder, its freeze, the frozen N-Triples loader, and
+    /// an overlay after random edits next to the builder replaying them.
+    #[test]
+    fn accessors_match_a_linear_scan(
+        g in graph_strategy(20),
+        edits in prop::collection::vec(edit_strategy(), 0..12),
+    ) {
+        let expected: BTreeSet<Triple> = g.iter().collect();
+        assert_matches_scan(&g, &expected)?;
+        assert_matches_scan(&g.freeze(), &expected)?;
+        assert_matches_scan(&ntriples::parse_frozen(&ntriples::serialize(&g)).unwrap(), &expected)?;
+        let mut d = DeltaGraph::new(Arc::new(g.freeze()));
+        let mut replayed = g;
+        for (add, t) in edits {
+            if add {
+                d.insert(&t);
+                replayed.insert(t);
+            } else {
+                d.remove(&t);
+                replayed.remove(&t);
+            }
+        }
+        let expected: BTreeSet<Triple> = replayed.iter().collect();
+        assert_matches_scan(&d, &expected)?;
+        assert_matches_scan(&replayed, &expected)?;
     }
 
     /// Every per-id accessor agrees, element for element, in order.

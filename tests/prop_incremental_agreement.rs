@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use common::{graph_strategy, object_term, pred, shape_strategy};
 use shape_fragments::core::{EditOp, EditScript, IncrementalValidator};
 use shape_fragments::govern::{Budget, EngineError};
-use shape_fragments::rdf::{Graph, Iri, Term, Triple};
+use shape_fragments::rdf::{Graph, GraphAccess, Iri, Term, Triple};
 use shape_fragments::shacl::validator::{validate_batch, ValidationReport};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use common::{focus_candidates, graph_strategy, path_strategy, shape_strategy};
-use shape_fragments::rdf::Graph;
+use shape_fragments::rdf::{Graph, GraphAccess};
 use shape_fragments::shacl::rpq::CompiledPath;
 use shape_fragments::shacl::validator::Context;
 use shape_fragments::shacl::{Nnf, Schema};

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use common::{graph_strategy, node_term, pred, shape_strategy};
 use shape_fragments::rdf::turtle;
+use shape_fragments::rdf::GraphAccess;
 use shape_fragments::shacl::parser::{parse_shapes_turtle, schema_from_shapes_graph};
 use shape_fragments::shacl::validator::Context;
 use shape_fragments::shacl::{

@@ -14,7 +14,7 @@ use shape_fragments::core::neighborhood::neighborhood_term;
 use shape_fragments::core::to_sparql::{
     conformance_query, fragment_via_sparql, neighborhoods_via_sparql, path_query,
 };
-use shape_fragments::rdf::Term;
+use shape_fragments::rdf::{GraphAccess, Term};
 use shape_fragments::shacl::rpq::CompiledPath;
 use shape_fragments::shacl::validator::Context;
 use shape_fragments::shacl::Schema;

@@ -15,7 +15,7 @@ use common::{focus_candidates, graph_strategy, shape_strategy};
 use shape_fragments::core::neighborhood::{
     conforms_and_collect, neighborhood_nnf_ids, neighborhood_term,
 };
-use shape_fragments::rdf::{Graph, Term, Triple};
+use shape_fragments::rdf::{Graph, GraphAccess, Term, Triple};
 use shape_fragments::shacl::validator::Context;
 use shape_fragments::shacl::Nnf;
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
