@@ -2,8 +2,9 @@
 //! translation (Appendix A) — the data-ingestion side excluded from the
 //! paper's timers but load-bearing for a practical engine. The `load` and
 //! `emit` groups set the CLI's id-level paths beside the `Graph` round
-//! trips they replace: the frozen loader against `parse` + `freeze`, and
-//! the fragment's id-triple writer against `to_graph` + `serialize`.
+//! trips they replace: the frozen loaders against `parse` + `freeze`, and
+//! the fragment's id-triple writer against `to_graph` + `serialize`;
+//! `load/freeze` times the CSR build on its own.
 
 use std::time::Duration;
 
@@ -75,6 +76,15 @@ fn bench_parsing(c: &mut Criterion) {
     });
     group.bench_function("turtle_frozen", |b| {
         b.iter(|| turtle::parse_frozen(&data_ttl).unwrap());
+    });
+    group.throughput(Throughput::Bytes(nt.len() as u64));
+    group.bench_function("ntriples_frozen", |b| {
+        b.iter(|| ntriples::parse_frozen(&nt).unwrap());
+    });
+    // The CSR build alone (plus the interner clone `freeze` makes).
+    group.throughput(Throughput::Elements(graph.len() as u64));
+    group.bench_function("freeze", |b| {
+        b.iter(|| graph.freeze());
     });
     group.finish();
 

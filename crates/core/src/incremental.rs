@@ -126,7 +126,13 @@ impl EditScript {
                     None => (true, line),
                 },
             };
-            let triple = ntriples::parse_line(rest.trim_start(), idx + 1)?;
+            // Error columns count characters from the start of `raw`.
+            let body = rest.trim_start();
+            let skipped = raw[..raw.trim_end().len() - body.len()].chars().count();
+            let triple = ntriples::parse_line(body, idx + 1).map_err(|mut e| {
+                e.column += skipped;
+                e
+            })?;
             ops.push(if add {
                 EditOp::Add(triple)
             } else {
@@ -882,5 +888,21 @@ mod tests {
         assert!(matches!(script.ops[1], EditOp::Remove(_)));
         assert!(matches!(script.ops[2], EditOp::Add(_)));
         assert!(EditScript::parse("+ not ntriples").is_err());
+    }
+
+    #[test]
+    fn edit_script_error_columns_count_from_the_line_start() {
+        // `x` is the 27th character of the statement; the prefix before
+        // it (`+ \t`, ` - `, `é` in an IRI) shifts it by its characters.
+        let cases = [
+            ("<http://e/a> <http://e/p> x .", 27),
+            ("+ \t<http://e/a> <http://e/p> x .", 30),
+            (" - <http://e/a> <http://e/p> x . ", 30),
+            ("+<http://e/é> <http://e/p> x .", 28),
+        ];
+        for (line, column) in cases {
+            let err = EditScript::parse(&format!("# edits\n{line}\n")).unwrap_err();
+            assert_eq!((err.line, err.column), (2, column), "{line:?}");
+        }
     }
 }

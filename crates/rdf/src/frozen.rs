@@ -33,6 +33,31 @@ use crate::access::GraphAccess;
 use crate::graph::{Graph, Interner, TermId};
 use crate::term::Term;
 
+type IdTriple = (TermId, TermId, TermId);
+
+/// A stable counting sort of `triples` by the dense id `key` picks: one
+/// pass over `0..n_terms` buckets instead of a comparison sort.
+fn counting_sort_by(
+    n_terms: usize,
+    triples: &[IdTriple],
+    key: impl Fn(&IdTriple) -> TermId,
+) -> Vec<IdTriple> {
+    let mut next = vec![0u32; n_terms + 1];
+    for t in triples {
+        next[key(t).0 as usize + 1] += 1;
+    }
+    for k in 0..n_terms {
+        next[k + 1] += next[k];
+    }
+    let mut out = vec![(TermId(0), TermId(0), TermId(0)); triples.len()];
+    for t in triples {
+        let slot = &mut next[key(t).0 as usize];
+        out[*slot as usize] = *t;
+        *slot += 1;
+    }
+    out
+}
+
 /// One level of a two-level CSR index: per node, a sorted run of
 /// predicates; per (node, predicate) pair, a sorted run of neighbor ids.
 #[derive(Debug, Default, Clone)]
@@ -51,16 +76,21 @@ struct CsrIndex {
 }
 
 impl CsrIndex {
-    /// Builds one direction from `(node, predicate, neighbor)` keys sorted
-    /// ascending and free of duplicates, so every run lands pre-sorted.
-    fn from_sorted(n_terms: usize, sorted: &[(TermId, TermId, TermId)]) -> Self {
+    /// Builds one direction from triples whose `key` — `(node, predicate,
+    /// neighbor)` — ascends without duplicates, so every run lands
+    /// pre-sorted.
+    fn from_sorted(
+        n_terms: usize,
+        sorted: &[IdTriple],
+        key: impl Fn(&IdTriple) -> IdTriple,
+    ) -> Self {
         // Per-node predicate counts first, prefix-summed into offsets below.
         let mut node_offsets = vec![0u32; n_terms + 1];
         let mut preds = Vec::new();
         let mut neighbor_starts = Vec::new();
         let mut neighbors = Vec::with_capacity(sorted.len());
         let mut last = None;
-        for &(node, pred, neighbor) in sorted {
+        for (node, pred, neighbor) in sorted.iter().map(key) {
             if last != Some((node, pred)) {
                 last = Some((node, pred));
                 node_offsets[node.0 as usize + 1] += 1;
@@ -164,35 +194,17 @@ impl Graph {
 
 impl FrozenGraph {
     /// The one CSR constructor, behind the frozen loaders, [`Graph::freeze`]
-    /// and [`crate::DeltaGraph::compact`]: sorts the id triples (set
-    /// semantics by dedup), then builds each index from one sorted copy
-    /// keyed for it.
-    pub(crate) fn from_log(terms: Interner, mut triples: Vec<(TermId, TermId, TermId)>) -> Self {
+    /// and [`crate::DeltaGraph::compact`]: sorts the id triples by
+    /// `(s, p, o)` (set semantics by dedup), then derives the `(p, s, o)`
+    /// and `(o, p, s)` orders with two stable counting passes over the
+    /// dense ids — by predicate, then by object — and builds each index
+    /// from the order keyed for it.
+    pub(crate) fn from_log(terms: Interner, mut triples: Vec<IdTriple>) -> Self {
         triples.sort_unstable();
         triples.dedup();
         let n_terms = terms.len();
-        let fwd = CsrIndex::from_sorted(n_terms, &triples);
-
-        let mut keyed: Vec<_> = triples.iter().map(|&(s, p, o)| (o, p, s)).collect();
-        keyed.sort_unstable();
-        let bwd = CsrIndex::from_sorted(n_terms, &keyed);
-
-        for (k, &(s, p, o)) in keyed.iter_mut().zip(&triples) {
-            *k = (p, s, o);
-        }
-        keyed.sort_unstable();
-        let mut pred_ids = Vec::new();
-        let mut pred_edge_starts = Vec::new();
-        let mut pred_edges = Vec::with_capacity(keyed.len());
-        for &(p, s, o) in &keyed {
-            if pred_ids.last() != Some(&p) {
-                pred_ids.push(p);
-                pred_edge_starts.push(pred_edges.len() as u32);
-            }
-            pred_edges.push((s, o));
-        }
-        pred_edge_starts.push(pred_edges.len() as u32);
-
+        let len = triples.len();
+        let fwd = CsrIndex::from_sorted(n_terms, &triples, |&t| t);
         let mut is_node = vec![false; n_terms];
         for &(s, _, o) in &triples {
             is_node[s.0 as usize] = true;
@@ -202,6 +214,25 @@ impl FrozenGraph {
             .filter(|&n| is_node[n as usize])
             .map(TermId)
             .collect();
+        // At most two full id-triple orders are live at any point.
+        let by_pso = counting_sort_by(n_terms, &triples, |&(_, p, _)| p);
+        drop(triples);
+
+        let mut pred_ids = Vec::new();
+        let mut pred_edge_starts = Vec::new();
+        let mut pred_edges = Vec::with_capacity(len);
+        for &(s, p, o) in &by_pso {
+            if pred_ids.last() != Some(&p) {
+                pred_ids.push(p);
+                pred_edge_starts.push(pred_edges.len() as u32);
+            }
+            pred_edges.push((s, o));
+        }
+        pred_edge_starts.push(pred_edges.len() as u32);
+
+        let by_ops = counting_sort_by(n_terms, &by_pso, |&(_, _, o)| o);
+        drop(by_pso);
+        let bwd = CsrIndex::from_sorted(n_terms, &by_ops, |&(s, p, o)| (o, p, s));
 
         FrozenGraph {
             terms,
@@ -211,7 +242,7 @@ impl FrozenGraph {
             pred_edge_starts,
             pred_edges,
             nodes,
-            len: triples.len(),
+            len,
         }
     }
 

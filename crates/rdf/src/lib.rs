@@ -37,6 +37,7 @@ pub mod delta;
 pub mod error;
 pub mod frozen;
 pub mod graph;
+mod lex;
 pub mod ntriples;
 pub mod span;
 pub mod term;

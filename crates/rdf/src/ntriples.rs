@@ -3,6 +3,10 @@
 //! N-Triples is the exchange format used by the experiment harness for data
 //! graphs (one triple per line, absolute IRIs only), which makes loading
 //! large generated graphs fast and allocation-light compared to full Turtle.
+//! Each line is lexed by the byte-level lexer the Turtle reader uses, so
+//! error columns count characters from the start of the line.
+
+use std::borrow::Cow;
 
 use shapefrag_govern::ErrorCode;
 
@@ -10,8 +14,9 @@ use crate::access::GraphAccess;
 use crate::error::{LossyLoad, ParseError};
 use crate::frozen::FrozenGraph;
 use crate::graph::{Graph, TermId, TripleLog};
-use crate::term::{BlankNode, Iri, Literal, Term, Triple};
-use crate::vocab::XSD_STRING;
+use crate::lex::{Lexer, TermRef, NTRIPLES};
+use crate::term::{Iri, Term, Triple};
+use crate::vocab::{rdf, xsd};
 
 /// Statement-count estimate for pre-sizing the graph: the format is
 /// line-oriented, so the newline count bounds the triple count.
@@ -39,19 +44,18 @@ pub fn parse_frozen(input: &str) -> Result<FrozenGraph, ParseError> {
 fn parse_log(input: &str) -> Result<TripleLog, ParseError> {
     let mut log = TripleLog::with_capacity(estimated_statements(input));
     for (lineno, line) in statement_lines(input) {
-        let t = parse_line(line, lineno)?;
-        log.push(&t.subject, &t.predicate, &t.object);
+        let (s, p, o) = statement(line, lineno)?;
+        log.push(s.key(), &p, o.key());
     }
     Ok(log)
 }
 
-/// Non-blank, non-comment lines, trimmed, with their 1-based numbers.
+/// Non-blank, non-comment lines, untrimmed, with their 1-based numbers.
 fn statement_lines(input: &str) -> impl Iterator<Item = (usize, &str)> {
-    input
-        .lines()
-        .enumerate()
-        .map(|(i, line)| (i + 1, line.trim()))
-        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+    input.lines().enumerate().filter_map(|(i, line)| {
+        let text = line.trim_start();
+        (!text.is_empty() && !text.starts_with('#')).then_some((i + 1, line))
+    })
 }
 
 /// Error-recovering parse: the format is line-oriented, so recovery is
@@ -61,9 +65,9 @@ pub fn parse_lossy(input: &str) -> LossyLoad {
     let mut report = LossyLoad::default();
     let mut log = TripleLog::with_capacity(estimated_statements(input));
     for (lineno, line) in statement_lines(input) {
-        match parse_line(line, lineno) {
-            Ok(t) => {
-                log.push(&t.subject, &t.predicate, &t.object);
+        match statement(line, lineno) {
+            Ok((s, p, o)) => {
+                log.push(s.key(), &p, o.key());
                 report.statements_ok += 1;
             }
             Err(e) => {
@@ -76,218 +80,98 @@ pub fn parse_lossy(input: &str) -> LossyLoad {
     report
 }
 
-/// Parses one N-Triples statement.
+/// Parses one N-Triples statement. Error columns count characters from
+/// the start of `line`.
 pub fn parse_line(line: &str, lineno: usize) -> Result<Triple, ParseError> {
-    let mut cursor = Cursor {
-        chars: line.char_indices().collect(),
-        pos: 0,
-        lineno,
-    };
-    cursor.skip_ws();
-    let subject = cursor.parse_term()?;
+    let (s, p, o) = statement(line, lineno)?;
+    Ok(Triple {
+        subject: s.to_term(),
+        predicate: Iri::new(p),
+        object: o.to_term(),
+    })
+}
+
+/// Lexes the statement on `line` into borrowed terms.
+fn statement(
+    line: &str,
+    lineno: usize,
+) -> Result<(TermRef<'_>, Cow<'_, str>, TermRef<'_>), ParseError> {
+    let mut lex = Lexer::new(line, lineno, &NTRIPLES);
+    lex.skip_spaces();
+    let subject = term(&mut lex)?;
     if subject.is_literal() {
-        return Err(cursor
-            .err("literal in subject position")
+        return Err(lex
+            .error("literal in subject position")
             .code(ErrorCode::BadStructure));
     }
-    cursor.skip_ws();
-    let predicate = match cursor.parse_term()? {
-        Term::Iri(iri) => iri,
+    lex.skip_spaces();
+    let predicate = match term(&mut lex)? {
+        TermRef::Iri(iri) => iri,
         other => {
-            return Err(cursor
-                .err(format!("predicate must be an IRI, got {other}"))
+            return Err(lex
+                .error(format!("predicate must be an IRI, got {}", other.to_term()))
                 .code(ErrorCode::BadStructure))
         }
     };
-    cursor.skip_ws();
-    let object = cursor.parse_term()?;
-    cursor.skip_ws();
-    match cursor.peek() {
-        Some('.') => {
-            cursor.pos += 1;
-            cursor.skip_ws();
-            match cursor.peek() {
-                None | Some('#') => Ok(Triple {
-                    subject,
-                    predicate,
-                    object,
-                }),
-                Some(c) => Err(cursor.err(format!("trailing content '{c}' after '.'"))),
-            }
-        }
-        _ => Err(cursor.err("expected '.' at end of statement")),
+    lex.skip_spaces();
+    let object = term(&mut lex)?;
+    lex.skip_spaces();
+    if lex.peek() != Some('.') {
+        return Err(lex.error("expected '.' at end of statement"));
+    }
+    lex.bump();
+    lex.skip_spaces();
+    match lex.peek() {
+        None | Some('#') => Ok((subject, predicate, object)),
+        Some(c) => Err(lex.error(format!("trailing content '{c}' after '.'"))),
     }
 }
 
-struct Cursor {
-    chars: Vec<(usize, char)>,
-    pos: usize,
-    lineno: usize,
-}
-
-impl Cursor {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        let col = self
-            .chars
-            .get(self.pos)
-            .map(|(i, _)| i + 1)
-            .unwrap_or(self.chars.len() + 1);
-        ParseError::new(self.lineno, col, msg)
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).map(|&(_, c)| c)
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+fn term<'a>(lex: &mut Lexer<'a>) -> Result<TermRef<'a>, ParseError> {
+    match lex.peek() {
+        Some('<') => {
+            lex.bump();
+            Ok(TermRef::Iri(lex.iri_body()?))
         }
-    }
-
-    fn parse_term(&mut self) -> Result<Term, ParseError> {
-        match self.peek() {
-            Some('<') => {
-                self.bump();
-                let mut iri = String::new();
-                loop {
-                    match self.bump() {
-                        Some('>') => break,
-                        Some('\\') => match self.bump() {
-                            Some('u') => iri.push(self.unicode_escape(4)?),
-                            Some('U') => iri.push(self.unicode_escape(8)?),
-                            _ => {
-                                return Err(self
-                                    .err("invalid IRI escape")
-                                    .code(ErrorCode::InvalidEscape))
-                            }
-                        },
-                        Some(c) => iri.push(c),
-                        None => {
-                            return Err(self
-                                .err("unterminated IRI")
-                                .code(ErrorCode::UnterminatedIri))
-                        }
-                    }
-                }
-                Ok(Term::Iri(Iri::new(iri)))
+        Some('_') => {
+            lex.bump();
+            if lex.bump() != Some(':') {
+                return Err(lex.error("expected ':' after '_'"));
             }
-            Some('_') => {
-                self.bump();
-                if self.bump() != Some(':') {
-                    return Err(self.err("expected ':' after '_'"));
-                }
-                let mut label = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_alphanumeric() || c == '_' || c == '-' {
-                        label.push(c);
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if label.is_empty() {
-                    return Err(self.err("empty blank node label"));
-                }
-                Ok(Term::Blank(BlankNode::new(label)))
-            }
-            Some('"') => {
-                self.bump();
-                let mut lexical = String::new();
-                loop {
-                    match self.bump() {
-                        Some('"') => break,
-                        Some('\\') => {
-                            let esc = self.bump().ok_or_else(|| {
-                                self.err("bad escape").code(ErrorCode::InvalidEscape)
-                            })?;
-                            lexical.push(match esc {
-                                't' => '\t',
-                                'n' => '\n',
-                                'r' => '\r',
-                                'b' => '\u{8}',
-                                'f' => '\u{c}',
-                                '"' => '"',
-                                '\'' => '\'',
-                                '\\' => '\\',
-                                'u' => self.unicode_escape(4)?,
-                                'U' => self.unicode_escape(8)?,
-                                c => {
-                                    return Err(self
-                                        .err(format!("invalid escape '\\{c}'"))
-                                        .code(ErrorCode::InvalidEscape))
-                                }
-                            });
-                        }
-                        Some(c) => lexical.push(c),
-                        None => {
-                            return Err(self
-                                .err("unterminated literal")
-                                .code(ErrorCode::UnterminatedString))
-                        }
-                    }
-                }
-                match self.peek() {
-                    Some('@') => {
-                        self.bump();
-                        let mut lang = String::new();
-                        while let Some(c) = self.peek() {
-                            if c.is_ascii_alphanumeric() || c == '-' {
-                                lang.push(c);
-                                self.pos += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        if lang.is_empty() {
-                            return Err(self.err("empty language tag"));
-                        }
-                        Ok(Term::Literal(Literal::lang_string(lexical, &lang)))
-                    }
-                    Some('^') => {
-                        self.bump();
-                        if self.bump() != Some('^') {
-                            return Err(self.err("expected '^^'"));
-                        }
-                        match self.parse_term()? {
-                            Term::Iri(dt) => Ok(Term::Literal(Literal::typed(lexical, dt))),
-                            _ => Err(self.err("datatype must be an IRI")),
-                        }
-                    }
-                    _ => Ok(Term::Literal(Literal::string(lexical))),
-                }
-            }
-            Some(c) => Err(self
-                .err(format!("unexpected character '{c}'"))
-                .code(ErrorCode::UnexpectedChar)),
-            None => Err(self
-                .err("unexpected end of line")
-                .code(ErrorCode::UnexpectedEof)),
+            Ok(TermRef::Blank(Cow::Borrowed(lex.blank_label()?)))
         }
-    }
-
-    fn unicode_escape(&mut self, digits: usize) -> Result<char, ParseError> {
-        let mut v: u32 = 0;
-        for _ in 0..digits {
-            let c = self.bump().ok_or_else(|| {
-                self.err("short unicode escape")
-                    .code(ErrorCode::InvalidEscape)
-            })?;
-            let d = c
-                .to_digit(16)
-                .ok_or_else(|| self.err("invalid hex digit").code(ErrorCode::InvalidEscape))?;
-            v = v * 16 + d;
+        Some('"') => {
+            lex.bump();
+            let lexical = lex.string_body('"', false)?;
+            let (language, datatype) = match lex.peek() {
+                Some('@') => {
+                    lex.bump();
+                    (Some(lex.lang_tag()?), Cow::Borrowed(rdf::LANG_STRING))
+                }
+                Some('^') => {
+                    lex.bump();
+                    if lex.bump() != Some('^') {
+                        return Err(lex.error("expected '^^'"));
+                    }
+                    match term(lex)? {
+                        TermRef::Iri(dt) => (None, dt),
+                        _ => return Err(lex.error("datatype must be an IRI")),
+                    }
+                }
+                _ => (None, Cow::Borrowed(xsd::STRING)),
+            };
+            Ok(TermRef::Literal {
+                lexical,
+                language,
+                datatype,
+            })
         }
-        char::from_u32(v).ok_or_else(|| {
-            self.err("invalid code point")
-                .code(ErrorCode::InvalidEscape)
-        })
+        Some(c) => Err(lex
+            .error(format!("unexpected character '{c}'"))
+            .code(ErrorCode::UnexpectedChar)),
+        None => Err(lex
+            .error("unexpected end of line")
+            .code(ErrorCode::UnexpectedEof)),
     }
 }
 
@@ -329,7 +213,7 @@ pub(crate) fn write_term(out: &mut String, term: &Term) {
             if let Some(lang) = lit.language() {
                 out.push('@');
                 out.push_str(lang);
-            } else if lit.datatype().as_str() != XSD_STRING {
+            } else if lit.datatype().as_str() != xsd::STRING {
                 out.push_str("^^");
                 write_iri(out, lit.datatype().as_str());
             }
@@ -394,6 +278,7 @@ pub(crate) fn write_sorted<G: GraphAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Literal;
     use crate::vocab::xsd;
 
     #[test]
@@ -432,6 +317,28 @@ mod tests {
     fn error_reports_line() {
         let err = parse("<http://e/a> <http://e/p> <http://e/b> .\nbogus").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn error_columns_count_characters_from_the_untrimmed_line_start() {
+        // `x` is the 27th character of the statement itself: a leading tab
+        // moves it one column right, a two-byte `é` before it does not.
+        let cases = [
+            ("<http://e/a> <http://e/p> x .", 27),
+            ("\t<http://e/a> <http://e/p> x .", 28),
+            ("<http://e/é> <http://e/p> x .", 27),
+            (" \t<http://e/é> <http://e/p> x .\r", 29),
+        ];
+        for (line, column) in cases {
+            let expected = (2, column, ErrorCode::UnexpectedChar);
+            let doc = format!("<http://e/a> <http://e/p> <http://e/b> .\n{line}\n");
+            let err = parse(&doc).unwrap_err();
+            assert_eq!((err.line, err.column, err.code), expected, "{line:?}");
+            let err = &parse_lossy(&doc).diagnostics[0];
+            assert_eq!((err.line, err.column, err.code), expected, "{line:?}");
+            let err = parse_line(line, 2).unwrap_err();
+            assert_eq!((err.line, err.column, err.code), expected, "{line:?}");
+        }
     }
 
     #[test]

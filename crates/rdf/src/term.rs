@@ -6,6 +6,7 @@
 //! `(I ∪ B) × I × N`.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::value::LiteralValue;
@@ -218,7 +219,10 @@ pub fn escape_literal(s: &str) -> String {
 }
 
 /// A node: an element of `N = I ∪ B ∪ L`.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `Hash` goes through the term's borrowed strings, so an interner can look
+/// a term up by the strings a parser lexed without building the `Term`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Term {
     Iri(Iri),
     Blank(BlankNode),
@@ -270,6 +274,58 @@ impl Term {
     /// True iff this term may appear in subject position (`I ∪ B`).
     pub fn is_subject(&self) -> bool {
         !self.is_literal()
+    }
+
+    /// The term's strings, borrowed.
+    pub(crate) fn key(&self) -> TermKey<'_> {
+        match self {
+            Term::Iri(iri) => TermKey::Iri(iri.as_str()),
+            Term::Blank(b) => TermKey::Blank(b.as_str()),
+            Term::Literal(lit) => TermKey::Literal {
+                lexical: lit.lexical(),
+                language: lit.language(),
+                datatype: lit.datatype().as_str(),
+            },
+        }
+    }
+}
+
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+/// A term as borrowed strings: what terms are hashed and compared as when
+/// interned. Equal keys denote equal terms; a literal's `language` is
+/// already lower-cased.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum TermKey<'a> {
+    Iri(&'a str),
+    Blank(&'a str),
+    Literal {
+        lexical: &'a str,
+        language: Option<&'a str>,
+        datatype: &'a str,
+    },
+}
+
+impl TermKey<'_> {
+    /// The owned term, sharing the well-known datatype IRIs.
+    pub(crate) fn to_term(self) -> Term {
+        match self {
+            TermKey::Iri(iri) => Term::Iri(Iri::new(iri)),
+            TermKey::Blank(label) => Term::Blank(BlankNode::new(label)),
+            TermKey::Literal {
+                lexical,
+                language,
+                datatype,
+            } => Term::Literal(Literal {
+                lexical: lexical.into(),
+                language: language.map(Into::into),
+                datatype: crate::vocab::datatype_iri(datatype),
+            }),
+        }
     }
 }
 

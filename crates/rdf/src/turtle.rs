@@ -8,8 +8,10 @@
 //! literal sugar, language tags, and datatype annotations.
 //!
 //! N-Triples documents are valid input too (Turtle is a superset for our
-//! purposes); [`crate::ntriples`] offers a faster line-oriented reader.
+//! purposes); [`crate::ntriples`] reads them line by line with the same
+//! term lexer.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use shapefrag_govern::ErrorCode;
@@ -18,9 +20,10 @@ use crate::access::GraphAccess;
 use crate::error::{LossyLoad, ParseError};
 use crate::frozen::FrozenGraph;
 use crate::graph::{Graph, TripleLog};
+use crate::lex::{Lexer, TermRef, TURTLE};
 use crate::ntriples::{write_sorted, write_term};
 use crate::span::{Span, TripleSpans};
-use crate::term::{BlankNode, Iri, Literal, Term};
+use crate::term::{Iri, Term};
 use crate::vocab::{rdf, xsd};
 
 /// Deepest allowed nesting of blank-node property lists `[...]` and
@@ -66,11 +69,11 @@ pub fn parse_lossy(input: &str) -> LossyLoad {
     let mut parser = Parser::new(input);
     let mut report = LossyLoad::default();
     loop {
-        parser.skip_ws();
-        if parser.peek().is_none() {
+        parser.lex.skip_ws();
+        if parser.lex.peek().is_none() {
             break;
         }
-        let before = parser.pos;
+        let before = parser.lex.pos;
         match parser.parse_statement() {
             Ok(()) => report.statements_ok += 1,
             Err(e) => {
@@ -78,10 +81,10 @@ pub fn parse_lossy(input: &str) -> LossyLoad {
                 report.statements_skipped += 1;
                 parser.depth = 0;
                 parser.recover_to_statement_boundary();
-                if parser.pos == before {
+                if parser.lex.pos == before {
                     // Guarantee progress even when recovery stalls at the
                     // very character that failed.
-                    parser.bump();
+                    parser.lex.bump();
                 }
             }
         }
@@ -91,12 +94,7 @@ pub fn parse_lossy(input: &str) -> LossyLoad {
 }
 
 struct Parser<'a> {
-    input: &'a str,
-    /// Byte offset of the cursor in `input`, always on a char boundary.
-    pos: usize,
-    /// 1-based line and column of the cursor, counted in characters.
-    line: usize,
-    column: usize,
+    lex: Lexer<'a>,
     prefixes: HashMap<String, String>,
     base: String,
     log: TripleLog,
@@ -113,10 +111,7 @@ impl<'a> Parser<'a> {
         // average well under 100 bytes in the corpora we load, and
         // overshoot on small documents is harmless.
         Parser {
-            input,
-            pos: 0,
-            line: 1,
-            column: 1,
+            lex: Lexer::new(input, 1, &TURTLE),
             prefixes: HashMap::new(),
             base: String::new(),
             log: TripleLog::with_capacity(input.len() / 100),
@@ -126,34 +121,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn here(&self) -> Span {
-        Span::new(self.line, self.column)
-    }
-
-    fn note_subject(&mut self, subject: &Term, at: Span) {
+    fn note_subject(&mut self, subject: &TermRef<'_>, at: Span) {
         if let Some(spans) = &mut self.spans {
-            spans.record_subject(subject, at);
+            spans.record_subject(&subject.to_term(), at);
         }
     }
 
-    fn note_predicate(&mut self, subject: &Term, predicate: &Iri, at: Span) {
+    fn note_predicate(&mut self, subject: &TermRef<'_>, predicate: &str, at: Span) {
         if let Some(spans) = &mut self.spans {
-            spans.record_predicate(subject, predicate, at);
+            spans.record_predicate(&subject.to_term(), &Iri::new(predicate), at);
         }
-    }
-
-    fn error(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(self.line, self.column, msg)
-    }
-
-    fn error_code(&self, code: ErrorCode, msg: impl Into<String>) -> ParseError {
-        ParseError::with_code(code, self.line, self.column, msg)
     }
 
     fn enter_nested(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
         if self.depth > MAX_NESTING {
-            return Err(self.error_code(
+            return Err(self.lex.error_code(
                 ErrorCode::DepthLimit,
                 format!("nesting deeper than {MAX_NESTING} levels"),
             ));
@@ -161,90 +144,15 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// The character starting at byte offset `at`.
-    fn char_at(&self, at: usize) -> Option<char> {
-        match *self.input.as_bytes().get(at)? {
-            b if b.is_ascii() => Some(b as char),
-            _ => self.input[at..].chars().next(),
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.char_at(self.pos)
-    }
-
-    /// The character `offset` characters past the cursor.
-    fn peek_at(&self, offset: usize) -> Option<char> {
-        self.input[self.pos..].chars().nth(offset)
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(self.error(format!("expected '{c}', found '{got}'"))),
-            None => Err(self
-                .error(format!("expected '{c}', found end of input"))
-                .code(ErrorCode::UnexpectedEof)),
-        }
-    }
-
-    /// Consumes the ASCII keyword `kw` (case-insensitively) when it is next
-    /// and followed by whitespace or a delimiter.
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        let end = self.pos + kw.len();
-        let matches = self
-            .input
-            .as_bytes()
-            .get(self.pos..end)
-            .is_some_and(|next| next.eq_ignore_ascii_case(kw.as_bytes()));
-        if !matches || matches!(self.char_at(end), Some(c) if c.is_alphanumeric() || c == '_') {
-            return false;
-        }
-        for _ in 0..kw.len() {
-            self.bump();
-        }
-        true
-    }
-
-    fn fresh_blank(&mut self) -> BlankNode {
+    fn fresh_blank(&mut self) -> TermRef<'a> {
         self.blank_counter += 1;
-        BlankNode::new(format!("gen{}", self.blank_counter))
+        TermRef::Blank(Cow::Owned(format!("gen{}", self.blank_counter)))
     }
 
     fn parse_document(&mut self) -> Result<(), ParseError> {
         loop {
-            self.skip_ws();
-            if self.peek().is_none() {
+            self.lex.skip_ws();
+            if self.lex.peek().is_none() {
                 return Ok(());
             }
             self.parse_statement()?;
@@ -254,32 +162,32 @@ impl<'a> Parser<'a> {
     /// Parses one statement (a directive or a triples block with its
     /// terminating `.`); the cursor must be on its first character.
     fn parse_statement(&mut self) -> Result<(), ParseError> {
-        if self.peek() == Some('@') {
-            self.bump();
-            if self.eat_keyword("prefix") {
+        if self.lex.peek() == Some('@') {
+            self.lex.bump();
+            if self.lex.eat_keyword("prefix") {
                 self.parse_prefix_decl()?;
-                self.skip_ws();
-                self.expect('.')?;
-            } else if self.eat_keyword("base") {
+                self.lex.skip_ws();
+                self.lex.expect('.')?;
+            } else if self.lex.eat_keyword("base") {
                 self.parse_base_decl()?;
-                self.skip_ws();
-                self.expect('.')?;
+                self.lex.skip_ws();
+                self.lex.expect('.')?;
             } else {
-                return Err(self.error("expected @prefix or @base"));
+                return Err(self.lex.error("expected @prefix or @base"));
             }
             return Ok(());
         }
         // SPARQL-style PREFIX/BASE (no trailing dot). Only treat as a
         // directive when followed by a prefixed-name/IRI declaration.
-        if matches!(self.peek(), Some('P' | 'p')) && self.eat_keyword("prefix") {
+        if matches!(self.lex.peek(), Some('P' | 'p')) && self.lex.eat_keyword("prefix") {
             return self.parse_prefix_decl();
         }
-        if matches!(self.peek(), Some('B' | 'b')) && self.eat_keyword("base") {
+        if matches!(self.lex.peek(), Some('B' | 'b')) && self.lex.eat_keyword("base") {
             return self.parse_base_decl();
         }
         self.parse_triples_block()?;
-        self.skip_ws();
-        self.expect('.')
+        self.lex.skip_ws();
+        self.lex.expect('.')
     }
 
     /// After a statement-level error: advances to just past the next `.`
@@ -288,10 +196,10 @@ impl<'a> Parser<'a> {
     /// not end recovery early.
     fn recover_to_statement_boundary(&mut self) {
         let mut bracket: isize = 0;
-        while let Some(c) = self.peek() {
+        while let Some(c) = self.lex.peek() {
             match c {
                 '#' => {
-                    while let Some(c) = self.bump() {
+                    while let Some(c) = self.lex.bump() {
                         if c == '\n' {
                             break;
                         }
@@ -299,32 +207,32 @@ impl<'a> Parser<'a> {
                 }
                 '"' | '\'' => self.skip_string_guts(c),
                 '<' => {
-                    self.bump();
-                    while let Some(c2) = self.peek() {
+                    self.lex.bump();
+                    while let Some(c2) = self.lex.peek() {
                         if c2 == '>' {
-                            self.bump();
+                            self.lex.bump();
                             break;
                         }
                         if c2 == '\n' {
                             break; // unterminated IRI: resync at the newline
                         }
-                        self.bump();
+                        self.lex.bump();
                     }
                 }
                 '[' | '(' => {
                     bracket += 1;
-                    self.bump();
+                    self.lex.bump();
                 }
                 ']' | ')' => {
                     bracket -= 1;
-                    self.bump();
+                    self.lex.bump();
                 }
                 '.' if bracket <= 0 => {
-                    self.bump();
+                    self.lex.bump();
                     return;
                 }
                 _ => {
-                    self.bump();
+                    self.lex.bump();
                 }
             }
         }
@@ -333,25 +241,25 @@ impl<'a> Parser<'a> {
     /// Recovery helper: cursor is on an opening quote; skips the whole
     /// short or long string form, tolerating unterminated input.
     fn skip_string_guts(&mut self, quote: char) {
-        self.bump();
-        let long = self.peek() == Some(quote) && self.peek_at(1) == Some(quote);
+        self.lex.bump();
+        let long = self.lex.peek() == Some(quote) && self.lex.peek_at(1) == Some(quote);
         if long {
-            self.bump();
-            self.bump();
-        } else if self.peek() == Some(quote) {
-            self.bump();
+            self.lex.bump();
+            self.lex.bump();
+        } else if self.lex.peek() == Some(quote) {
+            self.lex.bump();
             return;
         }
-        while let Some(c) = self.bump() {
+        while let Some(c) = self.lex.bump() {
             if c == '\\' {
-                self.bump();
+                self.lex.bump();
             } else if c == quote {
                 if !long {
                     return;
                 }
-                if self.peek() == Some(quote) && self.peek_at(1) == Some(quote) {
-                    self.bump();
-                    self.bump();
+                if self.lex.peek() == Some(quote) && self.lex.peek_at(1) == Some(quote) {
+                    self.lex.bump();
+                    self.lex.bump();
                     return;
                 }
             } else if !long && c == '\n' {
@@ -361,44 +269,44 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_prefix_decl(&mut self) -> Result<(), ParseError> {
-        self.skip_ws();
-        let mut name = String::new();
-        while let Some(c) = self.peek() {
+        self.lex.skip_ws();
+        let start = self.lex.pos;
+        while let Some(c) = self.lex.peek() {
             if c == ':' {
                 break;
             }
             if c.is_whitespace() {
-                return Err(self.error("expected ':' in prefix declaration"));
+                return Err(self.lex.error("expected ':' in prefix declaration"));
             }
-            name.push(c);
-            self.bump();
+            self.lex.bump();
         }
-        self.expect(':')?;
-        self.skip_ws();
-        let iri = self.parse_iri_ref()?;
+        let name = self.lex.since(start).to_owned();
+        self.lex.expect(':')?;
+        self.lex.skip_ws();
+        let iri = self.parse_iri_ref()?.into_owned();
         self.prefixes.insert(name, iri);
         Ok(())
     }
 
     fn parse_base_decl(&mut self) -> Result<(), ParseError> {
-        self.skip_ws();
-        self.base = self.parse_iri_ref()?;
+        self.lex.skip_ws();
+        self.base = self.parse_iri_ref()?.into_owned();
         Ok(())
     }
 
     fn parse_triples_block(&mut self) -> Result<(), ParseError> {
-        self.skip_ws();
-        let at = self.here();
-        let subject = if self.peek() == Some('[') {
+        self.lex.skip_ws();
+        let at = self.lex.here();
+        let subject = if self.lex.peek() == Some('[') {
             // Blank node property list as subject.
             let node = self.parse_blank_node_property_list()?;
-            self.skip_ws();
+            self.lex.skip_ws();
             // A bare "[...] ." with no following predicate list is legal.
-            if self.peek() == Some('.') {
+            if self.lex.peek() == Some('.') {
                 return Ok(());
             }
             node
-        } else if self.peek() == Some('(') {
+        } else if self.lex.peek() == Some('(') {
             self.parse_collection()?
         } else {
             self.parse_subject()?
@@ -407,32 +315,29 @@ impl<'a> Parser<'a> {
         self.parse_predicate_object_list(&subject)
     }
 
-    fn parse_predicate_object_list(&mut self, subject: &Term) -> Result<(), ParseError> {
+    fn parse_predicate_object_list(&mut self, subject: &TermRef<'_>) -> Result<(), ParseError> {
         loop {
-            self.skip_ws();
-            let at = self.here();
+            self.lex.skip_ws();
+            let at = self.lex.here();
             let predicate = self.parse_predicate()?;
             self.note_predicate(subject, &predicate, at);
             loop {
-                self.skip_ws();
+                self.lex.skip_ws();
                 let object = self.parse_object()?;
-                if subject.is_literal() {
-                    return Err(self.error("literal in subject position"));
-                }
-                self.log.push(subject, &predicate, &object);
-                self.skip_ws();
-                if self.peek() == Some(',') {
-                    self.bump();
+                self.log.push(subject.key(), &predicate, object.key());
+                self.lex.skip_ws();
+                if self.lex.peek() == Some(',') {
+                    self.lex.bump();
                 } else {
                     break;
                 }
             }
-            self.skip_ws();
-            if self.peek() == Some(';') {
-                self.bump();
-                self.skip_ws();
+            self.lex.skip_ws();
+            if self.lex.peek() == Some(';') {
+                self.lex.bump();
+                self.lex.skip_ws();
                 // Trailing semicolons before '.' or ']' are allowed.
-                if matches!(self.peek(), Some('.') | Some(']')) || self.peek().is_none() {
+                if matches!(self.lex.peek(), Some('.') | Some(']')) || self.lex.peek().is_none() {
                     return Ok(());
                 }
             } else {
@@ -441,58 +346,64 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_subject(&mut self) -> Result<Term, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(Iri::new(self.parse_iri_ref()?))),
-            Some('_') => Ok(Term::Blank(self.parse_blank_node_label()?)),
-            Some(c) if is_pname_start(c) || c == ':' => Ok(Term::Iri(self.parse_prefixed_name()?)),
+    fn parse_subject(&mut self) -> Result<TermRef<'a>, ParseError> {
+        self.lex.skip_ws();
+        match self.lex.peek() {
+            Some('<') => Ok(TermRef::Iri(self.parse_iri_ref()?)),
+            Some('_') => Ok(TermRef::Blank(self.parse_blank_node_label()?)),
+            Some(c) if is_pname_start(c) || c == ':' => {
+                Ok(TermRef::Iri(self.parse_prefixed_name()?))
+            }
             Some(c) => Err(self
+                .lex
                 .error(format!("unexpected character '{c}' in subject position"))
                 .code(ErrorCode::UnexpectedChar)),
             None => Err(self
+                .lex
                 .error("unexpected end of input, expected subject")
                 .code(ErrorCode::UnexpectedEof)),
         }
     }
 
-    fn parse_predicate(&mut self) -> Result<Iri, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('<') => Ok(Iri::new(self.parse_iri_ref()?)),
-            Some('a') if !matches!(self.peek_at(1), Some(c) if is_pname_char(c) || c == ':') => {
-                self.bump();
-                Ok(rdf::type_())
+    fn parse_predicate(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.lex.skip_ws();
+        match self.lex.peek() {
+            Some('<') => self.parse_iri_ref(),
+            Some('a') if !matches!(self.lex.peek_at(1), Some(c) if is_pname_char(c) || c == ':') => {
+                self.lex.bump();
+                Ok(Cow::Borrowed(rdf::TYPE))
             }
             Some(c) if is_pname_start(c) || c == ':' => self.parse_prefixed_name(),
             Some(c) => Err(self
+                .lex
                 .error(format!("unexpected character '{c}' in predicate position"))
                 .code(ErrorCode::UnexpectedChar)),
             None => Err(self
+                .lex
                 .error("unexpected end of input, expected predicate")
                 .code(ErrorCode::UnexpectedEof)),
         }
     }
 
-    fn parse_object(&mut self) -> Result<Term, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(Iri::new(self.parse_iri_ref()?))),
-            Some('_') => Ok(Term::Blank(self.parse_blank_node_label()?)),
+    fn parse_object(&mut self) -> Result<TermRef<'a>, ParseError> {
+        self.lex.skip_ws();
+        match self.lex.peek() {
+            Some('<') => Ok(TermRef::Iri(self.parse_iri_ref()?)),
+            Some('_') => Ok(TermRef::Blank(self.parse_blank_node_label()?)),
             Some('[') => self.parse_blank_node_property_list(),
             Some('(') => self.parse_collection(),
-            Some('"') | Some('\'') => Ok(Term::Literal(self.parse_rdf_literal()?)),
-            Some(c) if c.is_ascii_digit() || c == '+' || c == '-' => {
-                Ok(Term::Literal(self.parse_numeric_literal()?))
+            Some('"') | Some('\'') => self.parse_rdf_literal(),
+            Some(c) if c.is_ascii_digit() || c == '+' || c == '-' => self.parse_numeric_literal(),
+            Some('t') | Some('f') if self.looking_at_boolean() => self.parse_boolean_literal(),
+            Some(c) if is_pname_start(c) || c == ':' => {
+                Ok(TermRef::Iri(self.parse_prefixed_name()?))
             }
-            Some('t') | Some('f') if self.looking_at_boolean() => {
-                Ok(Term::Literal(self.parse_boolean_literal()?))
-            }
-            Some(c) if is_pname_start(c) || c == ':' => Ok(Term::Iri(self.parse_prefixed_name()?)),
             Some(c) => Err(self
+                .lex
                 .error(format!("unexpected character '{c}' in object position"))
                 .code(ErrorCode::UnexpectedChar)),
             None => Err(self
+                .lex
                 .error("unexpected end of input, expected object")
                 .code(ErrorCode::UnexpectedEof)),
         }
@@ -500,330 +411,241 @@ impl<'a> Parser<'a> {
 
     fn looking_at_boolean(&self) -> bool {
         ["true", "false"].iter().any(|kw| {
-            self.input[self.pos..].starts_with(kw)
-                && !matches!(self.char_at(self.pos + kw.len()), Some(c) if is_pname_char(c) || c == ':')
+            self.lex.rest().starts_with(kw)
+                && !matches!(self.lex.char_at(self.lex.pos + kw.len()), Some(c) if is_pname_char(c) || c == ':')
         })
     }
 
-    fn parse_boolean_literal(&mut self) -> Result<Literal, ParseError> {
-        if self.eat_keyword("true") {
-            Ok(Literal::boolean(true))
-        } else if self.eat_keyword("false") {
-            Ok(Literal::boolean(false))
+    fn parse_boolean_literal(&mut self) -> Result<TermRef<'a>, ParseError> {
+        let lexical = if self.lex.eat_keyword("true") {
+            "true"
+        } else if self.lex.eat_keyword("false") {
+            "false"
         } else {
-            Err(self.error("expected boolean literal"))
-        }
+            return Err(self.lex.error("expected boolean literal"));
+        };
+        Ok(typed(Cow::Borrowed(lexical), xsd::BOOLEAN))
     }
 
-    fn parse_numeric_literal(&mut self) -> Result<Literal, ParseError> {
-        let mut s = String::new();
-        if matches!(self.peek(), Some('+') | Some('-')) {
-            if let Some(sign) = self.bump() {
-                s.push(sign);
-            }
+    fn parse_numeric_literal(&mut self) -> Result<TermRef<'a>, ParseError> {
+        let start = self.lex.pos;
+        if matches!(self.lex.peek(), Some('+') | Some('-')) {
+            self.lex.bump();
         }
         let mut has_dot = false;
         let mut has_exp = false;
-        while let Some(c) = self.peek() {
+        while let Some(c) = self.lex.peek() {
             if c.is_ascii_digit() {
-                s.push(c);
-                self.bump();
+                self.lex.bump();
             } else if c == '.' && !has_dot && !has_exp {
                 // A '.' not followed by a digit terminates the statement.
-                match self.peek_at(1) {
+                match self.lex.peek_at(1) {
                     Some(d) if d.is_ascii_digit() => {
                         has_dot = true;
-                        s.push(c);
-                        self.bump();
+                        self.lex.bump();
                     }
                     _ => break,
                 }
             } else if (c == 'e' || c == 'E') && !has_exp {
                 has_exp = true;
-                s.push(c);
-                self.bump();
-                if matches!(self.peek(), Some('+') | Some('-')) {
-                    if let Some(sign) = self.bump() {
-                        s.push(sign);
-                    }
+                self.lex.bump();
+                if matches!(self.lex.peek(), Some('+') | Some('-')) {
+                    self.lex.bump();
                 }
             } else {
                 break;
             }
         }
-        if s.is_empty() || s == "+" || s == "-" {
+        let lexical = self.lex.since(start);
+        if lexical.is_empty() || lexical == "+" || lexical == "-" {
             return Err(self
+                .lex
                 .error("malformed numeric literal")
                 .code(ErrorCode::InvalidNumber));
         }
         let datatype = if has_exp {
-            xsd::double()
+            xsd::DOUBLE
         } else if has_dot {
-            xsd::decimal()
+            xsd::DECIMAL
         } else {
-            xsd::integer()
+            xsd::INTEGER
         };
-        Ok(Literal::typed(s, datatype))
+        Ok(typed(Cow::Borrowed(lexical), datatype))
     }
 
-    fn parse_rdf_literal(&mut self) -> Result<Literal, ParseError> {
+    fn parse_rdf_literal(&mut self) -> Result<TermRef<'a>, ParseError> {
         let lexical = self.parse_string()?;
-        match self.peek() {
+        match self.lex.peek() {
             Some('@') => {
-                self.bump();
-                let mut lang = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '-' {
-                        lang.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if lang.is_empty() {
-                    return Err(self.error("empty language tag"));
-                }
-                Ok(Literal::lang_string(lexical, &lang))
+                self.lex.bump();
+                Ok(TermRef::Literal {
+                    lexical,
+                    language: Some(self.lex.lang_tag()?),
+                    datatype: Cow::Borrowed(rdf::LANG_STRING),
+                })
             }
             Some('^') => {
-                self.bump();
-                self.expect('^')?;
-                let datatype = match self.peek() {
-                    Some('<') => Iri::new(self.parse_iri_ref()?),
+                self.lex.bump();
+                self.lex.expect('^')?;
+                let datatype = match self.lex.peek() {
+                    Some('<') => self.parse_iri_ref()?,
                     _ => self.parse_prefixed_name()?,
                 };
-                Ok(Literal::typed(lexical, datatype))
+                Ok(TermRef::Literal {
+                    lexical,
+                    language: None,
+                    datatype,
+                })
             }
-            _ => Ok(Literal::string(lexical)),
+            _ => Ok(typed(lexical, xsd::STRING)),
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, ParseError> {
-        let quote = self.bump().ok_or_else(|| self.error("expected string"))?;
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let quote = self
+            .lex
+            .bump()
+            .ok_or_else(|| self.lex.error("expected string"))?;
         debug_assert!(quote == '"' || quote == '\'');
         // Long string form """...""" / '''...'''
-        let long = self.peek() == Some(quote) && self.peek_at(1) == Some(quote);
+        let long = self.lex.peek() == Some(quote) && self.lex.peek_at(1) == Some(quote);
         if long {
-            self.bump();
-            self.bump();
-        } else if self.peek() == Some(quote) {
-            // Empty short string.
-            self.bump();
-            return Ok(String::new());
+            self.lex.bump();
+            self.lex.bump();
         }
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.bump() else {
-                return Err(self
-                    .error("unterminated string literal")
-                    .code(ErrorCode::UnterminatedString));
-            };
-            if c == quote {
-                if !long {
-                    return Ok(out);
-                }
-                if self.peek() == Some(quote) && self.peek_at(1) == Some(quote) {
-                    self.bump();
-                    self.bump();
-                    return Ok(out);
-                }
-                out.push(c);
-            } else if c == '\\' {
-                let Some(esc) = self.bump() else {
-                    return Err(self
-                        .error("unterminated escape sequence")
-                        .code(ErrorCode::InvalidEscape));
-                };
-                out.push(match esc {
-                    't' => '\t',
-                    'n' => '\n',
-                    'r' => '\r',
-                    'b' => '\u{8}',
-                    'f' => '\u{c}',
-                    '"' => '"',
-                    '\'' => '\'',
-                    '\\' => '\\',
-                    'u' => self.parse_unicode_escape(4)?,
-                    'U' => self.parse_unicode_escape(8)?,
-                    other => {
-                        return Err(self
-                            .error(format!("invalid escape '\\{other}'"))
-                            .code(ErrorCode::InvalidEscape))
-                    }
-                });
-            } else if !long && c == '\n' {
-                return Err(self
-                    .error("newline in short string literal")
-                    .code(ErrorCode::UnterminatedString));
-            } else {
-                out.push(c);
-            }
-        }
+        self.lex.string_body(quote, long)
     }
 
-    fn parse_unicode_escape(&mut self, digits: usize) -> Result<char, ParseError> {
-        let mut v: u32 = 0;
-        for _ in 0..digits {
-            let Some(c) = self.bump() else {
-                return Err(self
-                    .error("unterminated unicode escape")
-                    .code(ErrorCode::InvalidEscape));
-            };
-            let d = c.to_digit(16).ok_or_else(|| {
-                self.error("invalid hex digit in unicode escape")
-                    .code(ErrorCode::InvalidEscape)
-            })?;
-            v = v * 16 + d;
-        }
-        char::from_u32(v).ok_or_else(|| {
-            self.error("invalid unicode code point")
-                .code(ErrorCode::InvalidEscape)
-        })
-    }
-
-    fn parse_iri_ref(&mut self) -> Result<String, ParseError> {
-        self.expect('<')?;
-        let mut iri = String::new();
-        loop {
-            let Some(c) = self.bump() else {
-                return Err(self
-                    .error("unterminated IRI")
-                    .code(ErrorCode::UnterminatedIri));
-            };
-            match c {
-                '>' => break,
-                '\\' => match self.bump() {
-                    Some('u') => iri.push(self.parse_unicode_escape(4)?),
-                    Some('U') => iri.push(self.parse_unicode_escape(8)?),
-                    _ => {
-                        return Err(self
-                            .error("invalid escape in IRI")
-                            .code(ErrorCode::InvalidEscape))
-                    }
-                },
-                c if c.is_whitespace() => return Err(self.error("whitespace in IRI")),
-                c => iri.push(c),
-            }
-        }
+    fn parse_iri_ref(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.lex.expect('<')?;
+        let iri = self.lex.iri_body()?;
         // Simple relative-reference handling: concatenate with base.
         if !self.base.is_empty() && !iri.contains(':') {
-            Ok(format!("{}{}", self.base, iri))
+            Ok(Cow::Owned(format!("{}{}", self.base, iri)))
         } else {
             Ok(iri)
         }
     }
 
-    fn parse_blank_node_label(&mut self) -> Result<BlankNode, ParseError> {
-        self.expect('_')?;
-        self.expect(':')?;
-        let mut label = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' {
-                // A '.' may be the statement terminator.
-                if c == '.'
-                    && !matches!(self.peek_at(1), Some(n) if n.is_alphanumeric() || n == '_')
-                {
-                    break;
-                }
-                label.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if label.is_empty() {
-            return Err(self.error("empty blank node label"));
-        }
-        Ok(BlankNode::new(label))
+    fn parse_blank_node_label(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.lex.expect('_')?;
+        self.lex.expect(':')?;
+        Ok(Cow::Borrowed(self.lex.blank_label()?))
     }
 
-    fn parse_prefixed_name(&mut self) -> Result<Iri, ParseError> {
-        let mut prefix = String::new();
-        while let Some(c) = self.peek() {
-            if c == ':' {
-                break;
-            }
-            if is_pname_char(c) {
-                prefix.push(c);
-                self.bump();
-            } else {
-                return Err(self.error(format!("unexpected character '{c}' in prefixed name")));
-            }
-        }
-        self.expect(':')?;
-        let mut local = String::new();
-        while let Some(c) = self.peek() {
-            if is_pname_char(c) || c == '%' {
-                local.push(c);
-                self.bump();
-            } else if c == '.' {
-                // '.' is permitted inside a local name only if followed by
-                // more name characters; otherwise it ends the statement.
-                match self.peek_at(1) {
-                    Some(n) if is_pname_char(n) => {
-                        local.push(c);
-                        self.bump();
-                    }
-                    _ => break,
+    fn parse_prefixed_name(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let start = self.lex.pos;
+        loop {
+            self.lex.ascii_run(is_pname_byte);
+            match self.lex.peek() {
+                Some(':') | None => break,
+                Some(c) if is_pname_char(c) => {
+                    self.lex.bump();
                 }
-            } else if c == '\\' {
-                self.bump();
-                let Some(esc) = self.bump() else {
-                    return Err(self.error("unterminated local name escape"));
-                };
-                local.push(esc);
-            } else {
-                break;
+                Some(c) => {
+                    return Err(self
+                        .lex
+                        .error(format!("unexpected character '{c}' in prefixed name")))
+                }
             }
         }
-        let ns = self.prefixes.get(&prefix).ok_or_else(|| {
-            self.error(format!("undeclared prefix '{prefix}:'"))
+        let prefix = self.lex.since(start);
+        self.lex.expect(':')?;
+        let local = self.parse_local_name()?;
+        let ns = self.prefixes.get(prefix).ok_or_else(|| {
+            self.lex
+                .error(format!("undeclared prefix '{prefix}:'"))
                 .code(ErrorCode::UndeclaredPrefix)
         })?;
-        Ok(Iri::new(format!("{ns}{local}")))
+        Ok(Cow::Owned(format!("{ns}{local}")))
     }
 
-    fn parse_blank_node_property_list(&mut self) -> Result<Term, ParseError> {
+    /// The local part of a prefixed name, with `\`-escapes decoded.
+    fn parse_local_name(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let start = self.lex.pos;
+        let mut owned: Option<String> = None;
+        loop {
+            let run = self.lex.ascii_run(|b| is_pname_byte(b) || b == b'%');
+            if let Some(buf) = &mut owned {
+                buf.push_str(run);
+            }
+            match self.lex.peek() {
+                // '.' is permitted inside a local name only if followed by
+                // more name characters; otherwise it ends the statement.
+                Some(c)
+                    if is_pname_char(c)
+                        || (c == '.'
+                            && matches!(self.lex.peek_at(1), Some(n) if is_pname_char(n))) =>
+                {
+                    self.lex.bump();
+                    if let Some(buf) = &mut owned {
+                        buf.push(c);
+                    }
+                }
+                Some('\\') => {
+                    let before = self.lex.since(start);
+                    self.lex.bump();
+                    let Some(esc) = self.lex.bump() else {
+                        return Err(self.lex.error("unterminated local name escape"));
+                    };
+                    owned.get_or_insert_with(|| before.to_owned()).push(esc);
+                }
+                _ => break,
+            }
+        }
+        Ok(owned.map_or_else(|| Cow::Borrowed(self.lex.since(start)), Cow::Owned))
+    }
+
+    fn parse_blank_node_property_list(&mut self) -> Result<TermRef<'a>, ParseError> {
         self.enter_nested()?;
-        let at = self.here();
-        self.expect('[')?;
-        let node = Term::Blank(self.fresh_blank());
+        let at = self.lex.here();
+        self.lex.expect('[')?;
+        let node = self.fresh_blank();
         self.note_subject(&node, at);
-        self.skip_ws();
-        if self.peek() == Some(']') {
-            self.bump();
+        self.lex.skip_ws();
+        if self.lex.peek() == Some(']') {
+            self.lex.bump();
             self.depth -= 1;
             return Ok(node);
         }
         self.parse_predicate_object_list(&node)?;
-        self.skip_ws();
-        self.expect(']')?;
+        self.lex.skip_ws();
+        self.lex.expect(']')?;
         self.depth -= 1;
         Ok(node)
     }
 
-    fn parse_collection(&mut self) -> Result<Term, ParseError> {
+    fn parse_collection(&mut self) -> Result<TermRef<'a>, ParseError> {
         self.enter_nested()?;
-        self.expect('(')?;
+        self.lex.expect('(')?;
         let mut items = Vec::new();
         loop {
-            self.skip_ws();
-            if self.peek() == Some(')') {
-                self.bump();
+            self.lex.skip_ws();
+            if self.lex.peek() == Some(')') {
+                self.lex.bump();
                 break;
             }
             items.push(self.parse_object()?);
         }
         self.depth -= 1;
         // Encode as an rdf:List.
-        let mut tail = Term::Iri(rdf::nil());
+        let mut tail = TermRef::Iri(Cow::Borrowed(rdf::NIL));
         for item in items.into_iter().rev() {
-            let cell = Term::Blank(self.fresh_blank());
-            self.log.push(&cell, &rdf::first(), &item);
-            self.log.push(&cell, &rdf::rest(), &tail);
+            let cell = self.fresh_blank();
+            self.log.push(cell.key(), rdf::FIRST, item.key());
+            self.log.push(cell.key(), rdf::REST, tail.key());
             tail = cell;
         }
         Ok(tail)
+    }
+}
+
+/// A literal without a language tag.
+fn typed<'a>(lexical: Cow<'a, str>, datatype: &'static str) -> TermRef<'a> {
+    TermRef::Literal {
+        lexical,
+        language: None,
+        datatype: Cow::Borrowed(datatype),
     }
 }
 
@@ -833,6 +655,11 @@ fn is_pname_start(c: char) -> bool {
 
 fn is_pname_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-'
+}
+
+/// [`is_pname_char`] on ASCII bytes.
+fn is_pname_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
 }
 
 /// Reads an `rdf:first`/`rdf:rest` list starting at `head` from a graph.
@@ -896,6 +723,7 @@ pub fn serialize(graph: &Graph, prefixes: &[(&str, &str)]) -> String {
 mod tests {
     use super::*;
     use crate::term::Triple;
+    use crate::vocab::xsd;
 
     #[test]
     fn basic_triples() {

@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 
 use crate::term::Iri;
-use crate::vocab::{XSD_NS, XSD_STRING};
+use crate::vocab::{rdf, XSD_NS, XSD_STRING};
 
 /// The parsed value of a literal's lexical form under its datatype.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,7 @@ impl LiteralValue {
     /// Parses a lexical form according to a datatype IRI.
     pub fn parse(lexical: &str, datatype: &Iri) -> LiteralValue {
         let dt = datatype.as_str();
-        if dt == XSD_STRING || dt == "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString" {
+        if dt == XSD_STRING || dt == rdf::LANG_STRING {
             return LiteralValue::String(lexical.to_owned());
         }
         let Some(local) = dt.strip_prefix(XSD_NS) else {

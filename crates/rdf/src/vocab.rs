@@ -12,17 +12,41 @@ pub const XSD_NS: &str = "http://www.w3.org/2001/XMLSchema#";
 pub const SH_NS: &str = "http://www.w3.org/ns/shacl#";
 
 /// Full IRI of `xsd:string`, used to detect "plain" literals.
-pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
+pub const XSD_STRING: &str = xsd::STRING;
 
+/// Each constructor returns a clone of one process-wide [`Iri`], so naming
+/// a well-known IRI bumps a reference count instead of allocating. An
+/// entry written `name / CONST => "local"` also gets a `&'static str`
+/// constant holding the full IRI, for code that borrows it.
 macro_rules! vocab {
-    ($ns:expr, $( $(#[$doc:meta])* $name:ident => $local:expr ),+ $(,)?) => {
+    ($ns:expr, $( $(#[$doc:meta])* $name:ident $(/ $konst:ident)? => $local:expr ),+ $(,)?) => {
         $(
+            $(
+                #[doc = concat!("`<", $ns, $local, ">`")]
+                pub const $konst: &str = concat!($ns, $local);
+            )?
             $(#[$doc])*
             pub fn $name() -> Iri {
-                Iri::new(concat!($ns, $local))
+                static IRI: std::sync::LazyLock<Iri> =
+                    std::sync::LazyLock::new(|| Iri::new(concat!($ns, $local)));
+                IRI.clone()
             }
         )+
     };
+}
+
+/// `iri` as an [`Iri`], sharing the process-wide allocation when it is a
+/// datatype literals commonly carry.
+pub(crate) fn datatype_iri(iri: &str) -> Iri {
+    match iri {
+        xsd::STRING => xsd::string(),
+        rdf::LANG_STRING => rdf::lang_string(),
+        xsd::INTEGER => xsd::integer(),
+        xsd::DECIMAL => xsd::decimal(),
+        xsd::DOUBLE => xsd::double(),
+        xsd::BOOLEAN => xsd::boolean(),
+        _ => Iri::new(iri),
+    }
 }
 
 /// The RDF vocabulary.
@@ -30,15 +54,15 @@ pub mod rdf {
     use super::Iri;
     vocab!("http://www.w3.org/1999/02/22-rdf-syntax-ns#",
         /// `rdf:type`
-        type_ => "type",
+        type_ / TYPE => "type",
         /// `rdf:first` (list head)
-        first => "first",
+        first / FIRST => "first",
         /// `rdf:rest` (list tail)
-        rest => "rest",
+        rest / REST => "rest",
         /// `rdf:nil` (empty list)
-        nil => "nil",
+        nil / NIL => "nil",
         /// `rdf:langString` (datatype of language-tagged strings)
-        lang_string => "langString",
+        lang_string / LANG_STRING => "langString",
     );
 }
 
@@ -58,19 +82,19 @@ pub mod xsd {
     use super::Iri;
     vocab!("http://www.w3.org/2001/XMLSchema#",
         /// `xsd:string`
-        string => "string",
+        string / STRING => "string",
         /// `xsd:boolean`
-        boolean => "boolean",
+        boolean / BOOLEAN => "boolean",
         /// `xsd:integer`
-        integer => "integer",
+        integer / INTEGER => "integer",
         /// `xsd:int`
         int => "int",
         /// `xsd:long`
         long => "long",
         /// `xsd:decimal`
-        decimal => "decimal",
+        decimal / DECIMAL => "decimal",
         /// `xsd:double`
-        double => "double",
+        double / DOUBLE => "double",
         /// `xsd:float`
         float => "float",
         /// `xsd:date`
@@ -224,5 +248,12 @@ mod tests {
             rdfs::sub_class_of().as_str(),
             format!("{RDFS_NS}subClassOf")
         );
+    }
+
+    #[test]
+    fn constructors_share_one_allocation() {
+        let (a, b) = (xsd::string(), xsd::string());
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
+        assert_eq!(a, Iri::new(XSD_STRING));
     }
 }
