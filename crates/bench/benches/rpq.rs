@@ -10,7 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use shapefrag_rdf::{GraphAccess, Term, TermId};
 use shapefrag_shacl::rpq::CompiledPath;
-use shapefrag_shacl::{PathExpr, Shape};
+use shapefrag_shacl::validator::Context;
+use shapefrag_shacl::{PathExpr, Schema, Shape};
 use shapefrag_workloads::dblp::{authored_by, hub_author, vardi_shape, Bibliography, DblpConfig};
 use shapefrag_workloads::tyrolean::{generate, schema, TyroleanConfig};
 
@@ -108,7 +109,8 @@ fn bench_rpq(c: &mut Criterion) {
 /// `≥1 (authoredBy⁻/authoredBy)³.hasValue(hub)` on the 2010–2021 DBLP slice
 /// (96 papers and 52 new authors per year): every conforming author traced
 /// to the hub in one multi-source call, next to the single-source trace of
-/// one of them.
+/// one of them, and the batch decision of the shape over all authors
+/// (`decide`, one forward and one backward pass of the reach kernel).
 fn bench_vardi_trace(c: &mut Criterion) {
     let graph = Bibliography::generate(&DblpConfig {
         first_year: 2010,
@@ -147,6 +149,10 @@ fn bench_vardi_trace(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("multi-source", foci.len()), |b| {
         b.iter(|| compiled.trace(&graph, &foci, Some(&targets)));
+    });
+    let schema = Schema::empty();
+    group.bench_function(BenchmarkId::new("decide", authors.len()), |b| {
+        b.iter(|| Context::new(&schema, &graph).conforms_all(&authors, &shape));
     });
     group.finish();
 }

@@ -227,12 +227,6 @@ pub fn validate_extract_fragment<G: GraphAccess>(
     (report, fragment)
 }
 
-/// Below this many target nodes per definition, the single-pass per-node
-/// collector ([`conforms_and_collect`]) beats the two-pass batch driver
-/// (decide-all, then re-evaluate the paths to collect): the multi-source
-/// kernel's sharing cannot amortize evaluating every path twice.
-pub(crate) const BATCH_MIN_TARGETS: usize = 16;
-
 /// Like [`validate_extract_fragment`], but first runs the static
 /// analyzer's fragment-level simplification over the schema
 /// ([`shapefrag_analyze::simplify`]) and validates the simplified schema.

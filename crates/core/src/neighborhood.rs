@@ -9,7 +9,8 @@
 //! cases, all qualifying endpoints `x` are traced in one
 //! [`Context::trace_path`] call (one backward product-BFS over the whole
 //! endpoint set instead of one per endpoint); the batch collector
-//! ([`collect_neighborhood_many`]) also traces all foci in that one call.
+//! ([`collect_neighborhood_many`]) also traces all foci in one reach-kernel
+//! run, which finds the endpoints too.
 //!
 //! The headline correctness property is **Sufficiency** (Theorem 3.4):
 //! if `G, v ⊨ φ` then `G', v ⊨ φ` for every `G'` with
@@ -102,18 +103,19 @@ pub fn collect_neighborhood_into<G: GraphAccess>(
 /// Set-at-a-time Table 2 collection: appends `⋃_i B(nodes[i], G, φ)` for
 /// focus nodes the caller has already established to conform to φ.
 ///
-/// Equals running [`collect_neighborhood_into`] per node, but path endpoints
-/// come from one multi-source RPQ pass over all foci, each quantifier path
-/// is traced once for all foci by one multi-source [`Context::trace_path`]
-/// call, and sub-neighborhoods of quantifier endpoints are collected once
-/// per *distinct* endpoint instead of once per referencing focus (the
-/// collection is focus-independent, so the unions coincide).
+/// Equals running [`collect_neighborhood_into`] per node, but each
+/// quantifier path runs the reach kernel once for all foci
+/// ([`Context::trace_qualifying`]): its forward pass yields the distinct
+/// endpoints, its backward and edge passes trace every focus into the
+/// qualifying set; and sub-neighborhoods of quantifier endpoints are
+/// collected once per *distinct* endpoint instead of once per referencing
+/// focus (the collection is focus-independent, so the unions coincide).
 ///
-/// One trace call suffices because every focus `vᵢ` is traced to
-/// `⟦E⟧(vᵢ) ∩ Q` for a qualifying set `Q` shared by all foci (every
-/// endpoint for `∀` and `eq`, the endpoints conforming to ψ for `≥n E.ψ`,
-/// to ¬ψ for `≤n E.ψ`), and the multi-source trace to `Q` is exactly the
-/// union of those per-focus traces.
+/// One trace suffices because every focus `vᵢ` is traced to `⟦E⟧(vᵢ) ∩ Q`
+/// for a qualifying set `Q` shared by all foci (every endpoint for `∀` and
+/// `eq`, the endpoints conforming to ψ for `≥n E.ψ`, to ¬ψ for `≤n E.ψ`),
+/// and the multi-source trace to `Q` is exactly the union of those
+/// per-focus traces.
 pub fn collect_neighborhood_many<G: GraphAccess>(
     ctx: &mut Context<'_, G>,
     nodes: &[TermId],
@@ -122,11 +124,6 @@ pub fn collect_neighborhood_many<G: GraphAccess>(
 ) {
     collect_many(ctx, nodes, shape, out);
 }
-
-/// Below this many focus nodes the multi-source evaluation kernel's fixed
-/// costs (bitset rows, set unions) outweigh the sharing it buys; per-node
-/// Table 2 collection is faster and produces the identical union.
-const BATCH_MIN_FOCI: usize = 4;
 
 /// The recursive batch worker behind [`collect_neighborhood_many`].
 /// Recursion on shape structure is depth-guarded and fault-sticky via the
@@ -138,12 +135,6 @@ fn collect_many<G: GraphAccess>(
     out: &mut IdTriples,
 ) {
     if nodes.is_empty() {
-        return;
-    }
-    if nodes.len() < BATCH_MIN_FOCI {
-        for &v in nodes {
-            collect(ctx, v, shape, out);
-        }
         return;
     }
     if !ctx.guard_enter() {
@@ -224,11 +215,9 @@ fn collect_many_inner<G: GraphAccess>(
             batch_quantifier(ctx, nodes, e, &negated, out);
         }
         Nnf::ForAll(e, inner) => {
-            out.extend(ctx.trace_path(e, nodes, None));
-            if !matches!(inner.as_ref(), Nnf::True) {
-                let distinct = endpoint_union(ctx, e, nodes);
-                collect_many(ctx, &distinct, inner, out);
-            }
+            let (trace, endpoints) = ctx.trace_qualifying(e, nodes, |_, endpoints| endpoints);
+            out.extend(trace);
+            collect_many(ctx, &endpoints, inner, out);
         }
 
         // The remaining negated atoms have bounded, focus-local evidence;
@@ -242,9 +231,10 @@ fn collect_many_inner<G: GraphAccess>(
 }
 
 /// Shared machinery for batch `≥n E.ψ` / `≤n E.ψ` collection: the
-/// qualifying endpoints `Q` are the foci's `E`-candidates conforming to
+/// qualifying endpoints `Q` are the foci's `E`-endpoints conforming to
 /// `inner` (already the negated shape for `≤`), decided once per distinct
-/// candidate; one trace covers every focus's paths into `Q`, and each
+/// endpoint. One reach-kernel run finds the endpoints (forward pass) and
+/// traces every focus's paths into `Q` (backward and edge passes), and each
 /// endpoint in `Q` has its `inner`-neighborhood collected once.
 fn batch_quantifier<G: GraphAccess>(
     ctx: &mut Context<'_, G>,
@@ -253,31 +243,17 @@ fn batch_quantifier<G: GraphAccess>(
     inner: &Nnf,
     out: &mut IdTriples,
 ) {
-    if matches!(inner, Nnf::True) {
-        out.extend(ctx.trace_path(e, nodes, None));
-        return;
-    }
-    let candidates = endpoint_union(ctx, e, nodes);
-    let decided = ctx.conforms_all_nnf(&candidates, inner);
-    let qualifying: Vec<TermId> = candidates
-        .into_iter()
-        .zip(decided)
-        .filter(|(_, ok)| *ok)
-        .map(|(x, _)| x)
-        .collect();
-    let targets: BTreeSet<TermId> = qualifying.iter().copied().collect();
-    out.extend(ctx.trace_path(e, nodes, Some(&targets)));
+    let (trace, qualifying) = ctx.trace_qualifying(e, nodes, |ctx, endpoints| {
+        let decided = ctx.conforms_all_nnf(&endpoints, inner);
+        endpoints
+            .into_iter()
+            .zip(decided)
+            .filter(|&(_, ok)| ok)
+            .map(|(x, _)| x)
+            .collect()
+    });
+    out.extend(trace);
     collect_many(ctx, &qualifying, inner, out);
-}
-
-/// The distinct endpoints `⋃ᵢ ⟦E⟧(nodes[i])`, in ascending order.
-fn endpoint_union<G: GraphAccess>(
-    ctx: &mut Context<'_, G>,
-    e: &PathExpr,
-    nodes: &[TermId],
-) -> Vec<TermId> {
-    let union: BTreeSet<TermId> = ctx.eval_path_many(e, nodes).into_iter().flatten().collect();
-    union.into_iter().collect()
 }
 
 /// Materializes id triples into a [`Graph`].

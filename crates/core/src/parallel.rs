@@ -48,7 +48,7 @@ use shapefrag_sched::{run, RunStats, WorkUnit};
 use shapefrag_shacl::validator::{ConformanceMemo, Context, ValidationReport, Violation};
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
-use crate::instrumented::{SchemaFragment, TargetEvidence, BATCH_MIN_TARGETS};
+use crate::instrumented::{SchemaFragment, TargetEvidence};
 use crate::neighborhood::{collect_neighborhood_many, conforms_and_collect, IdTriples};
 
 /// One schedulable span: a contiguous slice `[lo, hi)` of one
@@ -205,9 +205,8 @@ struct DefPlan<'a> {
     targets: Vec<TermId>,
     /// Precomputed `B(v, τ)`; `None` when the run only validates.
     evidence: Option<TargetEvidence>,
-    /// Extraction route of the *whole definition* (decided on the full
-    /// target count): below [`BATCH_MIN_TARGETS`] or without shared work,
-    /// units run the single-pass per-node collector.
+    /// Extraction route of the *whole definition*: a shape without shared
+    /// work ([`shape_shares_work`]) runs the single-pass per-node collector.
     per_node: bool,
 }
 
@@ -245,7 +244,7 @@ fn plan<'a, G: GraphAccess>(
         );
         plans.push(DefPlan {
             name: &def.name,
-            per_node: targets.len() < BATCH_MIN_TARGETS || !shape_shares_work(schema, &nnf),
+            per_node: !shape_shares_work(schema, &nnf),
             nnf,
             targets,
             evidence,

@@ -46,7 +46,7 @@ pub use nnf::Nnf;
 pub use node_test::{NodeKind, NodeTest};
 pub use parser::{SchemaSpans, ShaclParseError};
 pub use path::PathExpr;
-pub use rpq::{CompiledPath, Nfa, PathCache};
+pub use rpq::{CompiledPath, Nfa, PathCache, Reach};
 pub use schema::{Schema, SchemaError, ShapeDef};
 pub use shape::{PathOrId, Shape};
 pub use shapefrag_govern::{Budget, CancelToken, EngineError, ErrorCode, ExecCtx};

@@ -11,19 +11,23 @@
 //!
 //! Schemas are generated with *forward* `hasShape` references so several
 //! definitions share sub-shapes — the case the conformance memo dedupes.
+//!
+//! The last two properties run the quantifier forms alone on graphs of over
+//! 300 nodes, so one batch holds more foci than the per-focus kernel's
+//! 256-source chunk and the reach kernel's single pass covers them all.
 
 mod common;
 
 use proptest::prelude::*;
 
-use common::{graph_strategy, shape_strategy};
+use common::{graph_strategy, path_strategy, shape_strategy};
 use shape_fragments::core::{
     fragment_ids, fragment_ids_per_node, validate_extract_fragment,
     validate_extract_fragment_per_node,
 };
-use shape_fragments::rdf::{Graph, GraphAccess, Term, TermId};
+use shape_fragments::rdf::{Graph, GraphAccess, Term, TermId, Triple};
 use shape_fragments::shacl::validator::{validate, validate_batch, Context};
-use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
+use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
 
 fn shape_name(i: usize) -> Term {
     Term::iri(format!("{}S{i}", common::NS))
@@ -130,6 +134,95 @@ proptest! {
         shapes in prop::collection::vec(shape_strategy(), 1..3),
     ) {
         let schema = Schema::empty();
+        let batch = fragment_ids(&schema, &g, &shapes);
+        let per_node = fragment_ids_per_node(&schema, &g, &shapes);
+        let to_graph = |ids: &shape_fragments::core::IdTriples| -> Graph {
+            ids.iter().map(|&(s, p, o)| g.triple_of(s, p, o)).collect()
+        };
+        prop_assert_eq!(to_graph(&batch), to_graph(&per_node));
+    }
+}
+
+/// Node count of the large graphs: more than one 256-source chunk.
+const BIG_NODES: u16 = 320;
+
+fn big_node(i: u16) -> Term {
+    Term::iri(format!("{}n{i}", common::NS))
+}
+
+/// Graphs over `BIG_NODES` nodes: every node gets one random out-edge (so
+/// all of them occur), plus up to 200 more random edges, over p0..p2.
+fn big_graph_strategy() -> impl Strategy<Value = Graph> {
+    (
+        prop::collection::vec((0u8..3, 0u16..BIG_NODES), BIG_NODES as usize),
+        prop::collection::vec((0u16..BIG_NODES, 0u8..3, 0u16..BIG_NODES), 0..200),
+    )
+        .prop_map(|(firsts, extra)| {
+            let firsts = (0..BIG_NODES).zip(firsts).map(|(s, (p, o))| (s, p, o));
+            Graph::from_triples(
+                firsts
+                    .chain(extra)
+                    .map(|(s, p, o)| Triple::new(big_node(s), common::pred(p), big_node(o))),
+            )
+        })
+}
+
+/// Quantifier inners: ⊤, a node test, and nested `≥1`/`∀` forms.
+fn quantifier_inner_strategy() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        Just(Shape::True),
+        (0u8..6).prop_map(|i| Shape::HasValue(common::node_term(i))),
+        (0u8..3).prop_map(|p| Shape::geq(1, PathExpr::Prop(common::pred(p)), Shape::True)),
+        (0u8..3, 0u8..6).prop_map(|(p, i)| Shape::for_all(
+            PathExpr::Prop(common::pred(p)),
+            Shape::HasValue(common::node_term(i)).not()
+        )),
+    ]
+}
+
+/// `≥0/1/2`, `≤0/1` and `∀` over random paths.
+fn quantifier_strategy() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        (0u32..3, path_strategy(), quantifier_inner_strategy())
+            .prop_map(|(n, e, s)| Shape::geq(n, e, s)),
+        (0u32..2, path_strategy(), quantifier_inner_strategy())
+            .prop_map(|(n, e, s)| Shape::leq(n, e, s)),
+        (path_strategy(), quantifier_inner_strategy()).prop_map(|(e, s)| Shape::for_all(e, s)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On graphs larger than one source chunk, both batch deciders agree
+    /// pointwise with per-node `conforms`.
+    #[test]
+    fn big_graph_quantifiers_agree_pointwise(
+        g in big_graph_strategy(),
+        shape in quantifier_strategy(),
+    ) {
+        let schema = Schema::empty();
+        let mut ctx = Context::new(&schema, &g);
+        let nodes: Vec<TermId> = g.node_ids().into_iter().collect();
+        prop_assert!(nodes.len() >= BIG_NODES as usize);
+        let batch = ctx.conforms_all(&nodes, &shape);
+        let batch_nnf = ctx.conforms_all_nnf(&nodes, &Nnf::from_shape(&shape));
+        for ((&v, ok), ok_nnf) in nodes.iter().zip(batch).zip(batch_nnf) {
+            let want = ctx.conforms(v, &shape);
+            prop_assert_eq!(want, ok, "conforms_all at {} for {}", g.term(v), shape);
+            prop_assert_eq!(want, ok_nnf, "conforms_all_nnf at {} for {}", g.term(v), shape);
+        }
+    }
+
+    /// On the same graphs, batch fragment computation collects exactly the
+    /// per-node triples.
+    #[test]
+    fn big_graph_fragment_ids_agree_with_per_node(
+        g in big_graph_strategy(),
+        shape in quantifier_strategy(),
+    ) {
+        let schema = Schema::empty();
+        let shapes = [shape];
         let batch = fragment_ids(&schema, &g, &shapes);
         let per_node = fragment_ids_per_node(&schema, &g, &shapes);
         let to_graph = |ids: &shape_fragments::core::IdTriples| -> Graph {
