@@ -64,7 +64,7 @@ pub fn shape_shares_work(schema: &Schema, shape: &Nnf) -> bool {
         Nnf::Eq(PathOrId::Path(_), _) => true,
         Nnf::And(items) | Nnf::Or(items) => items.iter().any(|i| shape_shares_work(schema, i)),
         Nnf::HasShape(name) | Nnf::NotHasShape(name) => {
-            shape_shares_work(schema, &Nnf::from_shape(&schema.def(name)))
+            shape_shares_work(schema, schema.def_nnf(name, false))
         }
         _ => false,
     }
@@ -130,7 +130,7 @@ fn max_path_class(schema: &Schema, shape: &Nnf) -> Option<PathClass> {
             // Schemas are acyclic, but avoid re-walking shared refs.
             Nnf::HasShape(name) | Nnf::NotHasShape(name) if !seen_defs.contains(name) => {
                 seen_defs.push(name.clone());
-                stack.push(Nnf::from_shape(&schema.def(name)));
+                stack.push(schema.def_nnf(name, false).clone());
             }
             _ => {}
         }

@@ -370,7 +370,7 @@ mod tests {
         assert_eq!(frag.len(), schema.len());
         let (val, _) = simplify(&schema, SimplifyLevel::Validation);
         // Validation-level folding collapses T's trivial ≥0 to ⊤.
-        assert_eq!(val.def(&name("T")), Shape::True);
+        assert_eq!(val.def(&name("T")), &Shape::True);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`ImpactProfile`]s — the transitive predicate alphabet, wildcard flag,
 //! and read depth of every shape definition — to the *affected focus-node
 //! set* per shape, then re-runs only those `(shape, focus)` pairs while
-//! selectively dropping the matching memo stripes. Everything outside the
+//! selectively dropping the matching memo cells. Everything outside the
 //! impact region is reused verbatim.
 //!
 //! ## Soundness (sketch; the full argument is in DESIGN.md §14)
@@ -45,9 +45,9 @@
 //! then re-binds the memo to the post-edit fingerprint
 //! ([`ConformanceMemo::rebind`]). Because the memo carries a
 //! [`ContainmentIndex`] (subsumption-derived bits flow between related
-//! definitions), each stripe drop is widened to the *directed closure*
+//! definitions), each drop is widened to the *directed closure*
 //! over the containment edges: every shape the impacted one is related
-//! to — in either derivation direction — loses the same stripe, so a
+//! to — in either derivation direction — loses the same cells, so a
 //! stale bit can never survive by having been copied into a neighbour's
 //! row. Governed runs snapshot the overlay before mutating; a mid-batch
 //! fault restores it and fully clears the memo (then re-attaches the
@@ -303,7 +303,7 @@ impl IncrementalValidator {
                 .schema
                 .name_id(&def.name)
                 .expect("definition name is in its own schema");
-            // Widen every stripe drop to the directed containment closure:
+            // Widen every row drop to the directed containment closure:
             // derived bits may have flowed from this definition into any
             // related one (true bits up the ⊑ edges, false bits down), so
             // those copies must fall with the original.

@@ -177,12 +177,12 @@ fn collect_many_inner<G: GraphAccess>(
         }
 
         Nnf::HasShape(name) => {
-            let def = Nnf::from_shape(&ctx.schema.def(name));
-            collect_many(ctx, nodes, &def, out);
+            let def = ctx.schema.def_nnf(name, false);
+            collect_many(ctx, nodes, def, out);
         }
         Nnf::NotHasShape(name) => {
-            let def = Nnf::from_negated_shape(&ctx.schema.def(name));
-            collect_many(ctx, nodes, &def, out);
+            let def = ctx.schema.def_nnf(name, true);
+            collect_many(ctx, nodes, def, out);
         }
 
         // Rule 3: every focus conforms to the whole conjunction, hence to
@@ -328,12 +328,12 @@ fn validate_collect_inner<G: GraphAccess>(
         | Nnf::UniqueLang(_) => ctx.conforms_nnf(v, shape),
 
         Nnf::HasShape(name) => {
-            let def = Nnf::from_shape(&ctx.schema.def(name));
-            validate_collect(ctx, v, &def, journal)
+            let def = ctx.schema.def_nnf(name, false);
+            validate_collect(ctx, v, def, journal)
         }
         Nnf::NotHasShape(name) => {
-            let def = Nnf::from_negated_shape(&ctx.schema.def(name));
-            validate_collect(ctx, v, &def, journal)
+            let def = ctx.schema.def_nnf(name, true);
+            validate_collect(ctx, v, def, journal)
         }
 
         Nnf::And(items) => {
@@ -503,12 +503,12 @@ fn collect_inner<G: GraphAccess>(
         // Rules 1–2: dereference shape names; negation is pushed through
         // the definition.
         Nnf::HasShape(name) => {
-            let def = Nnf::from_shape(&ctx.schema.def(name));
-            collect(ctx, v, &def, out);
+            let def = ctx.schema.def_nnf(name, false);
+            collect(ctx, v, def, out);
         }
         Nnf::NotHasShape(name) => {
-            let def = Nnf::from_negated_shape(&ctx.schema.def(name));
-            collect(ctx, v, &def, out);
+            let def = ctx.schema.def_nnf(name, true);
+            collect(ctx, v, def, out);
         }
 
         // Rules 3–4: conjunction and disjunction both take the union of the

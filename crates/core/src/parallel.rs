@@ -21,7 +21,7 @@
 //! Fragments are id-triple *sets*, so their union is order-free by
 //! construction.
 //!
-//! Sharing: all workers validate against one lock-striped
+//! Sharing: all workers validate against one
 //! [`ConformanceMemo`], so a `hasShape` sub-shape referenced from units on
 //! different workers is still decided at most once per (shape, node) —
 //! modulo benign races where two workers decide the same pair

@@ -400,12 +400,12 @@ impl<'s> Translator<'s> {
             Nnf::True => self.all_nodes("v"),
             Nnf::False => Pattern::Filter(Box::new(Pattern::Unit), false_expr()),
             Nnf::HasShape(name) => {
-                let def = Nnf::from_shape(&self.schema.def(name));
-                self.cq_pattern(&def)
+                let def = self.schema.def_nnf(name, false);
+                self.cq_pattern(def)
             }
             Nnf::NotHasShape(name) => {
-                let def = Nnf::from_negated_shape(&self.schema.def(name));
-                self.cq_pattern(&def)
+                let def = self.schema.def_nnf(name, true);
+                self.cq_pattern(def)
             }
             Nnf::Test(t) => {
                 let nodes = self.all_nodes("v");
@@ -764,12 +764,12 @@ impl<'s> Translator<'s> {
             }
 
             Nnf::HasShape(name) => {
-                let def = Nnf::from_shape(&self.schema.def(name));
-                self.nq(&def)
+                let def = self.schema.def_nnf(name, false);
+                self.nq(def)
             }
             Nnf::NotHasShape(name) => {
-                let def = Nnf::from_negated_shape(&self.schema.def(name));
-                self.nq(&def)
+                let def = self.schema.def_nnf(name, true);
+                self.nq(def)
             }
 
             Nnf::And(items) | Nnf::Or(items) => {

@@ -1156,7 +1156,9 @@ fn predecessors<G: GraphAccess>(
 /// reusable frontier buffers.
 #[derive(Default)]
 pub struct PathCache {
-    cache: HashMap<PathExpr, CompiledPath>,
+    /// Index into `compiled` per distinct path.
+    index: HashMap<PathExpr, usize>,
+    compiled: Vec<CompiledPath>,
     scratch: FrontierScratch,
 }
 
@@ -1169,19 +1171,21 @@ impl PathCache {
 
     /// Gets or compiles the path for this graph.
     pub fn get<G: GraphAccess>(&mut self, path: &PathExpr, graph: &G) -> &CompiledPath {
-        Self::compiled(&mut self.cache, path, graph)
+        let i = self.slot(path, graph);
+        &self.compiled[i]
     }
 
-    /// Entry helper on the bare map so callers can split-borrow the
-    /// compiled path and the frontier scratch at once.
-    fn compiled<'c, G: GraphAccess>(
-        cache: &'c mut HashMap<PathExpr, CompiledPath>,
-        path: &PathExpr,
-        graph: &G,
-    ) -> &'c CompiledPath {
-        cache
-            .entry(path.clone())
-            .or_insert_with(|| CompiledPath::new(path, graph))
+    /// Position of the path's compilation in `compiled`, compiling it on
+    /// first use. A hit looks the path up by reference; only a miss clones
+    /// it into the index. Returning a position lets callers split-borrow
+    /// the compiled path and the frontier scratch at once.
+    fn slot<G: GraphAccess>(&mut self, path: &PathExpr, graph: &G) -> usize {
+        if let Some(&i) = self.index.get(path) {
+            return i;
+        }
+        self.compiled.push(CompiledPath::new(path, graph));
+        self.index.insert(path.clone(), self.compiled.len() - 1);
+        self.compiled.len() - 1
     }
 
     /// Convenience: `⟦E⟧^G(from)`.
@@ -1212,8 +1216,8 @@ impl PathCache {
         graph: &G,
         sources: &[TermId],
     ) -> Vec<BTreeSet<TermId>> {
-        let compiled = Self::compiled(&mut self.cache, path, graph);
-        compiled
+        let i = self.slot(path, graph);
+        self.compiled[i]
             .try_eval_from_many_with(graph, sources, &ExecCtx::unbounded(), &mut self.scratch)
             .expect("unbounded context cannot fail")
     }
@@ -1250,8 +1254,8 @@ impl PathCache {
         sources: &[TermId],
         ctx: &ExecCtx,
     ) -> Result<Vec<BTreeSet<TermId>>, EngineError> {
-        let compiled = Self::compiled(&mut self.cache, path, graph);
-        compiled.try_eval_from_many_with(graph, sources, ctx, &mut self.scratch)
+        let i = self.slot(path, graph);
+        self.compiled[i].try_eval_from_many_with(graph, sources, ctx, &mut self.scratch)
     }
 }
 
@@ -1968,6 +1972,6 @@ mod tests {
         let r1 = cache.eval(&e, &g, id(&g, "a"));
         let r2 = cache.eval(&e, &g, id(&g, "a"));
         assert_eq!(r1, r2);
-        assert_eq!(cache.cache.len(), 1);
+        assert_eq!(cache.compiled.len(), 1);
     }
 }

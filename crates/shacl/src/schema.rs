@@ -10,7 +10,12 @@ use std::fmt;
 
 use shapefrag_rdf::Term;
 
+use crate::nnf::Nnf;
 use crate::shape::Shape;
+
+/// `def(s, H)` of an undefined name, and its NNF forms (`⊤` and `¬⊤ = ⊥`).
+static TOP: Shape = Shape::True;
+static TOP_NNF: [Nnf; 2] = [Nnf::True, Nnf::False];
 
 /// A shape definition `(s, φ, τ)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +77,9 @@ pub struct Schema {
     /// Dense ids for defined shape names in definition (name) order; used
     /// as compact memo keys by the batch validator.
     name_ids: HashMap<Term, u32>,
+    /// Per dense id: the definition's NNF and the NNF of its negation,
+    /// computed once so dereferencing a name never re-converts.
+    nnf: Vec<[Nnf; 2]>,
 }
 
 impl Schema {
@@ -95,9 +103,14 @@ impl Schema {
             .enumerate()
             .map(|(i, name)| (name.clone(), i as u32))
             .collect();
+        let nnf = map
+            .values()
+            .map(|d| [Nnf::from_shape(&d.shape), Nnf::from_negated_shape(&d.shape)])
+            .collect();
         let schema = Schema {
             defs: map,
             name_ids,
+            nnf,
         };
         if let Some(name) = schema.find_cycle() {
             return Err(SchemaError::Recursive(name));
@@ -113,11 +126,17 @@ impl Schema {
 
     /// `def(s, H)`: the shape expression defining `s`, or ⊤ if `s` has no
     /// definition (the behavior in real SHACL).
-    pub fn def(&self, name: &Term) -> Shape {
-        self.defs
-            .get(name)
-            .map(|d| d.shape.clone())
-            .unwrap_or(Shape::True)
+    pub fn def(&self, name: &Term) -> &Shape {
+        self.defs.get(name).map_or(&TOP, |d| &d.shape)
+    }
+
+    /// The NNF of `def(s, H)`, or of `¬def(s, H)` when `negated`; computed
+    /// once per definition when the schema is built.
+    pub fn def_nnf(&self, name: &Term, negated: bool) -> &Nnf {
+        let forms = self
+            .name_id(name)
+            .map_or(&TOP_NNF, |id| &self.nnf[id as usize]);
+        &forms[negated as usize]
     }
 
     /// Looks up the full definition for a name.
@@ -250,7 +269,27 @@ mod tests {
     #[test]
     fn undefined_reference_defaults_to_top() {
         let schema = Schema::empty();
-        assert_eq!(schema.def(&name("Missing")), Shape::True);
+        assert_eq!(schema.def(&name("Missing")), &Shape::True);
+    }
+
+    #[test]
+    fn def_nnf_is_computed_once_per_definition_and_top_for_undefined_names() {
+        let shape = Shape::geq(1, p("a"), Shape::HasShape(name("T")).not());
+        let schema = Schema::new([
+            ShapeDef::new(name("S"), shape.clone(), Shape::False),
+            ShapeDef::new(name("T"), Shape::True, Shape::False),
+        ])
+        .unwrap();
+        assert_eq!(schema.def_nnf(&name("S"), false), &Nnf::from_shape(&shape));
+        assert_eq!(
+            schema.def_nnf(&name("S"), true),
+            &Nnf::from_negated_shape(&shape)
+        );
+        for negated in [false, true] {
+            let top = Nnf::from_shape(&Shape::True);
+            let expected = if negated { top.negated() } else { top };
+            assert_eq!(schema.def_nnf(&name("Missing"), negated), &expected);
+        }
     }
 
     #[test]
@@ -287,7 +326,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(schema.len(), 3);
-        assert_eq!(schema.transitive_refs(&schema.def(&name("U"))).len(), 2);
+        assert_eq!(schema.transitive_refs(schema.def(&name("U"))).len(), 2);
     }
 
     #[test]
@@ -298,7 +337,7 @@ mod tests {
             Shape::False,
         )])
         .unwrap();
-        assert_eq!(schema.def(&name("Missing")), Shape::True);
+        assert_eq!(schema.def(&name("Missing")), &Shape::True);
     }
 
     #[test]

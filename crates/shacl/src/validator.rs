@@ -6,10 +6,10 @@
 //! style of a SHACL engine — this is the "mere validation" baseline of the
 //! overhead experiment (§5.3.1).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use shapefrag_govern::{EngineError, ExecCtx};
 use shapefrag_rdf::graph::IntMap;
@@ -21,36 +21,45 @@ use crate::rpq::{CompiledPath, PathCache, Reach, TraceSet};
 use crate::schema::Schema;
 use crate::shape::{PathOrId, Shape};
 
-/// Number of lock stripes in a [`ConformanceMemo`]. Power of two so the
-/// shard index is a cheap high-bit extract of the mixed key hash; 64
-/// stripes keep the collision probability of two of ≤16 workers wanting
-/// the same stripe low without bloating the struct.
-const MEMO_SHARDS: usize = 64;
+/// `log2` of the cells per memo page.
+const PAGE_BITS: u32 = 10;
 
-/// One lock stripe: decided conformance facts keyed by
-/// `(shape index, node)`.
-type MemoShard = RwLock<HashMap<(u32, TermId), bool>>;
+/// Cells per memo page: one shape's verdicts for 1024 consecutive term ids.
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// One page of a shape's row, one cell per term id: 0 undecided, 1 false,
+/// 2 true. Cells are read and written `Relaxed`: a cell publishes nothing
+/// but its own verdict, and the page itself is published through its
+/// `OnceLock`, whose initialisation synchronises with every `get`.
+type Page = Box<[AtomicU8; PAGE]>;
+
+/// One shape's row: a slot per `PAGE` term ids, each page allocated on
+/// the first verdict it holds.
+type Row = Vec<OnceLock<Page>>;
 
 /// A shared table of decided `(shape name, node)` conformance facts.
 ///
 /// Conformance of a node to a *named* shape is a pure function of the graph
 /// and schema, so once decided it can be reused by every referencing target
-/// — and by every worker thread. The table is split into `MEMO_SHARDS`
-/// lock stripes keyed by a hash of `(shape, node)`, so concurrent workers
-/// contend only when they touch the same stripe at the same instant. A memo
-/// is valid for exactly one `(graph, schema)` pair; the first
-/// [`Context::with_memo`] binds the memo to a cheap fingerprint of that
-/// pair, and a later mismatch panics in debug builds and detaches the memo
-/// (running unmemoized, which is always sound) in release builds — stale
-/// reuse across snapshots/epochs cannot poison results. The incremental
-/// engine moves a memo across graph *versions* deliberately: it drops the
-/// impacted entries ([`ConformanceMemo::invalidate`]) and then re-binds to
-/// the new fingerprint ([`ConformanceMemo::rebind`]).
+/// — and by every worker thread. The table holds one dense row per shape
+/// id, indexed by term id and split into lazily allocated pages of atomic
+/// cells: a lookup is a page index and a relaxed load, an insert a
+/// `get_or_init` and a relaxed store, and no key is hashed. Rows are sized
+/// from the graph's term count when the memo is bound; one lock guards the
+/// binding and the row table, and only binding, [`ConformanceMemo::rebind`],
+/// [`ConformanceMemo::clear`], [`ConformanceMemo::invalidate_shape`] and a
+/// fact beyond the bound width take it for writing. A memo is valid for
+/// exactly one `(graph, schema)` pair; the first [`Context::with_memo`]
+/// binds the memo to a cheap fingerprint of that pair, and a later mismatch
+/// panics in debug builds and detaches the memo (running unmemoized, which
+/// is always sound) in release builds — stale reuse across snapshots/epochs
+/// cannot poison results. The incremental engine moves a memo across graph
+/// *versions* deliberately: it drops the impacted entries
+/// ([`ConformanceMemo::invalidate`]) and then re-binds to the new
+/// fingerprint ([`ConformanceMemo::rebind`]), which widens the rows when
+/// the edits interned new terms.
 pub struct ConformanceMemo {
-    shards: Box<[MemoShard]>,
-    /// Fingerprint of the `(schema, graph)` pair this memo is bound to;
-    /// `None` until the first attachment (or after [`ConformanceMemo::clear`]).
-    binding: RwLock<Option<(u64, u64)>>,
+    table: RwLock<MemoTable>,
     /// Optional subsumption index enabling derived answers: a bit decided
     /// for one shape can settle related shapes without re-evaluation. See
     /// [`ConformanceMemo::attach_containment`].
@@ -59,6 +68,95 @@ pub struct ConformanceMemo {
     containment_hits: AtomicU64,
     /// Lookups where the index was attached but no related bit applied.
     containment_misses: AtomicU64,
+}
+
+/// What a memo is bound to: the `(schema, graph)` pair's hashes plus the
+/// sizes its rows are built for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fingerprint {
+    schema: u64,
+    graph: u64,
+    shapes: usize,
+    terms: usize,
+}
+
+/// The lock-guarded part of a [`ConformanceMemo`].
+#[derive(Default)]
+struct MemoTable {
+    /// `None` until the first attachment (or after [`ConformanceMemo::clear`]).
+    binding: Option<Fingerprint>,
+    /// Pages per row: ids below `width * PAGE` fit without growing.
+    width: usize,
+    /// One slot per shape id; a row's page table is allocated on its
+    /// shape's first verdict, `width` slots long.
+    rows: Vec<OnceLock<Row>>,
+}
+
+impl MemoTable {
+    /// The verdict cell of `(shape, node)`, if its page exists.
+    fn cell(&self, shape: u32, node: TermId) -> Option<&AtomicU8> {
+        let row = self.rows.get(shape as usize)?.get()?;
+        let page = row.get(node.0 as usize >> PAGE_BITS)?.get()?;
+        Some(&page[node.0 as usize & (PAGE - 1)])
+    }
+
+    fn get(&self, shape: u32, node: TermId) -> Option<bool> {
+        match self.cell(shape, node)?.load(Ordering::Relaxed) {
+            0 => None,
+            cell => Some(cell == 2),
+        }
+    }
+
+    /// Stores a verdict; `false` when `(shape, node)` lies beyond the
+    /// table, which must then [`MemoTable::grow`] first.
+    fn set(&self, shape: u32, node: TermId, value: bool) -> bool {
+        let page = node.0 as usize >> PAGE_BITS;
+        let Some(row) = self.rows.get(shape as usize) else {
+            return false;
+        };
+        if page >= self.width {
+            return false;
+        }
+        let row = row.get_or_init(|| (0..self.width).map(|_| OnceLock::new()).collect());
+        row[page].get_or_init(|| Box::new([const { AtomicU8::new(0) }; PAGE]))
+            [node.0 as usize & (PAGE - 1)]
+            .store(value as u8 + 1, Ordering::Relaxed);
+        true
+    }
+
+    /// Widens the table to at least `shapes` rows of `pages` pages each.
+    fn grow(&mut self, shapes: usize, pages: usize) {
+        if shapes > self.rows.len() {
+            self.rows.resize_with(shapes, OnceLock::new);
+        }
+        if pages > self.width {
+            self.width = pages;
+            for row in self.rows.iter_mut().filter_map(OnceLock::get_mut) {
+                row.resize_with(pages, OnceLock::new);
+            }
+        }
+    }
+
+    /// A verdict for `(shape, node)` from decided bits of related shapes: a
+    /// `true` bit of a contained shape, or a `false` bit of a containing
+    /// shape.
+    fn derive(&self, index: &ContainmentIndex, shape: u32, node: TermId) -> Option<bool> {
+        if index
+            .subs_of(shape)
+            .iter()
+            .any(|&sub| self.get(sub, node) == Some(true))
+        {
+            Some(true)
+        } else if index
+            .supers_of(shape)
+            .iter()
+            .any(|&sup| self.get(sup, node) == Some(false))
+        {
+            Some(false)
+        } else {
+            None
+        }
+    }
 }
 
 /// Adjacency form of a schema's proven containment relation, consumed by
@@ -173,10 +271,7 @@ impl ConformanceMemo {
     /// Creates an empty memo (for one graph + schema pair).
     pub fn new() -> Self {
         ConformanceMemo {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            binding: RwLock::new(None),
+            table: RwLock::new(MemoTable::default()),
             containment: RwLock::new(None),
             containment_hits: AtomicU64::new(0),
             containment_misses: AtomicU64::new(0),
@@ -188,10 +283,9 @@ impl ConformanceMemo {
     /// the memo is already bound to a schema with a different fingerprint —
     /// a matrix computed for another schema must never derive bits here.
     pub fn attach_containment(&self, index: Arc<ContainmentIndex>) -> bool {
-        if let Some((schema_fp, _)) = *read(&self.binding) {
-            if schema_fp != index.schema_fp {
-                return false;
-            }
+        let bound = read(&self.table).binding;
+        if bound.is_some_and(|b| b.schema != index.schema_fp) {
+            return false;
         }
         *write(&self.containment) = Some(index);
         true
@@ -211,21 +305,9 @@ impl ConformanceMemo {
         )
     }
 
-    /// Stripe index for a `(shape, node)` key: multiplicative (Fibonacci)
-    /// hashing of the packed key, taking the top bits.
-    fn shard_index(shape: u32, node: TermId) -> usize {
-        let key = ((shape as u64) << 32) | node.0 as u64;
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> (64 - MEMO_SHARDS.trailing_zeros())) as usize
-    }
-
-    fn shard(&self, shape: u32, node: TermId) -> &RwLock<HashMap<(u32, TermId), bool>> {
-        &self.shards[Self::shard_index(shape, node)]
-    }
-
     /// Looks up a decided fact.
     pub fn lookup(&self, shape: u32, node: TermId) -> Option<bool> {
-        read(self.shard(shape, node)).get(&(shape, node)).copied()
+        read(&self.table).get(shape, node)
     }
 
     /// [`ConformanceMemo::lookup`] extended with subsumption derivation:
@@ -235,22 +317,14 @@ impl ConformanceMemo {
     /// bits (they are genuine conformance facts) and counted in
     /// [`ConformanceMemo::containment_counters`].
     pub fn lookup_or_derive(&self, shape: u32, node: TermId) -> Option<bool> {
-        if let Some(v) = self.lookup(shape, node) {
-            return Some(v);
-        }
-        let index = read(&self.containment).clone()?;
-        let derived = index
-            .subs_of(shape)
-            .iter()
-            .find(|&&sub| self.lookup(sub, node) == Some(true))
-            .map(|_| true)
-            .or_else(|| {
-                index
-                    .supers_of(shape)
-                    .iter()
-                    .find(|&&sup| self.lookup(sup, node) == Some(false))
-                    .map(|_| false)
-            });
+        let derived = {
+            let table = read(&self.table);
+            if let Some(v) = table.get(shape, node) {
+                return Some(v);
+            }
+            let index = self.containment()?;
+            table.derive(&index, shape, node)
+        };
         match derived {
             Some(v) => {
                 self.containment_hits.fetch_add(1, Ordering::Relaxed);
@@ -266,74 +340,121 @@ impl ConformanceMemo {
 
     /// Records a decided fact.
     pub fn insert(&self, shape: u32, node: TermId, value: bool) {
-        write(self.shard(shape, node)).insert((shape, node), value);
+        self.insert_all(shape, [(node, value)]);
     }
 
-    /// Number of decided facts.
+    /// Records decided facts of one shape under one pin of the table; only
+    /// facts beyond the bound width wait for the write lock that grows it.
+    fn insert_all(&self, shape: u32, facts: impl IntoIterator<Item = (TermId, bool)>) {
+        let beyond: Vec<(TermId, bool)> = {
+            let table = read(&self.table);
+            facts
+                .into_iter()
+                .filter(|&(node, value)| !table.set(shape, node, value))
+                .collect()
+        };
+        if beyond.is_empty() {
+            return;
+        }
+        let mut table = write(&self.table);
+        for (node, value) in beyond {
+            // Past the width, at least double it: ids arrive in growing runs.
+            let page = node.0 as usize >> PAGE_BITS;
+            let pages = if page < table.width {
+                table.width
+            } else {
+                (page + 1).max(2 * table.width)
+            };
+            table.grow(shape as usize + 1, pages);
+            table.set(shape, node, value);
+        }
+    }
+
+    /// Number of decided facts (decided cells across every row).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read(s).len()).sum()
+        let table = read(&self.table);
+        table
+            .rows
+            .iter()
+            .filter_map(OnceLock::get)
+            .flatten()
+            .filter_map(OnceLock::get)
+            .map(|page| {
+                page.iter()
+                    .filter(|cell| cell.load(Ordering::Relaxed) != 0)
+                    .count()
+            })
+            .sum()
     }
 
     /// True iff nothing has been decided yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| read(s).is_empty())
+        self.len() == 0
     }
 
-    /// Binds the memo to a `(schema, graph)` fingerprint on first use;
-    /// returns `false` when the memo is already bound to a *different*
-    /// pair (the caller must then run unmemoized).
-    fn bind_or_check(&self, fingerprint: (u64, u64)) -> bool {
-        if let Some(bound) = *read(&self.binding) {
+    /// Binds the memo to a `(schema, graph)` fingerprint on first use,
+    /// sizing its rows for the pair; returns `false` when the memo is
+    /// already bound to a *different* pair (the caller must then run
+    /// unmemoized).
+    fn bind_or_check(&self, fingerprint: Fingerprint) -> bool {
+        if let Some(bound) = read(&self.table).binding {
             return bound == fingerprint;
         }
-        let mut slot = write(&self.binding);
-        match *slot {
+        let mut table = write(&self.table);
+        match table.binding {
             Some(bound) => bound == fingerprint,
             None => {
-                *slot = Some(fingerprint);
-                // An index attached before the first binding was taken on
-                // trust; now that the schema is known, drop a mismatch.
-                let mut idx = write(&self.containment);
-                if idx.as_ref().is_some_and(|i| i.schema_fp != fingerprint.0) {
-                    *idx = None;
-                }
+                self.bind(&mut table, fingerprint);
                 true
             }
         }
     }
 
-    /// Drops the decided facts of `shape` at exactly `nodes`, leaving every
-    /// other `(shape, node)` entry in place. This is the incremental
-    /// engine's stripe-selective invalidation: after an edit batch, only
-    /// impact-routed pairs are dropped and everything else is reused.
-    pub fn invalidate(&self, shape: u32, nodes: impl IntoIterator<Item = TermId>) {
-        for node in nodes {
-            write(self.shard(shape, node)).remove(&(shape, node));
-        }
-    }
-
-    /// Drops every decided fact of `shape` regardless of node. The
-    /// incremental engine falls back to this when a shape's impact profile
-    /// is a wildcard with unbounded depth (any edit may flip any focus).
-    pub fn invalidate_shape(&self, shape: u32) {
-        for shard in self.shards.iter() {
-            write(shard).retain(|key, _| key.0 != shape);
-        }
-    }
-
-    /// Re-binds the memo to a new `(schema, graph)` pair. Sound only when
-    /// the caller has already invalidated every entry whose truth value may
-    /// differ between the old and new graph (and the id space is shared,
-    /// as it is along a delta/compaction lineage).
-    pub fn rebind<G: GraphAccess>(&self, schema: &Schema, graph: &G) {
-        let fingerprint = memo_fingerprint(schema, graph);
-        *write(&self.binding) = Some(fingerprint);
-        // A containment index proven over a different schema must not
-        // survive the rebind.
+    /// Binds `table` to `fingerprint` and grows its rows to the pair's
+    /// sizes. A containment index proven over another schema is dropped:
+    /// one attached before the first binding was taken on trust.
+    fn bind(&self, table: &mut MemoTable, fingerprint: Fingerprint) {
+        table.binding = Some(fingerprint);
+        table.grow(fingerprint.shapes, fingerprint.terms.div_ceil(PAGE));
         let mut idx = write(&self.containment);
-        if idx.as_ref().is_some_and(|i| i.schema_fp != fingerprint.0) {
+        if idx
+            .as_ref()
+            .is_some_and(|i| i.schema_fp != fingerprint.schema)
+        {
             *idx = None;
         }
+    }
+
+    /// Drops the decided facts of `shape` at exactly `nodes`, leaving every
+    /// other `(shape, node)` entry in place. This is the incremental
+    /// engine's selective invalidation: after an edit batch, only
+    /// impact-routed pairs are dropped and everything else is reused.
+    pub fn invalidate(&self, shape: u32, nodes: impl IntoIterator<Item = TermId>) {
+        let table = read(&self.table);
+        for node in nodes {
+            if let Some(cell) = table.cell(shape, node) {
+                cell.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Drops every decided fact of `shape` regardless of node, freeing its
+    /// row. The incremental engine falls back to this when a shape's
+    /// impact profile is a wildcard with unbounded depth (any edit may flip
+    /// any focus).
+    pub fn invalidate_shape(&self, shape: u32) {
+        if let Some(row) = write(&self.table).rows.get_mut(shape as usize) {
+            *row = OnceLock::new();
+        }
+    }
+
+    /// Re-binds the memo to a new `(schema, graph)` pair, widening the rows
+    /// when the graph interned new terms. Sound only when the caller has
+    /// already invalidated every entry whose truth value may differ between
+    /// the old and new graph (and the id space is shared, as it is along a
+    /// delta/compaction lineage).
+    pub fn rebind<G: GraphAccess>(&self, schema: &Schema, graph: &G) {
+        self.bind(&mut write(&self.table), memo_fingerprint(schema, graph));
     }
 
     /// Forgets every decided fact *and* the binding, returning the memo to
@@ -341,10 +462,7 @@ impl ConformanceMemo {
     /// this on a mid-batch fault: the memo is either untouched or fully
     /// cleared, never half-invalidated.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            write(shard).clear();
-        }
-        *write(&self.binding) = None;
+        *write(&self.table) = MemoTable::default();
         *write(&self.containment) = None;
         self.containment_hits.store(0, Ordering::Relaxed);
         self.containment_misses.store(0, Ordering::Relaxed);
@@ -356,16 +474,21 @@ impl ConformanceMemo {
 /// [`FrozenGraph`](shapefrag_rdf::FrozenGraph) snapshot fingerprint alike —
 /// sharing a memo across the two backends is sound and stays allowed. The
 /// fingerprint is a cheap O(schema + 32 triples) guard against accidental
-/// cross-pair reuse, not a cryptographic content hash.
-fn memo_fingerprint<G: GraphAccess>(schema: &Schema, graph: &G) -> (u64, u64) {
+/// cross-pair reuse, not a cryptographic content hash; it carries the
+/// shape and term counts the memo's rows are sized from.
+fn memo_fingerprint<G: GraphAccess>(schema: &Schema, graph: &G) -> Fingerprint {
     use std::hash::{Hash, Hasher};
     let mut hg = std::collections::hash_map::DefaultHasher::new();
     graph.len().hash(&mut hg);
-    graph.term_count().hash(&mut hg);
     for triple in graph.iter_ids().take(32) {
         triple.hash(&mut hg);
     }
-    (schema_fingerprint(schema), hg.finish())
+    Fingerprint {
+        schema: schema_fingerprint(schema),
+        graph: hg.finish(),
+        shapes: schema.len(),
+        terms: graph.term_count(),
+    }
 }
 
 /// The schema half of the memo fingerprint, exposed so a
@@ -793,24 +916,21 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// is attached: each `(shape name, node)` pair is decided at most once
     /// per memo, no matter how many referencing shapes or targets ask.
     pub fn conforms_named(&mut self, node: TermId, name: &Term) -> bool {
+        let schema = self.schema;
         let memo = self.memo.clone();
-        if let Some(memo) = memo {
-            if let Some(sid) = self.schema.name_id(name) {
-                if let Some(decided) = memo.lookup_or_derive(sid, node) {
-                    return decided;
-                }
-                let def = self.schema.def(name);
-                let value = self.conforms(node, &def);
-                // A faulted run's answers are unwinding placeholders, not
-                // decisions; keep them out of the shared memo.
-                if self.fault.is_none() {
-                    memo.insert(sid, node, value);
-                }
-                return value;
+        if let (Some(memo), Some(sid)) = (memo, schema.name_id(name)) {
+            if let Some(decided) = memo.lookup_or_derive(sid, node) {
+                return decided;
             }
+            let value = self.conforms(node, schema.def(name));
+            // A faulted run's answers are unwinding placeholders, not
+            // decisions; keep them out of the shared memo.
+            if self.fault.is_none() {
+                memo.insert(sid, node, value);
+            }
+            return value;
         }
-        let def = self.schema.def(name);
-        self.conforms(node, &def)
+        self.conforms(node, schema.def(name))
     }
 
     /// Set-at-a-time `⟦E⟧^G(sources[i])` through the multi-source kernel.
@@ -1114,86 +1234,54 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// immediately; the distinct undecided nodes are evaluated in one
     /// recursive batch against the definition and recorded.
     fn conforms_all_named(&mut self, nodes: &[TermId], name: &Term) -> Vec<bool> {
-        let memo = self.memo.clone();
-        let sid = self.schema.name_id(name);
-        let (Some(memo), Some(sid)) = (memo, sid) else {
-            let def = self.schema.def(name);
-            return self.conforms_all(nodes, &def);
+        let schema = self.schema;
+        let (Some(memo), Some(sid)) = (self.memo.clone(), schema.name_id(name)) else {
+            return self.conforms_all(nodes, schema.def(name));
         };
         let mut out = vec![false; nodes.len()];
         let mut missing: Vec<usize> = Vec::new();
         let index = memo.containment();
         let mut derived: Vec<(TermId, bool)> = Vec::new();
         {
-            // Pin every stripe for read once, then the scan is lock-free
-            // per node (readers share stripes; only writers exclude).
-            let tables: Vec<_> = memo.shards.iter().map(read).collect();
-            let probe = |shape: u32, node: TermId| -> Option<bool> {
-                tables[ConformanceMemo::shard_index(shape, node)]
-                    .get(&(shape, node))
-                    .copied()
-            };
+            // Pin the row table once; each probe is then a page index and
+            // a relaxed load. Subsumption derivation probes the same rows:
+            // a true bit of a contained shape, or a false bit of a
+            // containing shape, settles this pair without evaluation.
+            let table = read(&memo.table);
+            let derive = |node| index.as_ref().and_then(|idx| table.derive(idx, sid, node));
             for (i, &node) in nodes.iter().enumerate() {
-                if let Some(v) = probe(sid, node) {
+                if let Some(v) = table.get(sid, node) {
                     out[i] = v;
-                    continue;
-                }
-                // Subsumption derivation against the same pinned tables: a
-                // true bit of a contained shape, or a false bit of a
-                // containing shape, settles this pair without evaluation.
-                let from_index = index.as_ref().and_then(|idx| {
-                    idx.subs_of(sid)
-                        .iter()
-                        .find(|&&sub| probe(sub, node) == Some(true))
-                        .map(|_| true)
-                        .or_else(|| {
-                            idx.supers_of(sid)
-                                .iter()
-                                .find(|&&sup| probe(sup, node) == Some(false))
-                                .map(|_| false)
-                        })
-                });
-                match from_index {
-                    Some(v) => {
-                        out[i] = v;
-                        derived.push((node, v));
-                        memo.containment_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        if index.is_some() {
-                            memo.containment_misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                        missing.push(i);
-                    }
+                } else if let Some(v) = derive(node) {
+                    out[i] = v;
+                    derived.push((node, v));
+                } else {
+                    missing.push(i);
                 }
             }
         }
-        // Write back derived bits only after the pinned read guards are
-        // dropped (insert takes a write lock on the same stripes).
-        for &(node, v) in &derived {
-            memo.insert(sid, node, v);
+        if index.is_some() {
+            memo.containment_hits
+                .fetch_add(derived.len() as u64, Ordering::Relaxed);
+            memo.containment_misses
+                .fetch_add(missing.len() as u64, Ordering::Relaxed);
         }
+        memo.insert_all(sid, derived);
         if !missing.is_empty() {
             let mut uniq_vec: Vec<TermId> = missing.iter().map(|&i| nodes[i]).collect();
             uniq_vec.sort_unstable();
             uniq_vec.dedup();
-            let def = self.schema.def(name);
-            let decided = self.conforms_all(&uniq_vec, &def);
-            let map: IntMap<TermId, bool> = uniq_vec
-                .iter()
-                .copied()
-                .zip(decided.iter().copied())
-                .collect();
+            let decided = self.conforms_all(&uniq_vec, schema.def(name));
             // Keep unwinding placeholders from a faulted run out of the
-            // shared memo. Inserts go stripe by stripe (uncontended CAS in
-            // the common case), not under one global lock.
+            // shared memo.
             if self.fault.is_none() {
-                for (&node, &v) in map.iter() {
-                    memo.insert(sid, node, v);
-                }
+                memo.insert_all(sid, uniq_vec.iter().copied().zip(decided.iter().copied()));
             }
             for &i in &missing {
-                out[i] = map[&nodes[i]];
+                let k = uniq_vec
+                    .binary_search(&nodes[i])
+                    .expect("every missing node was decided");
+                out[i] = decided[k];
             }
         }
         out
@@ -2180,6 +2268,173 @@ mod tests {
         // A cleared memo re-binds to any pair.
         let g2 = Graph::from_triples([t("x", "p", "y")]);
         let _ctx2 = Context::with_memo(&schema, &g2, Arc::clone(&memo));
+    }
+
+    /// A one-definition schema over `p` for the memo's own tests.
+    fn memo_schema() -> Schema {
+        Schema::new([ShapeDef::new(
+            term("S"),
+            Shape::geq(1, p("p"), Shape::True),
+            Shape::True,
+        )])
+        .unwrap()
+    }
+
+    #[test]
+    fn memo_page_boundaries_and_ids_beyond_the_bound_width() {
+        let schema = memo_schema();
+        let g = Graph::from_triples([t("a", "p", "b")]);
+        let memo = ConformanceMemo::new();
+        memo.rebind(&schema, &g);
+        assert_eq!(read(&memo.table).width, 1);
+        let edge = [PAGE - 1, PAGE, PAGE + 1, 5 * PAGE + 3].map(|i| TermId(i as u32));
+        for (k, &node) in edge.iter().enumerate() {
+            memo.insert(0, node, k % 2 == 0);
+        }
+        // Shape ids past the schema's rows grow the table too, without
+        // widening it.
+        let width = read(&memo.table).width;
+        for shape in 7..40 {
+            memo.insert(shape, TermId(2), shape == 7);
+        }
+        assert_eq!(read(&memo.table).width, width);
+        for (k, &node) in edge.iter().enumerate() {
+            assert_eq!(memo.lookup(0, node), Some(k % 2 == 0), "{node:?}");
+        }
+        assert_eq!(memo.lookup(7, TermId(2)), Some(true));
+        for node in [PAGE - 2, PAGE + 2, 5 * PAGE + 2, 64 * PAGE] {
+            assert_eq!(memo.lookup(0, TermId(node as u32)), None);
+        }
+        assert_eq!(memo.lookup(8, TermId(2)), Some(false));
+        assert_eq!(memo.lookup(40, TermId(2)), None);
+        assert_eq!(memo.len(), edge.len() + 33);
+    }
+
+    #[test]
+    fn memo_rebind_to_a_delta_that_interned_new_terms() {
+        use shapefrag_rdf::DeltaGraph;
+        let schema = memo_schema();
+        // 1,022 terms: the base fits one page.
+        let base = Graph::from_triples((0..PAGE - 4).map(|i| t(&format!("n{i}"), "p", "o")));
+        let mut delta = DeltaGraph::new(Arc::new(base.freeze()));
+        let memo = Arc::new(ConformanceMemo::new());
+        memo.rebind(&schema, &delta);
+        assert_eq!(read(&memo.table).width, 1);
+        let old = delta.id_of(&term("n0")).unwrap();
+        memo.insert(0, old, true);
+        let fresh: Vec<TermId> = (0..8)
+            .map(|i| delta.insert(&t(&format!("new{i}"), "q", "o")).unwrap().0)
+            .collect();
+        assert!(fresh.iter().any(|id| id.0 as usize >= PAGE));
+        memo.rebind(&schema, &delta);
+        assert_eq!(read(&memo.table).width, 2, "rebind widens the rows");
+        for (k, &id) in fresh.iter().enumerate() {
+            memo.insert(0, id, k % 3 == 0);
+        }
+        for (k, &id) in fresh.iter().enumerate() {
+            assert_eq!(memo.lookup(0, id), Some(k % 3 == 0));
+        }
+        assert_eq!(memo.lookup(0, old), Some(true), "facts survive the rebind");
+        // The rebound memo attaches to the delta without a mismatch.
+        let ctx = Context::with_memo(&schema, &delta, Arc::clone(&memo));
+        assert!(ctx.memo.is_some());
+    }
+
+    #[test]
+    fn memo_invalidate_drops_listed_cells_and_invalidate_shape_one_row() {
+        let memo = ConformanceMemo::new();
+        let nodes: Vec<TermId> = [0, 1, 2, PAGE + 5].map(|i| TermId(i as u32)).to_vec();
+        for shape in 0..3 {
+            for &node in &nodes {
+                memo.insert(shape, node, true);
+            }
+        }
+        memo.invalidate(0, [nodes[1], nodes[3], TermId(9 * PAGE as u32)]);
+        for &node in &nodes {
+            let dropped = node == nodes[1] || node == nodes[3];
+            assert_eq!(memo.lookup(0, node), (!dropped).then_some(true));
+            assert_eq!(memo.lookup(1, node), Some(true));
+        }
+        memo.invalidate_shape(1);
+        for &node in &nodes {
+            assert_eq!(memo.lookup(1, node), None);
+            assert_eq!(memo.lookup(2, node), Some(true));
+        }
+        assert_eq!(memo.len(), 2 + nodes.len());
+        // An invalidated row takes new facts again.
+        memo.insert(1, nodes[0], false);
+        assert_eq!(memo.lookup(1, nodes[0]), Some(false));
+    }
+
+    #[test]
+    fn memo_clear_resets_rows_and_binding() {
+        let schema = memo_schema();
+        let g = Graph::from_triples([t("a", "p", "b")]);
+        let memo = Arc::new(ConformanceMemo::new());
+        let _ctx = Context::with_memo(&schema, &g, Arc::clone(&memo));
+        memo.insert(0, TermId(0), true);
+        memo.insert(0, TermId(3 * PAGE as u32), false);
+        memo.clear();
+        assert!(memo.is_empty());
+        assert_eq!(memo.lookup(0, TermId(0)), None);
+        {
+            let table = read(&memo.table);
+            assert!(table.binding.is_none());
+            assert!(table.rows.is_empty());
+            assert_eq!(table.width, 0);
+        }
+        // Unbound again: another pair binds without a mismatch.
+        let g2 = Graph::from_triples([t("x", "q", "y"), t("x", "q", "z")]);
+        let ctx = Context::with_memo(&schema, &g2, Arc::clone(&memo));
+        assert!(ctx.memo.is_some());
+    }
+
+    #[test]
+    fn memo_len_counts_decided_cells() {
+        let memo = ConformanceMemo::new();
+        assert_eq!(memo.len(), 0);
+        memo.insert(0, TermId(4), true);
+        memo.insert(0, TermId(4), true);
+        assert_eq!(memo.len(), 1, "a repeated fact is one cell");
+        memo.insert(0, TermId(4), false);
+        assert_eq!(memo.len(), 1, "an overwritten fact is one cell");
+        memo.insert(0, TermId(PAGE as u32), false);
+        memo.insert(3, TermId(4), false);
+        assert_eq!(memo.len(), 3, "false facts count as decided");
+        memo.invalidate(0, [TermId(4)]);
+        assert_eq!(memo.len(), 2);
+        assert!(!memo.is_empty());
+    }
+
+    #[test]
+    fn memo_racing_inserts_into_one_fresh_page_match_a_sequential_run() {
+        let verdict = |node: TermId| !node.0.is_multiple_of(3);
+        let page: Vec<TermId> = (2 * PAGE..3 * PAGE).map(|i| TermId(i as u32)).collect();
+        let sequential = ConformanceMemo::new();
+        for &node in &page {
+            sequential.insert(1, node, verdict(node));
+        }
+        let shared = ConformanceMemo::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for worker in 0..4usize {
+                let (shared, page, start) = (&shared, &page, &start);
+                scope.spawn(move || {
+                    // Every worker writes the whole page, each in its own
+                    // order, so the first allocation of the page is raced.
+                    start.wait();
+                    for k in 0..PAGE {
+                        let node = page[(k * (2 * worker + 1) + worker) % PAGE];
+                        shared.insert(1, node, verdict(node));
+                    }
+                });
+            }
+        });
+        for &node in &page {
+            assert_eq!(shared.lookup(1, node), sequential.lookup(1, node));
+        }
+        assert_eq!(shared.len(), sequential.len());
+        assert_eq!(shared.len(), PAGE);
     }
 
     #[cfg(debug_assertions)]

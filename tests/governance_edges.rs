@@ -1,11 +1,11 @@
 //! Edge-case tests for the governance primitives that the server leans
 //! on: [`Budget::split`] as the contract between a parent request and its
-//! parallel workers, and [`ConformanceMemo`]'s lock stripes under worker
-//! panics. The memo is shared across validation workers; a panicking
-//! worker must neither wedge the other threads nor hide the facts it
-//! already published (the memo recovers a poisoned stripe with
-//! `PoisonError::into_inner`: every update leaves a stripe valid, so the
-//! data behind the poison flag is sound). The last section drives the
+//! parallel workers, and [`ConformanceMemo`] under worker panics. The
+//! memo is shared across validation workers; a panicking worker must
+//! neither wedge the other threads nor hide the facts it already
+//! published (the memo recovers its poisoned row-table lock with
+//! `PoisonError::into_inner`: every update leaves the table valid, so
+//! the data behind the poison flag is sound). The last section drives the
 //! reach kernel (the quantifier passes of both batch engines) into each
 //! governor limit on the Vardi distance-3 shape.
 
@@ -77,11 +77,10 @@ fn split_budget_floors_at_one_step_per_worker() {
 }
 
 // ---------------------------------------------------------------------
-// ConformanceMemo stripe poisoning
+// ConformanceMemo under worker panics
 // ---------------------------------------------------------------------
 
-/// Keys spread over many stripes (the memo has 64; shape index varies the
-/// hash enough to hit a good fraction of them).
+/// Keys spread over many rows and pages of the memo.
 fn spread_keys() -> Vec<(u32, TermId)> {
     (0..256u32)
         .map(|i| (i, TermId(i.wrapping_mul(31))))
@@ -118,7 +117,7 @@ fn memo_facts_survive_worker_panic() {
     }
     assert_eq!(memo.len(), keys.len());
 
-    // …and every stripe is still writable from a fresh thread (no
+    // …and every row is still writable from a fresh thread (no
     // deadlock, no poison error surfacing as a panic).
     let memo2 = Arc::clone(&memo);
     let keys2 = keys.clone();
@@ -133,8 +132,8 @@ fn memo_facts_survive_worker_panic() {
     }
 }
 
-/// The sharper case: a thread panics while *holding* a stripe's write
-/// guard (mid-insert, as far as the lock is concerned). `std` poisons the
+/// The sharper case: a thread panics while *holding* a write guard (as
+/// the memo's row-table lock is held while it grows). `std` poisons the
 /// lock; the memo's idiom, `unwrap_or_else(PoisonError::into_inner)`, lets
 /// readers and writers on other threads proceed and see whatever was
 /// written before the panic.

@@ -57,7 +57,7 @@ fn target_strategy() -> impl Strategy<Value = Shape> {
 }
 
 /// Random nonrecursive schemas of 1–4 definitions with forward `hasShape`
-/// references (the memo-sharing case the striped memo must get right
+/// references (the memo-sharing case the shared memo must get right
 /// across workers).
 fn schema_strategy() -> impl Strategy<Value = Schema> {
     (
