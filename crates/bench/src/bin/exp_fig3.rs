@@ -18,7 +18,7 @@ use shapefrag_core::fragment;
 use shapefrag_core::to_sparql::fragment_via_sparql;
 use shapefrag_rdf::{GraphAccess, Term};
 use shapefrag_shacl::validator::Context;
-use shapefrag_shacl::Schema;
+use shapefrag_shacl::{Nnf, Schema};
 use shapefrag_sparql::eval::EvalConfig;
 
 use shapefrag_workloads::dblp::{authored_by, vardi_shape, Bibliography, DblpConfig};
@@ -158,12 +158,13 @@ fn main() {
 
         // Conforming authors (distance ≤ 3).
         let mut ctx = Context::new(&schema, &graph);
+        let nnf = Nnf::from_shape(&shape);
         let within = graph
             .node_ids()
             .into_iter()
             .filter(|&v| {
                 matches!(graph.term(v), Term::Iri(i) if i.as_str().contains("/author/"))
-                    && ctx.conforms(v, &shape)
+                    && ctx.conforms_nnf(v, &nnf)
             })
             .count();
 
@@ -245,12 +246,13 @@ fn main() {
         .triples_matching(None, Some(&authored_by()), None)
         .len();
     let mut ctx = Context::new(&schema, &slice);
+    let nnf = Nnf::from_shape(&shape);
     let mut authors = 0usize;
     let mut within = 0usize;
     for v in slice.node_ids() {
         if matches!(slice.term(v), Term::Iri(i) if i.as_str().contains("/author/")) {
             authors += 1;
-            if ctx.conforms(v, &shape) {
+            if ctx.conforms_nnf(v, &nnf) {
                 within += 1;
             }
         }

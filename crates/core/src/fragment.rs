@@ -110,10 +110,11 @@ pub fn conforming_nodes<G: GraphAccess>(
     shape: &Shape,
 ) -> BTreeSet<TermId> {
     let mut ctx = Context::new(schema, graph);
+    let shape = Nnf::from_shape(shape);
     graph
         .node_ids()
         .into_iter()
-        .filter(|&v| ctx.conforms(v, shape))
+        .filter(|&v| ctx.conforms_nnf(v, &shape))
         .collect()
 }
 

@@ -63,7 +63,7 @@ use shapefrag_rdf::{ntriples, DeltaGraph, FrozenGraph, GraphAccess, ParseError, 
 use shapefrag_shacl::validator::{
     ConformanceMemo, ContainmentIndex, Context, ValidationReport, Violation,
 };
-use shapefrag_shacl::{Nnf, Schema, Shape};
+use shapefrag_shacl::{Nnf, Schema};
 
 use crate::parallel::{exec_ctx, fault_of, push_units, run_governed};
 
@@ -507,7 +507,7 @@ fn affected_nodes(
 /// reused bits pre-filled, and the nodes that still need a conformance
 /// check (in row order).
 struct RowPlan<'a> {
-    shape: &'a Shape,
+    shape: &'a Nnf,
     /// `(focus, Some(bit))` for reused entries, `(focus, None)` for
     /// entries to be filled from `to_check` decisions, ascending by focus.
     entries: Vec<(TermId, Option<bool>)>,
@@ -538,9 +538,9 @@ fn revalidate(
     // Route each re-check through `HasShape(name)` so the def-level bit
     // lands in the memo under the definition's own id, where containment
     // derivation can reach it.
-    let wrapped: Vec<Shape> = schema
+    let wrapped: Vec<Nnf> = schema
         .iter()
-        .map(|def| Shape::HasShape(def.name.clone()))
+        .map(|def| Nnf::HasShape(def.name.clone()))
         .collect();
     let mut plans: Vec<RowPlan> = Vec::with_capacity(schema.len());
     let mut units = Vec::new();
@@ -550,10 +550,9 @@ fn revalidate(
         let targets = plan_ctx.target_nodes(&def.target);
         fault_of(&mut plan_ctx)?;
         let plan = plan_row(&wrapped[d], targets, &state[d], &impacts[d]);
-        let nnf = Nnf::from_shape(&def.shape);
         push_units(
             schema,
-            &nnf,
+            schema.def_nnf(&def.name, false),
             plan.to_check.len(),
             threads,
             d,
@@ -579,7 +578,7 @@ fn revalidate(
         },
         |(ctx, out), span| {
             let plan = &plans[span.def];
-            let decisions = ctx.conforms_all(&plan.to_check[span.lo..span.hi], plan.shape);
+            let decisions = ctx.conforms_all_nnf(&plan.to_check[span.lo..span.hi], plan.shape);
             fault_of(ctx)?;
             out.push((span.def, span.lo, decisions));
             Ok(())
@@ -614,7 +613,7 @@ fn revalidate(
 /// node must be re-checked when its definition is impact-routed to it, or
 /// when it was not in the previous row at all.
 fn plan_row<'a>(
-    shape: &'a Shape,
+    shape: &'a Nnf,
     targets: BTreeSet<TermId>,
     old: &[(TermId, bool)],
     impact: &Impact,
@@ -646,7 +645,7 @@ fn plan_row<'a>(
 mod tests {
     use super::*;
     use shapefrag_rdf::{Graph, Iri, Term};
-    use shapefrag_shacl::{validate_batch, PathExpr, ShapeDef};
+    use shapefrag_shacl::{validate_batch, PathExpr, Shape, ShapeDef};
 
     fn iri(n: &str) -> Iri {
         Iri::new(format!("http://e/{n}"))

@@ -257,13 +257,13 @@ pub fn validate_extract_fragment_per_node<G: GraphAccess>(
     let mut all = IdTriples::default();
     let mut journal: Vec<(TermId, TermId, TermId)> = Vec::new();
     for def in schema.iter() {
-        let shape_nnf = Nnf::from_shape(&def.shape);
+        let shape_nnf = schema.def_nnf(&def.name, false);
         let targets = ctx.target_nodes(&def.target);
         let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
         for node in targets {
             report.checked += 1;
             journal.clear();
-            if conforms_and_collect(&mut ctx, node, &shape_nnf, &mut journal) {
+            if conforms_and_collect(&mut ctx, node, shape_nnf, &mut journal) {
                 all.extend(journal.iter().copied());
                 evidence.collect(&mut ctx, node, &mut all);
             } else {
@@ -286,13 +286,13 @@ pub fn validate_with_provenance<G: GraphAccess>(schema: &Schema, graph: &G) -> P
     let mut neighborhoods = BTreeMap::new();
     let mut all = IdTriples::default();
     for def in schema.iter() {
-        let shape_nnf = Nnf::from_shape(&def.shape);
+        let shape_nnf = schema.def_nnf(&def.name, false);
         let targets = ctx.target_nodes(&def.target);
         let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
         for node in targets {
             report.checked += 1;
-            if ctx.conforms(node, &def.shape) {
-                let mut ids = neighborhood_nnf_ids(&mut ctx, node, &shape_nnf);
+            if ctx.conforms_nnf(node, shape_nnf) {
+                let mut ids = neighborhood_nnf_ids(&mut ctx, node, shape_nnf);
                 evidence.collect(&mut ctx, node, &mut ids);
                 all.extend(ids.iter().copied());
                 neighborhoods.insert(

@@ -46,7 +46,7 @@ use shapefrag_govern::{Budget, CancelToken, EngineError, ExecCtx};
 use shapefrag_rdf::{GraphAccess, Term, TermId};
 use shapefrag_sched::{run, RunStats, WorkUnit};
 use shapefrag_shacl::validator::{ConformanceMemo, Context, ValidationReport, Violation};
-use shapefrag_shacl::{Nnf, Schema, Shape};
+use shapefrag_shacl::{Nnf, Schema};
 
 use crate::instrumented::{SchemaFragment, TargetEvidence};
 use crate::neighborhood::{collect_neighborhood_many, conforms_and_collect, IdTriples};
@@ -201,7 +201,7 @@ fn merge_report(per_worker: Vec<Vec<UnitOut>>) -> ValidationReport {
 /// One planned definition.
 struct DefPlan<'a> {
     name: &'a Term,
-    nnf: Nnf,
+    nnf: &'a Nnf,
     targets: Vec<TermId>,
     /// Precomputed `B(v, τ)`; `None` when the run only validates.
     evidence: Option<TargetEvidence>,
@@ -229,22 +229,14 @@ fn plan<'a, G: GraphAccess>(
     let mut seq = 0;
     for (d, def) in schema.iter().enumerate() {
         ctx.exec().check_now()?;
-        let nnf = Nnf::from_shape(&def.shape);
+        let nnf = schema.def_nnf(&def.name, false);
         let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
         let evidence = extract.then(|| TargetEvidence::analyze(&mut ctx, &def.target));
         fault_of(&mut ctx)?;
-        push_units(
-            schema,
-            &nnf,
-            targets.len(),
-            threads,
-            d,
-            &mut seq,
-            &mut units,
-        );
+        push_units(schema, nnf, targets.len(), threads, d, &mut seq, &mut units);
         plans.push(DefPlan {
             name: &def.name,
-            per_node: !shape_shares_work(schema, &nnf),
+            per_node: !shape_shares_work(schema, nnf),
             nnf,
             targets,
             evidence,
@@ -271,9 +263,9 @@ pub fn validate_batch_par<G: GraphAccess>(
     // Top-level checks go through the *named* path (`hasShape(name)` ≡ the
     // definition's shape), so definition-level bits land in the shared memo
     // where cross-definition reuse can see them.
-    let named: Vec<Shape> = plans
+    let named: Vec<Nnf> = plans
         .iter()
-        .map(|plan| Shape::HasShape(plan.name.clone()))
+        .map(|plan| Nnf::HasShape(plan.name.clone()))
         .collect();
     let (per_worker, stats) = run_governed(
         units,
@@ -289,7 +281,7 @@ pub fn validate_batch_par<G: GraphAccess>(
         |(ctx, out), span| {
             let plan = &plans[span.def];
             let nodes = &plan.targets[span.lo..span.hi];
-            let decisions = ctx.conforms_all(nodes, &named[span.def]);
+            let decisions = ctx.conforms_all_nnf(nodes, &named[span.def]);
             fault_of(ctx)?;
             let violations = nodes
                 .iter()
@@ -350,7 +342,7 @@ pub fn validate_extract_fragment_par<G: GraphAccess>(
             if plan.per_node {
                 for &node in nodes {
                     state.journal.clear();
-                    if conforms_and_collect(&mut state.ctx, node, &plan.nnf, &mut state.journal) {
+                    if conforms_and_collect(&mut state.ctx, node, plan.nnf, &mut state.journal) {
                         state.triples.extend(state.journal.iter().copied());
                         evidence.collect(&mut state.ctx, node, &mut state.triples);
                     } else {
@@ -358,7 +350,7 @@ pub fn validate_extract_fragment_par<G: GraphAccess>(
                     }
                 }
             } else {
-                let decisions = state.ctx.conforms_all_nnf(nodes, &plan.nnf);
+                let decisions = state.ctx.conforms_all_nnf(nodes, plan.nnf);
                 let mut conforming: Vec<TermId> = Vec::with_capacity(nodes.len());
                 for (&node, ok) in nodes.iter().zip(decisions) {
                     if ok {
@@ -371,7 +363,7 @@ pub fn validate_extract_fragment_par<G: GraphAccess>(
                 collect_neighborhood_many(
                     &mut state.ctx,
                     &conforming,
-                    &plan.nnf,
+                    plan.nnf,
                     &mut state.triples,
                 );
             }
@@ -396,7 +388,7 @@ mod tests {
     use crate::fragment::schema_fragment;
     use shapefrag_rdf::{Graph, Iri, Triple};
     use shapefrag_shacl::path::PathExpr;
-    use shapefrag_shacl::ShapeDef;
+    use shapefrag_shacl::{Shape, ShapeDef};
 
     fn iri(n: &str) -> Iri {
         Iri::new(format!("http://e/{n}"))

@@ -1,8 +1,13 @@
 //! Conformance checking (Table 1) and schema validation.
 //!
 //! [`Context`] bundles a schema and a graph with a per-graph compiled-path
-//! cache; [`Context::conforms`] decides `H, G, a ⊨ φ`. [`validate`] checks
-//! a whole graph against a schema, producing a [`ValidationReport`] in the
+//! cache. Table 1 is stated once per arity, over shapes in negation normal
+//! form: [`Context::conforms_nnf`] decides `H, G, a ⊨ φ` for one node and
+//! [`Context::conforms_all_nnf`] for a batch. `hasShape(s)` decides the
+//! schema's compiled NNF of `def(s, H)` ([`Schema::def_nnf`]). The
+//! [`Shape`] entry points [`Context::conforms`] and [`Context::conforms_all`]
+//! convert their shape once and call the NNF bodies. [`validate`] checks a
+//! whole graph against a schema, producing a [`ValidationReport`] in the
 //! style of a SHACL engine — this is the "mere validation" baseline of the
 //! overhead experiment (§5.3.1).
 
@@ -619,9 +624,9 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// Enters one governed recursion level on behalf of an external
     /// recursive worker (the provenance collectors in `shapefrag-core`
     /// recurse on shape structure without passing through
-    /// [`Context::conforms`]). Returns `false` — recording the fault — when
-    /// the depth limit, budget, deadline, or cancellation trips; pair every
-    /// `true` return with [`Context::guard_leave`].
+    /// [`Context::conforms_nnf`]). Returns `false` — recording the fault —
+    /// when the depth limit, budget, deadline, or cancellation trips; pair
+    /// every `true` return with [`Context::guard_leave`].
     pub fn guard_enter(&mut self) -> bool {
         if self.fault.is_some() {
             return false;
@@ -740,104 +745,18 @@ impl<'a, G: GraphAccess> Context<'a, G> {
         }
     }
 
-    /// Decides `H, G, a ⊨ φ` (Table 1).
+    /// Decides `H, G, a ⊨ φ` for a general shape by converting it to NNF
+    /// once; callers deciding one shape for many nodes convert it
+    /// themselves and call [`Context::conforms_nnf`].
+    pub fn conforms(&mut self, node: TermId, shape: &Shape) -> bool {
+        self.conforms_nnf(node, &Nnf::from_shape(shape))
+    }
+
+    /// Decides `H, G, a ⊨ φ` (Table 1) for a shape in NNF.
     ///
     /// Under a governor, each call costs one step and one recursion level;
     /// on a resource fault the answer is `false` and the fault is recorded
     /// (see [`Context::take_fault`]).
-    pub fn conforms(&mut self, node: TermId, shape: &Shape) -> bool {
-        if self.fault.is_some() {
-            return false;
-        }
-        if let Err(e) = self.exec.enter() {
-            self.record_fault(e);
-            return false;
-        }
-        let out = self.conforms_inner(node, shape);
-        self.exec.leave();
-        out
-    }
-
-    fn conforms_inner(&mut self, node: TermId, shape: &Shape) -> bool {
-        match shape {
-            Shape::True => true,
-            Shape::False => false,
-            Shape::HasShape(name) => self.conforms_named(node, name),
-            Shape::Test(t) => t.satisfied_by(self.graph.term(node)),
-            Shape::HasValue(c) => self.graph.term(node) == c,
-            Shape::Eq(f, p) => {
-                let left = self.eval_path_or_id(f, node);
-                let right = self.prop_values(node, p);
-                left == right
-            }
-            Shape::Disj(f, p) => {
-                let left = self.eval_path_or_id(f, node);
-                let right = self.prop_values(node, p);
-                left.is_disjoint(&right)
-            }
-            Shape::Closed(allowed) => {
-                let preds: Vec<TermId> = self.graph.predicates_out_ids(node).collect();
-                preds.into_iter().all(
-                    |pid| matches!(self.graph.term(pid), Term::Iri(iri) if allowed.contains(iri)),
-                )
-            }
-            Shape::LessThan(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Lt),
-            Shape::LessThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Le),
-            Shape::MoreThan(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Gt),
-            Shape::MoreThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Ge),
-            Shape::UniqueLang(e) => {
-                let values = self.eval_path(e, node);
-                let mut tags: Vec<&str> = Vec::new();
-                for v in &values {
-                    if let Term::Literal(lit) = self.graph.term(*v) {
-                        if let Some(tag) = lit.language() {
-                            if tags.contains(&tag) {
-                                return false;
-                            }
-                            tags.push(tag);
-                        }
-                    }
-                }
-                true
-            }
-            Shape::Not(inner) => !self.conforms(node, inner),
-            Shape::And(items) => items.iter().all(|s| self.conforms(node, s)),
-            Shape::Or(items) => items.iter().any(|s| self.conforms(node, s)),
-            Shape::Geq(n, e, inner) => {
-                let candidates = self.eval_path(e, node);
-                let mut count: u32 = 0;
-                for b in candidates {
-                    if self.conforms(b, inner) {
-                        count += 1;
-                        if count >= *n {
-                            return true;
-                        }
-                    }
-                }
-                count >= *n
-            }
-            Shape::Leq(n, e, inner) => {
-                let candidates = self.eval_path(e, node);
-                let mut count: u32 = 0;
-                for b in candidates {
-                    if self.conforms(b, inner) {
-                        count += 1;
-                        if count > *n {
-                            return false;
-                        }
-                    }
-                }
-                true
-            }
-            Shape::ForAll(e, inner) => {
-                let candidates = self.eval_path(e, node);
-                candidates.into_iter().all(|b| self.conforms(b, inner))
-            }
-        }
-    }
-
-    /// Decides conformance for an NNF shape (used by the provenance engine,
-    /// which works on NNF throughout).
     pub fn conforms_nnf(&mut self, node: TermId, shape: &Nnf) -> bool {
         if self.fault.is_some() {
             return false;
@@ -861,12 +780,24 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Nnf::NotTest(t) => !t.satisfied_by(self.graph.term(node)),
             Nnf::HasValue(c) => self.graph.term(node) == c,
             Nnf::NotHasValue(c) => self.graph.term(node) != c,
-            Nnf::Eq(f, p) => self.conforms(node, &Shape::Eq(f.clone(), p.clone())),
-            Nnf::NotEq(f, p) => !self.conforms(node, &Shape::Eq(f.clone(), p.clone())),
-            Nnf::Disj(f, p) => self.conforms(node, &Shape::Disj(f.clone(), p.clone())),
-            Nnf::NotDisj(f, p) => !self.conforms(node, &Shape::Disj(f.clone(), p.clone())),
-            Nnf::Closed(ps) => self.conforms(node, &Shape::Closed(ps.clone())),
-            Nnf::NotClosed(ps) => !self.conforms(node, &Shape::Closed(ps.clone())),
+            Nnf::Eq(f, p) => {
+                let (left, right) = self.pair_values(node, f, p);
+                left == right
+            }
+            Nnf::NotEq(f, p) => {
+                let (left, right) = self.pair_values(node, f, p);
+                left != right
+            }
+            Nnf::Disj(f, p) => {
+                let (left, right) = self.pair_values(node, f, p);
+                left.is_disjoint(&right)
+            }
+            Nnf::NotDisj(f, p) => {
+                let (left, right) = self.pair_values(node, f, p);
+                !left.is_disjoint(&right)
+            }
+            Nnf::Closed(allowed) => self.closed(node, allowed),
+            Nnf::NotClosed(allowed) => !self.closed(node, allowed),
             Nnf::LessThan(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Lt),
             Nnf::NotLessThan(e, p) => !self.pairwise_cmp(e, p, node, CmpOp::Lt),
             Nnf::LessThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Le),
@@ -875,41 +806,32 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Nnf::NotMoreThan(e, p) => !self.pairwise_cmp(e, p, node, CmpOp::Gt),
             Nnf::MoreThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Ge),
             Nnf::NotMoreThanEq(e, p) => !self.pairwise_cmp(e, p, node, CmpOp::Ge),
-            Nnf::UniqueLang(e) => self.conforms(node, &Shape::UniqueLang(e.clone())),
-            Nnf::NotUniqueLang(e) => !self.conforms(node, &Shape::UniqueLang(e.clone())),
+            Nnf::UniqueLang(e) => self.unique_lang(node, e),
+            Nnf::NotUniqueLang(e) => !self.unique_lang(node, e),
             Nnf::And(items) => items.iter().all(|s| self.conforms_nnf(node, s)),
             Nnf::Or(items) => items.iter().any(|s| self.conforms_nnf(node, s)),
-            Nnf::Geq(n, e, inner) => {
-                let candidates = self.eval_path(e, node);
-                let mut count: u32 = 0;
-                for b in candidates {
-                    if self.conforms_nnf(b, inner) {
-                        count += 1;
-                        if count >= *n {
-                            return true;
-                        }
-                    }
-                }
-                count >= *n
-            }
+            Nnf::Geq(n, e, inner) => self.count_conforming(node, e, inner, *n) >= *n,
             Nnf::Leq(n, e, inner) => {
-                let candidates = self.eval_path(e, node);
-                let mut count: u32 = 0;
-                for b in candidates {
-                    if self.conforms_nnf(b, inner) {
-                        count += 1;
-                        if count > *n {
-                            return false;
-                        }
-                    }
-                }
-                true
+                self.count_conforming(node, e, inner, n.saturating_add(1)) <= *n
             }
             Nnf::ForAll(e, inner) => {
                 let candidates = self.eval_path(e, node);
                 candidates.into_iter().all(|b| self.conforms_nnf(b, inner))
             }
         }
+    }
+
+    /// How many `E`-successors of `a` conform to `inner`, deciding no
+    /// further successor once `stop` of them do.
+    fn count_conforming(&mut self, node: TermId, e: &PathExpr, inner: &Nnf, stop: u32) -> u32 {
+        let mut count = 0;
+        for b in self.eval_path(e, node) {
+            if count == stop {
+                break;
+            }
+            count += u32::from(self.conforms_nnf(b, inner));
+        }
+        count
     }
 
     /// Decides `H, G, a ⊨ hasShape(s)`, consulting the shared memo when one
@@ -922,7 +844,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             if let Some(decided) = memo.lookup_or_derive(sid, node) {
                 return decided;
             }
-            let value = self.conforms(node, schema.def(name));
+            let value = self.conforms_nnf(node, schema.def_nnf(name, false));
             // A faulted run's answers are unwinding placeholders, not
             // decisions; keep them out of the shared memo.
             if self.fault.is_none() {
@@ -930,7 +852,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             }
             return value;
         }
-        self.conforms(node, schema.def(name))
+        self.conforms_nnf(node, schema.def_nnf(name, false))
     }
 
     /// Set-at-a-time `⟦E⟧^G(sources[i])` through the multi-source kernel.
@@ -947,8 +869,14 @@ impl<'a, G: GraphAccess> Context<'a, G> {
         }
     }
 
+    /// [`Context::conforms_nnf`] for every node at once, converting a
+    /// general shape to NNF once.
+    pub fn conforms_all(&mut self, nodes: &[TermId], shape: &Shape) -> Vec<bool> {
+        self.conforms_all_nnf(nodes, &Nnf::from_shape(shape))
+    }
+
     /// Batch driver: decides `H, G, a ⊨ φ` for every node at once,
-    /// agreeing pointwise with [`Context::conforms`].
+    /// agreeing pointwise with [`Context::conforms_nnf`].
     ///
     /// Boolean structure is evaluated set-wise (narrowing to still-undecided
     /// nodes), and quantifier endpoints are decided once per *distinct*
@@ -956,100 +884,6 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// `∀` read each focus's verdict off one forward and one backward
     /// product pass of the reach kernel; the counting quantifiers take
     /// per-focus candidate sets from one multi-source RPQ pass.
-    pub fn conforms_all(&mut self, nodes: &[TermId], shape: &Shape) -> Vec<bool> {
-        if self.fault.is_some() {
-            return vec![false; nodes.len()];
-        }
-        if let Err(e) = self.exec.enter() {
-            self.record_fault(e);
-            return vec![false; nodes.len()];
-        }
-        let out = self.conforms_all_inner(nodes, shape);
-        self.exec.leave();
-        out
-    }
-
-    fn conforms_all_inner(&mut self, nodes: &[TermId], shape: &Shape) -> Vec<bool> {
-        match shape {
-            Shape::True => vec![true; nodes.len()],
-            Shape::False => vec![false; nodes.len()],
-            Shape::HasShape(name) => self.conforms_all_named(nodes, name),
-            Shape::Not(inner) => negated(self.conforms_all(nodes, inner)),
-            Shape::And(items) => {
-                let mut out = vec![true; nodes.len()];
-                for item in items {
-                    let live: Vec<usize> = (0..nodes.len()).filter(|&i| out[i]).collect();
-                    if live.is_empty() {
-                        break;
-                    }
-                    let subset: Vec<TermId> = live.iter().map(|&i| nodes[i]).collect();
-                    let sub = self.conforms_all(&subset, item);
-                    for (k, &i) in live.iter().enumerate() {
-                        out[i] = sub[k];
-                    }
-                }
-                out
-            }
-            Shape::Or(items) => {
-                let mut out = vec![false; nodes.len()];
-                for item in items {
-                    let live: Vec<usize> = (0..nodes.len()).filter(|&i| !out[i]).collect();
-                    if live.is_empty() {
-                        break;
-                    }
-                    let subset: Vec<TermId> = live.iter().map(|&i| nodes[i]).collect();
-                    let sub = self.conforms_all(&subset, item);
-                    for (k, &i) in live.iter().enumerate() {
-                        out[i] = sub[k];
-                    }
-                }
-                out
-            }
-            Shape::Geq(0, _, _) => vec![true; nodes.len()],
-            Shape::Geq(1, e, inner) => {
-                self.reach_all(nodes, e, |ctx, ends| ctx.conforms_all(ends, inner), true)
-            }
-            Shape::Geq(n, e, inner) => {
-                let need = *n as usize;
-                if matches!(**inner, Shape::True) {
-                    self.counted_all(nodes, e, move |count| count >= need)
-                } else {
-                    self.quantified_all(
-                        nodes,
-                        e,
-                        |ctx, cands| ctx.conforms_all(cands, inner),
-                        move |count| count >= need,
-                    )
-                }
-            }
-            Shape::Leq(0, e, inner) => {
-                negated(self.reach_all(nodes, e, |ctx, ends| ctx.conforms_all(ends, inner), true))
-            }
-            Shape::Leq(n, e, inner) => {
-                let cap = *n as usize;
-                if matches!(**inner, Shape::True) {
-                    self.counted_all(nodes, e, move |count| count <= cap)
-                } else {
-                    self.quantified_all(
-                        nodes,
-                        e,
-                        |ctx, cands| ctx.conforms_all(cands, inner),
-                        move |count| count <= cap,
-                    )
-                }
-            }
-            // Every candidate conforms to ⊤, so ∀E.⊤ holds trivially.
-            Shape::ForAll(_, inner) if matches!(**inner, Shape::True) => vec![true; nodes.len()],
-            Shape::ForAll(e, inner) => {
-                negated(self.reach_all(nodes, e, |ctx, ends| ctx.conforms_all(ends, inner), false))
-            }
-            // Shape-free atoms: no sub-shape to share, decide per node.
-            atom => nodes.iter().map(|&a| self.conforms(a, atom)).collect(),
-        }
-    }
-
-    /// NNF twin of [`Context::conforms_all`], agreeing pointwise with
-    /// [`Context::conforms_nnf`].
     pub fn conforms_all_nnf(&mut self, nodes: &[TermId], shape: &Nnf) -> Vec<bool> {
         if self.fault.is_some() {
             return vec![false; nodes.len()];
@@ -1069,106 +903,62 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Nnf::False => vec![false; nodes.len()],
             Nnf::HasShape(name) => self.conforms_all_named(nodes, name),
             Nnf::NotHasShape(name) => negated(self.conforms_all_named(nodes, name)),
-            Nnf::And(items) => {
-                let mut out = vec![true; nodes.len()];
-                for item in items {
-                    let live: Vec<usize> = (0..nodes.len()).filter(|&i| out[i]).collect();
-                    if live.is_empty() {
-                        break;
-                    }
-                    let subset: Vec<TermId> = live.iter().map(|&i| nodes[i]).collect();
-                    let sub = self.conforms_all_nnf(&subset, item);
-                    for (k, &i) in live.iter().enumerate() {
-                        out[i] = sub[k];
-                    }
-                }
-                out
-            }
-            Nnf::Or(items) => {
-                let mut out = vec![false; nodes.len()];
-                for item in items {
-                    let live: Vec<usize> = (0..nodes.len()).filter(|&i| !out[i]).collect();
-                    if live.is_empty() {
-                        break;
-                    }
-                    let subset: Vec<TermId> = live.iter().map(|&i| nodes[i]).collect();
-                    let sub = self.conforms_all_nnf(&subset, item);
-                    for (k, &i) in live.iter().enumerate() {
-                        out[i] = sub[k];
-                    }
-                }
-                out
-            }
+            Nnf::And(items) => self.narrowed_all(nodes, items, true),
+            Nnf::Or(items) => self.narrowed_all(nodes, items, false),
             Nnf::Geq(0, _, _) => vec![true; nodes.len()],
-            Nnf::Geq(1, e, inner) => self.reach_all(
-                nodes,
-                e,
-                |ctx, ends| ctx.conforms_all_nnf(ends, inner),
-                true,
-            ),
+            Nnf::Geq(1, e, inner) => self.reach_all(nodes, e, inner, true),
             Nnf::Geq(n, e, inner) => {
                 let need = *n as usize;
-                if matches!(**inner, Nnf::True) {
-                    self.counted_all(nodes, e, move |count| count >= need)
-                } else {
-                    self.quantified_all(
-                        nodes,
-                        e,
-                        |ctx, cands| ctx.conforms_all_nnf(cands, inner),
-                        move |count| count >= need,
-                    )
-                }
+                self.quantified_all(nodes, e, inner, |count| count >= need)
             }
-            Nnf::Leq(0, e, inner) => negated(self.reach_all(
-                nodes,
-                e,
-                |ctx, ends| ctx.conforms_all_nnf(ends, inner),
-                true,
-            )),
+            Nnf::Leq(0, e, inner) => negated(self.reach_all(nodes, e, inner, true)),
             Nnf::Leq(n, e, inner) => {
                 let cap = *n as usize;
-                if matches!(**inner, Nnf::True) {
-                    self.counted_all(nodes, e, move |count| count <= cap)
-                } else {
-                    self.quantified_all(
-                        nodes,
-                        e,
-                        |ctx, cands| ctx.conforms_all_nnf(cands, inner),
-                        move |count| count <= cap,
-                    )
-                }
+                self.quantified_all(nodes, e, inner, |count| count <= cap)
             }
+            // Every candidate conforms to ⊤, so ∀E.⊤ holds trivially.
             Nnf::ForAll(_, inner) if matches!(**inner, Nnf::True) => vec![true; nodes.len()],
-            Nnf::ForAll(e, inner) => negated(self.reach_all(
-                nodes,
-                e,
-                |ctx, ends| ctx.conforms_all_nnf(ends, inner),
-                false,
-            )),
+            Nnf::ForAll(e, inner) => negated(self.reach_all(nodes, e, inner, false)),
+            // Shape-free atoms: no sub-shape to share, decide per node.
             atom => nodes.iter().map(|&a| self.conforms_nnf(a, atom)).collect(),
         }
     }
 
-    /// `≥1 E.ψ`, `≤0 E.ψ` and `∀E.ψ` for the batch drivers: `out[i]` iff
-    /// some `E`-path leads from `nodes[i]` to an endpoint whose `decide`
-    /// verdict is `want`. `≥1 E.ψ` is `want = true`; `≤0 E.ψ` negates it;
+    /// `∧` (`unit = true`) and `∨` (`unit = false`) for the batch driver:
+    /// each item decides only the nodes whose verdict is still `unit`.
+    fn narrowed_all(&mut self, nodes: &[TermId], items: &[Nnf], unit: bool) -> Vec<bool> {
+        let mut out = vec![unit; nodes.len()];
+        for item in items {
+            let live: Vec<usize> = (0..nodes.len()).filter(|&i| out[i] == unit).collect();
+            if live.is_empty() {
+                break;
+            }
+            let subset: Vec<TermId> = live.iter().map(|&i| nodes[i]).collect();
+            let sub = self.conforms_all_nnf(&subset, item);
+            for (k, &i) in live.iter().enumerate() {
+                out[i] = sub[k];
+            }
+        }
+        out
+    }
+
+    /// `≥1 E.ψ`, `≤0 E.ψ` and `∀E.ψ` for the batch driver: `out[i]` iff
+    /// some `E`-path leads from `nodes[i]` to an endpoint whose verdict for
+    /// `ψ = inner` is `want`. `≥1 E.ψ` is `want = true`; `≤0 E.ψ` negates it;
     /// `∀E.ψ` negates `want = false` (no path to a failing endpoint). One
     /// reach-kernel run: the forward pass yields the distinct endpoints,
     /// which are decided in one recursive batch, and one backward pass from
     /// the qualifying ones answers every focus; nothing is counted per
     /// focus.
-    fn reach_all<F>(
+    fn reach_all(
         &mut self,
         nodes: &[TermId],
         path: &PathExpr,
-        decide: F,
+        inner: &Nnf,
         want: bool,
-    ) -> Vec<bool>
-    where
-        F: FnOnce(&mut Self, &[TermId]) -> Vec<bool>,
-    {
+    ) -> Vec<bool> {
         let qualify = |ctx: &mut Self, endpoints: Vec<TermId>| {
-            let verdicts = decide(ctx, &endpoints);
+            let verdicts = ctx.conforms_all_nnf(&endpoints, inner);
             endpoints
                 .into_iter()
                 .zip(verdicts)
@@ -1186,47 +976,33 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     }
 
     /// Counting quantifiers (`≥n`, n ≥ 2, and `≤n`, n ≥ 1) for the batch
-    /// drivers: one multi-source RPQ pass yields each focus node's
-    /// candidate set; the *union* of candidates is decided in one recursive
-    /// batch; each focus then counts its conforming candidates and
-    /// `decide(count)` gives the bit.
-    fn quantified_all<F, D>(
+    /// driver: one multi-source RPQ pass yields each focus node's
+    /// candidate set; the *union* of candidates is decided against `inner`
+    /// in one recursive batch; each focus then counts its conforming
+    /// candidates and `decide(count)` gives the bit.
+    fn quantified_all(
         &mut self,
         nodes: &[TermId],
         path: &PathExpr,
-        mut conforms_batch: F,
-        decide: D,
-    ) -> Vec<bool>
-    where
-        F: FnMut(&mut Self, &[TermId]) -> Vec<bool>,
-        D: Fn(usize) -> bool,
-    {
+        inner: &Nnf,
+        decide: impl Fn(usize) -> bool,
+    ) -> Vec<bool> {
         let cand_sets = self.eval_path_many(path, nodes);
+        if matches!(inner, Nnf::True) {
+            // Every candidate conforms, so only the counts are needed.
+            return cand_sets.iter().map(|cands| decide(cands.len())).collect();
+        }
         let mut union_vec: Vec<TermId> = cand_sets
             .iter()
             .flat_map(|set| set.iter().copied())
             .collect();
         union_vec.sort_unstable();
         union_vec.dedup();
-        let decided = conforms_batch(self, &union_vec);
+        let decided = self.conforms_all_nnf(&union_vec, inner);
         let ok: IntMap<TermId, bool> = union_vec.into_iter().zip(decided).collect();
         cand_sets
             .iter()
             .map(|cands| decide(cands.iter().filter(|c| ok[c]).count()))
-            .collect()
-    }
-
-    /// Quantifier fast path for a `⊤` inner shape: every path candidate
-    /// conforms, so only the candidate *counts* are needed.
-    fn counted_all<D: Fn(usize) -> bool>(
-        &mut self,
-        nodes: &[TermId],
-        path: &PathExpr,
-        decide: D,
-    ) -> Vec<bool> {
-        self.eval_path_many(path, nodes)
-            .iter()
-            .map(|cands| decide(cands.len()))
             .collect()
     }
 
@@ -1236,7 +1012,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     fn conforms_all_named(&mut self, nodes: &[TermId], name: &Term) -> Vec<bool> {
         let schema = self.schema;
         let (Some(memo), Some(sid)) = (self.memo.clone(), schema.name_id(name)) else {
-            return self.conforms_all(nodes, schema.def(name));
+            return self.conforms_all_nnf(nodes, schema.def_nnf(name, false));
         };
         let mut out = vec![false; nodes.len()];
         let mut missing: Vec<usize> = Vec::new();
@@ -1271,7 +1047,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             let mut uniq_vec: Vec<TermId> = missing.iter().map(|&i| nodes[i]).collect();
             uniq_vec.sort_unstable();
             uniq_vec.dedup();
-            let decided = self.conforms_all(&uniq_vec, schema.def(name));
+            let decided = self.conforms_all_nnf(&uniq_vec, schema.def_nnf(name, false));
             // Keep unwinding placeholders from a faulted run out of the
             // shared memo.
             if self.fault.is_none() {
@@ -1285,6 +1061,40 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             }
         }
         out
+    }
+
+    /// `(⟦F⟧^G(a), ⟦p⟧^G(a))`, the two sides compared by `eq` and `disj`.
+    fn pair_values(
+        &mut self,
+        node: TermId,
+        f: &PathOrId,
+        p: &shapefrag_rdf::Iri,
+    ) -> (BTreeSet<TermId>, BTreeSet<TermId>) {
+        (self.eval_path_or_id(f, node), self.prop_values(node, p))
+    }
+
+    /// `closed(P)`: every outgoing predicate of `a` is in `allowed`.
+    fn closed(&self, node: TermId, allowed: &BTreeSet<shapefrag_rdf::Iri>) -> bool {
+        self.graph
+            .predicates_out_ids(node)
+            .all(|pid| matches!(self.graph.term(pid), Term::Iri(iri) if allowed.contains(iri)))
+    }
+
+    /// `uniqueLang(E)`: no two values of `E` at `a` share a language tag.
+    fn unique_lang(&mut self, node: TermId, e: &PathExpr) -> bool {
+        let values = self.eval_path(e, node);
+        let mut tags: Vec<&str> = Vec::new();
+        for v in &values {
+            if let Term::Literal(lit) = self.graph.term(*v) {
+                if let Some(tag) = lit.language() {
+                    if tags.contains(&tag) {
+                        return false;
+                    }
+                    tags.push(tag);
+                }
+            }
+        }
+        true
     }
 
     /// `⟦p⟧^G(a)` for a plain property.
@@ -1326,10 +1136,11 @@ impl<'a, G: GraphAccess> Context<'a, G> {
         if let Some(fast) = self.fast_targets(target) {
             return fast;
         }
+        let target = Nnf::from_shape(target);
         let nodes = self.graph.node_ids();
         nodes
             .into_iter()
-            .filter(|n| self.conforms(*n, target))
+            .filter(|n| self.conforms_nnf(*n, &target))
             .collect()
     }
 
@@ -1536,9 +1347,10 @@ pub fn validate<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport 
     let mut report = ValidationReport::default();
     for def in schema.iter() {
         let targets = ctx.target_nodes(&def.target);
+        let shape = schema.def_nnf(&def.name, false);
         for node in targets {
             report.checked += 1;
-            if !ctx.conforms(node, &def.shape) {
+            if !ctx.conforms_nnf(node, shape) {
                 report.violations.push(Violation {
                     shape: def.name.clone(),
                     focus: graph.term(node).clone(),
@@ -1550,7 +1362,7 @@ pub fn validate<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport 
 }
 
 /// Set-at-a-time [`validate`]: same report, but each definition's targets
-/// are decided in one [`Context::conforms_all`] batch with a fresh shared
+/// are decided in one [`Context::conforms_all_nnf`] batch with a fresh shared
 /// memo, so `hasShape` sub-shapes are checked once per node across all
 /// referencing targets and path work is shared via the multi-source kernel.
 pub fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
@@ -1622,8 +1434,8 @@ pub fn validate_batch_containment_governed<G: GraphAccess>(
         if let Some(e) = ctx.take_fault() {
             return Err(e);
         }
-        let shape = Shape::HasShape(def.name.clone());
-        let conforming = ctx.conforms_all(&targets, &shape);
+        let shape = Nnf::HasShape(def.name.clone());
+        let conforming = ctx.conforms_all_nnf(&targets, &shape);
         if let Some(e) = ctx.take_fault() {
             return Err(e);
         }
@@ -1657,9 +1469,10 @@ pub fn validate_governed<G: GraphAccess>(
         if let Some(e) = ctx.take_fault() {
             return Err(e);
         }
+        let shape = schema.def_nnf(&def.name, false);
         for node in targets {
             report.checked += 1;
-            let ok = ctx.conforms(node, &def.shape);
+            let ok = ctx.conforms_nnf(node, shape);
             if let Some(e) = ctx.take_fault() {
                 return Err(e);
             }
@@ -1923,48 +1736,6 @@ mod tests {
     }
 
     #[test]
-    fn nnf_conformance_agrees_with_shape_conformance() {
-        let g = Graph::from_triples([
-            t("a", "p", "x"),
-            t("a", "q", "x"),
-            t("x", "type", "C"),
-            lit("a", "l", Literal::lang_string("v", "en")),
-        ]);
-        let shapes = [
-            Shape::geq(1, p("p"), Shape::True).not(),
-            Shape::for_all(
-                p("p"),
-                Shape::geq(1, p("type"), Shape::has_value(term("C"))),
-            ),
-            Shape::Eq(PathOrId::Path(p("p")), iri("q")),
-            Shape::Disj(PathOrId::Path(p("p")), iri("q")).not(),
-            Shape::UniqueLang(p("l")).not(),
-            Shape::leq(0, p("zz"), Shape::True),
-            Shape::Closed(BTreeSet::from([iri("p"), iri("q"), iri("l")])),
-        ];
-        let schema = Schema::empty();
-        let mut ctx = Context::new(&schema, &g);
-        for node in g.node_ids() {
-            for shape in &shapes {
-                let nnf = Nnf::from_shape(shape);
-                assert_eq!(
-                    ctx.conforms(node, shape),
-                    ctx.conforms_nnf(node, &nnf),
-                    "disagreement on {shape} at {}",
-                    g.term(node)
-                );
-                let neg = Nnf::from_negated_shape(shape);
-                assert_eq!(
-                    !ctx.conforms(node, shape),
-                    ctx.conforms_nnf(node, &neg),
-                    "negation disagreement on {shape} at {}",
-                    g.term(node)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn validation_example_1_3() {
         // Schema: papers must have a student author (WorkshopShape with
         // class target Paper).
@@ -2066,56 +1837,6 @@ mod tests {
                 .lexical(),
             "true"
         );
-    }
-
-    #[test]
-    fn conforms_all_agrees_with_conforms() {
-        let g = Graph::from_triples([
-            t("a", "p", "x"),
-            t("a", "p", "y"),
-            t("b", "p", "x"),
-            t("x", "type", "C"),
-            t("y", "type", "D"),
-            t("a", "q", "x"),
-            lit("a", "l", Literal::lang_string("v", "en")),
-        ]);
-        let schema = Schema::new([ShapeDef::new(
-            term("Typed"),
-            Shape::geq(1, p("type"), Shape::True),
-            Shape::False,
-        )])
-        .unwrap();
-        let shapes = [
-            Shape::geq(1, p("p"), Shape::HasShape(term("Typed"))),
-            Shape::for_all(p("p"), Shape::HasShape(term("Typed"))),
-            Shape::leq(
-                1,
-                p("p"),
-                Shape::geq(1, p("type"), Shape::has_value(term("C"))),
-            ),
-            Shape::geq(2, p("p"), Shape::True).and(Shape::UniqueLang(p("l"))),
-            Shape::geq(1, p("q"), Shape::True).or(Shape::geq(1, p("zz"), Shape::True)),
-            Shape::Eq(PathOrId::Path(p("p")), iri("q")).not(),
-            Shape::Closed(BTreeSet::from([iri("p"), iri("q"), iri("l")])),
-        ];
-        let nodes: Vec<TermId> = g.node_ids().into_iter().collect();
-        for shape in &shapes {
-            let mut batch_ctx = Context::with_memo(&schema, &g, Arc::new(ConformanceMemo::new()));
-            let batch = batch_ctx.conforms_all(&nodes, shape);
-            let mut plain_ctx = Context::new(&schema, &g);
-            for (i, &node) in nodes.iter().enumerate() {
-                assert_eq!(
-                    batch[i],
-                    plain_ctx.conforms(node, shape),
-                    "disagreement on {shape} at {}",
-                    g.term(node)
-                );
-            }
-            // NNF twin agrees as well.
-            let nnf = Nnf::from_shape(shape);
-            let nnf_batch = batch_ctx.conforms_all_nnf(&nodes, &nnf);
-            assert_eq!(batch, nnf_batch, "NNF batch disagreement on {shape}");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use shape_fragments::core::fragment;
 use shape_fragments::rdf::ntriples;
 use shape_fragments::rdf::GraphAccess;
 use shape_fragments::shacl::validator::Context;
-use shape_fragments::shacl::Schema;
+use shape_fragments::shacl::{Nnf, Schema};
 use shape_fragments::workloads::dblp::{
     authored_by, hub_author, vardi_shape, Bibliography, DblpConfig,
 };
@@ -43,13 +43,14 @@ fn main() {
 
     // Count conforming authors (distance ≤ 3 from the hub).
     let mut ctx = Context::new(&schema, &graph);
+    let nnf = Nnf::from_shape(&shape);
     let within: usize = graph
         .node_ids()
         .into_iter()
         .filter(|&v| {
             matches!(graph.term(v), shape_fragments::rdf::Term::Iri(i)
                 if i.as_str().contains("/author/"))
-                && ctx.conforms(v, &shape)
+                && ctx.conforms_nnf(v, &nnf)
         })
         .count();
     let authorships = graph

@@ -3,6 +3,8 @@
 //! graphs, path expressions, and shapes covering every construct of the
 //! paper's grammar (§2).
 
+pub mod table1;
+
 use proptest::prelude::*;
 
 use shape_fragments::rdf::{Graph, GraphAccess, Iri, Literal, Term, Triple};

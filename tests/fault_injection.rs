@@ -266,6 +266,45 @@ fn deep_shape_validation_hits_depth_limit() {
     }
 }
 
+/// Governed depth counts the NNF the deciders walk, where `¬` is pushed
+/// into the atoms: a 100 000-deep `¬¬…¬(≥1 p.⊤)` is `≥1 p.⊤` and decides
+/// under the same depth guard of 64, with no overflow and no `DepthLimit`,
+/// on both the per-node and the batch driver.
+#[test]
+fn deep_negation_chain_decides_within_depth_limit() {
+    const DEPTH: usize = 100_000; // even: the chain means ≥1 p.⊤
+    let core = Shape::geq(1, PathExpr::prop(p("p")), Shape::True);
+    let mut shape = core.clone();
+    for _ in 0..DEPTH {
+        shape = shape.not();
+    }
+    let deep = Schema::new(vec![ShapeDef::new(
+        e("Deep"),
+        shape,
+        Shape::has_value(e("n0")),
+    )])
+    .unwrap();
+    let flat = Schema::new(vec![ShapeDef::new(
+        e("Deep"),
+        core,
+        Shape::has_value(e("n0")),
+    )])
+    .unwrap();
+    let graph = cyclic_graph();
+    let governed = || ExecCtx::with_budget(Budget::unlimited().max_depth(64));
+    let expected = validate_governed(&flat, &graph, ExecCtx::unbounded()).unwrap();
+    assert!(expected.conforms());
+    assert_eq!(expected.checked, 1);
+    assert_eq!(
+        validate_governed(&deep, &graph, governed()),
+        Ok(expected.clone())
+    );
+    assert_eq!(
+        validate_batch_governed(&deep, &graph, governed()),
+        Ok(expected)
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Budgets, deadlines, cancellation across the public surface
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ mod common;
 
 use proptest::prelude::*;
 
+use common::table1::Table1;
 use common::{graph_strategy, path_strategy, shape_strategy};
 use shape_fragments::core::{
     fragment_ids, fragment_ids_per_node, validate_extract_fragment,
@@ -106,7 +107,8 @@ proptest! {
         prop_assert_eq!(batch_frag.to_graph(&g), ref_frag.to_graph(&g));
     }
 
-    /// `conforms_all` decides every node exactly as per-node `conforms`.
+    /// `conforms_all` decides every node exactly as per-node `conforms`,
+    /// and both agree with Table 1 read over the general shape.
     #[test]
     fn conforms_all_agrees_pointwise(
         g in graph_strategy(12),
@@ -114,6 +116,7 @@ proptest! {
     ) {
         let schema = Schema::empty();
         let mut ctx = Context::new(&schema, &g);
+        let mut oracle = Table1::new(&schema, &g);
         let nodes: Vec<TermId> = g.node_ids().into_iter().collect();
         let batch = ctx.conforms_all(&nodes, &shape);
         for (&v, ok) in nodes.iter().zip(batch) {
@@ -121,6 +124,13 @@ proptest! {
                 ctx.conforms(v, &shape),
                 ok,
                 "disagreement at {} for {}",
+                g.term(v),
+                shape
+            );
+            prop_assert_eq!(
+                oracle.conforms(v, &shape),
+                ok,
+                "Table 1 disagrees at {} for {}",
                 g.term(v),
                 shape
             );
@@ -195,7 +205,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// On graphs larger than one source chunk, both batch deciders agree
-    /// pointwise with per-node `conforms`.
+    /// pointwise with per-node `conforms` and with Table 1.
     #[test]
     fn big_graph_quantifiers_agree_pointwise(
         g in big_graph_strategy(),
@@ -203,6 +213,7 @@ proptest! {
     ) {
         let schema = Schema::empty();
         let mut ctx = Context::new(&schema, &g);
+        let mut oracle = Table1::new(&schema, &g);
         let nodes: Vec<TermId> = g.node_ids().into_iter().collect();
         prop_assert!(nodes.len() >= BIG_NODES as usize);
         let batch = ctx.conforms_all(&nodes, &shape);
@@ -211,6 +222,13 @@ proptest! {
             let want = ctx.conforms(v, &shape);
             prop_assert_eq!(want, ok, "conforms_all at {} for {}", g.term(v), shape);
             prop_assert_eq!(want, ok_nnf, "conforms_all_nnf at {} for {}", g.term(v), shape);
+            prop_assert_eq!(
+                oracle.conforms(v, &shape),
+                want,
+                "Table 1 disagrees at {} for {}",
+                g.term(v),
+                shape
+            );
         }
     }
 
@@ -229,5 +247,64 @@ proptest! {
             ids.iter().map(|&(s, p, o)| g.triple_of(s, p, o)).collect()
         };
         prop_assert_eq!(to_graph(&batch), to_graph(&per_node));
+    }
+}
+
+/// The memoized batch decider agrees pointwise with Table 1, with
+/// `hasShape` under every quantifier form and beside the borrowed atoms.
+#[test]
+fn conforms_all_agrees_with_table1() {
+    use shape_fragments::rdf::Literal;
+    use shape_fragments::shacl::shape::PathOrId;
+    use shape_fragments::shacl::validator::ConformanceMemo;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    let node = |n: &str| Term::iri(format!("{}{n}", common::NS));
+    let p = |n: &str| PathExpr::Prop(common::iri(n));
+    let t = |s: &str, q: &str, o: Term| Triple::new(node(s), common::iri(q), o);
+    let g = Graph::from_triples([
+        t("a", "p", node("x")),
+        t("a", "p", node("y")),
+        t("b", "p", node("x")),
+        t("x", "type", node("C")),
+        t("y", "type", node("D")),
+        t("a", "q", node("x")),
+        t("a", "l", Term::Literal(Literal::lang_string("v", "en"))),
+    ]);
+    let typed = Shape::HasShape(node("Typed"));
+    let schema = Schema::new([ShapeDef::new(
+        node("Typed"),
+        Shape::geq(1, p("type"), Shape::True),
+        Shape::False,
+    )])
+    .unwrap();
+    let shapes = [
+        Shape::geq(1, p("p"), typed.clone()),
+        Shape::for_all(p("p"), typed),
+        Shape::leq(
+            1,
+            p("p"),
+            Shape::geq(1, p("type"), Shape::has_value(node("C"))),
+        ),
+        Shape::geq(2, p("p"), Shape::True).and(Shape::UniqueLang(p("l"))),
+        Shape::geq(1, p("q"), Shape::True).or(Shape::geq(1, p("zz"), Shape::True)),
+        Shape::Eq(PathOrId::Path(p("p")), common::iri("q")).not(),
+        Shape::Closed(BTreeSet::from([
+            common::iri("p"),
+            common::iri("q"),
+            common::iri("l"),
+        ])),
+    ];
+    let nodes: Vec<TermId> = g.node_ids().into_iter().collect();
+    let mut oracle = Table1::new(&schema, &g);
+    for shape in &shapes {
+        let mut ctx = Context::with_memo(&schema, &g, Arc::new(ConformanceMemo::new()));
+        let batch = ctx.conforms_all(&nodes, shape);
+        for (&v, ok) in nodes.iter().zip(&batch) {
+            assert_eq!(oracle.conforms(v, shape), *ok, "{shape} at {}", g.term(v));
+        }
+        let nnf_batch = ctx.conforms_all_nnf(&nodes, &Nnf::from_shape(shape));
+        assert_eq!(batch, nnf_batch, "memo-warm NNF batch disagrees on {shape}");
     }
 }

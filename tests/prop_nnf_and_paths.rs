@@ -6,6 +6,7 @@ mod common;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+use common::table1::Table1;
 use common::{focus_candidates, graph_strategy, path_strategy, shape_strategy};
 use shape_fragments::rdf::{Graph, GraphAccess};
 use shape_fragments::shacl::rpq::CompiledPath;
@@ -15,7 +16,8 @@ use shape_fragments::shacl::{Nnf, Schema};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// NNF conversion preserves conformance on every node.
+    /// NNF conversion preserves conformance on every node, and the NNF
+    /// decider agrees with Table 1 read over the general shape.
     #[test]
     fn nnf_preserves_semantics(
         g in graph_strategy(12),
@@ -23,10 +25,13 @@ proptest! {
     ) {
         let schema = Schema::empty();
         let mut ctx = Context::new(&schema, &g);
+        let mut oracle = Table1::new(&schema, &g);
         let nnf = Nnf::from_shape(&shape);
         let neg = Nnf::from_negated_shape(&shape);
         for v in g.node_ids() {
-            let direct = ctx.conforms(v, &shape);
+            let direct = oracle.conforms(v, &shape);
+            prop_assert_eq!(direct, ctx.conforms(v, &shape),
+                "decider disagrees with Table 1 for {} at {}", &shape, g.term(v));
             prop_assert_eq!(direct, ctx.conforms_nnf(v, &nnf),
                 "NNF disagrees for {} at {}", &shape, g.term(v));
             prop_assert_eq!(!direct, ctx.conforms_nnf(v, &neg),
@@ -172,6 +177,61 @@ proptest! {
             prop_assert_eq!(
                 ctx.conforms_term(&v, &shape),
                 ctx.conforms_term(&v, &double)
+            );
+        }
+    }
+}
+
+/// The NNF of a shape and of its negation decide like Table 1 over the
+/// shape itself, for each atom whose NNF body borrows its operands.
+#[test]
+fn nnf_conformance_agrees_with_table1() {
+    use shape_fragments::rdf::{Literal, Term, Triple};
+    use shape_fragments::shacl::shape::PathOrId;
+    use shape_fragments::shacl::{PathExpr, Shape};
+
+    let node = |n: &str| Term::iri(format!("{}{n}", common::NS));
+    let p = |n: &str| PathExpr::Prop(common::iri(n));
+    let t = |s: &str, q: &str, o: Term| Triple::new(node(s), common::iri(q), o);
+    let g = Graph::from_triples([
+        t("a", "p", node("x")),
+        t("a", "q", node("x")),
+        t("x", "type", node("C")),
+        t("a", "l", Term::Literal(Literal::lang_string("v", "en"))),
+        t("x", "l", Term::Literal(Literal::lang_string("v", "en"))),
+        t("x", "l", Term::Literal(Literal::lang_string("w", "en"))),
+    ]);
+    let shapes = [
+        Shape::geq(1, p("p"), Shape::True).not(),
+        Shape::for_all(
+            p("p"),
+            Shape::geq(1, p("type"), Shape::has_value(node("C"))),
+        ),
+        Shape::Eq(PathOrId::Path(p("p")), common::iri("q")),
+        Shape::Disj(PathOrId::Path(p("p")), common::iri("q")).not(),
+        Shape::UniqueLang(p("l")),
+        Shape::UniqueLang(p("l")).not(),
+        Shape::leq(0, p("zz"), Shape::True),
+        Shape::Closed(BTreeSet::from([
+            common::iri("p"),
+            common::iri("q"),
+            common::iri("l"),
+        ])),
+    ];
+    let schema = Schema::empty();
+    let mut ctx = Context::new(&schema, &g);
+    let mut oracle = Table1::new(&schema, &g);
+    for v in g.node_ids() {
+        for shape in &shapes {
+            let want = oracle.conforms(v, shape);
+            let nnf = Nnf::from_shape(shape);
+            assert_eq!(want, ctx.conforms_nnf(v, &nnf), "{shape} at {}", g.term(v));
+            let neg = Nnf::from_negated_shape(shape);
+            assert_eq!(
+                !want,
+                ctx.conforms_nnf(v, &neg),
+                "¬{shape} at {}",
+                g.term(v)
             );
         }
     }
