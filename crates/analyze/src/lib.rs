@@ -17,8 +17,8 @@
 //!    (SF-W012), trivial constraints (SF-W001), redundant path operators
 //!    (SF-W010), and per-definition unsatisfiability (SF-E001) /
 //!    always-⊤ (SF-W006) verdicts.
-//! 3. **Cost annotation** ([`cost`]) — path fan-out class and batch
-//!    memo-sharing potential per definition, consumed by the batch
+//! 3. **Extraction routing** ([`cost`]) — whether batch evaluation of a
+//!    shape shares work across focus nodes, consumed by the instrumented
 //!    driver's routing heuristic.
 //!
 //! ```
@@ -45,9 +45,7 @@ pub mod impact;
 pub mod refgraph;
 
 pub use containment::{containment_diagnostics, subsumes, test_implies, ContainmentMatrix};
-pub use cost::{
-    annotate, path_class, path_is_simple, shape_cost, shape_shares_work, PathClass, ShapeCost,
-};
+pub use cost::{path_is_simple, shape_shares_work};
 pub use diagnostic::{codes, has_deny, to_json, Diagnostic, Severity};
 pub use fold::{fold_nnf, path_warnings, tests_conflict, SimplifyLevel, Status};
 pub use impact::{impact_profiles, ImpactProfile};

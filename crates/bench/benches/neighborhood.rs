@@ -7,11 +7,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use shapefrag_core::{fragment, neighborhood, validate_extract_fragment_par};
+use shapefrag_core::{fragment, neighborhood, validate_extract_fragment};
 use shapefrag_rdf::Term;
 use shapefrag_shacl::shape::PathOrId;
 use shapefrag_shacl::validator::Context;
-use shapefrag_shacl::{Budget, PathExpr, Schema, Shape, ShapeDef};
+use shapefrag_shacl::{PathExpr, Schema, Shape, ShapeDef};
 use shapefrag_workloads::tyrolean::{generate, schema, TyroleanConfig};
 
 fn config() -> Criterion {
@@ -90,13 +90,14 @@ fn bench_neighborhood(c: &mut Criterion) {
     }
     group.finish();
 
-    // Fragment extraction: sequential vs parallel (ablation).
+    // Fragment extraction: the request-shape fragment vs the instrumented
+    // validator (ablation).
     let frag_shape = Shape::geq(
         1,
         PathExpr::Prop(schema("author")),
         Shape::geq(1, PathExpr::Prop(schema("email")), Shape::True),
     );
-    // The parallel route is the extraction engine over one ⊤-targeted
+    // The instrumented route is the extraction engine over one ⊤-targeted
     // definition: `Frag(G, { φ ∧ ⊤ }) = Frag(G, { φ })`.
     let all_nodes = Schema::new([ShapeDef::new(
         Term::iri("http://tkg.example.org/FragShape"),
@@ -108,24 +109,9 @@ fn bench_neighborhood(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| fragment(&empty, &graph, std::slice::from_ref(&frag_shape)));
     });
-    for workers in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    validate_extract_fragment_par(
-                        &all_nodes,
-                        &graph,
-                        workers,
-                        Budget::unlimited(),
-                        None,
-                    )
-                    .unwrap()
-                });
-            },
-        );
-    }
+    group.bench_function("instrumented", |b| {
+        b.iter(|| validate_extract_fragment(&all_nodes, &graph));
+    });
     group.finish();
 }
 

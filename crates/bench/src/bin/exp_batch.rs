@@ -20,12 +20,9 @@ use std::time::Duration;
 
 use shapefrag_analyze::{analyze_schema, simplify, SimplifyLevel};
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
-use shapefrag_core::{
-    validate_batch_par, validate_extract_fragment, validate_extract_fragment_par,
-    validate_extract_fragment_per_node,
-};
+use shapefrag_core::{validate_extract_fragment, validate_extract_fragment_per_node};
 use shapefrag_shacl::validator::{validate, validate_batch};
-use shapefrag_shacl::{Budget, Schema};
+use shapefrag_shacl::Schema;
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, sample_induced, TyroleanConfig};
 
@@ -43,32 +40,13 @@ struct SizeRow {
     extract_speedup: f64,
     extract_frozen_ms: f64,
     extract_frozen_speedup: f64,
-    parallel: Vec<ParRow>,
-}
-
-/// One thread-count measurement of the work-stealing engines over the
-/// frozen snapshot, with the scheduler's own counters (speedups are
-/// against the single-threaded frozen columns of the enclosing row).
-struct ParRow {
-    threads: usize,
-    validate_par_frozen_ms: f64,
-    validate_par_frozen_speedup: f64,
-    extract_par_frozen_ms: f64,
-    extract_par_frozen_speedup: f64,
-    validate_work_units: usize,
-    validate_steals: u64,
-    validate_idle_fraction: f64,
-    extract_work_units: usize,
-    extract_steals: u64,
-    extract_idle_fraction: f64,
 }
 
 struct BatchResults {
     suite: String,
     shape_count: usize,
     runs: usize,
-    /// Logical cores of the benchmarking host — parallel speedups cannot
-    /// exceed this no matter the requested thread counts.
+    /// Logical cores of the benchmarking host.
     host_cores: usize,
     /// Static analysis of the 57-shape schema (graph-size independent).
     analyze_ms: f64,
@@ -91,20 +69,6 @@ shapefrag_bench::impl_to_json!(SizeRow {
     extract_speedup,
     extract_frozen_ms,
     extract_frozen_speedup,
-    parallel,
-});
-shapefrag_bench::impl_to_json!(ParRow {
-    threads,
-    validate_par_frozen_ms,
-    validate_par_frozen_speedup,
-    extract_par_frozen_ms,
-    extract_par_frozen_speedup,
-    validate_work_units,
-    validate_steals,
-    validate_idle_fraction,
-    extract_work_units,
-    extract_steals,
-    extract_idle_fraction,
 });
 shapefrag_bench::impl_to_json!(BatchResults {
     suite,
@@ -163,8 +127,8 @@ fn main() {
 
         let (frozen, t_freeze) = time(|| graph.freeze());
 
-        // Sanity: batch, per-node, frozen-backend, and the parallel engine
-        // must agree before we time them.
+        // Sanity: batch, per-node, frozen-backend, and the extraction
+        // drivers must agree before we time them.
         let reference = validate(&schema, &graph);
         assert_eq!(
             reference,
@@ -176,32 +140,17 @@ fn main() {
             validate_batch(&schema, &frozen),
             "frozen validation diverged from mutable at {individuals} individuals"
         );
-        let max_threads = opts.threads.iter().copied().max().unwrap_or(1);
-        assert_eq!(
-            reference,
-            validate_batch_par(&schema, &frozen, max_threads, Budget::unlimited(), None)
-                .expect("an unlimited budget cannot fault")
-                .0,
-            "parallel validation diverged at {individuals} individuals"
-        );
         {
-            let (seq_report, seq_frag) = validate_extract_fragment(&schema, &frozen);
-            let (par_report, par_frag, _) = validate_extract_fragment_par(
-                &schema,
-                &frozen,
-                max_threads,
-                Budget::unlimited(),
-                None,
-            )
-            .expect("an unlimited budget cannot fault");
+            let (node_report, node_frag) = validate_extract_fragment_per_node(&schema, &frozen);
+            let (report, frag) = validate_extract_fragment(&schema, &frozen);
             assert_eq!(
-                seq_report, par_report,
-                "parallel extraction report diverged at {individuals} individuals"
+                node_report, report,
+                "extraction report diverged from per-node at {individuals} individuals"
             );
             assert_eq!(
-                seq_frag.to_graph(&frozen),
-                par_frag.to_graph(&frozen),
-                "parallel extraction fragment diverged at {individuals} individuals"
+                node_frag.to_graph(&frozen),
+                frag.to_graph(&frozen),
+                "extraction fragment diverged from per-node at {individuals} individuals"
             );
         }
 
@@ -228,53 +177,6 @@ fn main() {
         let t_ext_batch = median(s_ext_batch);
         let t_ext_frozen = median(s_ext_frozen);
 
-        // The work-stealing engines at every requested thread count, with
-        // the scheduler's own counters from the last run.
-        let mut parallel = Vec::new();
-        for &threads in &opts.threads {
-            let mut s_val_par = Vec::with_capacity(runs);
-            let mut s_ext_par = Vec::with_capacity(runs);
-            let mut val_stats = None;
-            let mut ext_stats = None;
-            for _ in 0..runs {
-                let (res, d) = time(|| {
-                    validate_batch_par(&schema, &frozen, threads, Budget::unlimited(), None)
-                });
-                let (_, vs) = res.expect("an unlimited budget cannot fault");
-                s_val_par.push(d);
-                val_stats = Some(vs);
-                let (res, d) = time(|| {
-                    validate_extract_fragment_par(
-                        &schema,
-                        &frozen,
-                        threads,
-                        Budget::unlimited(),
-                        None,
-                    )
-                });
-                let (_, _, es) = res.expect("an unlimited budget cannot fault");
-                s_ext_par.push(d);
-                ext_stats = Some(es);
-            }
-            let t_val_par = median(s_val_par);
-            let t_ext_par = median(s_ext_par);
-            let val_stats = val_stats.unwrap();
-            let ext_stats = ext_stats.unwrap();
-            parallel.push(ParRow {
-                threads,
-                validate_par_frozen_ms: ms(t_val_par),
-                validate_par_frozen_speedup: ms(t_val_frozen) / ms(t_val_par).max(1e-9),
-                extract_par_frozen_ms: ms(t_ext_par),
-                extract_par_frozen_speedup: ms(t_ext_frozen) / ms(t_ext_par).max(1e-9),
-                validate_work_units: val_stats.units,
-                validate_steals: val_stats.steals,
-                validate_idle_fraction: val_stats.idle_fraction(),
-                extract_work_units: ext_stats.units,
-                extract_steals: ext_stats.steals,
-                extract_idle_fraction: ext_stats.idle_fraction(),
-            });
-        }
-
         rows.push(SizeRow {
             individuals,
             triples: graph.len(),
@@ -289,7 +191,6 @@ fn main() {
             extract_speedup: ms(t_ext_per_node) / ms(t_ext_batch).max(1e-9),
             extract_frozen_ms: ms(t_ext_frozen),
             extract_frozen_speedup: ms(t_ext_batch) / ms(t_ext_frozen).max(1e-9),
-            parallel,
         });
     }
 
@@ -335,43 +236,6 @@ fn main() {
     );
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "\nWork-stealing engines over the frozen snapshot ({host_cores} host core(s); \
-         speedups vs. the 1-thread frozen columns)"
-    );
-    let par_table: Vec<Vec<String>> = rows
-        .iter()
-        .flat_map(|r| {
-            r.parallel.iter().map(|p| {
-                vec![
-                    format!("{}", r.individuals),
-                    format!("{}", p.threads),
-                    format!("{:.1}ms", p.validate_par_frozen_ms),
-                    format!("{:.2}x", p.validate_par_frozen_speedup),
-                    format!("{:.1}ms", p.extract_par_frozen_ms),
-                    format!("{:.2}x", p.extract_par_frozen_speedup),
-                    format!("{}", p.validate_work_units),
-                    format!("{}", p.validate_steals),
-                    format!("{:.2}", p.validate_idle_fraction),
-                ]
-            })
-        })
-        .collect();
-    print_table(
-        &[
-            "individuals",
-            "threads",
-            "validate/par",
-            "speedup",
-            "extract/par",
-            "speedup",
-            "units",
-            "steals",
-            "idle",
-        ],
-        &par_table,
-    );
-
     let results = BatchResults {
         suite: "tyrolean-57".to_string(),
         shape_count,

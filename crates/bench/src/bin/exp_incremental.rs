@@ -10,8 +10,7 @@
 //!
 //! - the incremental path: `apply_governed` with an unlimited budget
 //!   (change-impact routing + selective memo invalidation over the
-//!   [`DeltaGraph`](shapefrag_rdf::DeltaGraph) overlay), on one worker and
-//!   on a validator seeded with the largest `--threads` count, and
+//!   [`DeltaGraph`](shapefrag_rdf::DeltaGraph) overlay), and
 //! - the scratch path: replay the edits into a mutable graph, re-freeze,
 //!   and `validate_batch` the snapshot (what a non-incremental server
 //!   has to do per batch),
@@ -41,10 +40,8 @@ struct RatioRow {
     delta_ratio: f64,
     edits: usize,
     incremental_ms: f64,
-    incremental_par_ms: f64,
     scratch_ms: f64,
     speedup: f64,
-    speedup_par: f64,
     edits_per_sec: f64,
 }
 
@@ -59,7 +56,6 @@ struct IncrementalResults {
     suite: String,
     shape_count: usize,
     runs: usize,
-    par_threads: usize,
     rows: Vec<SizeRow>,
 }
 
@@ -67,10 +63,8 @@ shapefrag_bench::impl_to_json!(RatioRow {
     delta_ratio,
     edits,
     incremental_ms,
-    incremental_par_ms,
     scratch_ms,
     speedup,
-    speedup_par,
     edits_per_sec,
 });
 shapefrag_bench::impl_to_json!(SizeRow {
@@ -83,7 +77,6 @@ shapefrag_bench::impl_to_json!(IncrementalResults {
     suite,
     shape_count,
     runs,
-    par_threads,
     rows,
 });
 
@@ -150,7 +143,6 @@ fn main() {
         .map(|k| k * base_individuals / 3)
         .collect();
     let runs = opts.runs.max(3);
-    let par_threads = opts.threads.iter().copied().max().unwrap_or(1);
 
     eprintln!("generating tourism graph with {base_individuals} individuals…");
     let full = generate(&TyroleanConfig::new(base_individuals, 0xBA7C));
@@ -172,11 +164,6 @@ fn main() {
         let (inc_seed, t_seed) =
             time(|| IncrementalValidator::new(Arc::clone(&schema), Arc::clone(&frozen)));
         let mut inc = inc_seed;
-        let mut inc_par = IncrementalValidator::with_threads(
-            Arc::clone(&schema),
-            Arc::clone(&frozen),
-            par_threads,
-        );
 
         let mut ratio_rows = Vec::new();
         for (j, &ratio) in RATIOS.iter().enumerate() {
@@ -205,15 +192,12 @@ fn main() {
             );
             apply(&mut inc, &undo);
 
-            // Incremental path, sequential and parallel, restoring the
-            // base state between timed runs.
+            // Incremental path, restoring the base state between timed
+            // runs.
             let mut s_inc = Vec::with_capacity(runs);
-            let mut s_inc_par = Vec::with_capacity(runs);
             for _ in 0..runs {
                 s_inc.push(time(|| apply(&mut inc, &script)).1);
                 apply(&mut inc, &undo);
-                s_inc_par.push(time(|| apply(&mut inc_par, &script)).1);
-                apply(&mut inc_par, &undo);
             }
 
             // Scratch path: replay + re-freeze + full batch validation.
@@ -240,17 +224,14 @@ fn main() {
             }
 
             let t_inc = median(s_inc);
-            let t_inc_par = median(s_inc_par);
             let t_scratch = median(s_scratch);
             let inc_ms = ms(t_inc);
             ratio_rows.push(RatioRow {
                 delta_ratio: ratio,
                 edits: k,
                 incremental_ms: inc_ms,
-                incremental_par_ms: ms(t_inc_par),
                 scratch_ms: ms(t_scratch),
                 speedup: ms(t_scratch) / inc_ms.max(1e-9),
-                speedup_par: ms(t_scratch) / ms(t_inc_par).max(1e-9),
                 edits_per_sec: k as f64 / (inc_ms / 1000.0).max(1e-9),
             });
         }
@@ -275,10 +256,8 @@ fn main() {
             "delta",
             "edits",
             "incremental",
-            "par",
             "scratch",
             "speedup",
-            "speedup(par)",
             "edits/s",
         ],
         &table,
@@ -303,7 +282,6 @@ fn main() {
         suite: "tyrolean-57".to_string(),
         shape_count,
         runs,
-        par_threads,
         rows,
     };
     let out = opts.out.as_deref().unwrap_or("BENCH_incremental.json");
@@ -320,10 +298,8 @@ fn rows_table(r: &SizeRow) -> Vec<Vec<String>> {
                 format!("{:.3}", c.delta_ratio),
                 format!("{}", c.edits),
                 format!("{:.2}ms", c.incremental_ms),
-                format!("{:.2}ms", c.incremental_par_ms),
                 format!("{:.2}ms", c.scratch_ms),
                 format!("{:.2}x", c.speedup),
-                format!("{:.2}x", c.speedup_par),
                 format!("{:.0}", c.edits_per_sec),
             ]
         })

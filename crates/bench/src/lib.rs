@@ -53,20 +53,15 @@ pub struct ExpOptions {
     pub out: Option<String>,
     /// Runs per measurement.
     pub runs: usize,
-    /// Worker-thread counts to measure for parallel experiments
-    /// (`--threads "1,2,4"`); binaries without a parallel mode ignore it.
-    pub threads: Vec<usize>,
 }
 
 impl ExpOptions {
-    /// Parses `--scale`, `--out`, `--runs`, `--threads` from
-    /// `std::env::args`.
+    /// Parses `--scale`, `--out`, `--runs` from `std::env::args`.
     pub fn from_args() -> ExpOptions {
         let mut opts = ExpOptions {
             scale: 1.0,
             out: None,
             runs: 3,
-            threads: vec![1, 2, 4, 8],
         };
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -90,26 +85,7 @@ impl ExpOptions {
                         .expect("--runs needs an integer");
                     i += 2;
                 }
-                "--threads" => {
-                    let spec = args.get(i + 1).expect("--threads needs a list like 1,2,4");
-                    opts.threads = spec
-                        .split(',')
-                        .map(|t| {
-                            t.trim()
-                                .parse::<usize>()
-                                .unwrap_or_else(|_| panic!("bad --threads entry '{t}'"))
-                                .max(1)
-                        })
-                        .collect();
-                    assert!(
-                        !opts.threads.is_empty(),
-                        "--threads needs at least one count"
-                    );
-                    i += 2;
-                }
-                other => {
-                    panic!("unknown argument {other} (expected --scale/--out/--runs/--threads)")
-                }
+                other => panic!("unknown argument {other} (expected --scale/--out/--runs)"),
             }
         }
         opts
@@ -193,14 +169,12 @@ mod tests {
             scale: 0.001,
             out: None,
             runs: 1,
-            threads: vec![1],
         };
         assert_eq!(opts.scaled(100), 1);
         let opts = ExpOptions {
             scale: 2.0,
             out: None,
             runs: 1,
-            threads: vec![1],
         };
         assert_eq!(opts.scaled(100), 200);
     }

@@ -17,10 +17,10 @@ use shapefrag_rdf::{Graph, GraphAccess, TermId};
 use shapefrag_shacl::validator::{ConformanceMemo, Context};
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
+use crate::fault_of;
 use crate::neighborhood::{
     collect_neighborhood_many, materialize, neighborhood_nnf_ids, IdTriples,
 };
-use crate::parallel::fault_of;
 
 /// Computes the shape fragment `Frag(G, S)` for request shapes `S`.
 pub fn fragment<G: GraphAccess>(schema: &Schema, graph: &G, shapes: &[Shape]) -> Graph {
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn all_node_target_extraction_equals_request_fragment() {
         // Frag(G, {φ ∧ ⊤}) = Frag(G, {φ}): the extraction engine over a
-        // ⊤-targeted schema reproduces `fragment` at every thread count.
+        // ⊤-targeted schema reproduces `fragment`.
         let mut triples = Vec::new();
         for i in 0..40 {
             triples.push(t(&format!("n{i}"), "p", &format!("n{}", (i + 1) % 40)));
@@ -264,17 +264,8 @@ mod tests {
         );
         let expected = fragment(&Schema::empty(), &g, std::slice::from_ref(&shape));
         let schema = Schema::new([ShapeDef::new(term("S"), shape, Shape::True)]).unwrap();
-        for threads in [1, 4] {
-            let (_, frag, _) = crate::validate_extract_fragment_par(
-                &schema,
-                &g,
-                threads,
-                shapefrag_govern::Budget::unlimited(),
-                None,
-            )
-            .unwrap();
-            assert_eq!(frag.to_graph(&g), expected, "threads = {threads}");
-        }
+        let (_, frag) = crate::validate_extract_fragment(&schema, &g);
+        assert_eq!(frag.to_graph(&g), expected);
     }
 
     #[test]

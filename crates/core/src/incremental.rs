@@ -58,14 +58,14 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use shapefrag_analyze::{impact_profiles, ContainmentMatrix, ImpactProfile};
-use shapefrag_govern::{Budget, CancelToken, EngineError};
+use shapefrag_govern::{Budget, CancelToken, EngineError, ExecCtx};
 use shapefrag_rdf::{ntriples, DeltaGraph, FrozenGraph, GraphAccess, ParseError, TermId, Triple};
 use shapefrag_shacl::validator::{
     ConformanceMemo, ContainmentIndex, Context, ValidationReport, Violation,
 };
 use shapefrag_shacl::{Nnf, Schema};
 
-use crate::parallel::{exec_ctx, fault_of, push_units, run_governed};
+use crate::fault_of;
 
 /// One edit: add or remove a single triple. Adding a triple that is
 /// already present (or removing one that is absent) is a no-op.
@@ -180,19 +180,11 @@ pub struct IncrementalValidator {
     /// Per definition (in `schema.iter()` order): the current target row,
     /// sorted ascending by focus id, with each node's conformance bit.
     state: Vec<Vec<(TermId, bool)>>,
-    /// Worker threads for seeding and every edit batch.
-    threads: usize,
 }
 
 impl IncrementalValidator {
-    /// Seeds the state with a full sequential validation of `base`.
+    /// Seeds the state with a full validation of `base`.
     pub fn new(schema: Arc<Schema>, base: Arc<FrozenGraph>) -> Self {
-        Self::with_threads(schema, base, 1)
-    }
-
-    /// Seeds the state with a full validation of `base` on `threads`
-    /// workers; every later edit batch runs on the same count.
-    pub fn with_threads(schema: Arc<Schema>, base: Arc<FrozenGraph>, threads: usize) -> Self {
         let delta = DeltaGraph::new(base);
         let profiles = impact_profiles(schema.iter());
         let memo = Arc::new(ConformanceMemo::new());
@@ -206,11 +198,9 @@ impl IncrementalValidator {
             &empty,
             &memo,
             &impacts,
-            threads,
-            Budget::unlimited(),
-            None,
+            ExecCtx::unbounded(),
         )
-        .expect("an unlimited budget cannot fault");
+        .expect("an unbounded context cannot fault");
         IncrementalValidator {
             schema,
             profiles,
@@ -218,7 +208,6 @@ impl IncrementalValidator {
             memo,
             containment,
             state,
-            threads,
         }
     }
 
@@ -326,13 +315,11 @@ impl IncrementalValidator {
 
     /// Applies an edit batch under `budget` (and `cancel`, if given) and
     /// returns the incrementally-maintained report — identical to a
-    /// from-scratch `validate_batch` on the post-edit overlay. Impact
-    /// routing and target recomputation run sequentially; the re-checks
-    /// run as cost-ordered work-stealing units on the thread count given
-    /// to [`IncrementalValidator::with_threads`], each worker under
-    /// `budget.split(threads)`. On a fault the overlay is rolled back to
-    /// its pre-batch contents, the rows are left untouched, and the memo is
-    /// fully cleared — the state is never half-updated.
+    /// from-scratch `validate_batch` on the post-edit overlay. Target
+    /// recomputation and the re-checks draw on one context holding
+    /// `budget`. On a fault the overlay is rolled back to its pre-batch
+    /// contents, the rows are left untouched, and the memo is fully
+    /// cleared — the state is never half-updated.
     pub fn apply_governed(
         &mut self,
         script: &EditScript,
@@ -344,15 +331,18 @@ impl IncrementalValidator {
             return Ok(self.report());
         };
         let impacts = self.route_and_invalidate(&touched, &removed);
+        let exec = ExecCtx::with_budget(budget);
+        let exec = match cancel {
+            Some(token) => exec.with_cancel(token),
+            None => exec,
+        };
         match revalidate(
             &self.schema,
             &self.delta,
             &self.state,
             &self.memo,
             &impacts,
-            self.threads,
-            budget,
-            cancel,
+            exec,
         ) {
             Ok(state) => {
                 self.state = state;
@@ -503,100 +493,33 @@ fn affected_nodes(
     seen
 }
 
-/// Per-definition revalidation plan: the recomputed target row with
-/// reused bits pre-filled, and the nodes that still need a conformance
-/// check (in row order).
-struct RowPlan<'a> {
-    shape: &'a Nnf,
-    /// `(focus, Some(bit))` for reused entries, `(focus, None)` for
-    /// entries to be filled from `to_check` decisions, ascending by focus.
-    entries: Vec<(TermId, Option<bool>)>,
-    to_check: Vec<TermId>,
-}
-
 /// Recomputes every definition's target row over `delta`, re-checking
 /// exactly the impact-routed `(shape, focus)` pairs and reusing every
 /// other bit from `state`. Must be called after memo invalidation; it
 /// re-binds the memo to the post-edit fingerprint itself.
-#[allow(clippy::too_many_arguments)]
 fn revalidate(
     schema: &Schema,
     delta: &DeltaGraph,
     state: &[Vec<(TermId, bool)>],
     memo: &Arc<ConformanceMemo>,
     impacts: &[Impact],
-    threads: usize,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
+    exec: ExecCtx,
 ) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
     memo.rebind(schema, delta);
-    let threads = threads.max(1);
-    // Planning (impact filtering + target recomputation) runs
-    // sequentially under the full budget, like the batch engines' planner.
-    let mut plan_ctx =
-        Context::with_memo(schema, delta, Arc::clone(memo)).with_exec(exec_ctx(budget, cancel));
-    // Route each re-check through `HasShape(name)` so the def-level bit
-    // lands in the memo under the definition's own id, where containment
-    // derivation can reach it.
-    let wrapped: Vec<Nnf> = schema
-        .iter()
-        .map(|def| Nnf::HasShape(def.name.clone()))
-        .collect();
-    let mut plans: Vec<RowPlan> = Vec::with_capacity(schema.len());
-    let mut units = Vec::new();
-    let mut seq = 0;
-    for (d, def) in schema.iter().enumerate() {
-        plan_ctx.exec().check_now()?;
-        let targets = plan_ctx.target_nodes(&def.target);
-        fault_of(&mut plan_ctx)?;
-        let plan = plan_row(&wrapped[d], targets, &state[d], &impacts[d]);
-        push_units(
-            schema,
-            schema.def_nnf(&def.name, false),
-            plan.to_check.len(),
-            threads,
-            d,
-            &mut seq,
-            &mut units,
-        );
-        plans.push(plan);
-    }
-    drop(plan_ctx);
-
-    /// Per-unit output: `(def, lo, decisions)`.
-    type UnitBits = (usize, usize, Vec<bool>);
-    let (per_worker, _) = run_governed(
-        units,
-        threads,
-        budget,
-        cancel,
-        |exec| {
-            (
-                Context::with_memo(schema, delta, Arc::clone(memo)).with_exec(exec),
-                Vec::<UnitBits>::new(),
-            )
-        },
-        |(ctx, out), span| {
-            let plan = &plans[span.def];
-            let decisions = ctx.conforms_all_nnf(&plan.to_check[span.lo..span.hi], plan.shape);
-            fault_of(ctx)?;
-            out.push((span.def, span.lo, decisions));
-            Ok(())
-        },
-        |(_, out)| out,
-    )?;
-    // Stitch decisions back into the rows: per definition, order the unit
-    // outputs by their offset and splice them into the unfilled entries.
-    let mut per_def: Vec<Vec<(usize, Vec<bool>)>> = (0..plans.len()).map(|_| Vec::new()).collect();
-    for (def, lo, decisions) in per_worker.into_iter().flatten() {
-        per_def[def].push((lo, decisions));
-    }
-    let mut rows = Vec::with_capacity(plans.len());
-    for (plan, mut parts) in plans.into_iter().zip(per_def) {
-        parts.sort_by_key(|(lo, _)| *lo);
-        let mut bits = parts.into_iter().flat_map(|(_, d)| d);
-        let row = plan
-            .entries
+    let mut ctx = Context::with_memo(schema, delta, Arc::clone(memo)).with_exec(exec);
+    let mut rows = Vec::with_capacity(schema.len());
+    for ((def, old), impact) in schema.iter().zip(state).zip(impacts) {
+        ctx.exec().check_now()?;
+        let targets = ctx.target_nodes(&def.target);
+        fault_of(&mut ctx)?;
+        let (entries, to_check) = plan_row(targets, old, impact);
+        // Route the re-checks through `HasShape(name)` so the def-level
+        // bits land in the memo under the definition's own id, where
+        // containment derivation can reach them.
+        let decisions = ctx.conforms_all_nnf(&to_check, &Nnf::HasShape(def.name.clone()));
+        fault_of(&mut ctx)?;
+        let mut bits = decisions.into_iter();
+        let row = entries
             .into_iter()
             .map(|(node, reused)| {
                 let bit =
@@ -609,15 +532,17 @@ fn revalidate(
     Ok(rows)
 }
 
-/// Splits a recomputed target set into reused bits and pending checks: a
-/// node must be re-checked when its definition is impact-routed to it, or
-/// when it was not in the previous row at all.
-fn plan_row<'a>(
-    shape: &'a Nnf,
+/// Splits a recomputed target set into the row to fill and the nodes that
+/// still need a conformance check (in row order). A row entry is
+/// `(focus, Some(bit))` when the old bit is reused and `(focus, None)`
+/// when it is filled from the re-checks, ascending by focus. A node must
+/// be re-checked when its definition is impact-routed to it, or when it
+/// was not in the previous row at all.
+fn plan_row(
     targets: BTreeSet<TermId>,
     old: &[(TermId, bool)],
     impact: &Impact,
-) -> RowPlan<'a> {
+) -> (Vec<(TermId, Option<bool>)>, Vec<TermId>) {
     let mut entries = Vec::with_capacity(targets.len());
     let mut to_check = Vec::new();
     for node in targets {
@@ -634,11 +559,7 @@ fn plan_row<'a>(
         }
         entries.push((node, reused));
     }
-    RowPlan {
-        shape,
-        entries,
-        to_check,
-    }
+    (entries, to_check)
 }
 
 #[cfg(test)]
@@ -834,21 +755,6 @@ mod tests {
             &EditScript::new([EditOp::Remove(t("bob", "name", "b"))]),
         );
         assert_eq!(report, validate_batch(&schema, inc.graph()));
-    }
-
-    #[test]
-    fn parallel_apply_matches_sequential() {
-        let schema = person_schema();
-        let g = seed_graph();
-        let mut seq = validator(&schema, &g);
-        let mut par =
-            IncrementalValidator::with_threads(Arc::clone(&schema), Arc::new(g.freeze()), 4);
-        let script = EditScript::new([
-            EditOp::Add(t("bob", "name", "b")),
-            EditOp::Add(t("carol", "type", "Person")),
-            EditOp::Add(t("carol", "name", "c")),
-        ]);
-        assert_eq!(apply(&mut seq, &script), apply(&mut par, &script));
     }
 
     #[test]

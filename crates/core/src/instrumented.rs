@@ -18,17 +18,26 @@
 //!   (the §5.3.1 measurement); [`validate_with_provenance`] additionally
 //!   materializes one neighborhood graph per (shape, node) pair for
 //!   API consumers.
+//!
+//! [`validate_extract_fragment_governed`] is the driver behind
+//! [`validate_extract_fragment`] and `shapefrag fragment`: one sequential
+//! pass under one [`ExecCtx`], so target resolution, decisions and
+//! collection all draw on the same budget.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
-use shapefrag_analyze::{Diagnostic, SimplifyLevel};
-use shapefrag_govern::Budget;
+use shapefrag_analyze::{shape_shares_work, Diagnostic, SimplifyLevel};
+use shapefrag_govern::{EngineError, ExecCtx};
 use shapefrag_rdf::{ntriples, Graph, GraphAccess, Term, TermId};
 use shapefrag_shacl::path::PathExpr;
-use shapefrag_shacl::validator::{Context, ValidationReport, Violation};
+use shapefrag_shacl::validator::{ConformanceMemo, Context, ValidationReport, Violation};
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
-use crate::neighborhood::{conforms_and_collect, materialize, neighborhood_nnf_ids, IdTriples};
+use crate::fault_of;
+use crate::neighborhood::{
+    collect_neighborhood_many, conforms_and_collect, materialize, neighborhood_nnf_ids, IdTriples,
+};
 
 /// The fragment collected by [`validate_extract_fragment`], kept as interned
 /// id triples (the cheap form an instrumented validator accumulates);
@@ -60,12 +69,6 @@ impl SchemaFragment {
     /// must be the graph the fragment was extracted from).
     pub fn to_ntriples<G: GraphAccess>(&self, graph: &G) -> String {
         ntriples::serialize_ids(graph, self.triples.iter().copied())
-    }
-
-    /// Wraps an already-collected id-triple set (the parallel engine's
-    /// merge step).
-    pub(crate) fn from_ids(triples: IdTriples) -> SchemaFragment {
-        SchemaFragment { triples }
     }
 }
 
@@ -211,20 +214,78 @@ impl TargetEvidence {
 /// nodes). This is the configuration the Figure 1 overhead experiment
 /// measures against plain validation.
 ///
-/// The single-threaded, ungoverned run of
-/// [`crate::validate_extract_fragment_par`]: each definition's targets are
-/// decided in one [`Context::conforms_all_nnf`] batch over a shared memo
-/// and the conforming nodes' neighborhoods are collected by the batched
-/// Table 2 collector. Produces exactly the report and fragment of
+/// The unbounded run of [`validate_extract_fragment_governed`]. Produces
+/// exactly the report and fragment of
 /// [`validate_extract_fragment_per_node`].
 pub fn validate_extract_fragment<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
 ) -> (ValidationReport, SchemaFragment) {
-    let (report, fragment, _) =
-        crate::parallel::validate_extract_fragment_par(schema, graph, 1, Budget::unlimited(), None)
-            .expect("an unlimited budget cannot fault");
-    (report, fragment)
+    validate_extract_fragment_governed(schema, graph, ExecCtx::unbounded())
+        .expect("an unbounded context cannot fault")
+}
+
+/// Resource-governed [`validate_extract_fragment`]: the §5.2 instrumented
+/// validator under a deadline / step / memory / depth / cancellation
+/// governor. Per definition, it resolves the targets and their evidence
+/// `B(v, τ)`, then routes the definition by [`shape_shares_work`]: a shape
+/// that shares work is decided for all targets in one
+/// [`Context::conforms_all_nnf`] batch over a shared memo and the
+/// conforming nodes' neighborhoods are collected by the batched Table 2
+/// collector; any other shape runs the single-pass per-node
+/// [`conforms_and_collect`]. The report is identical to
+/// [`shapefrag_shacl::validate_batch`]'s and the fragment to
+/// [`crate::schema_fragment`]'s; the first resource fault is returned
+/// instead of a truncated fragment.
+pub fn validate_extract_fragment_governed<G: GraphAccess>(
+    schema: &Schema,
+    graph: &G,
+    exec: ExecCtx,
+) -> Result<(ValidationReport, SchemaFragment), EngineError> {
+    let memo = Arc::new(ConformanceMemo::new());
+    let mut ctx = Context::with_memo(schema, graph, memo).with_exec(exec);
+    let mut report = ValidationReport::default();
+    let mut all = IdTriples::default();
+    let mut journal: Vec<(TermId, TermId, TermId)> = Vec::new();
+    for def in schema.iter() {
+        ctx.exec().check_now()?;
+        let nnf = schema.def_nnf(&def.name, false);
+        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
+        let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
+        fault_of(&mut ctx)?;
+        report.checked += targets.len();
+        let mut violation = |node: TermId| {
+            report.violations.push(Violation {
+                shape: def.name.clone(),
+                focus: graph.term(node).clone(),
+            })
+        };
+        if shape_shares_work(schema, nnf) {
+            let decisions = ctx.conforms_all_nnf(&targets, nnf);
+            let mut conforming: Vec<TermId> = Vec::with_capacity(targets.len());
+            for (&node, ok) in targets.iter().zip(decisions) {
+                if ok {
+                    conforming.push(node);
+                    evidence.collect(&mut ctx, node, &mut all);
+                } else {
+                    violation(node);
+                }
+            }
+            collect_neighborhood_many(&mut ctx, &conforming, nnf, &mut all);
+        } else {
+            for &node in &targets {
+                journal.clear();
+                if conforms_and_collect(&mut ctx, node, nnf, &mut journal) {
+                    all.extend(journal.iter().copied());
+                    evidence.collect(&mut ctx, node, &mut all);
+                } else {
+                    violation(node);
+                }
+            }
+        }
+        fault_of(&mut ctx)?;
+    }
+    Ok((report, SchemaFragment { triples: all }))
 }
 
 /// Like [`validate_extract_fragment`], but first runs the static
@@ -456,6 +517,44 @@ mod tests {
         let g = Graph::from_triples([t("a", "q", "b"), t("a", "q", "c"), t("d", "q", "e")]);
         let (_, fast) = validate_extract_fragment(&schema, &g);
         assert_eq!(fast.to_graph(&g), schema_fragment(&schema, &g));
+    }
+
+    #[test]
+    fn governed_extraction_surfaces_faults_instead_of_partial_fragments() {
+        use shapefrag_govern::{Budget, CancelToken};
+
+        let schema = workshop_schema();
+        let mut triples = Vec::new();
+        for i in 0..50 {
+            triples.push(t(&format!("p{i}"), "type", "Paper"));
+            triples.push(t(&format!("p{i}"), "author", &format!("a{i}")));
+            triples.push(t(&format!("a{i}"), "type", "Student"));
+        }
+        let g = Graph::from_triples(triples).freeze();
+        let tiny = ExecCtx::with_budget(Budget::unlimited().steps(5));
+        assert!(matches!(
+            validate_extract_fragment_governed(&schema, &g, tiny),
+            Err(EngineError::BudgetExceeded { .. })
+        ));
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = ExecCtx::unbounded().with_cancel(&token);
+        assert_eq!(
+            validate_extract_fragment_governed(&schema, &g, cancelled).unwrap_err(),
+            EngineError::Cancelled
+        );
+        let (report, fragment) = validate_extract_fragment(&schema, &g);
+        assert_eq!(report, validate(&schema, &g));
+        assert_eq!(fragment.to_graph(&g), schema_fragment(&schema, &g));
+    }
+
+    #[test]
+    fn empty_schema_and_empty_graph_are_fine() {
+        let g = Graph::default().freeze();
+        let (report, fragment) = validate_extract_fragment(&Schema::empty(), &g);
+        assert!(report.conforms());
+        assert_eq!(report.checked, 0);
+        assert!(fragment.is_empty());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   subgraph-retrieval mechanism with the Conformance guarantee
 //!   (Theorem 4.1).
 //! - [`instrumented`] — validation with simultaneous provenance extraction
-//!   (§5.2, the pySHACL-fragments strategy).
-//! - [`parallel`] — the governed work-stealing engines, one driver per
-//!   output: [`validate_batch_par`] for reports and
-//!   [`validate_extract_fragment_par`] for reports plus `Frag(G, H)`.
+//!   (§5.2, the pySHACL-fragments strategy). Its governed driver,
+//!   [`validate_extract_fragment_governed`], is the one engine behind
+//!   reports plus `Frag(G, H)`; reports alone come from
+//!   [`shapefrag_shacl::validator::validate_batch_governed`].
 //! - [`provenance`] — why / why-not explanations (Remark 3.7).
 //! - [`to_sparql`] — translation of neighborhoods and fragments to SPARQL
 //!   (§5.1: Lemma 5.1, Proposition 5.3, Corollary 5.5).
@@ -55,7 +55,6 @@ pub mod fragment;
 pub mod incremental;
 pub mod instrumented;
 pub mod neighborhood;
-pub mod parallel;
 pub mod provenance;
 pub mod to_sparql;
 
@@ -65,13 +64,19 @@ pub use fragment::{
 };
 pub use incremental::{EditOp, EditScript, IncrementalValidator};
 pub use instrumented::{
-    validate_extract_fragment, validate_extract_fragment_per_node,
-    validate_extract_fragment_simplified, validate_with_provenance, ProvenancedReport,
-    SchemaFragment,
+    validate_extract_fragment, validate_extract_fragment_governed,
+    validate_extract_fragment_per_node, validate_extract_fragment_simplified,
+    validate_with_provenance, ProvenancedReport, SchemaFragment,
 };
 pub use neighborhood::{
     collect_neighborhood_many, conforms_and_collect, neighborhood, neighborhood_governed,
     neighborhood_term, IdTriples,
 };
-pub use parallel::{validate_batch_par, validate_extract_fragment_par};
 pub use provenance::{describe, explain, minimal_witness, Explanation};
+
+/// The sticky fault of a context as a `Result`.
+pub(crate) fn fault_of<G: shapefrag_rdf::GraphAccess>(
+    ctx: &mut shapefrag_shacl::validator::Context<'_, G>,
+) -> Result<(), shapefrag_govern::EngineError> {
+    ctx.take_fault().map_or(Ok(()), Err)
+}

@@ -255,21 +255,6 @@ impl Budget {
         self.max_depth = Some(depth);
         self
     }
-
-    /// Splits the budget across `n` parallel workers: step and memory
-    /// limits are divided (floored at 1 so a worker can always fault with
-    /// a meaningful limit), while the deadline and depth limit — which are
-    /// per-worker properties of wall-clock and recursion, not shared
-    /// resources — carry over unchanged.
-    pub fn split(&self, n: usize) -> Budget {
-        let n = n.max(1) as u64;
-        Budget {
-            steps: self.steps.map(|s| (s / n).max(1)),
-            memory_bytes: self.memory_bytes.map(|m| (m / n).max(1)),
-            deadline: self.deadline,
-            max_depth: self.max_depth,
-        }
-    }
 }
 
 /// Per-request execution context: a [`Budget`], an optional
@@ -471,75 +456,6 @@ mod tests {
         ctx.charge(u64::MAX / 2).unwrap();
         ctx.enter().unwrap();
         ctx.leave();
-    }
-
-    #[test]
-    fn split_divides_shared_limits_and_keeps_per_worker_ones() {
-        let b = Budget::unlimited()
-            .steps(100)
-            .memory_bytes(64)
-            .deadline(Duration::from_secs(5))
-            .max_depth(9);
-        let s = b.split(4);
-        assert_eq!(s.steps, Some(25));
-        assert_eq!(s.memory_bytes, Some(16));
-        assert_eq!(s.deadline, Some(Duration::from_secs(5)));
-        assert_eq!(s.max_depth, Some(9));
-        // Tiny budgets floor at 1 instead of 0 (which would mean "unlimited
-        // minus everything" ambiguity); unlimited fields stay unlimited.
-        let tiny = Budget::unlimited().steps(2).split(8);
-        assert_eq!(tiny.steps, Some(1));
-        assert_eq!(tiny.memory_bytes, None);
-        // n = 0 is treated as 1.
-        assert_eq!(b.split(0).steps, Some(100));
-    }
-
-    #[test]
-    fn split_edge_cases() {
-        // split(1) is the identity on every field.
-        let b = Budget::unlimited()
-            .steps(10)
-            .memory_bytes(1024)
-            .deadline(Duration::from_millis(250))
-            .max_depth(4);
-        let s = b.split(1);
-        assert_eq!(s.steps, b.steps);
-        assert_eq!(s.memory_bytes, b.memory_bytes);
-        assert_eq!(s.deadline, b.deadline);
-        assert_eq!(s.max_depth, b.max_depth);
-
-        // Remainders are dropped, never redistributed: 10 steps over 3
-        // workers is 3 each (9 total — conservative, the pool can only
-        // spend less than the parent budget, never more).
-        assert_eq!(Budget::unlimited().steps(10).split(3).steps, Some(3));
-
-        // More workers than steps floors at 1 per worker rather than 0,
-        // which `steps(0)` would make indistinguishable from a context
-        // that faults before doing anything at all.
-        assert_eq!(Budget::unlimited().steps(2).split(1000).steps, Some(1));
-        assert_eq!(
-            Budget::unlimited().memory_bytes(3).split(64).memory_bytes,
-            Some(1)
-        );
-
-        // A fully unlimited budget splits to a fully unlimited budget.
-        let open = Budget::unlimited().split(16);
-        assert_eq!(open.steps, None);
-        assert_eq!(open.memory_bytes, None);
-        assert_eq!(open.deadline, None);
-        assert_eq!(open.max_depth, None);
-
-        // The split budget is live: a context built from it faults at the
-        // per-worker limit, reporting the *split* limit, not the parent's.
-        let ctx = ExecCtx::with_budget(Budget::unlimited().steps(10).split(3));
-        ctx.tick(3).unwrap();
-        assert_eq!(
-            ctx.tick(1),
-            Err(EngineError::BudgetExceeded {
-                kind: BudgetKind::Steps,
-                limit: 3
-            })
-        );
     }
 
     #[test]

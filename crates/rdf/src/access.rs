@@ -21,8 +21,8 @@ use crate::term::{Iri, Term, Triple};
 
 /// Read-only access to an id-interned RDF graph.
 ///
-/// The `Sync` supertrait lets generic kernels share a backend across scoped
-/// worker threads (parallel validation / fragment extraction).
+/// The `Sync` supertrait lets one backend be shared across threads, as
+/// the server's connection threads share one snapshot.
 pub trait GraphAccess: Sync {
     /// Number of triples.
     fn len(&self) -> usize;

@@ -133,9 +133,14 @@ impl Schema {
     /// The NNF of `def(s, H)`, or of `¬def(s, H)` when `negated`; computed
     /// once per definition when the schema is built.
     pub fn def_nnf(&self, name: &Term, negated: bool) -> &Nnf {
-        let forms = self
-            .name_id(name)
-            .map_or(&TOP_NNF, |id| &self.nnf[id as usize]);
+        self.def_nnf_by_id(self.name_id(name), negated)
+    }
+
+    /// [`Schema::def_nnf`] for a name already resolved by
+    /// [`Schema::name_id`] (`None`, an undefined name, is ⊤), so a caller
+    /// holding the id hashes the name only once.
+    pub(crate) fn def_nnf_by_id(&self, id: Option<u32>, negated: bool) -> &Nnf {
+        let forms = id.map_or(&TOP_NNF, |id| &self.nnf[id as usize]);
         &forms[negated as usize]
     }
 

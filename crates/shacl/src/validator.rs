@@ -46,14 +46,15 @@ type Row = Vec<OnceLock<Page>>;
 ///
 /// Conformance of a node to a *named* shape is a pure function of the graph
 /// and schema, so once decided it can be reused by every referencing target
-/// — and by every worker thread. The table holds one dense row per shape
-/// id, indexed by term id and split into lazily allocated pages of atomic
-/// cells: a lookup is a page index and a relaxed load, an insert a
-/// `get_or_init` and a relaxed store, and no key is hashed. Rows are sized
-/// from the graph's term count when the memo is bound; one lock guards the
-/// binding and the row table, and only binding, [`ConformanceMemo::rebind`],
-/// [`ConformanceMemo::clear`], [`ConformanceMemo::invalidate_shape`] and a
-/// fact beyond the bound width take it for writing. A memo is valid for
+/// — and by contexts on other threads sharing the memo. The table holds
+/// one dense row per shape id, indexed by term id and split into lazily
+/// allocated pages of atomic cells: a lookup is a page index and a relaxed
+/// load, an insert a `get_or_init` and a relaxed store, and no key is
+/// hashed. Rows are sized from the graph's term count when the memo is
+/// bound; one lock guards the binding and the row table, and only binding,
+/// [`ConformanceMemo::rebind`], [`ConformanceMemo::clear`],
+/// [`ConformanceMemo::invalidate_shape`] and a fact beyond the bound width
+/// take it for writing. A memo is valid for
 /// exactly one `(graph, schema)` pair; the first [`Context::with_memo`]
 /// binds the memo to a cheap fingerprint of that pair, and a later mismatch
 /// panics in debug builds and detaches the memo (running unmemoized, which
@@ -839,12 +840,13 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// per memo, no matter how many referencing shapes or targets ask.
     pub fn conforms_named(&mut self, node: TermId, name: &Term) -> bool {
         let schema = self.schema;
-        let memo = self.memo.clone();
-        if let (Some(memo), Some(sid)) = (memo, schema.name_id(name)) {
+        let sid = schema.name_id(name);
+        let shape = schema.def_nnf_by_id(sid, false);
+        if let (Some(memo), Some(sid)) = (self.memo.clone(), sid) {
             if let Some(decided) = memo.lookup_or_derive(sid, node) {
                 return decided;
             }
-            let value = self.conforms_nnf(node, schema.def_nnf(name, false));
+            let value = self.conforms_nnf(node, shape);
             // A faulted run's answers are unwinding placeholders, not
             // decisions; keep them out of the shared memo.
             if self.fault.is_none() {
@@ -852,7 +854,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             }
             return value;
         }
-        self.conforms_nnf(node, schema.def_nnf(name, false))
+        self.conforms_nnf(node, shape)
     }
 
     /// Set-at-a-time `⟦E⟧^G(sources[i])` through the multi-source kernel.
@@ -1011,8 +1013,10 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// recursive batch against the definition and recorded.
     fn conforms_all_named(&mut self, nodes: &[TermId], name: &Term) -> Vec<bool> {
         let schema = self.schema;
-        let (Some(memo), Some(sid)) = (self.memo.clone(), schema.name_id(name)) else {
-            return self.conforms_all_nnf(nodes, schema.def_nnf(name, false));
+        let sid = schema.name_id(name);
+        let shape = schema.def_nnf_by_id(sid, false);
+        let (Some(memo), Some(sid)) = (self.memo.clone(), sid) else {
+            return self.conforms_all_nnf(nodes, shape);
         };
         let mut out = vec![false; nodes.len()];
         let mut missing: Vec<usize> = Vec::new();
@@ -1047,7 +1051,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             let mut uniq_vec: Vec<TermId> = missing.iter().map(|&i| nodes[i]).collect();
             uniq_vec.sort_unstable();
             uniq_vec.dedup();
-            let decided = self.conforms_all_nnf(&uniq_vec, schema.def_nnf(name, false));
+            let decided = self.conforms_all_nnf(&uniq_vec, shape);
             // Keep unwinding placeholders from a faulted run out of the
             // shared memo.
             if self.fault.is_none() {

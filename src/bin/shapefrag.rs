@@ -1,12 +1,12 @@
 //! `shapefrag` — command-line interface to the shape-fragments stack.
 //!
 //! ```text
-//! shapefrag validate  <shapes.ttl> <data.(ttl|nt)> [--report-ttl] [--threads N] [--deadline-ms N] [--budget-steps N]
+//! shapefrag validate  <shapes.ttl> <data.(ttl|nt)> [--report-ttl] [--deadline-ms N] [--budget-steps N]
 //! shapefrag analyze   <shapes.ttl> [--json] [--containment]
-//! shapefrag fragment  <shapes.ttl> <data.(ttl|nt)> [-o out.nt] [--threads N] [--deadline-ms N] [--budget-steps N]
+//! shapefrag fragment  <shapes.ttl> <data.(ttl|nt)> [-o out.nt] [--deadline-ms N] [--budget-steps N]
 //! shapefrag explain   <shapes.ttl> <data.(ttl|nt)> <focus-node-iri> [<shape-name-iri>]
 //! shapefrag translate <shapes.ttl> [<shape-name-iri>]
-//! shapefrag update    <shapes.ttl> <data.(ttl|nt)> <edits.txt> [--threads N] [--deadline-ms N] [--budget-steps N]
+//! shapefrag update    <shapes.ttl> <data.(ttl|nt)> <edits.txt> [--deadline-ms N] [--budget-steps N]
 //! shapefrag serve     <shapes.ttl> <data.(ttl|nt)> [--addr HOST:PORT] [--max-inflight N] ...
 //! ```
 //!
@@ -35,7 +35,6 @@
 //! `4` a resource fault — the `--deadline-ms` / `--budget-steps` governor
 //! tripped before the run finished.
 
-use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,13 +44,13 @@ use shape_fragments::analyze::{
     Diagnostic,
 };
 use shape_fragments::core::{
-    explain, to_sparql, validate_batch_par, validate_extract_fragment_par, EditScript,
-    IncrementalValidator,
+    explain, to_sparql, validate_extract_fragment_governed, EditScript, IncrementalValidator,
 };
-use shape_fragments::govern::{Budget, EngineError};
+use shape_fragments::govern::{Budget, EngineError, ExecCtx};
 use shape_fragments::rdf::{ntriples, turtle, FrozenGraph, ParseError, Term};
 use shape_fragments::serve::{ServeConfig, Server, SnapshotSource};
 use shape_fragments::shacl::parser::{parse_shape_defs_turtle, parse_shapes_turtle_with_spans};
+use shape_fragments::shacl::validator::validate_batch_governed;
 use shape_fragments::shacl::{Schema, Shape};
 
 fn main() -> ExitCode {
@@ -86,12 +85,12 @@ impl From<String> for CliError {
 }
 
 fn usage() -> String {
-    "usage:\n  shapefrag validate  <shapes.ttl> <data.(ttl|nt)> [--report-ttl] [--threads N] [--deadline-ms N] [--budget-steps N]\n  \
+    "usage:\n  shapefrag validate  <shapes.ttl> <data.(ttl|nt)> [--report-ttl] [--deadline-ms N] [--budget-steps N]\n  \
      shapefrag analyze   <shapes.ttl> [--json] [--containment]\n  \
-     shapefrag fragment  <shapes.ttl> <data.(ttl|nt)> [-o out.nt] [--threads N] [--deadline-ms N] [--budget-steps N]\n  \
+     shapefrag fragment  <shapes.ttl> <data.(ttl|nt)> [-o out.nt] [--deadline-ms N] [--budget-steps N]\n  \
      shapefrag explain   <shapes.ttl> <data.(ttl|nt)> <focus-node-iri> [<shape-name-iri>]\n  \
      shapefrag translate <shapes.ttl> [<shape-name-iri>]\n  \
-     shapefrag update    <shapes.ttl> <data.(ttl|nt)> <edits.txt> [--threads N] [--deadline-ms N] [--budget-steps N]\n  \
+     shapefrag update    <shapes.ttl> <data.(ttl|nt)> <edits.txt> [--deadline-ms N] [--budget-steps N]\n  \
      shapefrag serve     <shapes.ttl> <data.(ttl|nt)> [--addr HOST:PORT] [--max-inflight N]\n                      \
      [--queue-depth N] [--queue-wait-ms N] [--max-body-bytes N] [--max-deadline-ms N]\n\
      exit codes:\n  \
@@ -138,31 +137,6 @@ fn load_schema(path: &str) -> Result<Schema, CliError> {
         eprintln!("{path}: {d}");
     }
     Ok(schema)
-}
-
-/// Extracts a `--threads N` option from an argument list, returning the
-/// worker count (default 1) and the remaining arguments. The count is
-/// clamped to the host's available parallelism: workers beyond the core
-/// count only contend for it.
-fn take_threads(args: &[String]) -> Result<(usize, Vec<String>), String> {
-    let mut threads = 1usize;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            let value = it.next().ok_or("--threads requires a count")?;
-            threads = value
-                .parse()
-                .map_err(|_| format!("invalid --threads value '{value}'"))?;
-            if threads == 0 {
-                return Err("--threads must be at least 1".to_string());
-            }
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    Ok((threads.min(cores), rest))
 }
 
 /// Extracts `--deadline-ms N` and `--budget-steps N` from an argument
@@ -273,18 +247,18 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
-    let (threads, args) = take_threads(args)?;
-    let (budget, args) = take_budget(&args)?;
-    let [shapes_path, data_path, rest @ ..] = args.as_slice() else {
-        return Err(usage().into());
+    let (budget, args) = take_budget(args)?;
+    let (shapes_path, data_path, as_ttl) = match args.as_slice() {
+        [shapes, data] => (shapes, data, false),
+        [shapes, data, flag] if flag == "--report-ttl" => (shapes, data, true),
+        _ => return Err(usage().into()),
     };
-    let as_ttl = rest.iter().any(|a| a == "--report-ttl");
     let schema = load_schema(shapes_path)?;
     // Validation is read-only: run it over the CSR snapshot. A governor
     // trip exits with the resource-fault code instead of a partial report.
     let frozen = load_frozen(data_path)?;
-    let report = match validate_batch_par(&schema, &frozen, threads, budget, None) {
-        Ok((report, _)) => report,
+    let report = match validate_batch_governed(&schema, &frozen, ExecCtx::with_budget(budget)) {
+        Ok(report) => report,
         Err(e) => return Ok(resource_fault_exit(&e)),
     };
     if as_ttl {
@@ -304,8 +278,7 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 fn cmd_fragment(args: &[String]) -> Result<ExitCode, CliError> {
-    let (threads, args) = take_threads(args)?;
-    let (budget, args) = take_budget(&args)?;
+    let (budget, args) = take_budget(args)?;
     let [shapes_path, data_path, rest @ ..] = args.as_slice() else {
         return Err(usage().into());
     };
@@ -315,10 +288,11 @@ fn cmd_fragment(args: &[String]) -> Result<ExitCode, CliError> {
     // id triples, written out without materializing a graph; a governor
     // trip exits with the resource-fault code instead of a truncated
     // fragment.
-    let fragment = match validate_extract_fragment_par(&schema, &frozen, threads, budget, None) {
-        Ok((_, fragment, _)) => fragment,
-        Err(e) => return Ok(resource_fault_exit(&e)),
-    };
+    let fragment =
+        match validate_extract_fragment_governed(&schema, &frozen, ExecCtx::with_budget(budget)) {
+            Ok((_, fragment)) => fragment,
+            Err(e) => return Ok(resource_fault_exit(&e)),
+        };
     eprintln!(
         "fragment: {} of {} triples ({} shape definitions)",
         fragment.len(),
@@ -387,8 +361,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, CliError> {
 /// prints the incrementally-maintained report (identical to re-validating
 /// the edited graph from scratch, but only impact-routed pairs re-run).
 fn cmd_update(args: &[String]) -> Result<ExitCode, CliError> {
-    let (threads, args) = take_threads(args)?;
-    let (budget, args) = take_budget(&args)?;
+    let (budget, args) = take_budget(args)?;
     let [shapes_path, data_path, edits_path] = args.as_slice() else {
         return Err(usage().into());
     };
@@ -397,7 +370,7 @@ fn cmd_update(args: &[String]) -> Result<ExitCode, CliError> {
     let edits_text = std::fs::read_to_string(edits_path)
         .map_err(|e| format!("cannot read {edits_path}: {e}"))?;
     let script = EditScript::parse(&edits_text).map_err(|e| format!("{edits_path}: {e}"))?;
-    let mut inc = IncrementalValidator::with_threads(schema, Arc::new(frozen), threads);
+    let mut inc = IncrementalValidator::new(schema, Arc::new(frozen));
     let report = match inc.apply_governed(&script, budget, None) {
         Ok(report) => report,
         Err(e) => return Ok(resource_fault_exit(&e)),

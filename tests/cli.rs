@@ -330,6 +330,37 @@ fn governed_fragment_honors_deadline_and_exit_code() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("deadline"));
 }
 
+/// Every argument a command does not take is a usage error (exit 2), so a
+/// typo such as `--report-tt`, or `--threads`, which no command takes,
+/// fails loudly instead of being ignored.
+#[test]
+fn unknown_trailing_arguments_are_usage_errors() {
+    let (dir, shapes, data) = fixtures();
+    let edits = write_file(dir.path(), "edits.nt", "");
+    let (s, d, e) = (
+        shapes.to_str().unwrap(),
+        data.to_str().unwrap(),
+        edits.to_str().unwrap(),
+    );
+    let cases: [&[&str]; 6] = [
+        &["validate", s, d, "--bogus", "x"],
+        &["validate", s, d, "--report-tt"],
+        &["validate", s, d, "--report-ttl", "--report-ttl"],
+        &["validate", s, d, "--threads", "2"],
+        &["fragment", s, d, "--threads", "2"],
+        &["update", s, d, e, "--threads", "2"],
+    ];
+    for args in cases {
+        let out = shapefrag(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?}"
+        );
+    }
+}
+
 #[test]
 fn bad_governance_flag_values_are_usage_errors() {
     let (_dir, shapes, data) = fixtures();
@@ -344,11 +375,11 @@ fn bad_governance_flag_values_are_usage_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--deadline-ms"));
 }
 
-/// `--threads` and a generous `--budget-steps` change nothing: `validate`,
-/// `fragment -o` and `update` print and write the same bytes, and
-/// `fragment` writes exactly `Frag(G, H)` as `schema_fragment` computes it.
+/// A generous `--budget-steps` changes nothing: `validate`, `fragment -o`
+/// and `update` print and write the same bytes, and `fragment` writes
+/// exactly `Frag(G, H)` as `schema_fragment` computes it.
 #[test]
-fn threads_and_generous_budgets_give_identical_outputs() {
+fn generous_budgets_give_identical_outputs() {
     let (dir, shapes, data) = fixtures();
     let edits = write_file(
         dir.path(),
@@ -361,23 +392,18 @@ fn threads_and_generous_budgets_give_identical_outputs() {
         edits.to_str().unwrap(),
     );
     let mut outputs = Vec::new();
-    for threads in ["1", "4"] {
-        for budget in [&[][..], &["--budget-steps", "1000000"][..]] {
-            let run = |command: &[&str]| {
-                let mut args = command.to_vec();
-                args.extend(["--threads", threads]);
-                args.extend(budget);
-                let out = shapefrag(&args);
-                (out.status.code(), out.stdout)
-            };
-            let out_path = dir
-                .path()
-                .join(format!("frag-{threads}-{}.nt", budget.len()));
-            let fragment = run(&["fragment", s, d, "-o", out_path.to_str().unwrap()]);
-            assert_eq!(fragment.0, Some(0));
-            let written = std::fs::read_to_string(&out_path).expect("fragment file");
-            outputs.push((run(&["validate", s, d]), written, run(&["update", s, d, e])));
-        }
+    for budget in [&[][..], &["--budget-steps", "1000000"][..]] {
+        let run = |command: &[&str]| {
+            let mut args = command.to_vec();
+            args.extend(budget);
+            let out = shapefrag(&args);
+            (out.status.code(), out.stdout)
+        };
+        let out_path = dir.path().join(format!("frag-{}.nt", budget.len()));
+        let fragment = run(&["fragment", s, d, "-o", out_path.to_str().unwrap()]);
+        assert_eq!(fragment.0, Some(0));
+        let written = std::fs::read_to_string(&out_path).expect("fragment file");
+        outputs.push((run(&["validate", s, d]), written, run(&["update", s, d, e])));
     }
     assert!(outputs.windows(2).all(|w| w[0] == w[1]), "{outputs:?}");
 
@@ -421,7 +447,7 @@ fn update_exit_code_follows_the_edited_graph() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("conforms"));
 }
 
-/// A step budget trips the governed extraction on several workers too.
+/// A one-step budget trips the governed extraction.
 #[test]
 fn governed_parallel_fragment_exits_with_resource_fault() {
     let (_dir, shapes, data) = fixtures();
@@ -429,8 +455,6 @@ fn governed_parallel_fragment_exits_with_resource_fault() {
         "fragment",
         shapes.to_str().unwrap(),
         data.to_str().unwrap(),
-        "--threads",
-        "2",
         "--budget-steps",
         "1",
     ]);
@@ -587,28 +611,18 @@ fn frozen_loader_and_id_writer_match_the_graph_path() {
         let expected = ntriples::serialize(&schema_fragment(&schema, &graph.freeze()));
         assert!(expected.contains("_:"), "the fragment holds blank nodes");
         assert!(expected.contains("rdf-syntax-ns#first"), "and list cells");
-        for threads in ["1", "2"] {
-            let out_path = dir.path().join(format!("{name}-{threads}.out.nt"));
-            let out = shapefrag(&[
-                "fragment",
-                s,
-                d,
-                "-o",
-                out_path.to_str().unwrap(),
-                "--threads",
-                threads,
-            ]);
-            assert_eq!(out.status.code(), Some(0));
-            assert_eq!(std::fs::read_to_string(&out_path).unwrap(), expected);
+        let out_path = dir.path().join(format!("{name}.out.nt"));
+        let out = shapefrag(&["fragment", s, d, "-o", out_path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0));
+        assert_eq!(std::fs::read_to_string(&out_path).unwrap(), expected);
 
-            let out = shapefrag(&["validate", s, d, "--threads", threads]);
-            assert_eq!(out.status.code(), Some(1));
-            assert_eq!(String::from_utf8_lossy(&out.stdout), validated);
+        let out = shapefrag(&["validate", s, d]);
+        assert_eq!(out.status.code(), Some(1));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), validated);
 
-            let out = shapefrag(&["update", s, d, e, "--threads", threads]);
-            assert_eq!(out.status.code(), Some(1));
-            assert_eq!(String::from_utf8_lossy(&out.stdout), updated);
-        }
+        let out = shapefrag(&["update", s, d, e]);
+        assert_eq!(out.status.code(), Some(1));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), updated);
     }
 }
 

@@ -20,7 +20,9 @@ use shape_fragments::core::{fragment_governed, neighborhood_governed};
 use shape_fragments::govern::{Budget, BudgetKind, CancelToken, EngineError, ExecCtx};
 use shape_fragments::rdf::{ntriples, turtle};
 use shape_fragments::shacl::parser::parse_shapes_turtle;
-use shape_fragments::shacl::validator::{validate_batch_governed, validate_governed, Context};
+use shape_fragments::shacl::validator::{
+    validate, validate_batch_governed, validate_governed, Context,
+};
 use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::{eval_select_governed, parse_select, EvalConfig};
 use shapefrag_rdf::{Graph, GraphAccess, Iri, Term, Triple};
@@ -518,42 +520,33 @@ fn frozen_governed_agrees_with_mutable_ungoverned() {
 }
 
 // ---------------------------------------------------------------------------
-// Governance through the work-stealing parallel engine (DESIGN.md §12)
+// Governance through the batch driver behind `shapefrag validate`
 // ---------------------------------------------------------------------------
 
-/// Exhausted step budgets inside parallel workers surface as one
-/// structured `BudgetExceeded` — first fault in planning order wins, no
-/// partial report leaks out.
+/// An exhausted step budget surfaces as one structured `BudgetExceeded`;
+/// no partial report leaks out.
 #[test]
 fn parallel_engine_surfaces_budget_exhaustion() {
-    use shape_fragments::core::validate_batch_par;
-
     let frozen = generate(&TyroleanConfig::new(400, 0xBE)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
-    for threads in [1, 2, 4, 8] {
-        match validate_batch_par(
-            &schema,
-            &frozen,
-            threads,
-            Budget::unlimited().steps(16),
-            None,
-        ) {
-            Err(EngineError::BudgetExceeded {
-                kind: BudgetKind::Steps,
-                ..
-            }) => {}
-            other => panic!("threads={threads}: expected step fault, got {other:?}"),
-        }
+    match validate_batch_governed(
+        &schema,
+        &frozen,
+        ExecCtx::with_budget(Budget::unlimited().steps(16)),
+    ) {
+        Err(EngineError::BudgetExceeded {
+            kind: BudgetKind::Steps,
+            ..
+        }) => {}
+        other => panic!("expected step fault, got {other:?}"),
     }
 }
 
-/// A cancellation issued from another thread while the parallel engine is
-/// mid-validation is observed promptly by every worker and surfaced as
-/// one `Cancelled` error.
+/// A cancellation issued from another thread while the batch driver is
+/// mid-validation is observed promptly and surfaced as one `Cancelled`
+/// error.
 #[test]
 fn parallel_engine_observes_cross_thread_cancellation() {
-    use shape_fragments::core::validate_batch_par;
-
     let frozen = generate(&TyroleanConfig::new(600, 0xCC)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
     let token = CancelToken::new();
@@ -561,12 +554,10 @@ fn parallel_engine_observes_cross_thread_cancellation() {
     let (tx, rx) = mpsc::channel();
 
     let worker = thread::spawn(move || loop {
-        match validate_batch_par(
+        match validate_batch_governed(
             &schema,
             &frozen,
-            4,
-            Budget::unlimited(),
-            Some(&worker_token),
+            ExecCtx::with_budget(Budget::unlimited()).with_cancel(&worker_token),
         ) {
             Ok(_) => {
                 let _ = tx.send(());
@@ -583,25 +574,21 @@ fn parallel_engine_observes_cross_thread_cancellation() {
     let latency = observed_at.duration_since(cancelled_at);
     assert!(
         latency < Duration::from_millis(250),
-        "parallel cancellation took {latency:?} to be observed"
+        "cross-thread cancellation took {latency:?} to be observed"
     );
 }
 
-/// Unconstrained governed parallel runs reproduce the sequential batch
-/// report at every thread count.
+/// An unconstrained governed batch run reproduces the per-node
+/// sequential report.
 #[test]
 fn parallel_engine_unbounded_agrees_with_sequential() {
-    use shape_fragments::core::validate_batch_par;
-    use shape_fragments::shacl::validator::validate_batch;
-
     let frozen = generate(&TyroleanConfig::new(150, 0xA8)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
-    let sequential = validate_batch(&schema, &frozen);
-    for threads in [1, 2, 4, 8] {
-        let (report, _) = validate_batch_par(&schema, &frozen, threads, Budget::unlimited(), None)
+    let sequential = validate(&schema, &frozen);
+    let report =
+        validate_batch_governed(&schema, &frozen, ExecCtx::with_budget(Budget::unlimited()))
             .expect("unlimited budget cannot fault");
-        assert_eq!(sequential, report, "threads = {threads}");
-    }
+    assert_eq!(sequential, report);
 }
 
 /// An unbounded context reproduces the ungoverned results exactly, across

@@ -1,80 +1,29 @@
 //! Edge-case tests for the governance primitives that the server leans
-//! on: [`Budget::split`] as the contract between a parent request and its
-//! parallel workers, and [`ConformanceMemo`] under worker panics. The
-//! memo is shared across validation workers; a panicking worker must
-//! neither wedge the other threads nor hide the facts it already
-//! published (the memo recovers its poisoned row-table lock with
-//! `PoisonError::into_inner`: every update leaves the table valid, so
-//! the data behind the poison flag is sound). The last section drives the
-//! reach kernel (the quantifier passes of both batch engines) into each
-//! governor limit on the Vardi distance-3 shape.
+//! on: [`ConformanceMemo`] under worker panics, and the governor limits
+//! inside the reach kernel. The memo is `Sync` and may be shared across
+//! threads; a panicking thread must neither wedge the others nor hide the
+//! facts it already published (the memo recovers its poisoned row-table
+//! lock with `PoisonError::into_inner`: every update leaves the table
+//! valid, so the data behind the poison flag is sound). The last section
+//! drives the reach kernel (the quantifier passes of both batch engines)
+//! into each governor limit on the Vardi distance-3 shape.
 
 use std::sync::mpsc;
 use std::sync::{Arc, PoisonError, RwLock};
 use std::thread;
 use std::time::Duration;
 
-use shape_fragments::core::{validate_batch_par, validate_extract_fragment_par};
+use shape_fragments::core::validate_extract_fragment_governed;
 use shape_fragments::govern::{
     Budget, BudgetKind, CancelToken, EngineError, ExecCtx, CHECK_STRIDE,
 };
 use shape_fragments::rdf::{FrozenGraph, GraphAccess, Term, TermId};
 use shape_fragments::shacl::rpq::PAIR_COST;
-use shape_fragments::shacl::validator::Context;
+use shape_fragments::shacl::validator::{validate_batch_governed, Context};
 use shape_fragments::shacl::{
     CompiledPath, ConformanceMemo, PathExpr, Reach, Schema, Shape, ShapeDef,
 };
 use shape_fragments::workloads::dblp::{authored_by, vardi_shape, Bibliography, DblpConfig};
-
-// ---------------------------------------------------------------------
-// Budget::split across real threads
-// ---------------------------------------------------------------------
-
-/// Each worker gets an equal share and faults at *its* share, reporting
-/// the split limit — the parent pool can never overspend.
-#[test]
-fn split_budget_partitions_steps_across_workers() {
-    let parent = Budget::unlimited().steps(30);
-    let share = parent.split(3);
-    let faults: Vec<EngineError> = thread::scope(|scope| {
-        (0..3)
-            .map(|_| {
-                // `Budget` is `Copy`: each worker takes its own share.
-                scope.spawn(move || {
-                    let ctx = ExecCtx::with_budget(share);
-                    loop {
-                        if let Err(e) = ctx.tick(1) {
-                            return e;
-                        }
-                    }
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect()
-    });
-    for fault in faults {
-        assert_eq!(
-            fault,
-            EngineError::BudgetExceeded {
-                kind: BudgetKind::Steps,
-                limit: 10
-            }
-        );
-    }
-}
-
-/// Splitting below one step per worker still hands every worker a live
-/// (floored) budget instead of a zero one.
-#[test]
-fn split_budget_floors_at_one_step_per_worker() {
-    let share = Budget::unlimited().steps(2).split(64);
-    assert_eq!(share.steps, Some(1));
-    let ctx = ExecCtx::with_budget(share);
-    ctx.tick(1).expect("the floored share allows one step");
-    assert!(ctx.tick(1).is_err(), "second step must fault");
-}
 
 // ---------------------------------------------------------------------
 // ConformanceMemo under worker panics
@@ -241,8 +190,15 @@ fn both_engines_fail(
     budget: Budget,
     cancel: Option<&CancelToken>,
 ) -> EngineError {
-    let validate = validate_batch_par(schema, graph, 1, budget, cancel).unwrap_err();
-    let extract = validate_extract_fragment_par(schema, graph, 1, budget, cancel).unwrap_err();
+    let exec = || {
+        let exec = ExecCtx::with_budget(budget);
+        match cancel {
+            Some(token) => exec.with_cancel(token),
+            None => exec,
+        }
+    };
+    let validate = validate_batch_governed(schema, graph, exec()).unwrap_err();
+    let extract = validate_extract_fragment_governed(schema, graph, exec()).unwrap_err();
     assert_eq!(validate, extract);
     validate
 }
@@ -251,9 +207,10 @@ fn both_engines_fail(
 /// forward pass, directly and under both engines.
 ///
 /// For the engines the trip is located by a memory witness. Only the path
-/// kernels charge memory, the target needs none (planning takes the
-/// objects-of fast path), and one worker's first kernel run is the forward
-/// pass over all authors, which charges its seeds before its first tick.
+/// kernels charge memory, the target needs none (target resolution takes
+/// the objects-of fast path), and each engine's first kernel run is the
+/// forward pass over all authors, which charges its seeds before its first
+/// tick.
 /// Under the same step limit plus a one-byte memory budget, both engines
 /// fault on memory: they reach that pass within the step limit. The pass
 /// alone needs `steps > limit` ticks, so without the memory budget the
@@ -291,7 +248,7 @@ fn step_budget_trips_inside_the_reach_kernel() {
 }
 
 /// A pre-cancelled token stops both engines with `Cancelled`. The engines
-/// observe it at their planning check, before any kernel runs; one level
+/// observe it at their per-definition check, before any kernel runs; one level
 /// down, the batch decider observes it inside the kernel, at the first
 /// stride check of the forward pass.
 #[test]

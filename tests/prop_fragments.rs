@@ -7,12 +7,10 @@ use proptest::prelude::*;
 
 use common::{graph_strategy, monotone_shape_strategy, node_term, pred, shape_strategy};
 use shape_fragments::core::{
-    fragment, schema_fragment, validate_extract_fragment, validate_extract_fragment_par,
-    validate_with_provenance,
+    fragment, schema_fragment, validate_extract_fragment, validate_with_provenance,
 };
-use shape_fragments::govern::Budget;
 use shape_fragments::rdf::{GraphAccess, Term};
-use shape_fragments::shacl::validator::{validate, Context};
+use shape_fragments::shacl::validator::{validate, validate_batch, Context};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 
 /// Monotone target shapes: the real-SHACL target forms of §4.
@@ -31,6 +29,37 @@ fn target_strategy() -> impl Strategy<Value = Shape> {
             Shape::HasValue(node_term(c)),
         )),
     ]
+}
+
+/// Random nonrecursive schemas of 1–4 definitions over the target forms
+/// above plus ⊤ ("all nodes"), with forward `hasShape` references (the
+/// case where definitions share memo entries).
+fn schema_strategy() -> impl Strategy<Value = Schema> {
+    (
+        prop::collection::vec(
+            (
+                shape_strategy(),
+                prop_oneof![3 => target_strategy(), 1 => Just(Shape::True)],
+            ),
+            1..5,
+        ),
+        prop::collection::vec(any::<bool>(), 8),
+    )
+        .prop_map(|(parts, links)| {
+            let name = |i: usize| Term::iri(format!("{}S{i}", common::NS));
+            let n = parts.len();
+            let defs: Vec<ShapeDef> = parts
+                .into_iter()
+                .enumerate()
+                .map(|(i, (mut shape, target))| {
+                    if i + 1 < n && links[(2 * i) % links.len()] {
+                        shape = shape.and(Shape::HasShape(name(i + 1)));
+                    }
+                    ShapeDef::new(name(i), shape, target)
+                })
+                .collect();
+            Schema::new(defs).expect("forward references only — nonrecursive")
+        })
 }
 
 proptest! {
@@ -101,22 +130,19 @@ proptest! {
         prop_assert_eq!(both, union);
     }
 
-    /// Parallel fragment extraction agrees with the sequential one: over
-    /// ⊤-targeted definitions the engine's `Frag(G, { φ ∧ ⊤ })` is
-    /// `Frag(G, S)`.
+    /// On multi-definition schemas linked by `hasShape`, the instrumented
+    /// validator reproduces `validate_batch`'s report bit for bit (same
+    /// `checked` count, same violations in the same order) and extracts
+    /// exactly the request-shape fragment `Frag(G, { φ ∧ τ })`.
     #[test]
-    fn parallel_agrees(
-        g in graph_strategy(16),
-        shapes in prop::collection::vec(shape_strategy(), 1..3),
-    ) {
-        let schema = Schema::new(shapes.iter().enumerate().map(|(i, shape)| {
-            ShapeDef::new(Term::iri(format!("{}F{i}", common::NS)), shape.clone(), Shape::True)
-        }))
-        .expect("independent definitions");
+    fn parallel_agrees(g in graph_strategy(14), schema in schema_strategy()) {
         let f = g.freeze();
-        let (_, parallel, _) = validate_extract_fragment_par(&schema, &f, 3, Budget::unlimited(), None)
-            .expect("an unlimited budget cannot fault");
-        prop_assert_eq!(fragment(&Schema::empty(), &g, &shapes), parallel.to_graph(&f));
+        let (report, extracted) = validate_extract_fragment(&schema, &f);
+        prop_assert_eq!(&validate_batch(&schema, &f), &report);
+        prop_assert_eq!(
+            fragment(&schema, &f, &schema.request_shapes()),
+            extracted.to_graph(&f)
+        );
     }
 
     /// The instrumented validator (single pass, §5.2) produces exactly the

@@ -10,7 +10,6 @@
 //!
 //! - pure additions, pure removals, mixed add/remove scripts (including
 //!   add-then-remove of the same triple), and all-no-op scripts;
-//! - one worker vs several (`IncrementalValidator::with_threads`);
 //! - governed runs under a tiny step budget: a fault rolls back the
 //!   overlay and the report, and leaves the memo *fully* cleared — never
 //!   half-invalidated (every surviving entry would otherwise be allowed
@@ -168,27 +167,6 @@ proptest! {
         prop_assert_eq!(inc.memo().len(), memo_before);
     }
 
-    /// A validator on several workers produces the identical report to a
-    /// one-worker validator (and to from-scratch) for every thread count
-    /// we run.
-    #[test]
-    fn parallel_apply_matches_sequential(
-        schema in schema_strategy(),
-        g in graph_strategy(14),
-        script in script_strategy(10),
-        threads in 2usize..5,
-    ) {
-        let schema = Arc::new(schema);
-        let frozen = Arc::new(g.freeze());
-        let mut seq = IncrementalValidator::new(Arc::clone(&schema), Arc::clone(&frozen));
-        let mut par =
-            IncrementalValidator::with_threads(Arc::clone(&schema), frozen, threads);
-        let a = apply(&mut seq, &script);
-        let b = apply(&mut par, &script);
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &validate_batch(&schema, par.graph()));
-    }
-
     /// Governed incremental application is atomic: a budget fault rolls
     /// the overlay and report back to their pre-batch values and leaves
     /// the memo fully cleared; success matches the ungoverned run. Either
@@ -199,11 +177,9 @@ proptest! {
         g in graph_strategy(12),
         script in script_strategy(8),
         steps in 0u64..40,
-        threads in 1usize..4,
     ) {
         let schema = Arc::new(schema);
-        let mut inc =
-            IncrementalValidator::with_threads(Arc::clone(&schema), Arc::new(g.freeze()), threads);
+        let mut inc = IncrementalValidator::new(Arc::clone(&schema), Arc::new(g.freeze()));
         let before = inc.report();
         let added_before = inc.graph().added_len();
         let removed_before = inc.graph().removed_len();

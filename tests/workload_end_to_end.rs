@@ -8,11 +8,12 @@ use shape_fragments::core::neighborhood::materialize;
 use shape_fragments::core::to_sparql::fragment_via_sparql;
 use shape_fragments::core::{
     fragment_ids_per_node, schema_fragment, validate_extract_fragment,
-    validate_extract_fragment_par,
+    validate_extract_fragment_governed,
 };
+use shape_fragments::govern::ExecCtx;
 use shape_fragments::rdf::Term;
 use shape_fragments::shacl::validator::validate;
-use shape_fragments::shacl::{schema_to_turtle, Budget, PathExpr, Schema, Shape, ShapeDef};
+use shape_fragments::shacl::{schema_to_turtle, PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::eval::EvalConfig;
 use shape_fragments::workloads::dblp::{authored_by, vardi_shape, Bibliography, DblpConfig};
 use shape_fragments::workloads::shapes57::{benchmark_schema, benchmark_shapes};
@@ -103,7 +104,7 @@ fn fragment_validates_after_extraction() {
 }
 
 /// The Vardi distance-`k` shapes of §5.3.2 on a small DBLP slice: the
-/// instrumented engine at one and two threads and the set-at-a-time
+/// governed instrumented engine and the set-at-a-time
 /// `schema_fragment` both trace each quantifier path once for all foci,
 /// and must still equal the per-node Table 2 oracle; at distance 1 they
 /// must also equal the fragment the generated SPARQL query computes
@@ -131,21 +132,14 @@ fn vardi_fragments_match_per_node_and_sparql_oracles() {
             let requests = schema.request_shapes();
             let oracle = materialize(&graph, &fragment_ids_per_node(&schema, &graph, &requests));
             assert!(!oracle.is_empty(), "distance {k}: the hub's ball is traced");
-            for threads in [1, 2] {
-                let (_, extracted, _) = validate_extract_fragment_par(
-                    &schema,
-                    &graph,
-                    threads,
-                    Budget::unlimited(),
-                    None,
-                )
-                .expect("unbounded extraction");
-                assert_eq!(
-                    extracted.to_graph(&graph),
-                    oracle,
-                    "distance {k}, {threads} threads, target {target}"
-                );
-            }
+            let (_, extracted) =
+                validate_extract_fragment_governed(&schema, &graph, ExecCtx::unbounded())
+                    .expect("unbounded extraction");
+            assert_eq!(
+                extracted.to_graph(&graph),
+                oracle,
+                "distance {k}, target {target}"
+            );
             assert_eq!(
                 schema_fragment(&schema, &graph),
                 oracle,
