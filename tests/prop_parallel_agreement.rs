@@ -1,46 +1,41 @@
-//! Agreement between the cost-routed work-stealing engines (DESIGN.md
-//! §12) and the sequential drivers over the frozen backend.
+//! Agreement of the governed extraction driver with the unbounded and
+//! per-node drivers over the frozen backend.
 //!
-//! On random graphs and random nonrecursive schemas, the engines at 1, 2,
-//! 4 and 8 worker threads must agree **exactly** with the sequential
-//! drivers:
+//! The suite once compared a multi-threaded engine with the sequential
+//! drivers; that engine is gone (DESIGN.md §12) and each output has one
+//! sequential governed driver. The two properties kept here check what
+//! does not depend on a thread count. On random graphs and random
+//! nonrecursive schemas with forward `hasShape` links,
+//! `validate_extract_fragment_governed` run under a live context (an
+//! unlimited budget plus an unfired cancellation token) must agree
+//! **exactly** with
 //!
-//! - `validate_batch_par` reproduces `validate_batch`'s report bit for
-//!   bit — same `checked` count and the same violations in the same
-//!   (definition-major, target-minor) order;
-//! - `validate_extract_fragment_par` reproduces both the report and the
-//!   extracted fragment of `validate_extract_fragment`;
-//! - its fragment is the request-shape fragment `fragment_ids` computes
-//!   over `{ φ ∧ τ }`, and it answers the generated SPARQL fragment query
-//!   with the same bindings as the sequential one.
+//! - the unbounded `validate_extract_fragment` and the per-node reference
+//!   `validate_extract_fragment_per_node`, report and fragment alike;
+//! - the request-shape fragment `Frag(G, { φ ∧ τ })` that `fragment`
+//!   computes over the unfrozen graph.
 
 mod common;
 
 use proptest::prelude::*;
 
 use common::{graph_strategy, shape_strategy};
-use shape_fragments::core::to_sparql::fragment_query;
 use shape_fragments::core::{
-    fragment, validate_batch_par, validate_extract_fragment, validate_extract_fragment_par,
-    SchemaFragment,
+    fragment, validate_extract_fragment, validate_extract_fragment_governed,
+    validate_extract_fragment_per_node, SchemaFragment,
 };
-use shape_fragments::govern::Budget;
+use shape_fragments::govern::{Budget, CancelToken, ExecCtx};
 use shape_fragments::rdf::{FrozenGraph, Term};
-use shape_fragments::shacl::validator::{validate_batch, ValidationReport};
+use shape_fragments::shacl::validator::ValidationReport;
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
-use shape_fragments::sparql::eval;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn extract_par(
-    schema: &Schema,
-    f: &FrozenGraph,
-    threads: usize,
-) -> (ValidationReport, SchemaFragment) {
-    let (report, fragment, _) =
-        validate_extract_fragment_par(schema, f, threads, Budget::unlimited(), None)
-            .expect("an unlimited budget cannot fault");
-    (report, fragment)
+/// The governed driver under a context that can observe a cancellation
+/// but never sees one.
+fn extract_governed(schema: &Schema, f: &FrozenGraph) -> (ValidationReport, SchemaFragment) {
+    let token = CancelToken::new();
+    let exec = ExecCtx::with_budget(Budget::unlimited()).with_cancel(&token);
+    validate_extract_fragment_governed(schema, f, exec)
+        .expect("an unlimited budget and an unfired token cannot fault")
 }
 
 fn shape_name(i: usize) -> Term {
@@ -57,8 +52,7 @@ fn target_strategy() -> impl Strategy<Value = Shape> {
 }
 
 /// Random nonrecursive schemas of 1–4 definitions with forward `hasShape`
-/// references (the memo-sharing case the shared memo must get right
-/// across workers).
+/// references (the case where definitions share memo entries).
 fn schema_strategy() -> impl Strategy<Value = Schema> {
     (
         prop::collection::vec((shape_strategy(), target_strategy()), 1..5),
@@ -83,62 +77,28 @@ fn schema_strategy() -> impl Strategy<Value = Schema> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Parallel validation reproduces the sequential batch report bit for
-    /// bit at every thread count.
-    #[test]
-    fn parallel_validation_agrees(g in graph_strategy(14), schema in schema_strategy()) {
-        let f = g.freeze();
-        let sequential = validate_batch(&schema, &f);
-        for threads in THREADS {
-            let (parallel, _) = validate_batch_par(&schema, &f, threads, Budget::unlimited(), None)
-                .expect("an unlimited budget cannot fault");
-            prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
-        }
-    }
-
-    /// Parallel instrumented extraction reproduces both the report and
-    /// the fragment of the sequential driver.
+    /// Governed extraction reproduces both the report and the fragment of
+    /// the unbounded driver and of the per-node reference.
     #[test]
     fn parallel_extraction_agrees(g in graph_strategy(14), schema in schema_strategy()) {
         let f = g.freeze();
-        let (seq_report, seq_frag) = validate_extract_fragment(&schema, &f);
-        let seq_frag = seq_frag.to_graph(&f);
-        for threads in THREADS {
-            let (report, frag) = extract_par(&schema, &f, threads);
-            prop_assert_eq!(&seq_report, &report, "threads = {}", threads);
-            prop_assert_eq!(&seq_frag, &frag.to_graph(&f), "threads = {}", threads);
-        }
+        let (report, frag) = extract_governed(&schema, &f);
+        let frag = frag.to_graph(&f);
+        let (unbounded_report, unbounded_frag) = validate_extract_fragment(&schema, &f);
+        prop_assert_eq!(&unbounded_report, &report);
+        prop_assert_eq!(&unbounded_frag.to_graph(&f), &frag);
+        let (per_node_report, per_node_frag) = validate_extract_fragment_per_node(&schema, &f);
+        prop_assert_eq!(&per_node_report, &report);
+        prop_assert_eq!(&per_node_frag.to_graph(&f), &frag);
     }
 
-    /// The parallel extraction's fragment is exactly the sequential
-    /// request-shape fragment `Frag(G, { φ ∧ τ })`, on every graph.
+    /// The governed extraction's fragment is exactly the request-shape
+    /// fragment `Frag(G, { φ ∧ τ })` of the unfrozen graph.
     #[test]
     fn parallel_fragment_ids_agree(g in graph_strategy(14), schema in schema_strategy()) {
         let f = g.freeze();
-        let sequential = fragment(&schema, &f, &schema.request_shapes());
-        for threads in THREADS {
-            let (_, parallel) = extract_par(&schema, &f, threads);
-            prop_assert_eq!(&sequential, &parallel.to_graph(&f), "threads = {}", threads);
-        }
-    }
-
-    /// The materialized parallel fragment is SPARQL-indistinguishable from
-    /// the sequential one: the generated fragment query returns the same
-    /// bindings over both.
-    #[test]
-    fn parallel_fragment_sparql_agrees(g in graph_strategy(12), schema in schema_strategy()) {
-        let f = g.freeze();
-        let shapes = schema.request_shapes();
-        let query = fragment_query(&schema, &shapes);
-        let seq_frag = fragment(&schema, &f, &shapes);
-        for threads in [2, 8] {
-            let par_frag = extract_par(&schema, &f, threads).1.to_graph(&f);
-            prop_assert_eq!(&seq_frag, &par_frag, "threads = {}", threads);
-            prop_assert_eq!(
-                eval(&seq_frag, &query),
-                eval(&par_frag, &query),
-                "threads = {}", threads
-            );
-        }
+        let expected = fragment(&schema, &g, &schema.request_shapes());
+        let (_, extracted) = extract_governed(&schema, &f);
+        prop_assert_eq!(&expected, &extracted.to_graph(&f));
     }
 }
