@@ -28,9 +28,9 @@
 //!
 //! The per-schema [`ContainmentMatrix`] folds the judgment with the
 //! `{Valid, Unsat, Unknown}` status lattice (`Unsat ⊑ anything`,
-//! `anything ⊑ Valid`) and is the artifact the validator's
-//! subsumption-keyed memo, the batch planner's shape skipping, and the
-//! serve fragment cache all key off.
+//! `anything ⊑ Valid`). It is schema-time analysis: `shapefrag analyze
+//! --containment` reports its SF-W030/W031 findings, and no validation,
+//! fragment or incremental path builds it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
@@ -454,39 +454,8 @@ impl ContainmentMatrix {
         self.edges.binary_search(&(a, b)).is_ok() && self.edges.binary_search(&(b, a)).is_ok()
     }
 
-    /// Every shape whose memo bits can transitively derive from — or flow
-    /// into — bits of `seed`: the union of the forward closure (true bits
-    /// propagate sub → sup) and the backward closure (false bits propagate
-    /// sup → sub). `seed` itself is included. This is the invalidation set
-    /// the incremental validator clears alongside an impacted shape.
-    pub fn related_closure(&self, seed: u32) -> Vec<u32> {
-        let n = self.names.len();
-        let mut out: BTreeSet<u32> = BTreeSet::new();
-        out.insert(seed);
-        for forward in [true, false] {
-            let mut work = vec![seed];
-            let mut seen = vec![false; n];
-            seen[seed as usize] = true;
-            while let Some(s) = work.pop() {
-                let next: Vec<u32> = if forward {
-                    self.supers_of(s).collect()
-                } else {
-                    self.subs_of(s).collect()
-                };
-                for t in next {
-                    if !std::mem::replace(&mut seen[t as usize], true) {
-                        out.insert(t);
-                        work.push(t);
-                    }
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// Stable digest of the whole artifact (names, statuses, edges); the
-    /// runtime layers use it to guard against a matrix computed for a
-    /// different schema.
+    /// Stable digest of the whole artifact (names, statuses, edges), printed
+    /// with the JSON rendering so two runs' matrices compare at a glance.
     pub fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.names.len().hash(&mut h);
@@ -502,6 +471,8 @@ impl ContainmentMatrix {
 
     /// Converts to the validator-side index, stamped with the schema
     /// fingerprint so [`ConformanceMemo`] can refuse a mismatched matrix.
+    /// No product path calls this; it remains for the benchmark's layer
+    /// mirror and the containment soundness suite.
     ///
     /// [`ConformanceMemo`]: shapefrag_shacl::validator::ConformanceMemo
     pub fn to_index(&self, schema: &Schema) -> ContainmentIndex {
@@ -966,8 +937,6 @@ mod tests {
         assert!(!m.edges.contains(&(b, a)));
         assert!(m.equivalent(b, c));
         assert!(!m.equivalent(a, b));
-        // Directed closure from A reaches B and C (true bits flow up).
-        assert_eq!(m.related_closure(a), vec![a, b, c]);
         // Fingerprint is stable and sensitive to edges.
         assert_eq!(
             m.fingerprint(),

@@ -69,14 +69,11 @@ struct ServeResults {
     queue_wait_per_request_us: f64,
     /// Mean service time per admitted request, in microseconds.
     service_per_admitted_us: f64,
-    /// Conformance checks (and fragment bodies) answered from a related
-    /// shape's cached work, from the server's `/stats`.
-    containment_hits: u64,
-    /// Derivation / fragment-cache attempts that found nothing reusable.
-    containment_misses: u64,
-    /// Definitions fully covered by an equivalent sibling across all
-    /// `/validate` calls in the run.
-    shapes_skipped: u64,
+    /// Single-shape `/fragment` requests answered from the server's
+    /// fragment cache, from `/stats`.
+    fragment_cache_hits: u64,
+    /// Single-shape `/fragment` requests the cache could not answer.
+    fragment_cache_misses: u64,
 }
 
 shapefrag_bench::impl_to_json!(LoadRow {
@@ -108,9 +105,8 @@ shapefrag_bench::impl_to_json!(ServeResults {
     service_us,
     queue_wait_per_request_us,
     service_per_admitted_us,
-    containment_hits,
-    containment_misses,
-    shapes_skipped,
+    fragment_cache_hits,
+    fragment_cache_misses,
 });
 
 /// Pulls an integer field out of a flat JSON object body (the `/stats`
@@ -308,9 +304,8 @@ fn main() {
     let service_us = json_u64(&stats_body, "service_us");
     let received = json_u64(&stats_body, "received").max(1);
     let admitted = json_u64(&stats_body, "admitted").max(1);
-    let containment_hits = json_u64(&stats_body, "containment_hits");
-    let containment_misses = json_u64(&stats_body, "containment_misses");
-    let shapes_skipped = json_u64(&stats_body, "shapes_skipped");
+    let fragment_cache_hits = json_u64(&stats_body, "fragment_cache_hits");
+    let fragment_cache_misses = json_u64(&stats_body, "fragment_cache_misses");
     let queue_wait_per_request_us = queue_wait_us as f64 / received as f64;
     let service_per_admitted_us = service_us as f64 / admitted as f64;
     eprintln!(
@@ -358,9 +353,8 @@ fn main() {
         service_us,
         queue_wait_per_request_us,
         service_per_admitted_us,
-        containment_hits,
-        containment_misses,
-        shapes_skipped,
+        fragment_cache_hits,
+        fragment_cache_misses,
     };
     let out = opts.out.as_deref().unwrap_or("BENCH_serve.json");
     write_json_to(out, &results);

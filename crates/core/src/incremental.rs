@@ -38,31 +38,25 @@
 //!
 //! ## Memo discipline
 //!
-//! Before any re-evaluation the engine drops the impacted
-//! `(shape, focus)` memo entries for *every* definition
-//! ([`ConformanceMemo::invalidate`], or
+//! Before any re-evaluation the engine drops each definition's impacted
+//! `(shape, focus)` memo entries ([`ConformanceMemo::invalidate`], or
 //! [`ConformanceMemo::invalidate_shape`] for the recheck-all fallback),
 //! then re-binds the memo to the post-edit fingerprint
-//! ([`ConformanceMemo::rebind`]). Because the memo carries a
-//! [`ContainmentIndex`] (subsumption-derived bits flow between related
-//! definitions), each drop is widened to the *directed closure*
-//! over the containment edges: every shape the impacted one is related
-//! to — in either derivation direction — loses the same cells, so a
-//! stale bit can never survive by having been copied into a neighbour's
-//! row. Governed runs snapshot the overlay before mutating; a mid-batch
-//! fault restores it and fully clears the memo (then re-attaches the
-//! index) — the memo is always either correctly maintained or empty,
-//! never half-invalidated.
+//! ([`ConformanceMemo::rebind`]). A memo cell holds only a verdict decided
+//! for its own definition, so each impact drops only that definition's
+//! cells; a `hasShape` reference reads the referenced definition's cells,
+//! which that definition's own impact (over its own profile) drops.
+//! Governed runs snapshot the overlay before mutating; a mid-batch fault
+//! restores it and fully clears the memo — the memo is always either
+//! correctly maintained or empty, never half-invalidated.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use shapefrag_analyze::{impact_profiles, ContainmentMatrix, ImpactProfile};
+use shapefrag_analyze::{impact_profiles, ImpactProfile};
 use shapefrag_govern::{Budget, CancelToken, EngineError, ExecCtx};
 use shapefrag_rdf::{ntriples, DeltaGraph, FrozenGraph, GraphAccess, ParseError, TermId, Triple};
-use shapefrag_shacl::validator::{
-    ConformanceMemo, ContainmentIndex, Context, ValidationReport, Violation,
-};
+use shapefrag_shacl::validator::{ConformanceMemo, Context, ValidationReport, Violation};
 use shapefrag_shacl::{Nnf, Schema};
 
 use crate::fault_of;
@@ -173,10 +167,6 @@ pub struct IncrementalValidator {
     profiles: Vec<ImpactProfile>,
     delta: DeltaGraph,
     memo: Arc<ConformanceMemo>,
-    /// Containment adjacency for the schema, attached to the memo so
-    /// re-checks can derive answers across subsumption edges; kept here
-    /// so it can be re-attached after a fault-path `memo.clear()`.
-    containment: Arc<ContainmentIndex>,
     /// Per definition (in `schema.iter()` order): the current target row,
     /// sorted ascending by focus id, with each node's conformance bit.
     state: Vec<Vec<(TermId, bool)>>,
@@ -188,8 +178,6 @@ impl IncrementalValidator {
         let delta = DeltaGraph::new(base);
         let profiles = impact_profiles(schema.iter());
         let memo = Arc::new(ConformanceMemo::new());
-        let containment = Arc::new(ContainmentMatrix::of_schema(&schema).to_index(&schema));
-        memo.attach_containment(Arc::clone(&containment));
         let empty = vec![Vec::new(); schema.len()];
         let impacts: Vec<Impact> = (0..schema.len()).map(|_| Impact::All).collect();
         let state = revalidate(
@@ -206,7 +194,6 @@ impl IncrementalValidator {
             profiles,
             delta,
             memo,
-            containment,
             state,
         }
     }
@@ -292,22 +279,10 @@ impl IncrementalValidator {
                 .schema
                 .name_id(&def.name)
                 .expect("definition name is in its own schema");
-            // Widen every row drop to the directed containment closure:
-            // derived bits may have flowed from this definition into any
-            // related one (true bits up the ⊑ edges, false bits down), so
-            // those copies must fall with the original.
             match impact {
                 Impact::Untouched => {}
-                Impact::All => {
-                    for rel in self.containment.related_closure(sid) {
-                        self.memo.invalidate_shape(rel);
-                    }
-                }
-                Impact::Set(nodes) => {
-                    for rel in self.containment.related_closure(sid) {
-                        self.memo.invalidate(rel, nodes.iter().copied());
-                    }
-                }
+                Impact::All => self.memo.invalidate_shape(sid),
+                Impact::Set(nodes) => self.memo.invalidate(sid, nodes.iter().copied()),
             }
         }
         impacts
@@ -351,9 +326,6 @@ impl IncrementalValidator {
             Err(e) => {
                 self.delta = saved;
                 self.memo.clear();
-                // clear() drops the attached index with everything else;
-                // the schema is unchanged, so put it back for the retry.
-                self.memo.attach_containment(Arc::clone(&self.containment));
                 Err(e)
             }
         }
@@ -514,8 +486,8 @@ fn revalidate(
         fault_of(&mut ctx)?;
         let (entries, to_check) = plan_row(targets, old, impact);
         // Route the re-checks through `HasShape(name)` so the def-level
-        // bits land in the memo under the definition's own id, where
-        // containment derivation can reach them.
+        // bits land in the memo under the definition's own id, where the
+        // next batch's impact routing drops exactly the stale ones.
         let decisions = ctx.conforms_all_nnf(&to_check, &Nnf::HasShape(def.name.clone()));
         fault_of(&mut ctx)?;
         let mut bits = decisions.into_iter();

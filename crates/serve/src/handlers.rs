@@ -20,9 +20,7 @@ use shapefrag_analyze::{analyze_schema, has_deny, to_json as diags_to_json};
 use shapefrag_core::{fragment_ids_governed, EditScript, IncrementalValidator};
 use shapefrag_govern::{Budget, EngineError, ErrorCode, ExecCtx};
 use shapefrag_rdf::{ntriples, turtle, FrozenGraph, Term};
-use shapefrag_shacl::validator::{
-    validate_batch_containment_governed, ConformanceMemo, ValidationReport,
-};
+use shapefrag_shacl::validator::{validate_batch_governed, ValidationReport};
 use shapefrag_shacl::Shape;
 use shapefrag_sparql::eval::{eval_select_governed, Binding, EvalConfig};
 use shapefrag_sparql::parser::parse_select;
@@ -177,50 +175,26 @@ fn report_json(report: &ValidationReport, epoch: u64) -> String {
 
 /// `POST /validate` — empty body validates the resident snapshot; a
 /// non-empty body is parsed as a data graph and validated against the
-/// resident schema (one resident process, many datasets). Runs the
-/// containment-aware driver: the snapshot's subsumption index lets
-/// equivalent definitions share conformance bits (the report stays
-/// bit-identical; `/stats` counts the derivations and skips).
+/// resident schema (one resident process, many datasets).
 fn handle_validate(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>) -> Response {
     let exec = match exec_from_headers(req, &state.cfg) {
         Ok(e) => e.with_cancel(&state.cancel),
         Err(resp) => return resp,
     };
-    let memo = Arc::new(ConformanceMemo::new());
-    memo.attach_containment(Arc::clone(&snapshot.containment));
     let result = if req.body.is_empty() {
-        with_view!(snapshot, |g| validate_batch_containment_governed(
+        with_view!(snapshot, |g| validate_batch_governed(
             &snapshot.schema,
             g,
-            Arc::clone(&memo),
             exec
         ))
     } else {
         match parse_body_graph(req) {
-            Ok(graph) => validate_batch_containment_governed(
-                &snapshot.schema,
-                &graph,
-                Arc::clone(&memo),
-                exec,
-            ),
+            Ok(graph) => validate_batch_governed(&snapshot.schema, &graph, exec),
             Err(e) => return engine_error_response(&e),
         }
     };
     match result {
-        Ok((report, skipped)) => {
-            let (hits, misses) = memo.containment_counters();
-            state
-                .stats
-                .containment_hits
-                .fetch_add(hits, Ordering::Relaxed);
-            state
-                .stats
-                .containment_misses
-                .fetch_add(misses, Ordering::Relaxed);
-            state
-                .stats
-                .shapes_skipped
-                .fetch_add(skipped, Ordering::Relaxed);
+        Ok(report) => {
             if req
                 .header("accept")
                 .is_some_and(|a| a.contains("text/turtle"))
@@ -239,90 +213,12 @@ fn handle_validate(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
     }
 }
 
-/// Structural shape equality modulo definition names: `hasShape(x)` and
-/// `hasShape(y)` are aliases when the referenced definitions' shapes are
-/// themselves structurally equal (the parser synthesizes a fresh
-/// blank-node definition per `sh:property`, so textual duplicates differ
-/// only in these generated names). The `seen` pair set terminates cyclic
-/// reference chains coinductively.
-fn shapes_alias(
-    schema: &shapefrag_shacl::Schema,
-    a: &Shape,
-    b: &Shape,
-    seen: &mut std::collections::BTreeSet<(Term, Term)>,
-) -> bool {
-    match (a, b) {
-        (Shape::HasShape(x), Shape::HasShape(y)) => {
-            if x == y {
-                return true;
-            }
-            if !seen.insert((x.clone(), y.clone())) {
-                return true;
-            }
-            match (schema.get(x), schema.get(y)) {
-                (Some(dx), Some(dy)) => shapes_alias(schema, &dx.shape, &dy.shape, seen),
-                // Both undefined: each means ⊤ with empty provenance.
-                (None, None) => true,
-                _ => false,
-            }
-        }
-        (Shape::Not(p), Shape::Not(q)) => shapes_alias(schema, p, q, seen),
-        (Shape::And(ps), Shape::And(qs)) | (Shape::Or(ps), Shape::Or(qs)) => {
-            ps.len() == qs.len()
-                && ps
-                    .iter()
-                    .zip(qs)
-                    .all(|(p, q)| shapes_alias(schema, p, q, seen))
-        }
-        (Shape::Geq(m, e, p), Shape::Geq(n, f, q)) | (Shape::Leq(m, e, p), Shape::Leq(n, f, q)) => {
-            m == n && e == f && shapes_alias(schema, p, q, seen)
-        }
-        (Shape::ForAll(e, p), Shape::ForAll(f, q)) => e == f && shapes_alias(schema, p, q, seen),
-        _ => a == b,
-    }
-}
-
-/// Finds the cache representative for a requested shape name: the first
-/// definition (schema order) in the same matrix-equivalence class whose
-/// `(shape, target)` is structurally identical modulo reference names —
-/// that is what makes the cached bytes reusable verbatim (shapes that
-/// are merely *semantically* equivalent can have different provenance
-/// fragments).
-fn fragment_representative(snapshot: &Snapshot, name: &Term) -> Term {
-    let (Some(id), Some(def)) = (snapshot.schema.name_id(name), snapshot.schema.get(name)) else {
-        return name.clone();
-    };
-    for (j, cand) in snapshot.schema.iter().enumerate() {
-        let j = j as u32;
-        if j >= id {
-            break;
-        }
-        if snapshot.matrix.equivalent(j, id)
-            && shapes_alias(
-                &snapshot.schema,
-                &cand.shape,
-                &def.shape,
-                &mut Default::default(),
-            )
-            && shapes_alias(
-                &snapshot.schema,
-                &cand.target,
-                &def.target,
-                &mut Default::default(),
-            )
-        {
-            return cand.name.clone();
-        }
-    }
-    name.clone()
-}
-
 /// `POST /fragment` — empty body computes the full schema fragment; a
 /// non-empty body lists shape-name IRIs (one per line) to restrict to.
-/// Single-shape requests go through the per-epoch fragment cache: a
-/// request for a definition whose `(shape, target)` duplicates an
-/// equivalent definition's is answered from the cached bytes
-/// (`x-fragment-cache: hit`), and both count into `/stats`.
+/// Single-shape requests go through the per-epoch fragment cache, keyed
+/// by the requested name: a repeat request is answered from the cached
+/// bytes (`x-fragment-cache: hit`), and hits and misses count into
+/// `/stats`.
 fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>) -> Response {
     let exec = match exec_from_headers(req, &state.cfg) {
         Ok(e) => e.with_cancel(&state.cancel),
@@ -355,19 +251,28 @@ fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
     };
     // Cache only single-shape requests: a multi-shape fragment is the
     // union over its list, not a concatenation of per-shape bodies.
-    let rep = (names.len() == 1).then(|| fragment_representative(snapshot, &names[0]));
-    if let Some(rep) = &rep {
-        let mut cache = state.fragments.lock().unwrap_or_else(|e| e.into_inner());
-        cache.roll_to(snapshot.epoch);
-        if let Some(body) = cache.entries.get(rep) {
-            state.stats.containment_hits.fetch_add(1, Ordering::Relaxed);
+    let cached = match names.as_slice() {
+        [name] => Some(name),
+        _ => None,
+    };
+    if let Some(name) = cached {
+        let hit = state
+            .fragments
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(snapshot.epoch, name);
+        if let Some(body) = hit {
+            state
+                .stats
+                .fragment_cache_hits
+                .fetch_add(1, Ordering::Relaxed);
             return Response::new(200, "application/n-triples", body.as_ref().clone())
                 .with_header("x-epoch", snapshot.epoch.to_string())
                 .with_header("x-fragment-cache", "hit");
         }
         state
             .stats
-            .containment_misses
+            .fragment_cache_misses
             .fetch_add(1, Ordering::Relaxed);
     }
     let body = with_view!(snapshot, |g| fragment_ids_governed(
@@ -379,10 +284,12 @@ fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
     .map(|ids| ntriples::serialize_ids(g, ids)));
     match body {
         Ok(body) => {
-            if let Some(rep) = rep {
-                let mut cache = state.fragments.lock().unwrap_or_else(|e| e.into_inner());
-                cache.roll_to(snapshot.epoch);
-                cache.entries.insert(rep, Arc::new(body.clone()));
+            if let Some(name) = cached {
+                state
+                    .fragments
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .insert(snapshot.epoch, name.clone(), Arc::new(body.clone()));
             }
             Response::new(200, "application/n-triples", body)
                 .with_header("x-epoch", snapshot.epoch.to_string())
@@ -548,10 +455,6 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
                     schema: Arc::clone(updater.inc.schema()),
                     frozen: Arc::clone(graph.base()),
                     delta: Some(Arc::new(graph.clone())),
-                    // The schema is unchanged by an update; the matrix
-                    // is schema-keyed, so the epoch shares it.
-                    matrix: Arc::clone(&current.matrix),
-                    containment: Arc::clone(&current.containment),
                     triples: graph.len(),
                     delta_added: graph.added_len(),
                     delta_removed: graph.removed_len(),
@@ -609,8 +512,6 @@ fn handle_compact(state: &ServerState) -> Response {
             schema: Arc::clone(updater.inc.schema()),
             frozen: Arc::clone(updater.inc.graph().base()),
             delta: None,
-            matrix: Arc::clone(&current.matrix),
-            containment: Arc::clone(&current.containment),
             triples: updater.inc.graph().len(),
             delta_added: 0,
             delta_removed: 0,

@@ -151,20 +151,16 @@ pub(crate) fn load_source(source: &SnapshotSource) -> Result<(Arc<Schema>, Froze
     Ok((Arc::new(schema), graph))
 }
 
-/// Wraps a frozen graph into a published-ready snapshot. The containment
-/// matrix is computed here, once per schema load — every request against
-/// the epoch shares it.
+/// Wraps a frozen graph into a published-ready snapshot with no delta
+/// overlay. Nothing is derived from the schema here: boot and reload cost
+/// the parse, the deny-gate analysis and the freeze, nothing more.
 pub(crate) fn build_snapshot(epoch: u64, schema: Arc<Schema>, graph: FrozenGraph) -> Snapshot {
     let triples = graph.len();
-    let matrix = Arc::new(shapefrag_analyze::ContainmentMatrix::of_schema(&schema));
-    let containment = Arc::new(matrix.to_index(&schema));
     Snapshot {
         epoch,
         schema,
         frozen: Arc::new(graph),
         delta: None,
-        matrix,
-        containment,
         triples,
         delta_added: 0,
         delta_removed: 0,
@@ -187,8 +183,8 @@ pub struct ServerState {
     /// dropped on `POST /reload`. The mutex serializes writers; readers
     /// never touch it (they work off the published snapshot).
     pub updater: Mutex<Option<state::Updater>>,
-    /// Per-epoch `POST /fragment` response cache keyed by representative
-    /// shape name; rolled (cleared) whenever the epoch moves.
+    /// Per-epoch `POST /fragment` response cache keyed by the requested
+    /// shape name; cleared when a newer epoch arrives.
     pub fragments: Mutex<state::FragmentCache>,
     shutdown: AtomicBool,
     open_conns: AtomicUsize,

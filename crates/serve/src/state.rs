@@ -20,10 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use shapefrag_analyze::ContainmentMatrix;
 use shapefrag_core::IncrementalValidator;
 use shapefrag_rdf::{DeltaGraph, FrozenGraph, Term};
-use shapefrag_shacl::{ContainmentIndex, Schema};
+use shapefrag_shacl::Schema;
 
 /// One immutable published epoch: a schema and a frozen data graph,
 /// optionally overlaid with the continuous-ingest delta.
@@ -37,13 +36,6 @@ pub struct Snapshot {
     /// merged view. `None` after boot, `POST /reload`, or
     /// `POST /compact`.
     pub delta: Option<Arc<DeltaGraph>>,
-    /// Containment matrix of the resident schema (computed once per
-    /// schema; epochs that keep the schema share the `Arc`). Drives the
-    /// fragment cache's representative lookup.
-    pub matrix: Arc<ContainmentMatrix>,
-    /// The matrix lowered to validator adjacency, ready to attach to a
-    /// [`shapefrag_shacl::ConformanceMemo`].
-    pub containment: Arc<ContainmentIndex>,
     /// Triples in the published view (base − removed + added).
     pub triples: usize,
     /// Overlay additions (0 without a delta).
@@ -63,27 +55,44 @@ pub struct Updater {
 }
 
 /// The per-epoch fragment cache behind `POST /fragment`: finished
-/// N-Triples bodies keyed by the *representative* shape name — the first
-/// definition (in schema order) whose `(shape, target)` is syntactically
-/// identical to the requested one among its matrix-equivalence class. A
-/// request for a duplicated definition is answered from its twin's bytes
-/// without touching the graph. Cleared on every epoch move (any edit can
-/// change fragment contents).
+/// N-Triples bodies of single-shape requests, keyed by the requested shape
+/// name. The cache only moves forward: a request on a newer epoch clears
+/// it (any edit can change fragment contents), and a request still
+/// running on an older epoch bypasses it, so it can neither wipe the
+/// newer entries nor insert bytes no later request could hit.
 #[derive(Debug, Default)]
 pub struct FragmentCache {
     /// Epoch the entries were computed against.
-    pub epoch: u64,
-    /// Representative shape name → finished response body.
-    pub entries: BTreeMap<Term, Arc<String>>,
+    epoch: u64,
+    /// Shape name → finished response body.
+    entries: BTreeMap<Term, Arc<String>>,
 }
 
 impl FragmentCache {
-    /// Drops stale entries if the cache was built for another epoch.
-    pub fn roll_to(&mut self, epoch: u64) {
-        if self.epoch != epoch {
+    /// The cached body of `name` for a request on `epoch`.
+    pub fn get(&mut self, epoch: u64, name: &Term) -> Option<Arc<String>> {
+        if !self.roll_to(epoch) {
+            return None;
+        }
+        self.entries.get(name).cloned()
+    }
+
+    /// Caches `body` as `name`'s fragment at `epoch`; a no-op for an epoch
+    /// older than the cache's.
+    pub fn insert(&mut self, epoch: u64, name: Term, body: Arc<String>) {
+        if self.roll_to(epoch) {
+            self.entries.insert(name, body);
+        }
+    }
+
+    /// Advances the cache to `epoch`, dropping the entries of the older
+    /// one; `false` when `epoch` is older than the cache's own.
+    fn roll_to(&mut self, epoch: u64) -> bool {
+        if epoch > self.epoch {
             self.epoch = epoch;
             self.entries.clear();
         }
+        epoch == self.epoch
     }
 }
 
@@ -158,16 +167,12 @@ pub struct Stats {
     /// Cumulative microseconds admitted requests spent executing their
     /// handler (service time proper, gate wait excluded).
     pub service_us: AtomicU64,
-    /// Containment reuse events: fragment bodies served from an
-    /// equivalent definition's cache entry, plus conformance bits derived
-    /// through subsumption edges during `/validate`.
-    pub containment_hits: AtomicU64,
-    /// Containment lookups that found nothing reusable and fell through
-    /// to real work.
-    pub containment_misses: AtomicU64,
-    /// Definitions `/validate` settled without evaluating their shape
-    /// body (fully derived from an equivalent definition).
-    pub shapes_skipped: AtomicU64,
+    /// Single-shape `POST /fragment` requests answered from the fragment
+    /// cache.
+    pub fragment_cache_hits: AtomicU64,
+    /// Single-shape `POST /fragment` requests the cache could not answer
+    /// (computed against the graph).
+    pub fragment_cache_misses: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
     /// Connections refused because the connection cap was reached.
@@ -223,8 +228,7 @@ impl Stats {
                 "\"queue_wait_us\":{},\"service_us\":{},",
                 "\"received\":{},\"admitted\":{},\"shed\":{},\"panics\":{},",
                 "\"reloads\":{},\"updates\":{},\"compactions\":{},",
-                "\"containment_hits\":{},\"containment_misses\":{},",
-                "\"shapes_skipped\":{},",
+                "\"fragment_cache_hits\":{},\"fragment_cache_misses\":{},",
                 "\"connections\":{},\"connections_refused\":{},",
                 "\"status\":{{\"2xx\":{},\"400\":{},\"404\":{},\"405\":{},",
                 "\"429\":{},\"499\":{},\"500\":{},\"503\":{},\"504\":{}}}}}"
@@ -247,9 +251,8 @@ impl Stats {
             g(&self.reloads),
             g(&self.updates),
             g(&self.compactions),
-            g(&self.containment_hits),
-            g(&self.containment_misses),
-            g(&self.shapes_skipped),
+            g(&self.fragment_cache_hits),
+            g(&self.fragment_cache_misses),
             g(&self.connections),
             g(&self.conn_refused),
             g(&self.s2xx),
@@ -289,16 +292,11 @@ mod tests {
 
     fn snap(epoch: u64) -> Snapshot {
         let g = Graph::new();
-        let schema = Arc::new(Schema::empty());
-        let matrix = Arc::new(ContainmentMatrix::of_schema(&schema));
-        let containment = Arc::new(matrix.to_index(&schema));
         Snapshot {
             epoch,
-            schema,
+            schema: Arc::new(Schema::empty()),
             frozen: Arc::new(g.freeze()),
             delta: None,
-            matrix,
-            containment,
             triples: 0,
             delta_added: 0,
             delta_removed: 0,
@@ -328,6 +326,25 @@ mod tests {
         // And the next successful swap still numbers correctly.
         cell.swap(|e| Ok::<_, ()>(snap(e))).unwrap();
         assert_eq!(cell.load().epoch, 2);
+    }
+
+    #[test]
+    fn fragment_cache_only_moves_forward() {
+        let a = Term::iri("http://e/A");
+        let b = Term::iri("http://e/B");
+        let body = |s: &str| Arc::new(s.to_string());
+        let mut cache = FragmentCache::default();
+        cache.insert(2, a.clone(), body("a@2"));
+        // A request still on epoch 1 neither reads nor writes, and the
+        // epoch-2 entry survives it.
+        assert_eq!(cache.get(1, &a), None);
+        cache.insert(1, b.clone(), body("b@1"));
+        assert_eq!(cache.get(2, &a), Some(body("a@2")));
+        assert_eq!(cache.get(2, &b), None);
+        // A newer epoch drops everything computed against the older one.
+        assert_eq!(cache.get(3, &a), None);
+        cache.insert(2, a.clone(), body("a@2"));
+        assert_eq!(cache.get(3, &a), None);
     }
 
     #[test]

@@ -145,7 +145,8 @@ impl MemoTable {
 
     /// A verdict for `(shape, node)` from decided bits of related shapes: a
     /// `true` bit of a contained shape, or a `false` bit of a containing
-    /// shape.
+    /// shape. Runs only under an attached [`ContainmentIndex`], which no
+    /// product path attaches (see its docs).
     fn derive(&self, index: &ContainmentIndex, shape: u32, node: TermId) -> Option<bool> {
         if index
             .subs_of(shape)
@@ -174,6 +175,9 @@ impl MemoTable {
 ///
 /// The analyze crate's `ContainmentMatrix` produces these; this type is a
 /// plain data holder so the validator does not depend on the analyzer.
+/// No product path attaches an index; it remains only for the benchmark's
+/// layer mirror (`benchmark/src/layers.rs`) and the containment soundness
+/// suite until a benchmark change retargets that mirror.
 #[derive(Debug, Clone, Default)]
 pub struct ContainmentIndex {
     /// `supers[s]`: shapes properly containing `s` (a `false` there derives
@@ -202,11 +206,6 @@ impl ContainmentIndex {
         }
     }
 
-    /// Fingerprint of the schema the edges were proven over.
-    pub fn schema_fp(&self) -> u64 {
-        self.schema_fp
-    }
-
     /// Shapes properly containing `sid`.
     pub fn supers_of(&self, sid: u32) -> &[u32] {
         self.supers.get(sid as usize).map_or(&[], Vec::as_slice)
@@ -215,44 +214,6 @@ impl ContainmentIndex {
     /// Shapes properly contained in `sid`.
     pub fn subs_of(&self, sid: u32) -> &[u32] {
         self.subs.get(sid as usize).map_or(&[], Vec::as_slice)
-    }
-
-    /// True iff the index holds no edges at all.
-    pub fn is_trivial(&self) -> bool {
-        self.supers.iter().all(Vec::is_empty)
-    }
-
-    /// Every shape whose memo bits can transitively derive from — or flow
-    /// into — bits of `seed`: the union of the forward closure over
-    /// `supers` (true bits propagate sub → sup) and the backward closure
-    /// over `subs` (false bits propagate sup → sub), including `seed`
-    /// itself. This is the set the incremental engine must invalidate
-    /// together with an impacted shape.
-    pub fn related_closure(&self, seed: u32) -> Vec<u32> {
-        let n = self.supers.len();
-        let mut out: BTreeSet<u32> = BTreeSet::new();
-        out.insert(seed);
-        for forward in [true, false] {
-            let mut seen = vec![false; n];
-            if (seed as usize) < n {
-                seen[seed as usize] = true;
-            }
-            let mut work = vec![seed];
-            while let Some(s) = work.pop() {
-                let next = if forward {
-                    self.supers_of(s)
-                } else {
-                    self.subs_of(s)
-                };
-                for &t in next {
-                    if !std::mem::replace(&mut seen[t as usize], true) {
-                        out.insert(t);
-                        work.push(t);
-                    }
-                }
-            }
-        }
-        out.into_iter().collect()
     }
 }
 
@@ -284,8 +245,8 @@ impl ConformanceMemo {
         }
     }
 
-    /// Attaches a containment index, enabling subsumption-derived answers.
-    /// Refused (returning `false`, leaving the memo without an index) when
+    /// Attaches a containment index, enabling subsumption-derived answers
+    /// (no product path does; see [`ContainmentIndex`]). Refused (returning `false`, leaving the memo without an index) when
     /// the memo is already bound to a schema with a different fingerprint —
     /// a matrix computed for another schema must never derive bits here.
     pub fn attach_containment(&self, index: Arc<ContainmentIndex>) -> bool {
@@ -321,7 +282,8 @@ impl ConformanceMemo {
     /// proves `true` here, and a `false` bit of any shape containing
     /// `shape` proves `false`. Derived answers are written back as regular
     /// bits (they are genuine conformance facts) and counted in
-    /// [`ConformanceMemo::containment_counters`].
+    /// [`ConformanceMemo::containment_counters`]. No product path attaches
+    /// an index; see [`ContainmentIndex`].
     pub fn lookup_or_derive(&self, shape: u32, node: TermId) -> Option<bool> {
         let derived = {
             let table = read(&self.table);
@@ -1389,7 +1351,9 @@ pub fn validate_batch_governed<G: GraphAccess>(
 /// shape-body evaluation: definition `i` is covered when an earlier
 /// definition with a provably *equivalent* shape and a syntactically
 /// identical target has already run, so every one of `i`'s target bits
-/// derives from the earlier definition's memo entries.
+/// derives from the earlier definition's memo entries. Without an
+/// attached [`ContainmentIndex`] — every product path — nothing is
+/// covered.
 fn covered_defs(schema: &Schema, index: Option<&ContainmentIndex>) -> Vec<bool> {
     let defs: Vec<&crate::schema::ShapeDef> = schema.iter().collect();
     let mut covered = vec![false; defs.len()];
@@ -1423,6 +1387,12 @@ fn covered_defs(schema: &Schema, index: Option<&ContainmentIndex>) -> Vec<bool> 
 /// bit-identical to [`validate`]'s — plus the number of definitions that
 /// needed no shape-body evaluation at all (fully derived from an
 /// equivalent definition's bits), or the first resource fault.
+///
+/// Product paths reach this only through [`validate_batch_governed`], with
+/// a fresh memo and no index. The index-attached form remains only for the
+/// benchmark's layer mirror (`benchmark/src/layers.rs`) and the
+/// containment soundness suite until a benchmark change retargets that
+/// mirror.
 pub fn validate_batch_containment_governed<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
@@ -1900,10 +1870,6 @@ mod tests {
             &[(1, 0), (0, 2), (2, 0), (1, 2)],
             schema_fingerprint(&schema),
         ));
-        // Directed closure: bits of B flow up to A and C; bits of A flow
-        // both ways through the equivalence.
-        assert_eq!(index.related_closure(1), vec![0, 1, 2]);
-        assert_eq!(index.related_closure(0), vec![0, 1, 2]);
         let memo = Arc::new(ConformanceMemo::new());
         assert!(memo.attach_containment(Arc::clone(&index)));
         let (report, skipped) = validate_batch_containment_governed(
