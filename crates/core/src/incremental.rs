@@ -511,7 +511,7 @@ fn revalidate(
 /// be re-checked when its definition is impact-routed to it, or when it
 /// was not in the previous row at all.
 fn plan_row(
-    targets: BTreeSet<TermId>,
+    targets: Vec<TermId>,
     old: &[(TermId, bool)],
     impact: &Impact,
 ) -> (Vec<(TermId, Option<bool>)>, Vec<TermId>) {

@@ -250,7 +250,7 @@ pub fn validate_extract_fragment_governed<G: GraphAccess>(
     for def in schema.iter() {
         ctx.exec().check_now()?;
         let nnf = schema.def_nnf(&def.name, false);
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
+        let targets = ctx.target_nodes(&def.target);
         let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
         fault_of(&mut ctx)?;
         report.checked += targets.len();

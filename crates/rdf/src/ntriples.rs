@@ -15,7 +15,7 @@ use crate::error::{LossyLoad, ParseError};
 use crate::frozen::FrozenGraph;
 use crate::graph::{Graph, TermId, TripleLog};
 use crate::lex::{Lexer, TermRef, NTRIPLES};
-use crate::term::{Iri, Term, Triple};
+use crate::term::{literal_escaped, Iri, Term, Triple};
 use crate::vocab::{rdf, xsd};
 
 /// Statement-count estimate for pre-sizing the graph: the format is
@@ -180,12 +180,10 @@ fn term<'a>(lex: &mut Lexer<'a>) -> Result<TermRef<'a>, ParseError> {
 /// `` ` ``, `\`) become `\uXXXX` escapes, so every IRI the data model
 /// holds reads back unchanged.
 fn write_iri(out: &mut String, iri: &str) {
-    let forbidden =
-        |c: char| c <= ' ' || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\');
     out.push('<');
-    if iri.contains(forbidden) {
+    if iri.bytes().any(iri_forbidden) {
         for c in iri.chars() {
-            if forbidden(c) {
+            if c.is_ascii() && iri_forbidden(c as u8) {
                 out.push_str(&format!("\\u{:04X}", c as u32));
             } else {
                 out.push(c);
@@ -195,6 +193,16 @@ fn write_iri(out: &mut String, iri: &str) {
         out.push_str(iri);
     }
     out.push('>');
+}
+
+/// The characters `IRIREF` forbids; all are ASCII, so a byte scan finds
+/// every one.
+fn iri_forbidden(b: u8) -> bool {
+    b <= b' '
+        || matches!(
+            b,
+            b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+        )
 }
 
 /// Serializes one term in N-Triples syntax — the one term writer, shared
@@ -208,7 +216,7 @@ pub(crate) fn write_term(out: &mut String, term: &Term) {
         }
         Term::Literal(lit) => {
             out.push('"');
-            out.push_str(&crate::term::escape_literal(lit.lexical()));
+            crate::term::push_escaped_literal(out, lit.lexical());
             out.push('"');
             if let Some(lang) = lit.language() {
                 out.push('@');
@@ -217,6 +225,27 @@ pub(crate) fn write_term(out: &mut String, term: &Term) {
                 out.push_str("^^");
                 write_iri(out, lit.datatype().as_str());
             }
+        }
+    }
+}
+
+/// The exact length of [`write_term`]'s text for `term`.
+fn written_len(term: &Term) -> usize {
+    let iri_len = |iri: &str| iri.len() + 2 + 5 * iri.bytes().filter(|&b| iri_forbidden(b)).count();
+    match term {
+        Term::Iri(iri) => iri_len(iri.as_str()),
+        Term::Blank(b) => b.as_str().len() + 2,
+        Term::Literal(lit) => {
+            let lexical = lit.lexical();
+            let escapes = lexical.bytes().filter(|&b| literal_escaped(b)).count();
+            let suffix = match lit.language() {
+                Some(lang) => lang.len() + 1,
+                None if lit.datatype().as_str() != xsd::STRING => {
+                    2 + iri_len(lit.datatype().as_str())
+                }
+                None => 0,
+            };
+            lexical.len() + escapes + 2 + suffix
         }
     }
 }
@@ -242,6 +271,11 @@ pub fn serialize_ids<G: GraphAccess>(
 /// ranks the distinct terms once by [`Term`]'s order, sorts the `u32`
 /// triples by rank (the order of sorting the materialized [`Triple`]s),
 /// drops duplicates, and writes `s p o .` lines with `write_node`.
+///
+/// `write_node` runs once per distinct term: the output span of a term's
+/// first occurrence is remembered by rank, and every later occurrence
+/// copies those bytes from earlier in `out` itself, so no term is escaped
+/// twice and no second text buffer is built.
 pub(crate) fn write_sorted<G: GraphAccess>(
     out: &mut String,
     graph: &G,
@@ -264,13 +298,38 @@ pub(crate) fn write_sorted<G: GraphAccess>(
         .collect();
     ranked.sort_unstable();
     ranked.dedup();
-    out.reserve(ranked.len() * 64);
+    // Per rank, `(start, len)` of the term's text in `out`: `start` is
+    // `usize::MAX` until the first occurrence is written, and `len` starts
+    // as the N-Triples length, so the whole text is reserved up front
+    // (growing it would copy it, holding both buffers at once).
+    let mut spans: Vec<(usize, usize)> = by_rank
+        .iter()
+        .map(|&id| (usize::MAX, written_len(graph.term(id))))
+        .collect();
+    out.reserve(
+        ranked
+            .iter()
+            .map(|t| {
+                t.iter().map(|&r| spans[r as usize].1).sum::<usize>() + " ".len() * 2 + " .\n".len()
+            })
+            .sum(),
+    );
+    let mut node = |out: &mut String, r: u32| {
+        let (start, len) = spans[r as usize];
+        if start == usize::MAX {
+            let start = out.len();
+            write_node(out, graph.term(by_rank[r as usize]));
+            spans[r as usize] = (start, out.len() - start);
+        } else {
+            out.extend_from_within(start..start + len);
+        }
+    };
     for [s, p, o] in ranked {
-        write_node(out, graph.term(by_rank[s as usize]));
+        node(out, s);
         out.push(' ');
-        write_node(out, graph.term(by_rank[p as usize]));
+        node(out, p);
         out.push(' ');
-        write_node(out, graph.term(by_rank[o as usize]));
+        node(out, o);
         out.push_str(" .\n");
     }
 }
@@ -412,6 +471,51 @@ mod tests {
             "<http://a/x\\u003Ey\\u0020z\\u007B\\u007C\\u007D\\u005E\\u0060\\u005C\\u0022\\u003C> \
              <http://e/p> \"v\"^^<http://dt/a\\u0020b> .\n"
         );
+        assert_eq!(parse(&text).unwrap(), g);
+    }
+
+    #[test]
+    fn repeated_terms_are_copied_byte_for_byte_and_the_text_is_reserved_exactly() {
+        // Every term occurs several times, and every kind of escape occurs.
+        let terms = [
+            Term::iri("http://a/x y>{z}"),
+            Term::iri("http://e/plain"),
+            Term::blank("b0"),
+            Term::Literal(Literal::string("say \"hi\"\n\tand\\ go")),
+            Term::Literal(Literal::lang_string("héllo", "en")),
+            Term::Literal(Literal::typed("1 2", Iri::new("http://dt/a b"))),
+            Term::Literal(Literal::integer(42)),
+        ];
+        let preds = [Iri::new("http://e/p"), Iri::new("http://e/q r")];
+        let mut g = Graph::new();
+        for s in terms.iter().filter(|t| !t.is_literal()) {
+            for p in &preds {
+                for o in &terms {
+                    g.insert(Triple::new(s.clone(), p.clone(), o.clone()));
+                }
+            }
+        }
+        // The reference writes every occurrence, in materialized order.
+        let mut triples: Vec<Triple> = g.iter().collect();
+        triples.sort();
+        let mut naive = String::new();
+        for t in &triples {
+            write_term(&mut naive, &t.subject);
+            naive.push(' ');
+            write_term(&mut naive, &Term::Iri(t.predicate.clone()));
+            naive.push(' ');
+            write_term(&mut naive, &t.object);
+            naive.push_str(" .\n");
+        }
+        let text = serialize(&g);
+        assert_eq!(text, naive);
+        assert_eq!(text.capacity(), text.len(), "reserved exactly, never grown");
+        let pred_terms = preds.iter().map(|p| Term::Iri(p.clone()));
+        for t in terms.iter().cloned().chain(pred_terms) {
+            let mut one = String::new();
+            write_term(&mut one, &t);
+            assert_eq!(written_len(&t), one.len(), "{t}");
+        }
         assert_eq!(parse(&text).unwrap(), g);
     }
 

@@ -205,6 +205,22 @@ impl fmt::Display for Literal {
 /// Escapes a literal's lexical form for N-Triples/Turtle output.
 pub fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_escaped_literal(&mut out, s);
+    out
+}
+
+/// The bytes [`escape_literal`] replaces, each by two characters.
+pub(crate) fn literal_escaped(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | b'\n' | b'\r' | b'\t')
+}
+
+/// Appends [`escape_literal`]`(s)` to `out` without an intermediate
+/// string; text with nothing to escape is copied in one piece.
+pub fn push_escaped_literal(out: &mut String, s: &str) {
+    if !s.bytes().any(literal_escaped) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -215,7 +231,6 @@ pub fn escape_literal(s: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 /// A node: an element of `N = I ∪ B ∪ L`.

@@ -21,39 +21,87 @@
 //! `graph(paths(E, G, A, X))` — the paper's possibly-infinite path sets
 //! collapse to this finite edge set because `graph(·)` only keeps the
 //! triples (cf. Proposition 3.1 and §3.3).
+//!
+//! The visited product pairs of a traversal live in dense sets: one bitset
+//! per NFA state over the graph's term-id space, plus the pairs in
+//! discovery order, which double as the worklist and as the reset list,
+//! so a reused set is cleared in O(pairs visited). [`PathCache`] keeps a
+//! free list of them for the runs of one context. Traces come out as a
+//! sorted, duplicate-free [`TraceSet`] vector.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
 
 use shapefrag_govern::{EngineError, ExecCtx, MemGuard};
-use shapefrag_rdf::graph::IntHasher;
+use shapefrag_rdf::graph::IntMap;
 use shapefrag_rdf::{GraphAccess, Iri, TermId};
 
 /// Estimated bytes of intermediate state per discovered product pair
 /// (visited-set entry plus its queue slot). Used for the memory budget.
 pub const PAIR_COST: u64 = 48;
 
-type IntSet = std::collections::HashSet<TermId, BuildHasherDefault<IntHasher>>;
-
-/// Visited-set over the product graph: one small hash set per NFA state.
+/// Visited-set over the product graph: one dense bitset per NFA state
+/// over the graph's term-id space, plus the visited pairs in discovery
+/// order.
+///
+/// The discovery list is the BFS worklist (a cursor walks it while new
+/// pairs are appended), what iteration and [`Reach::endpoints`] read, and
+/// the reset list: [`ProductSet::reset`] clears exactly the bits of the
+/// pairs it holds, so a reused set costs O(pairs visited) per run and
+/// never zeroes a whole state's bitset. A state's bitset is allocated on
+/// its first insert, `term_count` bits wide; only a fresh set pays that
+/// allocation, which is why the hot callers take their sets from a
+/// [`PathCache`]'s free list.
 #[derive(Default)]
 struct ProductSet {
-    per_state: Vec<IntSet>,
+    /// `bits[q]`: the nodes visited at state `q`, one bit per term id.
+    bits: Vec<Vec<u64>>,
+    /// Every visited `(node, state)` pair, in discovery order.
+    pairs: Vec<(TermId, u32)>,
+    /// Words a state's bitset is allocated with (`term_count / 64`, rounded up).
+    words: usize,
 }
 
 impl ProductSet {
-    fn new(states: usize) -> Self {
-        ProductSet {
-            per_state: (0..states).map(|_| IntSet::default()).collect(),
+    /// Empties the set for a run over `states` NFA states on a graph of
+    /// `term_count` terms, clearing only the bits of the pairs visited
+    /// since the last reset.
+    fn reset(&mut self, states: usize, term_count: usize) {
+        for &(node, q) in &self.pairs {
+            self.bits[q as usize][node.0 as usize / 64] = 0;
+        }
+        self.pairs.clear();
+        if self.bits.len() < states {
+            self.bits.resize_with(states, Vec::new);
+        }
+        self.words = term_count.div_ceil(64);
+    }
+
+    /// Adds the pair, appending it to the discovery list unless it was
+    /// already visited.
+    fn insert(&mut self, node: TermId, state: u32) {
+        let (word, bit) = (node.0 as usize / 64, 1u64 << (node.0 % 64));
+        let bits = &mut self.bits[state as usize];
+        if word >= bits.len() {
+            bits.resize(self.words.max(word + 1), 0);
+        }
+        if bits[word] & bit == 0 {
+            bits[word] |= bit;
+            self.pairs.push((node, state));
         }
     }
 
-    fn insert(&mut self, node: TermId, state: u32) -> bool {
-        self.per_state[state as usize].insert(node)
+    fn contains(&self, node: TermId, state: u32) -> bool {
+        self.bits[state as usize]
+            .get(node.0 as usize / 64)
+            .is_some_and(|word| word & (1u64 << (node.0 % 64)) != 0)
     }
 
-    fn contains(&self, node: TermId, state: u32) -> bool {
-        self.per_state[state as usize].contains(&node)
+    /// The visited nodes at `state`, in discovery order.
+    fn nodes_at(&self, state: u32) -> impl Iterator<Item = TermId> + '_ {
+        self.pairs
+            .iter()
+            .filter(move |&&(_, q)| q == state)
+            .map(|&(node, _)| node)
     }
 }
 
@@ -67,7 +115,9 @@ impl ProductSet {
 /// The memory budget is charged for every discovered pair of both passes
 /// and stays charged until [`Reach::release`], so the estimate covers the
 /// whole run, including whatever the caller does between the passes.
-/// `Reach::default()` is an empty reach; the forward pass sizes it.
+/// `Reach::default()` is an empty reach; the forward pass sizes it. A
+/// reach can be reused: each forward pass resets both sets in O(pairs
+/// visited by the previous run).
 #[derive(Default)]
 pub struct Reach {
     forward: ProductSet,
@@ -81,10 +131,7 @@ impl Reach {
     /// The distinct endpoints `⋃ᵢ ⟦E⟧(sources[i])` of the forward pass, in
     /// ascending order.
     pub fn endpoints(&self) -> Vec<TermId> {
-        let mut out: Vec<TermId> = self.forward.per_state[self.accept as usize]
-            .iter()
-            .copied()
-            .collect();
+        let mut out: Vec<TermId> = self.forward.nodes_at(self.accept).collect();
         out.sort_unstable();
         out
     }
@@ -92,10 +139,7 @@ impl Reach {
     /// True iff some `E`-path leads from `source` (one of the forward
     /// pass's sources) to a target of the backward pass.
     pub fn reaches(&self, source: TermId) -> bool {
-        self.backward
-            .per_state
-            .get(self.start as usize)
-            .is_some_and(|set| set.contains(&source))
+        self.backward.bits.len() > self.start as usize && self.backward.contains(source, self.start)
     }
 
     /// Returns the run's memory charge to `ctx` (the context the passes
@@ -272,9 +316,57 @@ fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
 
 use crate::path::PathExpr;
 
+/// One `(subject, predicate, object)` id triple.
+pub type IdTriple = (TermId, TermId, TermId);
+
 /// The result of a traced path evaluation: the set of `(subject,
-/// predicate, object)` id-triples that witness the reachable endpoints.
-pub type TraceSet = BTreeSet<(TermId, TermId, TermId)>;
+/// predicate, object)` id-triples that witness the reachable endpoints,
+/// held as a vector sorted ascending with no duplicates. Collecting
+/// triples into it sorts and deduplicates them; it compares equal to a
+/// `BTreeSet` holding the same triples.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TraceSet(Vec<IdTriple>);
+
+impl std::ops::Deref for TraceSet {
+    type Target = [IdTriple];
+
+    fn deref(&self) -> &[IdTriple] {
+        &self.0
+    }
+}
+
+impl FromIterator<IdTriple> for TraceSet {
+    fn from_iter<I: IntoIterator<Item = IdTriple>>(iter: I) -> Self {
+        let mut triples: Vec<IdTriple> = iter.into_iter().collect();
+        triples.sort_unstable();
+        triples.dedup();
+        TraceSet(triples)
+    }
+}
+
+impl IntoIterator for TraceSet {
+    type Item = IdTriple;
+    type IntoIter = std::vec::IntoIter<IdTriple>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a TraceSet {
+    type Item = &'a IdTriple;
+    type IntoIter = std::slice::Iter<'a, IdTriple>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq<BTreeSet<IdTriple>> for TraceSet {
+    fn eq(&self, other: &BTreeSet<IdTriple>) -> bool {
+        self.0.len() == other.len() && self.0.iter().eq(other)
+    }
+}
 
 /// A transition label: one property, or any property outside a negated set
 /// (the Remark 6.3 extension).
@@ -638,12 +730,25 @@ impl CompiledPath {
 
     /// Governed [`CompiledPath::eval_from`]: ticks once per product-graph
     /// queue pop plus once per expanded edge, and charges the memory budget
-    /// for every discovered product pair.
+    /// for every discovered product pair. Allocates a fresh visited set;
+    /// [`PathCache::try_eval`] reuses one instead.
     pub fn try_eval_from<G: GraphAccess>(
         &self,
         graph: &G,
         from: TermId,
         ctx: &ExecCtx,
+    ) -> Result<BTreeSet<TermId>, EngineError> {
+        self.try_eval_from_in(graph, from, ctx, &mut ProductSet::default())
+    }
+
+    /// [`CompiledPath::try_eval_from`] over a caller-owned visited set,
+    /// which it resets first.
+    fn try_eval_from_in<G: GraphAccess>(
+        &self,
+        graph: &G,
+        from: TermId,
+        ctx: &ExecCtx,
+        visited: &mut ProductSet,
     ) -> Result<BTreeSet<TermId>, EngineError> {
         if let Some((pid, inv)) = self.simple {
             ctx.tick(1)?;
@@ -654,36 +759,42 @@ impl CompiledPath {
             });
         }
         let mut mem = MemGuard::new(ctx);
-        let mut result = BTreeSet::new();
-        let mut visited = ProductSet::new(self.nfa.state_count());
-        let mut queue: VecDeque<(TermId, u32)> = VecDeque::new();
-        queue.push_back((from, self.nfa.start));
+        visited.reset(self.nfa.state_count(), graph.term_count());
         visited.insert(from, self.nfa.start);
-        while let Some((node, q)) = queue.pop_front() {
-            if q == self.nfa.accept {
-                result.insert(node);
-            }
-            let mut discovered = 0u64;
+        self.expand_forward(graph, visited, 0, ctx, |bytes| mem.charge(bytes))?;
+        Ok(visited.nodes_at(self.nfa.accept).collect())
+    }
+
+    /// The forward BFS shared by evaluation and the reach kernel: expands
+    /// `set`'s pairs from position `head` of its discovery list on,
+    /// appending every newly discovered pair, until none is left. Ticks
+    /// once per expanded pair plus once per traversed edge and charges
+    /// `PAIR_COST` per discovered pair through `charge`.
+    fn expand_forward<G: GraphAccess>(
+        &self,
+        graph: &G,
+        set: &mut ProductSet,
+        mut head: usize,
+        ctx: &ExecCtx,
+        mut charge: impl FnMut(u64) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        while let Some(&(node, q)) = set.pairs.get(head) {
+            head += 1;
+            let before = set.pairs.len();
             let mut edges = 0u64;
             for &next in &self.nfa.eps[q as usize] {
-                if visited.insert(node, next) {
-                    discovered += 1;
-                    queue.push_back((node, next));
-                }
+                set.insert(node, next);
             }
             for (label, inv, next) in &self.resolved[q as usize] {
                 successors(graph, node, label, *inv, |_pred, n2| {
                     edges += 1;
-                    if visited.insert(n2, *next) {
-                        discovered += 1;
-                        queue.push_back((n2, *next));
-                    }
+                    set.insert(n2, *next);
                 });
             }
             ctx.tick(1 + edges)?;
-            mem.charge(discovered * PAIR_COST)?;
+            charge((set.pairs.len() - before) as u64 * PAIR_COST)?;
         }
-        Ok(result)
+        Ok(())
     }
 
     /// Decides `(from, to) ∈ ⟦E⟧^G` without materializing the full result.
@@ -700,6 +811,18 @@ impl CompiledPath {
         to: TermId,
         ctx: &ExecCtx,
     ) -> Result<bool, EngineError> {
+        self.try_connects_in(graph, from, to, ctx, &mut ProductSet::default())
+    }
+
+    /// [`CompiledPath::try_connects`] over a caller-owned visited set.
+    fn try_connects_in<G: GraphAccess>(
+        &self,
+        graph: &G,
+        from: TermId,
+        to: TermId,
+        ctx: &ExecCtx,
+        visited: &mut ProductSet,
+    ) -> Result<bool, EngineError> {
         if let Some((pid, inv)) = self.simple {
             ctx.tick(1)?;
             return Ok(if inv {
@@ -708,7 +831,9 @@ impl CompiledPath {
                 graph.contains_ids(from, pid, to)
             });
         }
-        Ok(self.try_eval_from(graph, from, ctx)?.contains(&to))
+        Ok(self
+            .try_eval_from_in(graph, from, ctx, visited)?
+            .contains(&to))
     }
 
     /// Computes `⋃_{a ∈ sources} ⋃_{x ∈ targets} graph(paths(E, G, a, x))`
@@ -736,7 +861,8 @@ impl CompiledPath {
     /// endpoints, [`CompiledPath::try_edges`]; fused into one adjacency
     /// scan per source for a single-property path. Every pop and edge
     /// expansion ticks the context, and every discovered product pair is
-    /// charged to the memory budget until the trace returns.
+    /// charged to the memory budget until the trace returns. Allocates a
+    /// fresh reach; [`PathCache::try_trace`] reuses one instead.
     pub fn try_trace<G: GraphAccess>(
         &self,
         graph: &G,
@@ -744,35 +870,47 @@ impl CompiledPath {
         targets: Option<&BTreeSet<TermId>>,
         ctx: &ExecCtx,
     ) -> Result<TraceSet, EngineError> {
+        self.try_trace_in(graph, sources, targets, ctx, &mut Reach::default())
+    }
+
+    /// [`CompiledPath::try_trace`] over a caller-owned reach.
+    fn try_trace_in<G: GraphAccess>(
+        &self,
+        graph: &G,
+        sources: &[TermId],
+        targets: Option<&BTreeSet<TermId>>,
+        ctx: &ExecCtx,
+        reach: &mut Reach,
+    ) -> Result<TraceSet, EngineError> {
         if let Some((pid, inv)) = self.simple {
             // The three passes fused: paths(p, G, a, x) is the single
             // length-one path, whose graph is the stored triple. Spares the
-            // per-node collectors' one-source traces any visited set.
+            // per-node collectors' one-source traces any visited set; a
+            // triple repeats only for a repeated source.
             let label = ResolvedLabel::Prop(pid);
-            let mut out = BTreeSet::new();
+            let mut out = Vec::new();
             for &from in sources {
                 let mut edges = 0u64;
                 successors(graph, from, &label, inv, |pred, x| {
                     edges += 1;
                     if targets.is_none_or(|t| t.contains(&x)) {
-                        out.insert(oriented(from, pred, x, inv));
+                        out.push(oriented(from, pred, x, inv));
                     }
                 });
                 ctx.tick(1 + edges)?;
             }
-            return Ok(out);
+            return Ok(out.into_iter().collect());
         }
-        let mut reach = Reach::default();
         let out = self
-            .try_forward(graph, sources, &mut reach, ctx)
+            .try_forward(graph, sources, reach, ctx)
             .and_then(|()| match targets {
-                Some(targets) => self.try_backward(graph, &mut reach, targets.iter().copied(), ctx),
+                Some(targets) => self.try_backward(graph, reach, targets.iter().copied(), ctx),
                 None => {
                     let endpoints = reach.endpoints();
-                    self.try_backward(graph, &mut reach, endpoints, ctx)
+                    self.try_backward(graph, reach, endpoints, ctx)
                 }
             })
-            .and_then(|()| self.try_edges(graph, &reach, ctx));
+            .and_then(|()| self.try_edges(graph, reach, ctx));
         reach.release(ctx);
         out
     }
@@ -780,7 +918,8 @@ impl CompiledPath {
     /// The reach kernel's forward pass: every product pair reachable from
     /// `sources × {q₀}`, computed once for all sources (no per-source
     /// bits). Afterwards [`Reach::endpoints`] lists the distinct
-    /// endpoints. Resets `reach`; release it with [`Reach::release`].
+    /// endpoints. Resets `reach` in O(pairs its previous run visited);
+    /// release it with [`Reach::release`].
     pub fn try_forward<G: GraphAccess>(
         &self,
         graph: &G,
@@ -789,42 +928,18 @@ impl CompiledPath {
         ctx: &ExecCtx,
     ) -> Result<(), EngineError> {
         let (states, start) = (self.nfa.state_count(), self.nfa.start);
-        reach.forward = ProductSet::new(states);
-        reach.backward = ProductSet::new(states);
+        reach.forward.reset(states, graph.term_count());
+        reach.backward.reset(states, graph.term_count());
         reach.start = start;
         reach.accept = self.nfa.accept;
         let Reach {
             forward, charged, ..
         } = reach;
-        let mut queue: VecDeque<(TermId, u32)> = VecDeque::new();
         for &from in sources {
-            if forward.insert(from, start) {
-                queue.push_back((from, start));
-            }
+            forward.insert(from, start);
         }
-        charge(charged, queue.len() as u64 * PAIR_COST, ctx)?;
-        while let Some((node, q)) = queue.pop_front() {
-            let mut discovered = 0u64;
-            let mut edges = 0u64;
-            for &next in &self.nfa.eps[q as usize] {
-                if forward.insert(node, next) {
-                    discovered += 1;
-                    queue.push_back((node, next));
-                }
-            }
-            for (label, inv, next) in &self.resolved[q as usize] {
-                successors(graph, node, label, *inv, |_pred, n2| {
-                    edges += 1;
-                    if forward.insert(n2, *next) {
-                        discovered += 1;
-                        queue.push_back((n2, *next));
-                    }
-                });
-            }
-            ctx.tick(1 + edges)?;
-            charge(charged, discovered * PAIR_COST, ctx)?;
-        }
-        Ok(())
+        charge(charged, forward.pairs.len() as u64 * PAIR_COST, ctx)?;
+        self.expand_forward(graph, forward, 0, ctx, |bytes| charge(charged, bytes, ctx))
     }
 
     /// The reach kernel's backward pass: the forward-reachable pairs from
@@ -846,20 +961,20 @@ impl CompiledPath {
             charged,
             ..
         } = reach;
-        let mut queue: VecDeque<(TermId, u32)> = VecDeque::new();
         for x in targets {
-            if forward.contains(x, accept) && backward.insert(x, accept) {
-                queue.push_back((x, accept));
+            if forward.contains(x, accept) {
+                backward.insert(x, accept);
             }
         }
-        charge(charged, queue.len() as u64 * PAIR_COST, ctx)?;
-        while let Some((node, q)) = queue.pop_front() {
-            let mut discovered = 0u64;
+        charge(charged, backward.pairs.len() as u64 * PAIR_COST, ctx)?;
+        let mut head = 0;
+        while let Some(&(node, q)) = backward.pairs.get(head) {
+            head += 1;
+            let before = backward.pairs.len();
             let mut edges = 0u64;
             for &prev in &self.eps_rev[q as usize] {
-                if forward.contains(node, prev) && backward.insert(node, prev) {
-                    discovered += 1;
-                    queue.push_back((node, prev));
+                if forward.contains(node, prev) {
+                    backward.insert(node, prev);
                 }
             }
             for (label, inv, prev) in &self.resolved_rev[q as usize] {
@@ -869,14 +984,17 @@ impl CompiledPath {
                 //   inverse: (node, p, m) ∈ G
                 predecessors(graph, node, label, *inv, |_pred, m| {
                     edges += 1;
-                    if forward.contains(m, *prev) && backward.insert(m, *prev) {
-                        discovered += 1;
-                        queue.push_back((m, *prev));
+                    if forward.contains(m, *prev) {
+                        backward.insert(m, *prev);
                     }
                 });
             }
             ctx.tick(1 + edges)?;
-            charge(charged, discovered * PAIR_COST, ctx)?;
+            charge(
+                charged,
+                (backward.pairs.len() - before) as u64 * PAIR_COST,
+                ctx,
+            )?;
         }
         Ok(())
     }
@@ -885,6 +1003,14 @@ impl CompiledPath {
     /// edge between two backward-reached pairs, i.e. `graph(paths(E, G,
     /// sources, targets))` for the sources and targets of the two earlier
     /// passes (backward pairs are forward-reachable by construction).
+    ///
+    /// The pass runs subject by subject in ascending id order: a node's
+    /// forward steps and the inverse steps that consume its own outgoing
+    /// triples all emit triples with that node as subject. So each node's
+    /// triples are sorted and deduplicated in a small buffer and appended,
+    /// and the result comes out sorted without collecting the duplicates a
+    /// triple on several product edges produces (one per NFA transition
+    /// that reads it).
     pub fn try_edges<G: GraphAccess>(
         &self,
         graph: &G,
@@ -892,22 +1018,44 @@ impl CompiledPath {
         ctx: &ExecCtx,
     ) -> Result<TraceSet, EngineError> {
         let backward = &reach.backward;
-        let mut out = BTreeSet::new();
-        for (q, nodes) in backward.per_state.iter().enumerate() {
-            for &node in nodes {
+        let mut pairs = backward.pairs.clone();
+        pairs.sort_unstable();
+        let mut out = Vec::new();
+        let mut buf: Vec<IdTriple> = Vec::new();
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let node = group[0].0;
+            buf.clear();
+            for &(_, q) in group {
                 let mut edges = 0u64;
-                for (label, inv, next) in &self.resolved[q] {
-                    successors(graph, node, label, *inv, |pred, n2| {
-                        edges += 1;
-                        if backward.contains(n2, *next) {
-                            out.insert(oriented(node, pred, n2, *inv));
-                        }
-                    });
+                for (label, inv, next) in &self.resolved[q as usize] {
+                    if !inv {
+                        successors(graph, node, label, false, |pred, o| {
+                            edges += 1;
+                            if backward.contains(o, *next) {
+                                buf.push((node, pred, o));
+                            }
+                        });
+                    }
+                }
+                // An inverse transition (prev) -(p⁻)-> (q) entering `node`
+                // from m consumes `(node, p, m)`.
+                for (label, inv, prev) in &self.resolved_rev[q as usize] {
+                    if *inv {
+                        predecessors(graph, node, label, true, |pred, m| {
+                            edges += 1;
+                            if backward.contains(m, *prev) {
+                                buf.push((node, pred, m));
+                            }
+                        });
+                    }
                 }
                 ctx.tick(1 + edges)?;
             }
+            buf.sort_unstable();
+            buf.dedup();
+            out.extend_from_slice(&buf);
         }
-        Ok(out)
+        Ok(TraceSet(out))
     }
 
     /// Set-at-a-time evaluation: `⟦E⟧^G(sources[i])` for every source in one
@@ -1151,15 +1299,25 @@ fn predecessors<G: GraphAccess>(
 /// A per-graph cache of compiled paths. Validators and provenance engines
 /// evaluate the same expressions for many focus nodes; compiling once
 /// amortizes NFA construction and predicate resolution. The cache also
-/// owns a [`FrontierScratch`], so the multi-source kernels of every path
-/// evaluated through one cache (= one worker thread) share pre-sized,
-/// reusable frontier buffers.
+/// owns the reusable scratch of every kernel run through it (= one
+/// context, one thread): a [`FrontierScratch`] for the multi-source
+/// kernels, and a free list of [`Reach`]es whose dense visited sets reset
+/// in O(pairs visited). It is a list because a reach run's qualify step
+/// recurses into nested runs, each of which takes its own.
 #[derive(Default)]
 pub struct PathCache {
     /// Index into `compiled` per distinct path.
     index: HashMap<PathExpr, usize>,
+    /// The path each compilation was made from, by position.
+    keys: Vec<PathExpr>,
+    /// Position last returned for a path at a given address: a repeat
+    /// lookup of the same expression (the schema's own NNF, asked for
+    /// once per focus set) compares it with its key instead of hashing it.
+    by_addr: IntMap<usize, usize>,
     compiled: Vec<CompiledPath>,
     scratch: FrontierScratch,
+    /// Reaches not in use by a running kernel.
+    spare: Vec<Reach>,
 }
 
 impl PathCache {
@@ -1176,16 +1334,41 @@ impl PathCache {
     }
 
     /// Position of the path's compilation in `compiled`, compiling it on
-    /// first use. A hit looks the path up by reference; only a miss clones
-    /// it into the index. Returning a position lets callers split-borrow
-    /// the compiled path and the frontier scratch at once.
+    /// first use. A path seen before at the same address is confirmed by
+    /// equality with its key (a different path at a reused address falls
+    /// through); otherwise the path is looked up by hash, and only a miss
+    /// clones it. Returning a position lets callers split-borrow the
+    /// compiled path and the scratch at once.
     fn slot<G: GraphAccess>(&mut self, path: &PathExpr, graph: &G) -> usize {
-        if let Some(&i) = self.index.get(path) {
-            return i;
+        let addr = path as *const PathExpr as usize;
+        if let Some(&i) = self.by_addr.get(&addr) {
+            if self.keys[i] == *path {
+                return i;
+            }
         }
-        self.compiled.push(CompiledPath::new(path, graph));
-        self.index.insert(path.clone(), self.compiled.len() - 1);
-        self.compiled.len() - 1
+        let i = match self.index.get(path) {
+            Some(&i) => i,
+            None => {
+                self.compiled.push(CompiledPath::new(path, graph));
+                self.keys.push(path.clone());
+                self.index.insert(path.clone(), self.compiled.len() - 1);
+                self.compiled.len() - 1
+            }
+        };
+        self.by_addr.insert(addr, i);
+        i
+    }
+
+    /// Takes a reach from the free list (or a new one) for one kernel run;
+    /// hand it back with [`PathCache::put_reach`].
+    pub(crate) fn take_reach(&mut self) -> Reach {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Returns a released reach to the free list.
+    pub(crate) fn put_reach(&mut self, reach: Reach) {
+        debug_assert_eq!(reach.charged, 0, "release a reach before returning it");
+        self.spare.push(reach);
     }
 
     /// Convenience: `⟦E⟧^G(from)`.
@@ -1195,7 +1378,8 @@ impl PathCache {
         graph: &G,
         from: TermId,
     ) -> BTreeSet<TermId> {
-        self.get(path, graph).eval_from(graph, from)
+        self.try_eval(path, graph, from, &ExecCtx::unbounded())
+            .expect("unbounded context cannot fail")
     }
 
     /// Convenience: trace `graph(paths(E, G, sources, targets))`.
@@ -1206,7 +1390,8 @@ impl PathCache {
         sources: &[TermId],
         targets: Option<&BTreeSet<TermId>>,
     ) -> TraceSet {
-        self.get(path, graph).trace(graph, sources, targets)
+        self.try_trace(path, graph, sources, targets, &ExecCtx::unbounded())
+            .expect("unbounded context cannot fail")
     }
 
     /// Convenience: set-at-a-time `⟦E⟧^G(sources[i])` for all sources.
@@ -1216,13 +1401,11 @@ impl PathCache {
         graph: &G,
         sources: &[TermId],
     ) -> Vec<BTreeSet<TermId>> {
-        let i = self.slot(path, graph);
-        self.compiled[i]
-            .try_eval_from_many_with(graph, sources, &ExecCtx::unbounded(), &mut self.scratch)
+        self.try_eval_many(path, graph, sources, &ExecCtx::unbounded())
             .expect("unbounded context cannot fail")
     }
 
-    /// Governed [`PathCache::eval`].
+    /// Governed [`PathCache::eval`], over a reused visited set.
     pub fn try_eval<G: GraphAccess>(
         &mut self,
         path: &PathExpr,
@@ -1230,10 +1413,30 @@ impl PathCache {
         from: TermId,
         ctx: &ExecCtx,
     ) -> Result<BTreeSet<TermId>, EngineError> {
-        self.get(path, graph).try_eval_from(graph, from, ctx)
+        let i = self.slot(path, graph);
+        let mut reach = self.take_reach();
+        let out = self.compiled[i].try_eval_from_in(graph, from, ctx, &mut reach.forward);
+        self.put_reach(reach);
+        out
     }
 
-    /// Governed [`PathCache::trace`].
+    /// Governed [`CompiledPath::connects`], over a reused visited set.
+    pub fn try_connects<G: GraphAccess>(
+        &mut self,
+        path: &PathExpr,
+        graph: &G,
+        from: TermId,
+        to: TermId,
+        ctx: &ExecCtx,
+    ) -> Result<bool, EngineError> {
+        let i = self.slot(path, graph);
+        let mut reach = self.take_reach();
+        let out = self.compiled[i].try_connects_in(graph, from, to, ctx, &mut reach.forward);
+        self.put_reach(reach);
+        out
+    }
+
+    /// Governed [`PathCache::trace`], over a reused reach.
     pub fn try_trace<G: GraphAccess>(
         &mut self,
         path: &PathExpr,
@@ -1242,8 +1445,11 @@ impl PathCache {
         targets: Option<&BTreeSet<TermId>>,
         ctx: &ExecCtx,
     ) -> Result<TraceSet, EngineError> {
-        self.get(path, graph)
-            .try_trace(graph, sources, targets, ctx)
+        let i = self.slot(path, graph);
+        let mut reach = self.take_reach();
+        let out = self.compiled[i].try_trace_in(graph, sources, targets, ctx, &mut reach);
+        self.put_reach(reach);
+        out
     }
 
     /// Governed [`PathCache::eval_many`].
@@ -1802,7 +2008,7 @@ mod tests {
             endpoints.into_iter().collect::<Vec<_>>(),
             "endpoints of {e}"
         );
-        let pairs = |set: &ProductSet| set.per_state.iter().map(|s| s.len() as u64).sum::<u64>();
+        let pairs = |set: &ProductSet| set.pairs.len() as u64;
         assert_eq!(ctx.memory_used(), pairs(&reach.forward) * PAIR_COST);
         c.try_backward(g, &mut reach, q.iter().copied(), &ctx)
             .unwrap();
@@ -1962,6 +2168,79 @@ mod tests {
                 check_reach(&g, &e, &sources, &q);
             }
         }
+    }
+
+    #[test]
+    fn reused_reach_agrees_with_a_fresh_one() {
+        // One reach carried across runs of paths with different state
+        // counts and source sets: each run resets it in O(pairs) and must
+        // answer, and charge, exactly as a fresh reach does.
+        let g = braided();
+        let all: Vec<TermId> = ["a", "b", "c", "d", "x", "z", "w"]
+            .iter()
+            .map(|s| id(&g, s))
+            .collect();
+        let mut reused = Reach::default();
+        for e in [
+            p("p").or(p("q")).star(),
+            p("p"),
+            p("q").inverse().then(p("p").star()),
+            PathExpr::any_prop().inverse().star(),
+            p("p").then(p("p")).inverse(),
+        ] {
+            let c = CompiledPath::new(&e, &g);
+            for sources in [&all[..], &all[..2], &all[3..]] {
+                for q in target_sets(&g, &e, sources) {
+                    let ctx = ExecCtx::unbounded();
+                    c.try_forward(&g, sources, &mut reused, &ctx).unwrap();
+                    let mut fresh = Reach::default();
+                    c.try_forward(&g, sources, &mut fresh, &ctx).unwrap();
+                    assert_eq!(reused.endpoints(), fresh.endpoints(), "{e}");
+                    c.try_backward(&g, &mut reused, q.iter().copied(), &ctx)
+                        .unwrap();
+                    c.try_backward(&g, &mut fresh, q.iter().copied(), &ctx)
+                        .unwrap();
+                    for &v in &all {
+                        assert_eq!(reused.reaches(v), fresh.reaches(v), "{e}");
+                    }
+                    assert_eq!(
+                        c.try_edges(&g, &reused, &ctx).unwrap(),
+                        c.try_edges(&g, &fresh, &ctx).unwrap(),
+                        "{e}"
+                    );
+                    assert_eq!(reused.charged, fresh.charged);
+                    reused.release(&ctx);
+                    fresh.release(&ctx);
+                    assert_eq!(ctx.memory_used(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn path_cache_misses_a_different_path_at_a_reused_address() {
+        let g = Graph::from_triples([t("a", "p", "b"), t("a", "q", "c")]);
+        let a = id(&g, "a");
+        let mut cache = PathCache::new();
+        let mut e = p("p");
+        let addr = &e as *const PathExpr;
+        assert_eq!(names(&g, &cache.eval(&e, &g, a)), BTreeSet::from([n("b")]));
+        // Same slot, different expression: must compile anew.
+        e = p("q");
+        assert_eq!(&e as *const PathExpr, addr);
+        assert_eq!(names(&g, &cache.eval(&e, &g, a)), BTreeSet::from([n("c")]));
+        assert_eq!(cache.compiled.len(), 2);
+        // The first expression back at that address is found again.
+        e = p("p");
+        assert_eq!(names(&g, &cache.eval(&e, &g, a)), BTreeSet::from([n("b")]));
+        assert_eq!(cache.compiled.len(), 2);
+        // An equal expression elsewhere is a hit on the same compilation.
+        let elsewhere = Box::new(p("q"));
+        assert_eq!(
+            names(&g, &cache.eval(&elsewhere, &g, a)),
+            BTreeSet::from([n("c")])
+        );
+        assert_eq!(cache.compiled.len(), 2);
     }
 
     #[test]

@@ -625,7 +625,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
         path: &PathExpr,
         sources: &[TermId],
         targets: Option<&BTreeSet<TermId>>,
-    ) -> BTreeSet<(TermId, TermId, TermId)> {
+    ) -> TraceSet {
         match self
             .paths
             .try_trace(path, self.graph, sources, targets, &self.exec)
@@ -633,7 +633,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Ok(out) => out,
             Err(e) => {
                 self.record_fault(e);
-                BTreeSet::new()
+                TraceSet::default()
             }
         }
     }
@@ -672,7 +672,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             return None;
         }
         let graph = self.graph;
-        let mut reach = Reach::default();
+        let mut reach = self.paths.take_reach();
         let out = match self
             .paths
             .get(path, graph)
@@ -694,6 +694,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             }
         };
         reach.release(&self.exec);
+        self.paths.put_reach(reach);
         out.unwrap_or_else(|e| {
             self.record_fault(e);
             None
@@ -1096,9 +1097,10 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     }
 
     /// The target nodes of a target shape: all `a ∈ N(G)` with
-    /// `H, G, a ⊨ τ`. Common SHACL target forms take fast paths; arbitrary
-    /// shapes fall back to a full node scan.
-    pub fn target_nodes(&mut self, target: &Shape) -> BTreeSet<TermId> {
+    /// `H, G, a ⊨ τ`, ascending and duplicate-free. Common SHACL target
+    /// forms take fast paths; arbitrary shapes fall back to a full node
+    /// scan.
+    pub fn target_nodes(&mut self, target: &Shape) -> Vec<TermId> {
         if let Some(fast) = self.fast_targets(target) {
             return fast;
         }
@@ -1110,40 +1112,47 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             .collect()
     }
 
-    fn fast_targets(&mut self, target: &Shape) -> Option<BTreeSet<TermId>> {
+    /// The fast target forms, ascending and duplicate-free. A single class
+    /// run of the CSR is already sorted and is returned as is; a union,
+    /// several classes, or a subjects-/objects-of target is concatenated,
+    /// then sorted and deduplicated once.
+    fn fast_targets(&mut self, target: &Shape) -> Option<Vec<TermId>> {
+        let mut out = Vec::new();
+        self.append_fast_targets(target, &mut out)?;
+        if !out.windows(2).all(|w| w[0] < w[1]) {
+            out.sort_unstable();
+            out.dedup();
+        }
+        Some(out)
+    }
+
+    /// Appends the nodes of a fast target form to `out`, in no particular
+    /// order; `None` when the form has no fast path.
+    fn append_fast_targets(&mut self, target: &Shape, out: &mut Vec<TermId>) -> Option<()> {
         match target {
-            Shape::False => Some(BTreeSet::new()),
+            Shape::False => Some(()),
             // Node target.
-            Shape::HasValue(c) => Some(self.graph.id_of(c).into_iter().collect()),
-            // Union of targets.
-            Shape::Or(items) => {
-                let mut out = BTreeSet::new();
-                for item in items {
-                    out.extend(self.fast_targets(item)?);
-                }
-                Some(out)
+            Shape::HasValue(c) => {
+                out.extend(self.graph.id_of(c));
+                Some(())
             }
+            // Union of targets.
+            Shape::Or(items) => items
+                .iter()
+                .try_for_each(|item| self.append_fast_targets(item, out)),
             Shape::Geq(1, path, inner) => match (path, inner.as_ref()) {
                 // Subjects-of target: ≥1 p.⊤
                 (PathExpr::Prop(p), Shape::True) => {
                     let pid = self.graph.id_of_iri(p)?;
-                    Some(
-                        self.graph
-                            .edges_with_predicate_ids(pid)
-                            .map(|(s, _)| s)
-                            .collect(),
-                    )
+                    out.extend(self.graph.edges_with_predicate_ids(pid).map(|(s, _)| s));
+                    Some(())
                 }
                 // Objects-of target: ≥1 p⁻.⊤
                 (PathExpr::Inverse(inv), Shape::True) => match inv.as_ref() {
                     PathExpr::Prop(p) => {
                         let pid = self.graph.id_of_iri(p)?;
-                        Some(
-                            self.graph
-                                .edges_with_predicate_ids(pid)
-                                .map(|(_, o)| o)
-                                .collect(),
-                        )
+                        out.extend(self.graph.edges_with_predicate_ids(pid).map(|(_, o)| o));
+                        Some(())
                     }
                     _ => None,
                 },
@@ -1163,18 +1172,18 @@ impl<'a, G: GraphAccess> Context<'a, G> {
                     let back = PathExpr::Prop(sub_p.clone()).inverse().star();
                     let classes = self.eval_path(&back, cid);
                     let type_pid = self.graph.id_of_iri(type_p)?;
-                    let mut out = BTreeSet::new();
                     for class in classes {
                         out.extend(self.graph.subjects_ids(class, type_pid));
                     }
-                    Some(out)
+                    Some(())
                 }
                 // Plain-class target without subclass closure:
                 // ≥1 type.hasValue(c).
                 (PathExpr::Prop(type_p), Shape::HasValue(c)) => {
                     let cid = self.graph.id_of(c)?;
                     let type_pid = self.graph.id_of_iri(type_p)?;
-                    Some(self.graph.subjects_ids(cid, type_pid).collect())
+                    out.extend(self.graph.subjects_ids(cid, type_pid));
+                    Some(())
                 }
                 _ => None,
             },
@@ -1404,7 +1413,7 @@ pub fn validate_batch_containment_governed<G: GraphAccess>(
     let mut report = ValidationReport::default();
     for def in schema.iter() {
         ctx.exec.check_now()?;
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
+        let targets = ctx.target_nodes(&def.target);
         if let Some(e) = ctx.take_fault() {
             return Err(e);
         }
@@ -1769,7 +1778,7 @@ mod tests {
             let mut ctx = Context::new(&schema, &g);
             let fast = ctx.target_nodes(&target);
             // Slow scan.
-            let slow: BTreeSet<TermId> = g
+            let slow: Vec<TermId> = g
                 .node_ids()
                 .into_iter()
                 .filter(|n| ctx.conforms(*n, &target))

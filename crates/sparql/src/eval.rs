@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use shapefrag_govern::{BudgetKind, EngineError, ExecCtx};
 use shapefrag_rdf::{Graph, GraphAccess, Iri, Literal, Term, TermId};
-use shapefrag_shacl::rpq::CompiledPath;
+use shapefrag_shacl::rpq::PathCache;
 use shapefrag_shacl::PathExpr;
 
 use crate::algebra::{Expr, Pattern, Projection, Select, TriplePattern, VarOrTerm};
@@ -105,7 +105,7 @@ pub fn eval_select<G: GraphAccess>(
     let mut ev = Evaluator {
         graph,
         config: *config,
-        paths: HashMap::new(),
+        paths: PathCache::new(),
         started: Instant::now(),
         exec: None,
         fault: None,
@@ -129,7 +129,7 @@ pub fn eval_select_governed<G: GraphAccess>(
     let mut ev = Evaluator {
         graph,
         config: *config,
-        paths: HashMap::new(),
+        paths: PathCache::new(),
         started: Instant::now(),
         exec: Some(exec),
         fault: None,
@@ -189,7 +189,7 @@ pub fn bindings_to_graph(bindings: &[Binding], s: &str, p: &str, o: &str) -> Gra
 struct Evaluator<'g, G: GraphAccess> {
     graph: &'g G,
     config: EvalConfig,
-    paths: HashMap<PathExpr, CompiledPath>,
+    paths: PathCache,
     started: Instant,
     /// Governance context (`None` for the classic, ungoverned entry points).
     exec: Option<&'g ExecCtx>,
@@ -443,47 +443,31 @@ impl<'g, G: GraphAccess> Evaluator<'g, G> {
         }
     }
 
-    fn compiled(&mut self, path: &PathExpr) -> &CompiledPath {
-        if !self.paths.contains_key(path) {
-            self.paths
-                .insert(path.clone(), CompiledPath::new(path, self.graph));
-        }
-        &self.paths[path]
-    }
-
-    /// Governed `connects`: routes through the budget-aware RPQ kernel when
-    /// an execution context is attached.
+    /// `connects` through the evaluator's path cache, under the attached
+    /// execution context (unbounded when there is none).
     fn path_connects(
         &mut self,
         path: &PathExpr,
         sid: TermId,
         oid: TermId,
     ) -> Result<bool, ResourceExhausted> {
-        let graph = self.graph;
-        match self.exec {
-            Some(exec) => {
-                let r = self.compiled(path).try_connects(graph, sid, oid, exec);
-                r.map_err(|e| self.engine_fault(e, 0))
-            }
-            None => Ok(self.compiled(path).connects(graph, sid, oid)),
-        }
+        let unbounded = ExecCtx::unbounded();
+        let exec = self.exec.unwrap_or(&unbounded);
+        let r = self.paths.try_connects(path, self.graph, sid, oid, exec);
+        r.map_err(|e| self.engine_fault(e, 0))
     }
 
-    /// Governed `eval_from`: routes through the budget-aware RPQ kernel when
-    /// an execution context is attached.
+    /// `eval_from` through the evaluator's path cache, under the attached
+    /// execution context (unbounded when there is none).
     fn path_eval_from(
         &mut self,
         path: &PathExpr,
         sid: TermId,
     ) -> Result<BTreeSet<TermId>, ResourceExhausted> {
-        let graph = self.graph;
-        match self.exec {
-            Some(exec) => {
-                let r = self.compiled(path).try_eval_from(graph, sid, exec);
-                r.map_err(|e| self.engine_fault(e, 0))
-            }
-            None => Ok(self.compiled(path).eval_from(graph, sid)),
-        }
+        let unbounded = ExecCtx::unbounded();
+        let exec = self.exec.unwrap_or(&unbounded);
+        let r = self.paths.try_eval(path, self.graph, sid, exec);
+        r.map_err(|e| self.engine_fault(e, 0))
     }
 
     fn path_pattern(
