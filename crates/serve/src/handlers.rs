@@ -9,6 +9,10 @@
 //! | `Cancelled`                 | 499  | server shutting down mid-request |
 //! | `DepthLimit`                | 400  | pathological nesting is an input defect |
 //!
+//! A hit on an epoch's stored result (a plain `/validate` or a
+//! single-shape `/fragment`) charges no step or memory budget, since it
+//! does no engine work; the deadline and cancellation still apply.
+//!
 //! Admission shedding (503) and handler panics (500) are mapped by the
 //! connection loop in `lib.rs`, not here.
 
@@ -26,7 +30,7 @@ use shapefrag_sparql::eval::{eval_select_governed, Binding, EvalConfig};
 use shapefrag_sparql::parser::parse_select;
 
 use crate::http::{Request, Response};
-use crate::state::{json_escape, Snapshot, Updater};
+use crate::state::{json_escape, report_json, Snapshot, Updater};
 use crate::{ServeConfig, ServerState};
 
 /// Runs `$body` with `$g` bound to the snapshot's read view: the delta
@@ -152,73 +156,87 @@ pub fn dispatch(state: &ServerState, req: &Request) -> Response {
     }
 }
 
-fn report_json(report: &ValidationReport, epoch: u64) -> String {
-    let mut out = format!(
-        "{{\"epoch\":{},\"conforms\":{},\"checked\":{},\"violations\":[",
-        epoch,
-        report.conforms(),
-        report.checked
-    );
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"shape\":\"{}\",\"focus\":\"{}\"}}",
-            json_escape(&v.shape.to_string()),
-            json_escape(&v.focus.to_string())
-        ));
+/// A report as a `200` body: Turtle when the client accepts it, the JSON
+/// body `json` renders otherwise.
+fn report_response(
+    req: &Request,
+    report: &ValidationReport,
+    json: impl FnOnce() -> String,
+) -> Response {
+    if req
+        .header("accept")
+        .is_some_and(|a| a.contains("text/turtle"))
+    {
+        let graph = report.to_graph();
+        Response::new(
+            200,
+            "text/turtle",
+            turtle::serialize(&graph, &[("sh", shapefrag_rdf::vocab::SH_NS)]),
+        )
+    } else {
+        Response::json(200, json())
     }
-    out.push_str("]}");
-    out
 }
 
 /// `POST /validate` — empty body validates the resident snapshot; a
 /// non-empty body is parsed as a data graph and validated against the
 /// resident schema (one resident process, many datasets).
+///
+/// The resident view's report lives on its snapshot. A plain request on
+/// an epoch without one validates and stores the report
+/// (`x-validate-cache: miss`); a plain request on an epoch with one
+/// checks its deadline and the shutdown flag, then answers from it
+/// (`hit`) without charging the step or memory budget, since it does no
+/// engine work. A posted body neither reads nor fills the stored report.
 fn handle_validate(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>) -> Response {
     let exec = match exec_from_headers(req, &state.cfg) {
         Ok(e) => e.with_cancel(&state.cancel),
         Err(resp) => return resp,
     };
-    let result = if req.body.is_empty() {
-        with_view!(snapshot, |g| validate_batch_governed(
-            &snapshot.schema,
-            g,
-            exec
-        ))
-    } else {
-        match parse_body_graph(req) {
-            Ok(graph) => validate_batch_governed(&snapshot.schema, &graph, exec),
-            Err(e) => return engine_error_response(&e),
+    if !req.body.is_empty() {
+        let result = parse_body_graph(req)
+            .and_then(|graph| validate_batch_governed(&snapshot.schema, &graph, exec));
+        return match result {
+            Ok(report) => report_response(req, &report, || report_json(&report, snapshot.epoch)),
+            Err(e) => engine_error_response(&e),
+        };
+    }
+    let (stored, cache) = match snapshot.report() {
+        Some(stored) => {
+            if let Err(e) = exec.check_now() {
+                return engine_error_response(&e);
+            }
+            state
+                .stats
+                .validate_cache_hits
+                .fetch_add(1, Ordering::Relaxed);
+            (stored, "hit")
         }
-    };
-    match result {
-        Ok(report) => {
-            if req
-                .header("accept")
-                .is_some_and(|a| a.contains("text/turtle"))
-            {
-                let graph = report.to_graph();
-                Response::new(
-                    200,
-                    "text/turtle",
-                    turtle::serialize(&graph, &[("sh", shapefrag_rdf::vocab::SH_NS)]),
-                )
-            } else {
-                Response::json(200, report_json(&report, snapshot.epoch))
+        None => {
+            state
+                .stats
+                .validate_cache_misses
+                .fetch_add(1, Ordering::Relaxed);
+            match with_view!(snapshot, |g| validate_batch_governed(
+                &snapshot.schema,
+                g,
+                exec
+            )) {
+                Ok(report) => (snapshot.store_report(report), "miss"),
+                Err(e) => return engine_error_response(&e),
             }
         }
-        Err(e) => engine_error_response(&e),
-    }
+    };
+    report_response(req, &stored.report, || stored.json.clone())
+        .with_header("x-validate-cache", cache)
 }
 
 /// `POST /fragment` — empty body computes the full schema fragment; a
 /// non-empty body lists shape-name IRIs (one per line) to restrict to.
-/// Single-shape requests go through the per-epoch fragment cache, keyed
-/// by the requested name: a repeat request is answered from the cached
-/// bytes (`x-fragment-cache: hit`), and hits and misses count into
-/// `/stats`.
+/// A single-shape body is stored on the snapshot, keyed by the requested
+/// name: a repeat request on the epoch checks its deadline and the
+/// shutdown flag, then answers from the stored bytes
+/// (`x-fragment-cache: hit`), and hits and misses count into `/stats`.
 fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>) -> Response {
     let exec = match exec_from_headers(req, &state.cfg) {
         Ok(e) => e.with_cancel(&state.cancel),
@@ -256,12 +274,10 @@ fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
         _ => None,
     };
     if let Some(name) = cached {
-        let hit = state
-            .fragments
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(snapshot.epoch, name);
-        if let Some(body) = hit {
+        if let Some(body) = snapshot.fragment(name) {
+            if let Err(e) = exec.check_now() {
+                return engine_error_response(&e);
+            }
             state
                 .stats
                 .fragment_cache_hits
@@ -285,11 +301,7 @@ fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
     match body {
         Ok(body) => {
             if let Some(name) = cached {
-                state
-                    .fragments
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(snapshot.epoch, name.clone(), Arc::new(body.clone()));
+                snapshot.store_fragment(name.clone(), Arc::new(body.clone()));
             }
             Response::new(200, "application/n-triples", body)
                 .with_header("x-epoch", snapshot.epoch.to_string())
@@ -372,7 +384,7 @@ fn handle_reload(state: &ServerState, req: &Request) -> Response {
         state.snapshots.swap(|epoch| {
             let (schema, graph) = crate::load_source(&state.source)
                 .map_err(|msg| error_response(400, "reload-failed", &msg))?;
-            Ok::<_, Response>(crate::build_snapshot(epoch, schema, graph))
+            Ok::<_, Response>(Snapshot::new(epoch, schema, Arc::new(graph), None))
         })
     } else {
         let graph = match parse_body_graph(req) {
@@ -382,7 +394,7 @@ fn handle_reload(state: &ServerState, req: &Request) -> Response {
         let schema = Arc::clone(&state.snapshots.load().schema);
         state
             .snapshots
-            .swap(|epoch| Ok::<_, Response>(crate::build_snapshot(epoch, schema, graph)))
+            .swap(|epoch| Ok::<_, Response>(Snapshot::new(epoch, schema, Arc::new(graph), None)))
     };
     match built {
         Ok(snapshot) => {
@@ -411,9 +423,10 @@ fn handle_reload(state: &ServerState, req: &Request) -> Response {
 /// line prefixes, see [`EditScript::parse`]) to the continuous-ingest
 /// overlay, revalidates incrementally under the request's budget, and
 /// epoch-swaps the merged view. Readers never block: they keep their
-/// snapshot clone while the new epoch is published. The first update (or
-/// the first after a reload) seeds the incremental state with a full
-/// validation.
+/// snapshot clone while the new epoch is published. The new epoch carries
+/// the incrementally-maintained report, which the response embeds, so a
+/// plain `/validate` on it is a hit. The first update (or the first after
+/// a reload) seeds the incremental state with a full validation.
 fn handle_update(state: &ServerState, req: &Request) -> Response {
     let budget = match budget_from_headers(req, &state.cfg) {
         Ok(b) => b,
@@ -450,15 +463,14 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
         Ok(report) => {
             let graph = updater.inc.graph();
             let published = state.snapshots.swap(|epoch| {
-                Ok::<_, Response>(Snapshot {
+                let snapshot = Snapshot::new(
                     epoch,
-                    schema: Arc::clone(updater.inc.schema()),
-                    frozen: Arc::clone(graph.base()),
-                    delta: Some(Arc::new(graph.clone())),
-                    triples: graph.len(),
-                    delta_added: graph.added_len(),
-                    delta_removed: graph.removed_len(),
-                })
+                    Arc::clone(updater.inc.schema()),
+                    Arc::clone(graph.base()),
+                    Some(Arc::new(graph.clone())),
+                );
+                snapshot.store_report(report);
+                Ok::<_, Response>(snapshot)
             });
             match published {
                 Ok(snap) => {
@@ -467,6 +479,10 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
                         .stats
                         .updates
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let report = &snap
+                        .report()
+                        .expect("an /update epoch is published with its report")
+                        .json;
                     Response::json(
                         200,
                         format!(
@@ -476,7 +492,7 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
                             snap.triples,
                             snap.delta_added,
                             snap.delta_removed,
-                            report_json(&report, snap.epoch)
+                            report
                         ),
                     )
                 }
@@ -489,8 +505,8 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
 
 /// `POST /compact` — re-freezes base + overlay into a fresh snapshot and
 /// publishes it with an empty overlay. Ids are stable across compaction,
-/// so the incremental rows and memo survive and the next update stays
-/// cheap. A no-op (200, `"compacted":false`) when no overlay exists.
+/// so the incremental rows and memo survive, the next update stays cheap,
+/// and the new epoch carries the maintained report unchanged. A no-op (200, `"compacted":false`) when no overlay exists.
 fn handle_compact(state: &ServerState) -> Response {
     let mut slot = state.updater.lock().unwrap_or_else(|e| e.into_inner());
     let current = state.snapshots.load();
@@ -507,15 +523,14 @@ fn handle_compact(state: &ServerState) -> Response {
     let updater = slot.as_mut().expect("checked above");
     updater.inc.compact();
     let published = state.snapshots.swap(|epoch| {
-        Ok::<_, Response>(Snapshot {
+        let snapshot = Snapshot::new(
             epoch,
-            schema: Arc::clone(updater.inc.schema()),
-            frozen: Arc::clone(updater.inc.graph().base()),
-            delta: None,
-            triples: updater.inc.graph().len(),
-            delta_added: 0,
-            delta_removed: 0,
-        })
+            Arc::clone(updater.inc.schema()),
+            Arc::clone(updater.inc.graph().base()),
+            None,
+        );
+        snapshot.store_report(updater.inc.report());
+        Ok::<_, Response>(snapshot)
     });
     match published {
         Ok(snap) => {

@@ -5,8 +5,8 @@
 //!
 //! | endpoint          | semantics |
 //! |-------------------|-----------|
-//! | `POST /validate`  | validate the resident snapshot (empty body) or a posted data graph against the resident schema |
-//! | `POST /fragment`  | shape fragment of the resident snapshot as N-Triples (body optionally lists shape IRIs) |
+//! | `POST /validate`  | validate the resident snapshot (empty body; answered from the epoch's stored report once it has one) or a posted data graph against the resident schema |
+//! | `POST /fragment`  | shape fragment of the resident snapshot as N-Triples (body optionally lists shape IRIs; a single shape's body is stored on the epoch) |
 //! | `GET  /analyze`   | static schema diagnostics as JSON |
 //! | `POST /sparql`    | SELECT query over the resident snapshot |
 //! | `POST /reload`    | epoch-swap a new snapshot (re-read source, or body = new data graph) |
@@ -26,6 +26,12 @@
 //! - **Snapshot epochs**: requests work against an `Arc<Snapshot>` clone;
 //!   `POST /reload` builds and freezes the next epoch off-lock and swaps a
 //!   pointer, so readers never block and old epochs drain and drop.
+//! - **Per-epoch results live on their snapshot**: the epoch's validation
+//!   report (stored by the first plain `/validate` that completes, or
+//!   seeded by `/update` and `/compact` from the incremental engine) and
+//!   its single-shape fragment bodies. A hit checks the deadline and
+//!   shutdown, then answers without charging the step or memory budget
+//!   (`x-validate-cache` / `x-fragment-cache`; counted in `/stats`).
 //! - **Hostile-client limits**: head/body size caps, per-read socket
 //!   timeouts, and phase deadlines (slow-loris guard), plus a connection
 //!   cap ahead of the request gate.
@@ -151,22 +157,6 @@ pub(crate) fn load_source(source: &SnapshotSource) -> Result<(Arc<Schema>, Froze
     Ok((Arc::new(schema), graph))
 }
 
-/// Wraps a frozen graph into a published-ready snapshot with no delta
-/// overlay. Nothing is derived from the schema here: boot and reload cost
-/// the parse, the deny-gate analysis and the freeze, nothing more.
-pub(crate) fn build_snapshot(epoch: u64, schema: Arc<Schema>, graph: FrozenGraph) -> Snapshot {
-    let triples = graph.len();
-    Snapshot {
-        epoch,
-        schema,
-        frozen: Arc::new(graph),
-        delta: None,
-        triples,
-        delta_added: 0,
-        delta_removed: 0,
-    }
-}
-
 /// Everything the connection threads share.
 pub struct ServerState {
     pub cfg: ServeConfig,
@@ -183,9 +173,6 @@ pub struct ServerState {
     /// dropped on `POST /reload`. The mutex serializes writers; readers
     /// never touch it (they work off the published snapshot).
     pub updater: Mutex<Option<state::Updater>>,
-    /// Per-epoch `POST /fragment` response cache keyed by the requested
-    /// shape name; cleared when a newer epoch arrives.
-    pub fragments: Mutex<state::FragmentCache>,
     shutdown: AtomicBool,
     open_conns: AtomicUsize,
 }
@@ -214,7 +201,7 @@ impl Server {
     /// the listener, and starts the accept loop.
     pub fn start(cfg: ServeConfig, source: SnapshotSource) -> Result<Server, String> {
         let (schema, graph) = load_source(&source)?;
-        let first = build_snapshot(1, schema, graph);
+        let first = Snapshot::new(1, schema, Arc::new(graph), None);
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
         let addr = listener
@@ -232,7 +219,6 @@ impl Server {
             started: Instant::now(),
             cancel: CancelToken::new(),
             updater: Mutex::new(None),
-            fragments: Mutex::new(state::FragmentCache::default()),
             shutdown: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
         });
@@ -465,6 +451,35 @@ ex:bad rdf:type ex:Paper .
         .expect("server boots")
     }
 
+    /// A plain `/validate`: its status, body and `x-validate-cache` header.
+    fn validate(addr: SocketAddr, headers: &[(&str, &str)]) -> (u16, String, Option<String>) {
+        let r = client::request(addr, "POST", "/validate", headers, b"").unwrap();
+        let cache = r.header("x-validate-cache").map(str::to_string);
+        (r.status, r.text(), cache)
+    }
+
+    /// The `report` object embedded in an `/update` response body.
+    fn update_report(body: &str) -> &str {
+        let start = body.find("\"report\":").expect("update carries a report") + 9;
+        &body[start..body.len() - 1]
+    }
+
+    /// A report body without its leading `"epoch"` field.
+    fn without_epoch(report: &str) -> &str {
+        &report[report.find(',').expect("report has fields")..]
+    }
+
+    /// A numeric `/stats` counter.
+    fn stat(addr: SocketAddr, name: &str) -> u64 {
+        let s = client::request(addr, "GET", "/stats", &[], b"")
+            .unwrap()
+            .text();
+        s.split(&format!("\"{name}\":"))
+            .nth(1)
+            .and_then(|t| t.split(|c: char| !c.is_ascii_digit()).next()?.parse().ok())
+            .unwrap_or_else(|| panic!("missing {name} in {s}"))
+    }
+
     #[test]
     fn end_to_end_endpoints() {
         let server = boot();
@@ -566,13 +581,21 @@ ex:only rdf:type ex:Paper ; ex:author ex:zed ."#,
         assert!(u.text().contains("new"), "{}", u.text());
         assert!(!u.text().contains("bad\"}"), "{}", u.text());
 
-        // Readers see the merged view at the new epoch; the incremental
-        // report agrees with a from-scratch validation of it.
-        let v = client::request(addr, "POST", "/validate", &[], b"").unwrap();
-        assert_eq!(v.status, 200);
-        assert!(v.text().contains("\"epoch\":2"), "{}", v.text());
-        assert!(v.text().contains("\"conforms\":false"));
-        assert!(v.text().contains("new"));
+        // Readers see the merged view at the new epoch. /update stored its
+        // report on the epoch, so /validate answers from it, byte for byte.
+        let (status, v, cache) = validate(addr, &[]);
+        assert_eq!(status, 200);
+        assert_eq!(cache.as_deref(), Some("hit"));
+        assert_eq!(v, update_report(&u.text()));
+        assert!(v.contains("\"epoch\":2"), "{v}");
+        assert!(v.contains("\"conforms\":false"));
+        assert!(v.contains("new"));
+        // The stored report agrees with a from-scratch validation of the
+        // merged view, posted as a body.
+        let merged = format!("{DATA}ex:bad ex:author ex:bea .\nex:new rdf:type ex:Paper .\n");
+        let scratch = client::request(addr, "POST", "/validate", &[], merged.as_bytes()).unwrap();
+        assert_eq!(scratch.status, 200, "{}", scratch.text());
+        assert_eq!(scratch.text(), v);
 
         // /stats surfaces the overlay and the timing split.
         let s = client::request(addr, "GET", "/stats", &[], b"").unwrap();
@@ -587,6 +610,9 @@ ex:only rdf:type ex:Paper ; ex:author ex:zed ."#,
         let u2 = client::request(addr, "POST", "/update", &[], fix).unwrap();
         assert_eq!(u2.status, 200);
         assert!(u2.text().contains("\"conforms\":true"), "{}", u2.text());
+        let (_, v, cache) = validate(addr, &[]);
+        assert_eq!(cache.as_deref(), Some("hit"));
+        assert_eq!(v, update_report(&u2.text()));
 
         // Compaction re-freezes and resets the overlay; the view and
         // report are unchanged.
@@ -596,8 +622,11 @@ ex:only rdf:type ex:Paper ; ex:author ex:zed ."#,
         let s2 = client::request(addr, "GET", "/stats", &[], b"").unwrap();
         assert!(s2.text().contains("\"delta_added\":0"), "{}", s2.text());
         assert!(s2.text().contains("\"compactions\":1"), "{}", s2.text());
-        let v2 = client::request(addr, "POST", "/validate", &[], b"").unwrap();
-        assert!(v2.text().contains("\"conforms\":true"), "{}", v2.text());
+        // The compacted epoch carries the same report.
+        let (_, v2, cache) = validate(addr, &[]);
+        assert_eq!(cache.as_deref(), Some("hit"));
+        assert!(v2.contains("\"epoch\":4"), "{v2}");
+        assert_eq!(without_epoch(&v2), without_epoch(&v));
 
         // A second compact with no overlay is a cheap no-op.
         let c2 = client::request(addr, "POST", "/compact", &[], b"").unwrap();
@@ -635,6 +664,10 @@ ex:solo rdf:type ex:Paper ."#,
         )
         .unwrap();
         assert_eq!(r.status, 200, "{}", r.text());
+        // The reloaded epoch starts without a report.
+        let (_, v3, cache) = validate(addr, &[]);
+        assert_eq!(cache.as_deref(), Some("miss"));
+        assert!(v3.contains("\"conforms\":false"), "{v3}");
         let u3 = client::request(
             addr,
             "POST",
@@ -645,6 +678,9 @@ ex:solo rdf:type ex:Paper ."#,
         .unwrap();
         assert_eq!(u3.status, 200, "{}", u3.text());
         assert!(u3.text().contains("\"conforms\":true"), "{}", u3.text());
+        let (_, v4, cache) = validate(addr, &[]);
+        assert_eq!(cache.as_deref(), Some("hit"));
+        assert_eq!(v4, update_report(&u3.text()));
 
         assert_eq!(server.shutdown(Duration::from_secs(1)), 0);
     }
@@ -672,6 +708,68 @@ ex:solo rdf:type ex:Paper ."#,
         // Malformed posted data → 400 with the parse position.
         let r = client::request(addr, "POST", "/validate", &[], b"@prefix broken").unwrap();
         assert_eq!(r.status, 400);
+
+        // A posted body neither reads nor fills the epoch's report.
+        let posted_data = br#"@prefix ex: <http://example.org/> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+ex:p rdf:type ex:Paper ."#;
+        let posted = client::request(addr, "POST", "/validate", &[], posted_data).unwrap();
+        assert_eq!(posted.status, 200, "{}", posted.text());
+        assert_eq!(posted.header("x-validate-cache"), None);
+
+        // The faulted runs and the posted body left the snapshot cold: the
+        // next plain request validates and stores the report; the one
+        // after answers from it with the same bytes.
+        let (status, cold, cache) = validate(addr, &[]);
+        assert_eq!((status, cache.as_deref()), (200, Some("miss")), "{cold}");
+        let (status, warm, cache) = validate(addr, &[]);
+        assert_eq!((status, cache.as_deref()), (200, Some("hit")));
+        assert_eq!(warm, cold);
+
+        // On the warm snapshot an expired deadline is still 504, and a hit
+        // charges no step budget.
+        let (status, _, _) = validate(addr, &[("x-deadline-ms", "0")]);
+        assert_eq!(status, 504);
+        let (status, starved, cache) = validate(addr, &[("x-budget-steps", "1")]);
+        assert_eq!((status, cache.as_deref()), (200, Some("hit")), "{starved}");
+        assert_eq!(starved, cold);
+
+        // A posted body on the warm snapshot is validated on its own.
+        let again = client::request(addr, "POST", "/validate", &[], posted_data).unwrap();
+        assert_eq!(again.body, posted.body);
+        assert_eq!(again.header("x-validate-cache"), None);
+
+        // The 429 and the cold 504 were misses that stored nothing.
+        assert_eq!(stat(addr, "validate_cache_misses"), 3);
+        assert_eq!(stat(addr, "validate_cache_hits"), 2);
+
+        // A stored fragment follows the same rule: an expired deadline is
+        // 504 on a hit too.
+        let shape = b"<http://example.org/PaperShape>";
+        let fragment = |headers: &[(&str, &str)]| {
+            client::request(addr, "POST", "/fragment", headers, shape).unwrap()
+        };
+        assert_eq!(fragment(&[]).header("x-fragment-cache"), Some("miss"));
+        assert_eq!(fragment(&[]).header("x-fragment-cache"), Some("hit"));
+        assert_eq!(fragment(&[("x-deadline-ms", "0")]).status, 504);
+
+        // Shutdown cancels in-flight work, hits included: dispatched after
+        // the token fires, both answer 499 instead of the stored bytes.
+        server.state().cancel.cancel();
+        for (path, body) in [("/validate", &b""[..]), ("/fragment", &shape[..])] {
+            let req = Request {
+                method: "POST".to_string(),
+                path: path.to_string(),
+                query: None,
+                headers: Vec::new(),
+                body: body.to_vec(),
+            };
+            assert_eq!(
+                handlers::dispatch(server.state(), &req).status,
+                499,
+                "{path}"
+            );
+        }
 
         assert_eq!(server.shutdown(Duration::from_secs(1)), 0);
     }

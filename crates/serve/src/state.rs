@@ -16,16 +16,22 @@
 //!   published, and the `Arc` it travels in is immutable.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use shapefrag_core::IncrementalValidator;
 use shapefrag_rdf::{DeltaGraph, FrozenGraph, Term};
+use shapefrag_shacl::validator::ValidationReport;
 use shapefrag_shacl::Schema;
 
 /// One immutable published epoch: a schema and a frozen data graph,
-/// optionally overlaid with the continuous-ingest delta.
+/// optionally overlaid with the continuous-ingest delta, plus the results
+/// computed against that view. The view never changes, so a result
+/// computed once answers every later request on the epoch. A new epoch
+/// starts with no results, except that `/update` and `/compact` publish
+/// theirs with the incremental engine's report of the view.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Monotonic epoch number, starting at 1.
@@ -42,6 +48,79 @@ pub struct Snapshot {
     pub delta_added: usize,
     /// Overlay tombstones (0 without a delta).
     pub delta_removed: usize,
+    /// The view's validation report. Set only from a run that completed:
+    /// a faulted run leaves it empty.
+    report: OnceLock<EpochReport>,
+    /// Finished single-shape `POST /fragment` bodies, keyed by the
+    /// requested shape name.
+    fragments: Mutex<BTreeMap<Term, Arc<String>>>,
+}
+
+/// An epoch's validation report with its `POST /validate` JSON body,
+/// rendered once with the epoch.
+#[derive(Debug)]
+pub struct EpochReport {
+    pub report: ValidationReport,
+    pub json: String,
+}
+
+impl Snapshot {
+    /// An epoch over `frozen`, or over `delta` when an overlay is
+    /// published, with no results computed yet.
+    pub(crate) fn new(
+        epoch: u64,
+        schema: Arc<Schema>,
+        frozen: Arc<FrozenGraph>,
+        delta: Option<Arc<DeltaGraph>>,
+    ) -> Snapshot {
+        let (triples, delta_added, delta_removed) = match &delta {
+            Some(d) => (d.len(), d.added_len(), d.removed_len()),
+            None => (frozen.len(), 0, 0),
+        };
+        Snapshot {
+            epoch,
+            schema,
+            frozen,
+            delta,
+            triples,
+            delta_added,
+            delta_removed,
+            report: OnceLock::new(),
+            fragments: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The view's report, if a completed run has stored it.
+    pub fn report(&self) -> Option<&EpochReport> {
+        self.report.get()
+    }
+
+    /// Stores `report` as the view's report and returns the stored one. A
+    /// report already stored by a concurrent run wins; both are reports
+    /// of the same view, so they are equal.
+    pub(crate) fn store_report(&self, report: ValidationReport) -> &EpochReport {
+        self.report.get_or_init(|| {
+            let json = report_json(&report, self.epoch);
+            EpochReport { report, json }
+        })
+    }
+
+    /// The stored fragment body of the single shape `name`.
+    pub(crate) fn fragment(&self, name: &Term) -> Option<Arc<String>> {
+        self.fragments
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(name)
+            .cloned()
+    }
+
+    /// Stores `body` as the fragment of the single shape `name`.
+    pub(crate) fn store_fragment(&self, name: Term, body: Arc<String>) {
+        self.fragments
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(name, body);
+    }
 }
 
 /// The continuous-ingest state behind `POST /update` and `POST /compact`:
@@ -52,48 +131,6 @@ pub struct Snapshot {
 pub struct Updater {
     pub inc: IncrementalValidator,
     pub epoch: u64,
-}
-
-/// The per-epoch fragment cache behind `POST /fragment`: finished
-/// N-Triples bodies of single-shape requests, keyed by the requested shape
-/// name. The cache only moves forward: a request on a newer epoch clears
-/// it (any edit can change fragment contents), and a request still
-/// running on an older epoch bypasses it, so it can neither wipe the
-/// newer entries nor insert bytes no later request could hit.
-#[derive(Debug, Default)]
-pub struct FragmentCache {
-    /// Epoch the entries were computed against.
-    epoch: u64,
-    /// Shape name → finished response body.
-    entries: BTreeMap<Term, Arc<String>>,
-}
-
-impl FragmentCache {
-    /// The cached body of `name` for a request on `epoch`.
-    pub fn get(&mut self, epoch: u64, name: &Term) -> Option<Arc<String>> {
-        if !self.roll_to(epoch) {
-            return None;
-        }
-        self.entries.get(name).cloned()
-    }
-
-    /// Caches `body` as `name`'s fragment at `epoch`; a no-op for an epoch
-    /// older than the cache's.
-    pub fn insert(&mut self, epoch: u64, name: Term, body: Arc<String>) {
-        if self.roll_to(epoch) {
-            self.entries.insert(name, body);
-        }
-    }
-
-    /// Advances the cache to `epoch`, dropping the entries of the older
-    /// one; `false` when `epoch` is older than the cache's own.
-    fn roll_to(&mut self, epoch: u64) -> bool {
-        if epoch > self.epoch {
-            self.epoch = epoch;
-            self.entries.clear();
-        }
-        epoch == self.epoch
-    }
 }
 
 /// The swap cell. See the module docs for the protocol.
@@ -167,12 +204,18 @@ pub struct Stats {
     /// Cumulative microseconds admitted requests spent executing their
     /// handler (service time proper, gate wait excluded).
     pub service_us: AtomicU64,
-    /// Single-shape `POST /fragment` requests answered from the fragment
-    /// cache.
+    /// Single-shape `POST /fragment` requests answered from the
+    /// snapshot's stored body.
     pub fragment_cache_hits: AtomicU64,
-    /// Single-shape `POST /fragment` requests the cache could not answer
-    /// (computed against the graph).
+    /// Single-shape `POST /fragment` requests the snapshot had no body
+    /// for (computed against the graph).
     pub fragment_cache_misses: AtomicU64,
+    /// Plain `POST /validate` requests answered from the snapshot's
+    /// stored report.
+    pub validate_cache_hits: AtomicU64,
+    /// Plain `POST /validate` requests the snapshot had no report for
+    /// (validated against the graph).
+    pub validate_cache_misses: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
     /// Connections refused because the connection cap was reached.
@@ -229,6 +272,7 @@ impl Stats {
                 "\"received\":{},\"admitted\":{},\"shed\":{},\"panics\":{},",
                 "\"reloads\":{},\"updates\":{},\"compactions\":{},",
                 "\"fragment_cache_hits\":{},\"fragment_cache_misses\":{},",
+                "\"validate_cache_hits\":{},\"validate_cache_misses\":{},",
                 "\"connections\":{},\"connections_refused\":{},",
                 "\"status\":{{\"2xx\":{},\"400\":{},\"404\":{},\"405\":{},",
                 "\"429\":{},\"499\":{},\"500\":{},\"503\":{},\"504\":{}}}}}"
@@ -253,6 +297,8 @@ impl Stats {
             g(&self.compactions),
             g(&self.fragment_cache_hits),
             g(&self.fragment_cache_misses),
+            g(&self.validate_cache_hits),
+            g(&self.validate_cache_misses),
             g(&self.connections),
             g(&self.conn_refused),
             g(&self.s2xx),
@@ -268,9 +314,40 @@ impl Stats {
     }
 }
 
+/// The `POST /validate` JSON body of `report`, computed against `epoch`.
+pub(crate) fn report_json(report: &ValidationReport, epoch: u64) -> String {
+    let mut out = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"epoch\":{},\"conforms\":{},\"checked\":{},\"violations\":[",
+        epoch,
+        report.conforms(),
+        report.checked
+    );
+    for (i, v) in report.violations.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"shape\":\"");
+        let _ = write!(JsonEscaped(&mut out), "{}", v.shape);
+        out.push_str("\",\"focus\":\"");
+        let _ = write!(JsonEscaped(&mut out), "{}", v.focus);
+        out.push_str("\"}");
+    }
+    out.push_str("]}");
+    out
+}
+
 /// Escapes a string for embedding in a JSON document.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string.
+fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -278,29 +355,38 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// A sink that JSON-escapes what is written to it, so a `Display` value
+/// is escaped into the output without a temporary `String`.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        push_json_escaped(self.0, s);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shapefrag_rdf::Graph;
+    use shapefrag_rdf::{Graph, Literal};
+    use shapefrag_shacl::validator::Violation;
 
     fn snap(epoch: u64) -> Snapshot {
-        let g = Graph::new();
-        Snapshot {
+        Snapshot::new(
             epoch,
-            schema: Arc::new(Schema::empty()),
-            frozen: Arc::new(g.freeze()),
-            delta: None,
-            triples: 0,
-            delta_added: 0,
-            delta_removed: 0,
-        }
+            Arc::new(Schema::empty()),
+            Arc::new(Graph::new().freeze()),
+            None,
+        )
     }
 
     #[test]
@@ -329,22 +415,63 @@ mod tests {
     }
 
     #[test]
-    fn fragment_cache_only_moves_forward() {
-        let a = Term::iri("http://e/A");
-        let b = Term::iri("http://e/B");
-        let body = |s: &str| Arc::new(s.to_string());
-        let mut cache = FragmentCache::default();
-        cache.insert(2, a.clone(), body("a@2"));
-        // A request still on epoch 1 neither reads nor writes, and the
-        // epoch-2 entry survives it.
-        assert_eq!(cache.get(1, &a), None);
-        cache.insert(1, b.clone(), body("b@1"));
-        assert_eq!(cache.get(2, &a), Some(body("a@2")));
-        assert_eq!(cache.get(2, &b), None);
-        // A newer epoch drops everything computed against the older one.
-        assert_eq!(cache.get(3, &a), None);
-        cache.insert(2, a.clone(), body("a@2"));
-        assert_eq!(cache.get(3, &a), None);
+    fn report_json_escapes_terms_in_place() {
+        let report = ValidationReport {
+            violations: vec![
+                Violation {
+                    shape: Term::iri("http://e/S"),
+                    focus: Term::iri("http://e/a"),
+                },
+                Violation {
+                    shape: Term::iri("http://e/S"),
+                    focus: Term::from(Literal::lang_string("say \"hi\"\\\n\t\u{1}", "en")),
+                },
+            ],
+            checked: 3,
+        };
+        // The body as rendered through per-term temporaries.
+        let items: Vec<String> = report
+            .violations
+            .iter()
+            .map(|v| {
+                format!(
+                    "{{\"shape\":\"{}\",\"focus\":\"{}\"}}",
+                    json_escape(&v.shape.to_string()),
+                    json_escape(&v.focus.to_string())
+                )
+            })
+            .collect();
+        assert_eq!(
+            report_json(&report, 7),
+            format!(
+                "{{\"epoch\":7,\"conforms\":false,\"checked\":3,\"violations\":[{}]}}",
+                items.join(",")
+            )
+        );
+        assert_eq!(
+            report_json(&ValidationReport::default(), 1),
+            r#"{"epoch":1,"conforms":true,"checked":0,"violations":[]}"#
+        );
+    }
+
+    #[test]
+    fn a_stored_report_is_rendered_once_and_never_replaced() {
+        let s = snap(4);
+        assert!(s.report().is_none());
+        let first = ValidationReport {
+            violations: Vec::new(),
+            checked: 2,
+        };
+        let stored = s.store_report(first.clone());
+        assert_eq!(stored.report, first);
+        assert_eq!(stored.json, report_json(&first, 4));
+        // A concurrent run's report does not replace the stored one.
+        let other = ValidationReport {
+            violations: Vec::new(),
+            checked: 9,
+        };
+        assert_eq!(s.store_report(other).report, first);
+        assert_eq!(s.report().map(|r| r.report.checked), Some(2));
     }
 
     #[test]
