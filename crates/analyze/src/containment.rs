@@ -44,7 +44,7 @@ use shapefrag_shacl::validator::{schema_fingerprint, ContainmentIndex};
 use shapefrag_shacl::{Nnf, PathExpr, Schema, ShapeDef};
 
 use crate::diagnostic::{codes, Diagnostic, Severity};
-use crate::fold::{self, SimplifyLevel, Status};
+use crate::fold::{self, Status};
 use crate::refgraph;
 
 /// Total rule applications allowed per top-level query; exhaustion means
@@ -580,9 +580,8 @@ fn def_statuses(defs: &[ShapeDef]) -> BTreeMap<Term, Status> {
         let Some(def) = by_name.get(name) else {
             continue;
         };
-        let pol = rg.polarity.get(name).copied().unwrap_or_default();
         let phi = Nnf::from_shape(&def.shape);
-        let (_, status, _) = fold::fold_nnf(&phi, SimplifyLevel::Validation, pol, &def_status);
+        let (_, status, _) = fold::fold_nnf(&phi, &def_status);
         def_status.insert((*name).clone(), status);
     }
     def_status

@@ -3,28 +3,20 @@
 //!
 //! The fold walks a formula bottom-up (iteratively — `Nnf` trees can be
 //! adversarially deep) computing a three-valued [`Status`] per subterm and
-//! rebuilding a simplified formula. Rewrites come in two flavors:
+//! rebuilding a folded formula, so that each parent's checks see its
+//! children's folded forms:
 //!
-//! - **Structural** rewrites that preserve both conformance *and* the
-//!   Table-2 neighborhood at every collection polarity: flattening nested
-//!   `∧`/`∨`, dropping literal `⊤` conjuncts and literal `⊥` disjuncts,
-//!   exact-duplicate removal, and empty/singleton normalization. These
-//!   always apply.
-//! - **Status** rewrites that replace a statically-valid subterm with `⊤`
-//!   (or a statically-unsatisfiable one with `⊥`, or drop it from an
-//!   enclosing `∧`/`∨`). These preserve conformance but can change the
-//!   neighborhood, so at [`SimplifyLevel::Fragment`] they are *gated* on
-//!   the collection polarity of the subterm (see `can_true`/`can_false`):
-//!   a subterm `ψ ≡ ⊥` is never collected positively (no node conforms, and
-//!   Table 2 only descends into conforming subterms), so `ψ → ⊥` is safe
-//!   exactly where `ψ` is collected positively only — and dually for `⊤`.
-//!   At [`SimplifyLevel::Validation`] only conformance matters and both
-//!   rewrites always fire.
+//! - nested `∧`/`∨` are flattened, literal `⊤` conjuncts and literal `⊥`
+//!   disjuncts are dropped, exact duplicates are removed, and empty or
+//!   singleton connectives are normalized;
+//! - a statically valid subterm becomes `⊤` (and is dropped from an
+//!   enclosing `∧`), a statically unsatisfiable one becomes `⊥` (and is
+//!   dropped from an enclosing `∨`).
 //!
-//! Nesting parity tracks how collection polarity changes inside a formula:
-//! the body of `≤n E.ψ` is collected as `¬ψ` (Table 2 traces endpoints
-//! conforming to the negation), so parity flips there; `∧`/`∨`/`≥`/`∀`
-//! pass it through unchanged.
+//! Every rewrite preserves conformance, so the statuses and findings are
+//! those of the original formula. The folded formula is an analysis
+//! intermediate only: nothing validates or extracts fragments with it, so
+//! rewrites that would change a Table 2 neighborhood are harmless here.
 
 use std::collections::BTreeMap;
 use std::mem;
@@ -34,18 +26,6 @@ use shapefrag_shacl::rpq::Label;
 use shapefrag_shacl::{Nfa, Nnf, NodeKind, NodeTest, PathExpr};
 
 use crate::diagnostic::{codes, Diagnostic, Severity};
-use crate::refgraph::Polarity;
-
-/// How aggressively [`fold_nnf`] may rewrite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimplifyLevel {
-    /// Preserve validation results *and* neighborhood-based fragments:
-    /// status rewrites only fire at pure collection polarities.
-    #[default]
-    Fragment,
-    /// Preserve validation results only: full constant folding.
-    Validation,
-}
 
 /// Three-valued static truth of a subterm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,37 +48,12 @@ impl Status {
     }
 }
 
-/// May a statically-valid subterm collected at `pol` become `⊤`? Safe when
-/// only conformance matters, or when the subterm is collected negated only:
-/// its negation `≡ ⊥` is never collected, and neither is `¬⊤`.
-fn can_true(level: SimplifyLevel, pol: Polarity) -> bool {
-    level == SimplifyLevel::Validation || (pol.neg && !pol.pos)
-}
-
-/// Dual of [`can_true`]: an unsatisfiable subterm collected positively only
-/// is never collected at all (nothing conforms to it), so `→ ⊥` preserves
-/// the fragment.
-fn can_false(level: SimplifyLevel, pol: Polarity) -> bool {
-    level == SimplifyLevel::Validation || (pol.pos && !pol.neg)
-}
-
-fn polarity_at(def_pol: Polarity, parity: bool) -> Polarity {
-    if parity {
-        Polarity {
-            pos: def_pol.neg,
-            neg: def_pol.pos,
-        }
-    } else {
-        def_pol
-    }
-}
-
-/// Applies the gated status rewrite to a finished subterm.
-fn finalize(nnf: Nnf, status: Status, level: SimplifyLevel, pol: Polarity) -> (Nnf, Status) {
+/// Replaces a subterm of known status by its constant.
+fn finalize(nnf: Nnf, status: Status) -> (Nnf, Status) {
     let nnf = match status {
-        Status::Valid if can_true(level, pol) => Nnf::True,
-        Status::Unsat if can_false(level, pol) => Nnf::False,
-        _ => nnf,
+        Status::Valid => Nnf::True,
+        Status::Unsat => Nnf::False,
+        Status::Unknown => nnf,
     };
     (nnf, status)
 }
@@ -225,8 +180,6 @@ fn pair_conflict(a: &Nnf, b: &Nnf) -> Option<(&'static str, String)> {
 
 fn fold_leaf(
     leaf: &Nnf,
-    level: SimplifyLevel,
-    pol: Polarity,
     def_status: &BTreeMap<Term, Status>,
     diags: &mut Vec<Diagnostic>,
 ) -> (Nnf, Status) {
@@ -261,15 +214,10 @@ fn fold_leaf(
             .negate(),
         _ => Status::Unknown,
     };
-    finalize(leaf.clone(), status, level, pol)
+    finalize(leaf.clone(), status)
 }
 
-fn fold_and(
-    children: Vec<(Nnf, Status)>,
-    level: SimplifyLevel,
-    pol: Polarity,
-    diags: &mut Vec<Diagnostic>,
-) -> (Nnf, Status) {
+fn fold_and(children: Vec<(Nnf, Status)>, diags: &mut Vec<Diagnostic>) -> (Nnf, Status) {
     let mut status = if children.iter().any(|(_, s)| *s == Status::Unsat) {
         Status::Unsat
     } else if children.iter().all(|(_, s)| *s == Status::Valid) {
@@ -279,11 +227,8 @@ fn fold_and(
     };
     let mut conjuncts: Vec<Nnf> = Vec::new();
     for (mut n, st) in children {
-        if matches!(n, Nnf::True) {
-            continue; // B(⊤) = ∅: always safe to drop from ∧.
-        }
-        if st == Status::Valid && can_true(level, pol) {
-            continue; // Gated: a valid conjunct never constrains conformance.
+        if st == Status::Valid {
+            continue; // A valid conjunct (⊤ included) never constrains conformance.
         }
         if let Nnf::And(items) = &mut n {
             for item in mem::take(items) {
@@ -308,10 +253,10 @@ fn fold_and(
         1 => conjuncts.pop().expect("len checked"),
         _ => Nnf::And(conjuncts),
     };
-    finalize(nnf, status, level, pol)
+    finalize(nnf, status)
 }
 
-fn fold_or(children: Vec<(Nnf, Status)>, level: SimplifyLevel, pol: Polarity) -> (Nnf, Status) {
+fn fold_or(children: Vec<(Nnf, Status)>) -> (Nnf, Status) {
     let status = if children.iter().any(|(_, s)| *s == Status::Valid) {
         Status::Valid
     } else if children.iter().all(|(_, s)| *s == Status::Unsat) {
@@ -321,11 +266,8 @@ fn fold_or(children: Vec<(Nnf, Status)>, level: SimplifyLevel, pol: Polarity) ->
     };
     let mut disjuncts: Vec<Nnf> = Vec::new();
     for (mut n, st) in children {
-        if matches!(n, Nnf::False) {
-            continue; // ⊥ never conforms, so ∨ never collects it.
-        }
-        if st == Status::Unsat && can_false(level, pol) {
-            continue; // Gated: an unsatisfiable disjunct never helps.
+        if st == Status::Unsat {
+            continue; // An unsatisfiable disjunct (⊥ included) never helps.
         }
         if let Nnf::Or(items) = &mut n {
             for item in mem::take(items) {
@@ -342,17 +284,14 @@ fn fold_or(children: Vec<(Nnf, Status)>, level: SimplifyLevel, pol: Polarity) ->
         1 => disjuncts.pop().expect("len checked"),
         _ => Nnf::Or(disjuncts),
     };
-    finalize(nnf, status, level, pol)
+    finalize(nnf, status)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fold_geq(
     k: u32,
     e: &PathExpr,
     inner: Nnf,
     inner_status: Status,
-    level: SimplifyLevel,
-    pol: Polarity,
     diags: &mut Vec<Diagnostic>,
 ) -> (Nnf, Status) {
     let status = if k == 0 {
@@ -371,17 +310,14 @@ fn fold_geq(
     } else {
         Status::Unknown
     };
-    finalize(Nnf::Geq(k, e.clone(), Box::new(inner)), status, level, pol)
+    finalize(Nnf::Geq(k, e.clone(), Box::new(inner)), status)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fold_leq(
     k: u32,
     e: &PathExpr,
     inner: Nnf,
     inner_status: Status,
-    level: SimplifyLevel,
-    pol: Polarity,
     diags: &mut Vec<Diagnostic>,
 ) -> (Nnf, Status) {
     let status = if inner_status == Status::Unsat {
@@ -402,90 +338,68 @@ fn fold_leq(
     } else {
         Status::Unknown
     };
-    finalize(Nnf::Leq(k, e.clone(), Box::new(inner)), status, level, pol)
+    finalize(Nnf::Leq(k, e.clone(), Box::new(inner)), status)
 }
 
-fn fold_forall(
-    e: &PathExpr,
-    inner: Nnf,
-    inner_status: Status,
-    level: SimplifyLevel,
-    pol: Polarity,
-) -> (Nnf, Status) {
+fn fold_forall(e: &PathExpr, inner: Nnf, inner_status: Status) -> (Nnf, Status) {
     let status = match inner_status {
         Status::Valid => Status::Valid,
         Status::Unsat if e.is_nullable() => Status::Unsat,
         _ => Status::Unknown,
     };
-    finalize(Nnf::ForAll(e.clone(), Box::new(inner)), status, level, pol)
+    finalize(Nnf::ForAll(e.clone(), Box::new(inner)), status)
 }
 
-/// Folds one formula bottom-up. `def_pol` is the collection polarity of the
-/// enclosing definition (from the reference pass); `def_status` maps each
-/// *defined* name to the folded status of its shape expression (`Unknown`
-/// entries are fine — e.g. in recursive schemas).
+/// Folds one formula bottom-up. `def_status` maps each *defined* name to
+/// the folded status of its shape expression (`Unknown` entries are fine —
+/// e.g. in recursive schemas).
 ///
-/// Returns the rewritten formula, its status, and the findings (without
+/// Returns the folded formula, its status, and the findings (without
 /// shape attribution or spans — the caller adds those).
-pub fn fold_nnf(
-    root: &Nnf,
-    level: SimplifyLevel,
-    def_pol: Polarity,
-    def_status: &BTreeMap<Term, Status>,
-) -> (Nnf, Status, Vec<Diagnostic>) {
+pub fn fold_nnf(root: &Nnf, def_status: &BTreeMap<Term, Status>) -> (Nnf, Status, Vec<Diagnostic>) {
     enum Job<'a> {
-        Enter(&'a Nnf, bool),
-        Exit(&'a Nnf, bool),
+        Enter(&'a Nnf),
+        Exit(&'a Nnf),
     }
-    let mut jobs = vec![Job::Enter(root, false)];
+    let mut jobs = vec![Job::Enter(root)];
     let mut built: Vec<(Nnf, Status)> = Vec::new();
     let mut diags: Vec<Diagnostic> = Vec::new();
     while let Some(job) = jobs.pop() {
         match job {
-            Job::Enter(n, parity) => match n {
+            Job::Enter(n) => match n {
                 Nnf::And(items) | Nnf::Or(items) => {
-                    jobs.push(Job::Exit(n, parity));
+                    jobs.push(Job::Exit(n));
                     for item in items.iter().rev() {
-                        jobs.push(Job::Enter(item, parity));
+                        jobs.push(Job::Enter(item));
                     }
                 }
-                Nnf::Geq(_, _, inner) | Nnf::ForAll(_, inner) => {
-                    jobs.push(Job::Exit(n, parity));
-                    jobs.push(Job::Enter(inner, parity));
+                Nnf::Geq(_, _, inner) | Nnf::Leq(_, _, inner) | Nnf::ForAll(_, inner) => {
+                    jobs.push(Job::Exit(n));
+                    jobs.push(Job::Enter(inner));
                 }
-                Nnf::Leq(_, _, inner) => {
-                    jobs.push(Job::Exit(n, parity));
-                    // ≤ bodies are collected negated: parity flips.
-                    jobs.push(Job::Enter(inner, !parity));
-                }
-                leaf => {
-                    let pol = polarity_at(def_pol, parity);
-                    built.push(fold_leaf(leaf, level, pol, def_status, &mut diags));
-                }
+                leaf => built.push(fold_leaf(leaf, def_status, &mut diags)),
             },
-            Job::Exit(n, parity) => {
-                let pol = polarity_at(def_pol, parity);
+            Job::Exit(n) => {
                 let result = match n {
                     Nnf::And(items) => {
                         let children = built.split_off(built.len() - items.len());
-                        fold_and(children, level, pol, &mut diags)
+                        fold_and(children, &mut diags)
                     }
                     Nnf::Or(items) => {
                         let children = built.split_off(built.len() - items.len());
-                        fold_or(children, level, pol)
+                        fold_or(children)
                     }
                     Nnf::Geq(k, e, _) => {
                         let (inner, st) = built.pop().expect("worklist balance");
-                        fold_geq(*k, e, inner, st, level, pol, &mut diags)
+                        fold_geq(*k, e, inner, st, &mut diags)
                     }
                     Nnf::Leq(k, e, _) => {
                         let (inner, st) = built.pop().expect("worklist balance");
-                        // The body was folded at flipped parity.
-                        fold_leq(*k, e, inner, st, level, pol, &mut diags)
+                        fold_leq(*k, e, inner, st, &mut diags)
                     }
                     Nnf::ForAll(e, _) => {
                         let (inner, st) = built.pop().expect("worklist balance");
-                        fold_forall(e, inner, st, level, pol)
+                        fold_forall(e, inner, st)
                     }
                     _ => unreachable!("only composites take the Exit path"),
                 };
@@ -581,40 +495,24 @@ mod tests {
         PathExpr::prop(format!("http://e/{n}"))
     }
 
-    fn pos() -> Polarity {
-        Polarity {
-            pos: true,
-            neg: false,
-        }
-    }
-
-    fn fold_frag(n: &Nnf) -> (Nnf, Status, Vec<Diagnostic>) {
-        fold_nnf(n, SimplifyLevel::Fragment, pos(), &BTreeMap::new())
-    }
-
-    fn fold_val(n: &Nnf) -> (Nnf, Status, Vec<Diagnostic>) {
-        fold_nnf(n, SimplifyLevel::Validation, pos(), &BTreeMap::new())
+    fn fold(n: &Nnf) -> (Nnf, Status, Vec<Diagnostic>) {
+        fold_nnf(n, &BTreeMap::new())
     }
 
     #[test]
-    fn literal_true_dropped_from_and_at_fragment_level() {
+    fn literal_true_dropped_from_and() {
         let n = Nnf::And(vec![Nnf::True, Nnf::HasValue(Term::iri("http://e/c"))]);
-        let (out, st, _) = fold_frag(&n);
+        let (out, st, _) = fold(&n);
         assert_eq!(out, Nnf::HasValue(Term::iri("http://e/c")));
         assert_eq!(st, Status::Unknown);
     }
 
     #[test]
-    fn geq_zero_is_trivial_but_not_rewritten_at_fragment_level() {
+    fn geq_zero_is_trivial_and_folds_away() {
         let n = Nnf::Geq(0, p("a"), Box::new(Nnf::True));
-        let (out, st, diags) = fold_frag(&n);
-        // Status is known valid and W001 fires, but the quantifier's
-        // neighborhood (its path traces) must survive at fragment level.
+        let (out, st, diags) = fold(&n);
         assert_eq!(st, Status::Valid);
         assert!(diags.iter().any(|d| d.code == codes::TRIVIAL_CONSTRAINT));
-        assert!(matches!(out, Nnf::Geq(0, _, _)));
-        // At validation level it folds away entirely.
-        let (out, _, _) = fold_val(&n);
         assert_eq!(out, Nnf::True);
     }
 
@@ -624,10 +522,9 @@ mod tests {
             Nnf::Geq(3, p("a"), Box::new(Nnf::True)),
             Nnf::Leq(1, p("a"), Box::new(Nnf::True)),
         ]);
-        let (out, st, diags) = fold_frag(&n);
+        let (out, st, diags) = fold(&n);
         assert_eq!(st, Status::Unsat);
         assert!(diags.iter().any(|d| d.code == codes::CARDINALITY_CONFLICT));
-        // Pure-pos polarity permits the ⊥ rewrite even at fragment level.
         assert_eq!(out, Nnf::False);
     }
 
@@ -637,7 +534,7 @@ mod tests {
             Nnf::HasValue(Term::iri("http://e/a")),
             Nnf::HasValue(Term::iri("http://e/b")),
         ]);
-        let (_, st, diags) = fold_frag(&n);
+        let (_, st, diags) = fold(&n);
         assert_eq!(st, Status::Unsat);
         assert!(diags.iter().any(|d| d.code == codes::HAS_VALUE_CONFLICT));
     }
@@ -649,31 +546,31 @@ mod tests {
             Nnf::Test(NodeTest::Datatype(shapefrag_rdf::vocab::xsd::integer())),
             Nnf::Test(NodeTest::Datatype(shapefrag_rdf::vocab::xsd::string())),
         ]);
-        assert_eq!(fold_frag(&n).1, Status::Unsat);
+        assert_eq!(fold(&n).1, Status::Unsat);
         // Inverted length bounds.
         let n = Nnf::And(vec![
             Nnf::Test(NodeTest::MinLength(5)),
             Nnf::Test(NodeTest::MaxLength(2)),
         ]);
-        assert_eq!(fold_frag(&n).1, Status::Unsat);
+        assert_eq!(fold(&n).1, Status::Unsat);
         // Inverted value range.
         let n = Nnf::And(vec![
             Nnf::Test(NodeTest::MinInclusive(Literal::integer(10))),
             Nnf::Test(NodeTest::MaxInclusive(Literal::integer(3))),
         ]);
-        assert_eq!(fold_frag(&n).1, Status::Unsat);
+        assert_eq!(fold(&n).1, Status::Unsat);
         // hasValue violating a test.
         let n = Nnf::And(vec![
             Nnf::HasValue(Term::iri("http://e/a")),
             Nnf::Test(NodeTest::Kind(NodeKind::Literal)),
         ]);
-        let (_, st, diags) = fold_frag(&n);
+        let (_, st, diags) = fold(&n);
         assert_eq!(st, Status::Unsat);
         assert!(diags.iter().any(|d| d.code == codes::TEST_CONFLICT));
         // Dual atoms.
         let t = NodeTest::MinLength(3);
         let n = Nnf::And(vec![Nnf::Test(t.clone()), Nnf::NotTest(t)]);
-        assert_eq!(fold_frag(&n).1, Status::Unsat);
+        assert_eq!(fold(&n).1, Status::Unsat);
     }
 
     #[test]
@@ -682,7 +579,7 @@ mod tests {
             Nnf::Test(NodeTest::MinInclusive(Literal::integer(1))),
             Nnf::Test(NodeTest::MaxInclusive(Literal::integer(10))),
         ]);
-        let (_, st, diags) = fold_frag(&n);
+        let (_, st, diags) = fold(&n);
         assert_eq!(st, Status::Unknown);
         assert!(diags.is_empty());
     }
@@ -696,7 +593,7 @@ mod tests {
             Nnf::Closed(allowed.clone()),
             Nnf::Geq(1, p("forbidden"), Box::new(Nnf::True)),
         ]);
-        let (_, st, diags) = fold_frag(&n);
+        let (_, st, diags) = fold(&n);
         assert_eq!(st, Status::Unsat);
         assert!(diags.iter().any(|d| d.code == codes::CLOSED_CONFLICT));
         // An allowed first step is fine.
@@ -704,39 +601,37 @@ mod tests {
             Nnf::Closed(allowed.clone()),
             Nnf::Geq(1, PathExpr::prop("http://e/ok"), Box::new(Nnf::True)),
         ]);
-        assert!(fold_frag(&n).2.is_empty());
+        assert!(fold(&n).2.is_empty());
         // Inverse steps are incoming triples: closed does not constrain them.
         let n = Nnf::And(vec![
             Nnf::Closed(allowed),
             Nnf::Geq(1, p("forbidden").inverse(), Box::new(Nnf::True)),
         ]);
-        assert!(fold_frag(&n).2.is_empty());
+        assert!(fold(&n).2.is_empty());
     }
 
     #[test]
     fn leq_zero_nullable_is_unsat() {
         let n = Nnf::Leq(0, p("a").opt(), Box::new(Nnf::True));
-        let (_, st, diags) = fold_frag(&n);
+        let (_, st, diags) = fold(&n);
         assert_eq!(st, Status::Unsat);
         assert!(diags.iter().any(|d| d.code == codes::LEQ_ZERO_NULLABLE));
         // Non-nullable path: fine (counts only proper successors).
         let n = Nnf::Leq(0, p("a"), Box::new(Nnf::True));
-        assert_eq!(fold_frag(&n).1, Status::Unknown);
+        assert_eq!(fold(&n).1, Status::Unknown);
     }
 
     #[test]
     fn dead_pattern_reported() {
         let t = NodeTest::pattern("a$b", "").expect("parses");
         let n = Nnf::Test(t);
-        let (_, st, diags) = fold_frag(&n);
+        let (_, st, diags) = fold(&n);
         assert_eq!(st, Status::Unsat);
         assert!(diags.iter().any(|d| d.code == codes::DEAD_PATTERN));
     }
 
     #[test]
-    fn leq_body_polarity_gates_flip() {
-        // Def collected pos-only. Inside a ≤ body the collection polarity is
-        // negative, so a valid subterm MAY fold to ⊤ there at fragment level.
+    fn valid_conjunct_inside_leq_body_is_dropped() {
         let n = Nnf::Leq(
             2,
             p("a"),
@@ -745,7 +640,7 @@ mod tests {
                 Nnf::HasValue(Term::iri("http://e/c")),
             ])),
         );
-        let (out, _, _) = fold_frag(&n);
+        let (out, _, _) = fold(&n);
         match &out {
             Nnf::Leq(2, _, inner) => {
                 assert_eq!(**inner, Nnf::HasValue(Term::iri("http://e/c")));
@@ -759,11 +654,11 @@ mod tests {
         let mut def_status = BTreeMap::new();
         def_status.insert(Term::iri("http://e/Bad"), Status::Unsat);
         let n = Nnf::HasShape(Term::iri("http://e/Bad"));
-        let (out, st, _) = fold_nnf(&n, SimplifyLevel::Validation, pos(), &def_status);
+        let (out, st, _) = fold_nnf(&n, &def_status);
         assert_eq!(st, Status::Unsat);
         assert_eq!(out, Nnf::False);
         let n = Nnf::NotHasShape(Term::iri("http://e/Bad"));
-        let (_, st, _) = fold_nnf(&n, SimplifyLevel::Validation, pos(), &def_status);
+        let (_, st, _) = fold_nnf(&n, &def_status);
         assert_eq!(st, Status::Valid);
     }
 
@@ -771,7 +666,7 @@ mod tests {
     fn or_of_duplicates_collapses() {
         let c = Nnf::HasValue(Term::iri("http://e/c"));
         let n = Nnf::Or(vec![c.clone(), Nnf::False, c.clone()]);
-        let (out, _, _) = fold_frag(&n);
+        let (out, _, _) = fold(&n);
         assert_eq!(out, c);
     }
 

@@ -2,16 +2,14 @@
 //! # shapefrag-analyze
 //!
 //! Static analyzer for shape schemas: multi-pass diagnostics with stable
-//! codes and source spans, plus a semantics-preserving simplifier feeding
-//! the validator. See DESIGN.md §11 for the taxonomy and the soundness
-//! argument behind each rewrite.
+//! codes and source spans. See DESIGN.md §11 for the taxonomy and the
+//! argument behind each verdict.
 //!
 //! The passes, in order:
 //!
 //! 1. **Reference graph** ([`refgraph`]) — recursion (SF-E020), negation
 //!    cycles / unstratifiability (SF-E021), unreachable definitions
-//!    (SF-W022), undefined references (SF-W023), and the collection
-//!    polarities the simplifier's fragment gates need.
+//!    (SF-W022), and undefined references (SF-W023).
 //! 2. **Constant folding** ([`fold`]) — ⊤/⊥ propagation through NNF,
 //!    contradiction detection (SF-E002…E006), dead `sh:pattern`s
 //!    (SF-W012), trivial constraints (SF-W001), redundant path operators
@@ -47,15 +45,14 @@ pub mod refgraph;
 pub use containment::{containment_diagnostics, subsumes, test_implies, ContainmentMatrix};
 pub use cost::{path_is_simple, shape_shares_work};
 pub use diagnostic::{codes, has_deny, to_json, Diagnostic, Severity};
-pub use fold::{fold_nnf, path_warnings, tests_conflict, SimplifyLevel, Status};
+pub use fold::{fold_nnf, path_warnings, tests_conflict, Status};
 pub use impact::{impact_profiles, ImpactProfile};
-pub use refgraph::{analyze_refs, Polarity, RefGraph};
+pub use refgraph::{analyze_refs, RefGraph};
 
 use std::collections::BTreeMap;
 
 use shapefrag_rdf::vocab::sh;
-use shapefrag_rdf::{GraphAccess, Iri, Span, Term};
-use shapefrag_shacl::validator::ValidationReport;
+use shapefrag_rdf::{Iri, Span, Term};
 use shapefrag_shacl::{Nnf, Schema, SchemaSpans, ShapeDef};
 
 /// The constraint predicates whose source position best localizes a code,
@@ -123,13 +120,10 @@ pub fn analyze_defs(defs: &[ShapeDef], spans: Option<&SchemaSpans>) -> Vec<Diagn
         let Some(def) = by_name.get(name) else {
             continue;
         };
-        let pol = rg.polarity.get(name).copied().unwrap_or_default();
         let phi = Nnf::from_shape(&def.shape);
-        let (_, phi_status, mut local) =
-            fold::fold_nnf(&phi, SimplifyLevel::Validation, pol, &def_status);
+        let (_, phi_status, mut local) = fold::fold_nnf(&phi, &def_status);
         let tau = Nnf::from_shape(&def.target);
-        let (_, tau_status, tau_diags) =
-            fold::fold_nnf(&tau, SimplifyLevel::Validation, pol, &def_status);
+        let (_, tau_status, tau_diags) = fold::fold_nnf(&tau, &def_status);
         local.extend(tau_diags);
         local.extend(fold::path_warnings(&phi));
         local.extend(fold::path_warnings(&tau));
@@ -181,61 +175,6 @@ pub fn analyze_defs(defs: &[ShapeDef], spans: Option<&SchemaSpans>) -> Vec<Diagn
 pub fn analyze_schema(schema: &Schema, spans: Option<&SchemaSpans>) -> Vec<Diagnostic> {
     let defs: Vec<ShapeDef> = schema.iter().cloned().collect();
     analyze_defs(&defs, spans)
-}
-
-/// Rewrites a schema into a simplified, semantics-preserving form.
-///
-/// At [`SimplifyLevel::Validation`] the result validates every graph
-/// identically (same violations, same checked target sets). At
-/// [`SimplifyLevel::Fragment`] the Table-2 provenance fragments are
-/// preserved as well — rewrites that could change a neighborhood are gated
-/// on the collection polarity computed by the reference pass. Returns the
-/// findings surfaced while folding.
-pub fn simplify(schema: &Schema, level: SimplifyLevel) -> (Schema, Vec<Diagnostic>) {
-    let defs: Vec<ShapeDef> = schema.iter().cloned().collect();
-    let rg = refgraph::analyze_refs(&defs);
-    let mut diags = rg.diagnostics;
-    let mut def_status: BTreeMap<Term, Status> = defs
-        .iter()
-        .map(|d| (d.name.clone(), Status::Unknown))
-        .collect();
-    let order = rg
-        .topo
-        .expect("Schema construction guarantees an acyclic reference graph");
-    let by_name: BTreeMap<Term, ShapeDef> = defs.into_iter().map(|d| (d.name.clone(), d)).collect();
-    let mut new_defs: Vec<ShapeDef> = Vec::with_capacity(by_name.len());
-    for name in &order {
-        let def = &by_name[name];
-        let pol = rg.polarity.get(name).copied().unwrap_or_default();
-        let (phi, phi_status, d1) =
-            fold::fold_nnf(&Nnf::from_shape(&def.shape), level, pol, &def_status);
-        let (tau, _, d2) = fold::fold_nnf(&Nnf::from_shape(&def.target), level, pol, &def_status);
-        def_status.insert(name.clone(), phi_status);
-        for mut d in d1.into_iter().chain(d2) {
-            if d.shape.is_none() {
-                d.shape = Some(name.clone());
-            }
-            diags.push(d);
-        }
-        new_defs.push(ShapeDef::new(name.clone(), phi.to_shape(), tau.to_shape()));
-    }
-    let simplified = Schema::new(new_defs)
-        .expect("simplification removes subterms but never introduces names or cycles");
-    (simplified, diags)
-}
-
-/// Batch validation with a validation-level pre-simplify: folds the schema
-/// first (cheap, schema-sized) and validates with the smaller formulas.
-/// The report is identical to `validate_batch(schema, graph)`.
-pub fn validate_batch_simplified<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-) -> (ValidationReport, Vec<Diagnostic>) {
-    let (simplified, diags) = simplify(schema, SimplifyLevel::Validation);
-    (
-        shapefrag_shacl::validator::validate_batch(&simplified, graph),
-        diags,
-    )
 }
 
 #[cfg(test)]
@@ -351,24 +290,6 @@ mod tests {
             .expect("dead pattern reported");
         let span = dead.span.expect("span attached");
         assert_eq!(span.line, 6);
-    }
-
-    #[test]
-    fn simplify_preserves_schema_validity() {
-        let schema = Schema::new([
-            ShapeDef::new(
-                name("S"),
-                Shape::True.and(Shape::HasShape(name("T"))),
-                Shape::geq(1, p("type"), Shape::True),
-            ),
-            ShapeDef::new(name("T"), Shape::geq(0, p("a"), Shape::True), Shape::False),
-        ])
-        .unwrap();
-        let (frag, _) = simplify(&schema, SimplifyLevel::Fragment);
-        assert_eq!(frag.len(), schema.len());
-        let (val, _) = simplify(&schema, SimplifyLevel::Validation);
-        // Validation-level folding collapses T's trivial ≥0 to ⊤.
-        assert_eq!(val.def(&name("T")), &Shape::True);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! - **SF-W023** — a reference to a name with no definition (which SHACL
 //!   silently defaults to ⊤ — almost always a typo).
 //!
-//! It also computes the *collection polarities* used by the simplifier's
-//! fragment-preservation gates, and a topological order (references before
-//! referrers) for bottom-up status propagation.
+//! It also computes a topological order (references before referrers) for
+//! bottom-up status propagation.
 
 use std::collections::BTreeMap;
 
@@ -28,25 +27,11 @@ use shapefrag_shacl::{Nnf, Shape, ShapeDef};
 
 use crate::diagnostic::{codes, Diagnostic, Severity};
 
-/// The polarities at which a definition's neighborhood is collected during
-/// fragment extraction. A definition referenced only under even parity is
-/// collected positively (its conforming-neighborhood rules apply);
-/// referenced under odd parity it is collected as its negation. Most defs
-/// are `pos`-only; the simplifier may fold a subterm to ⊥ (resp. ⊤) at
-/// fragment level only where the enclosing polarity is pure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Polarity {
-    pub pos: bool,
-    pub neg: bool,
-}
-
 /// Result of the reference-graph pass.
 #[derive(Debug, Clone, Default)]
 pub struct RefGraph {
     /// E020/E021/W022/W023 findings (spans attached by the caller).
     pub diagnostics: Vec<Diagnostic>,
-    /// Collection polarities per defined name (fixpoint over the graph).
-    pub polarity: BTreeMap<Term, Polarity>,
     /// Defined names ordered references-first, or `None` when the graph is
     /// cyclic (then no bottom-up status propagation is possible).
     pub topo: Option<Vec<Term>>,
@@ -251,39 +236,6 @@ pub fn analyze_refs(defs: &[ShapeDef]) -> RefGraph {
         }
     }
 
-    // Collection-polarity fixpoint. Every definition is itself a fragment
-    // root (schema fragments union all request shapes), so all seed `pos`;
-    // references propagate the referrer's polarities, flipped on odd edges.
-    let mut polarity: Vec<Polarity> = vec![
-        Polarity {
-            pos: true,
-            neg: false
-        };
-        defs.len()
-    ];
-    let mut worklist: Vec<usize> = (0..defs.len()).collect();
-    while let Some(v) = worklist.pop() {
-        let from = polarity[v];
-        for &(w, parity) in &adj[v] {
-            let contribution = if parity {
-                Polarity {
-                    pos: from.neg,
-                    neg: from.pos,
-                }
-            } else {
-                from
-            };
-            let merged = Polarity {
-                pos: polarity[w].pos || contribution.pos,
-                neg: polarity[w].neg || contribution.neg,
-            };
-            if merged != polarity[w] {
-                polarity[w] = merged;
-                worklist.push(w);
-            }
-        }
-    }
-
     // Topological order (references first): Tarjan emits components in
     // reverse topological order of the condensation, which for an acyclic
     // graph is exactly references-before-referrers.
@@ -298,15 +250,7 @@ pub fn analyze_refs(defs: &[ShapeDef]) -> RefGraph {
         )
     };
 
-    RefGraph {
-        diagnostics,
-        polarity: defs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.name.clone(), polarity[i]))
-            .collect(),
-        topo,
-    }
+    RefGraph { diagnostics, topo }
 }
 
 #[cfg(test)]
@@ -418,34 +362,5 @@ mod tests {
             .collect();
         assert_eq!(w023.len(), 1);
         assert_eq!(w023[0].shape, Some(name("S")));
-    }
-
-    #[test]
-    fn polarity_fixpoint_tracks_negation() {
-        let defs = [
-            targeted(
-                "S",
-                Shape::HasShape(name("P")).and(Shape::HasShape(name("N")).not()),
-            ),
-            helper("P", Shape::True),
-            helper("N", Shape::True),
-        ];
-        let rg = analyze_refs(&defs);
-        // P is referenced positively and is itself a root: pos only.
-        assert_eq!(
-            rg.polarity[&name("P")],
-            Polarity {
-                pos: true,
-                neg: false
-            }
-        );
-        // N is referenced under negation *and* is a root: both polarities.
-        assert_eq!(
-            rg.polarity[&name("N")],
-            Polarity {
-                pos: true,
-                neg: true
-            }
-        );
     }
 }

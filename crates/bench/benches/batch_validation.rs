@@ -1,13 +1,13 @@
 //! Set-at-a-time vs. per-node evaluation on the Tyrolean 57-shape suite:
 //! the batch kernel (multi-source RPQ evaluation + shared conformance
-//! memoization) against the per-node reference, for plain validation and
-//! for validation with fragment extraction.
+//! memoization) against the per-node reference for plain validation, and
+//! the batch validation-with-extraction driver.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use shapefrag_core::{validate_extract_fragment, validate_extract_fragment_per_node};
+use shapefrag_core::validate_extract_fragment;
 use shapefrag_shacl::validator::{validate, validate_batch};
 use shapefrag_shacl::Schema;
 use shapefrag_workloads::shapes57::benchmark_shapes;
@@ -30,9 +30,6 @@ fn bench_batch_validation(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("batch/validate+extract");
-    group.bench_function("per-node", |b| {
-        b.iter(|| validate_extract_fragment_per_node(&schema, &graph))
-    });
     group.bench_function("batch", |b| {
         b.iter(|| validate_extract_fragment(&schema, &graph))
     });

@@ -56,6 +56,8 @@ struct IncrementalResults {
     suite: String,
     shape_count: usize,
     runs: usize,
+    /// Logical cores of the benchmarking host.
+    host_cores: usize,
     rows: Vec<SizeRow>,
 }
 
@@ -77,6 +79,7 @@ shapefrag_bench::impl_to_json!(IncrementalResults {
     suite,
     shape_count,
     runs,
+    host_cores,
     rows,
 });
 
@@ -282,6 +285,7 @@ fn main() {
         suite: "tyrolean-57".to_string(),
         shape_count,
         runs,
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         rows,
     };
     let out = opts.out.as_deref().unwrap_or("BENCH_incremental.json");

@@ -18,9 +18,7 @@ use shapefrag_shacl::validator::{ConformanceMemo, Context};
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
 use crate::fault_of;
-use crate::neighborhood::{
-    collect_neighborhood_many, materialize, neighborhood_nnf_ids, IdTriples,
-};
+use crate::neighborhood::{collect_neighborhood_many, materialize, IdTriples};
 
 /// Computes the shape fragment `Frag(G, S)` for request shapes `S`.
 pub fn fragment<G: GraphAccess>(schema: &Schema, graph: &G, shapes: &[Shape]) -> Graph {
@@ -80,26 +78,6 @@ pub fn fragment_ids_governed<G: GraphAccess>(
         fault_of(&mut ctx)?;
     }
     Ok(out)
-}
-
-/// Per-node reference implementation of [`fragment_ids`] (one neighborhood
-/// computation per (node, shape) pair); baseline for benchmarks and
-/// agreement tests.
-pub fn fragment_ids_per_node<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    shapes: &[Shape],
-) -> IdTriples {
-    let mut ctx = Context::new(schema, graph);
-    let nodes = graph.node_ids();
-    let mut out = IdTriples::default();
-    for shape in shapes {
-        let nnf = Nnf::from_shape(shape);
-        for &v in &nodes {
-            out.extend(neighborhood_nnf_ids(&mut ctx, v, &nnf));
-        }
-    }
-    out
 }
 
 /// The set of nodes conforming to a shape — a shape viewed as a unary query

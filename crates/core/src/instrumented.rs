@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use shapefrag_analyze::{shape_shares_work, Diagnostic, SimplifyLevel};
+use shapefrag_analyze::shape_shares_work;
 use shapefrag_govern::{EngineError, ExecCtx};
 use shapefrag_rdf::{ntriples, Graph, GraphAccess, Term, TermId};
 use shapefrag_shacl::path::PathExpr;
@@ -215,8 +215,8 @@ impl TargetEvidence {
 /// measures against plain validation.
 ///
 /// The unbounded run of [`validate_extract_fragment_governed`]. Produces
-/// exactly the report and fragment of
-/// [`validate_extract_fragment_per_node`].
+/// exactly the report and fragment of one instrumented
+/// [`conforms_and_collect`] traversal per (definition, target) pair.
 pub fn validate_extract_fragment<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
@@ -286,56 +286,6 @@ pub fn validate_extract_fragment_governed<G: GraphAccess>(
         fault_of(&mut ctx)?;
     }
     Ok((report, SchemaFragment { triples: all }))
-}
-
-/// Like [`validate_extract_fragment`], but first runs the static
-/// analyzer's fragment-level simplification over the schema
-/// ([`shapefrag_analyze::simplify`]) and validates the simplified schema.
-/// The rewrites are semantics-preserving for both the report and the
-/// extracted fragment (the fragment-level polarity gates only apply
-/// rewrites that cannot change any collected neighborhood), so the result
-/// agrees with [`validate_extract_fragment`] on the original schema. The
-/// diagnostics gathered during simplification are returned alongside.
-pub fn validate_extract_fragment_simplified<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-) -> (ValidationReport, SchemaFragment, Vec<Diagnostic>) {
-    let (simplified, diags) = shapefrag_analyze::simplify(schema, SimplifyLevel::Fragment);
-    let (report, fragment) = validate_extract_fragment(&simplified, graph);
-    (report, fragment, diags)
-}
-
-/// The per-node reference implementation of [`validate_extract_fragment`]:
-/// one instrumented [`conforms_and_collect`] traversal per (definition,
-/// target) pair. Kept as the baseline for the batch-vs-per-node benchmark
-/// and the agreement property tests.
-pub fn validate_extract_fragment_per_node<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-) -> (ValidationReport, SchemaFragment) {
-    let mut ctx = Context::new(schema, graph);
-    let mut report = ValidationReport::default();
-    let mut all = IdTriples::default();
-    let mut journal: Vec<(TermId, TermId, TermId)> = Vec::new();
-    for def in schema.iter() {
-        let shape_nnf = schema.def_nnf(&def.name, false);
-        let targets = ctx.target_nodes(&def.target);
-        let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
-        for node in targets {
-            report.checked += 1;
-            journal.clear();
-            if conforms_and_collect(&mut ctx, node, shape_nnf, &mut journal) {
-                all.extend(journal.iter().copied());
-                evidence.collect(&mut ctx, node, &mut all);
-            } else {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(node).clone(),
-                });
-            }
-        }
-    }
-    (report, SchemaFragment { triples: all })
 }
 
 /// Validates and simultaneously extracts per-node provenance (the

@@ -60,17 +60,15 @@ pub mod to_sparql;
 
 pub use fragment::{
     conforming_nodes, fragment, fragment_governed, fragment_ids, fragment_ids_governed,
-    fragment_ids_per_node, schema_fragment,
+    schema_fragment,
 };
 pub use incremental::{EditOp, EditScript, IncrementalValidator};
 pub use instrumented::{
-    validate_extract_fragment, validate_extract_fragment_governed,
-    validate_extract_fragment_per_node, validate_extract_fragment_simplified,
-    validate_with_provenance, ProvenancedReport, SchemaFragment,
+    validate_extract_fragment, validate_extract_fragment_governed, validate_with_provenance,
+    ProvenancedReport, SchemaFragment,
 };
 pub use neighborhood::{
-    collect_neighborhood_many, conforms_and_collect, neighborhood, neighborhood_governed,
-    neighborhood_term, IdTriples,
+    collect_neighborhood_many, conforms_and_collect, neighborhood, neighborhood_term, IdTriples,
 };
 pub use provenance::{describe, explain, minimal_witness, Explanation};
 

@@ -20,7 +20,6 @@
 use std::collections::BTreeSet;
 use std::hash::BuildHasherDefault;
 
-use shapefrag_govern::EngineError;
 use shapefrag_rdf::graph::IntHasher;
 use shapefrag_rdf::{Graph, GraphAccess, Term, TermId};
 use shapefrag_shacl::path::PathExpr;
@@ -38,26 +37,11 @@ pub type IdTriples =
 /// Computes the φ-neighborhood `B(v, G, φ)` of a node.
 ///
 /// The shape is converted to negation normal form first; `v` not conforming
-/// to φ yields the empty graph (Definition 3.2).
+/// to φ yields the empty graph (Definition 3.2). Under a governed context a
+/// resource fault truncates the result; [`Context::take_fault`] reports it.
 pub fn neighborhood<G: GraphAccess>(ctx: &mut Context<'_, G>, v: TermId, shape: &Shape) -> Graph {
     let nnf = Nnf::from_shape(shape);
     materialize(ctx.graph, &neighborhood_nnf_ids(ctx, v, &nnf))
-}
-
-/// Resource-governed [`neighborhood`]: the context's governor (attached via
-/// `Context::with_exec`) is consulted throughout; a tripped budget,
-/// deadline, depth limit, or cancellation surfaces as an `Err` instead of a
-/// silently truncated neighborhood.
-pub fn neighborhood_governed<G: GraphAccess>(
-    ctx: &mut Context<'_, G>,
-    v: TermId,
-    shape: &Shape,
-) -> Result<Graph, EngineError> {
-    let out = neighborhood(ctx, v, shape);
-    match ctx.take_fault() {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
 }
 
 /// Computes `B(v, G, φ)` for a term-level focus node. Nodes absent from the
@@ -86,24 +70,10 @@ pub fn neighborhood_nnf_ids<G: GraphAccess>(
     out
 }
 
-/// Appends `B(v, G, φ)` to an existing accumulator without intermediate
-/// allocation, assuming the caller has already established `G, v ⊨ φ`
-/// (the conformance guard of [`neighborhood_nnf_ids`] is skipped). Prefer
-/// [`conforms_and_collect`] when the verdict is not yet known — it decides
-/// and collects in a single traversal.
-pub fn collect_neighborhood_into<G: GraphAccess>(
-    ctx: &mut Context<'_, G>,
-    v: TermId,
-    shape: &Nnf,
-    out: &mut IdTriples,
-) {
-    collect(ctx, v, shape, out);
-}
-
 /// Set-at-a-time Table 2 collection: appends `⋃_i B(nodes[i], G, φ)` for
 /// focus nodes the caller has already established to conform to φ.
 ///
-/// Equals running [`collect_neighborhood_into`] per node, but each
+/// Equals appending each node's `B(v, G, φ)` in turn, but each
 /// quantifier path runs the reach kernel once for all foci
 /// ([`Context::trace_qualifying`]): its forward pass yields the distinct
 /// endpoints, its backward and edge passes trace every focus into the

@@ -45,7 +45,7 @@ pub mod handlers;
 pub mod http;
 pub mod state;
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -207,9 +207,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
         let state = Arc::new(ServerState {
             gate: Gate::new(cfg.max_inflight, cfg.queue_depth, cfg.queue_wait),
             cfg,
@@ -244,35 +241,53 @@ impl Server {
     /// finish. Returns the number of requests still in flight after the
     /// drain window (0 on a clean stop).
     pub fn shutdown(mut self, drain: Duration) -> usize {
-        self.state.shutdown.store(true, Ordering::Relaxed);
-        self.state.cancel.cancel();
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.stop_accepting();
         let deadline = Instant::now() + drain;
         while self.state.gate.inflight() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         self.state.gate.inflight()
     }
+
+    /// Sets the shutdown flag, cancels in-flight governed work, and joins
+    /// the accept thread. That thread blocks in `accept`, so one connection
+    /// to the server's own address wakes it to see the flag (an unspecified
+    /// bind address is reached over loopback). If even that connection
+    /// fails, the thread is left to exit at its next accept rather than
+    /// joined, so shutdown cannot hang.
+    fn stop_accepting(&mut self) {
+        self.state.shutdown.store(true, Ordering::Relaxed);
+        self.state.cancel.cancel();
+        if let Some(h) = self.accept_thread.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
+        }
+    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
-        self.state.cancel.cancel();
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.stop_accepting();
     }
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
     loop {
+        let accepted = listener.accept();
+        // `Server::stop_accepting` stores the flag before it connects to
+        // wake this `accept`, so the wake connection finds it set.
         if state.is_shutting_down() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 state.stats.connections.fetch_add(1, Ordering::Relaxed);
                 if state.open_conns.fetch_add(1, Ordering::Relaxed) >= state.cfg.max_connections {
@@ -294,9 +309,6 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
                     // closed connection, which is the honest signal here.
                     state.open_conns.fetch_sub(1, Ordering::Relaxed);
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => {
                 // Transient accept error (EMFILE, reset): back off briefly.
@@ -772,6 +784,34 @@ ex:p rdf:type ex:Paper ."#;
         }
 
         assert_eq!(server.shutdown(Duration::from_secs(1)), 0);
+    }
+
+    #[test]
+    fn idle_shutdown_wakes_the_blocked_accept_thread() {
+        // The unspecified address is woken over loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = Server::start(
+                ServeConfig {
+                    addr: bind.to_string(),
+                    ..ServeConfig::default()
+                },
+                SnapshotSource::Inline {
+                    shapes: SHAPES.to_string(),
+                    data: DATA.to_string(),
+                },
+            )
+            .expect("server boots");
+            let port = server.addr.port();
+            let started = Instant::now();
+            assert_eq!(server.shutdown(Duration::from_secs(1)), 0);
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "idle shutdown on {bind} took {:?}",
+                started.elapsed()
+            );
+            // The joined accept thread dropped its listener.
+            assert!(TcpStream::connect((Ipv4Addr::LOCALHOST, port)).is_err());
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use shape::{PathOrId, Shape};
 pub use shapefrag_govern::{Budget, CancelToken, EngineError, ErrorCode, ExecCtx};
 pub use validator::{
     schema_fingerprint, validate, validate_batch, validate_batch_containment_governed,
-    validate_batch_governed, validate_governed, ConformanceMemo, ContainmentIndex, Context,
-    ValidationReport, Violation,
+    validate_batch_governed, ConformanceMemo, ContainmentIndex, Context, ValidationReport,
+    Violation,
 };
 pub use writer::{schema_to_shapes_graph, schema_to_shapes_graph_strict, schema_to_turtle};

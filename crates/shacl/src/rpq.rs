@@ -1394,17 +1394,6 @@ impl PathCache {
             .expect("unbounded context cannot fail")
     }
 
-    /// Convenience: set-at-a-time `⟦E⟧^G(sources[i])` for all sources.
-    pub fn eval_many<G: GraphAccess>(
-        &mut self,
-        path: &PathExpr,
-        graph: &G,
-        sources: &[TermId],
-    ) -> Vec<BTreeSet<TermId>> {
-        self.try_eval_many(path, graph, sources, &ExecCtx::unbounded())
-            .expect("unbounded context cannot fail")
-    }
-
     /// Governed [`PathCache::eval`], over a reused visited set.
     pub fn try_eval<G: GraphAccess>(
         &mut self,
@@ -1452,7 +1441,7 @@ impl PathCache {
         out
     }
 
-    /// Governed [`PathCache::eval_many`].
+    /// Governed set-at-a-time `⟦E⟧^G(sources[i])` for all sources.
     pub fn try_eval_many<G: GraphAccess>(
         &mut self,
         path: &PathExpr,

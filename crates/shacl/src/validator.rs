@@ -487,8 +487,8 @@ fn negated(mut verdicts: Vec<bool>) -> Vec<bool> {
 /// return `Result`, so resource faults are *sticky*: the first
 /// [`EngineError`] is recorded, every subsequent primitive short-circuits
 /// (returning `false`/empty to unwind quickly), and governed entry points
-/// ([`validate_governed`], [`validate_batch_governed`]) surface the fault as
-/// an `Err` instead of a report.
+/// ([`validate_batch_governed`]) surface the fault as an `Err` instead of a
+/// report.
 pub struct Context<'a, G: GraphAccess = Graph> {
     pub schema: &'a Schema,
     pub graph: &'a G,
@@ -1436,40 +1436,6 @@ pub fn validate_batch_containment_governed<G: GraphAccess>(
     Ok((report, skipped))
 }
 
-/// Resource-governed [`validate`]: same report on success, or the first
-/// [`EngineError`] (deadline, budget, cancellation, depth) instead of a
-/// partial — and therefore misleading — report.
-pub fn validate_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    exec: ExecCtx,
-) -> Result<ValidationReport, EngineError> {
-    let mut ctx = Context::new(schema, graph).with_exec(exec);
-    let mut report = ValidationReport::default();
-    for def in schema.iter() {
-        ctx.exec.check_now()?;
-        let targets = ctx.target_nodes(&def.target);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let shape = schema.def_nnf(&def.name, false);
-        for node in targets {
-            report.checked += 1;
-            let ok = ctx.conforms_nnf(node, shape);
-            if let Some(e) = ctx.take_fault() {
-                return Err(e);
-            }
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(node).clone(),
-                });
-            }
-        }
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2228,8 +2194,6 @@ mod tests {
             t("p2", "author", "bob"),
         ]);
         let plain = validate(&schema, &g);
-        let gov = validate_governed(&schema, &g, ExecCtx::unbounded()).unwrap();
-        assert_eq!(plain, gov);
         let gov_batch = validate_batch_governed(&schema, &g, ExecCtx::unbounded()).unwrap();
         assert_eq!(plain, gov_batch);
     }
@@ -2245,19 +2209,6 @@ mod tests {
         .unwrap();
         // A cycle so p* has plenty of product-graph work to charge for.
         let g = Graph::from_triples([t("a", "p", "b"), t("b", "p", "c"), t("c", "p", "a")]);
-        let err = validate_governed(
-            &schema,
-            &g,
-            ExecCtx::with_budget(Budget::unlimited().steps(2)),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::BudgetExceeded {
-                kind: BudgetKind::Steps,
-                ..
-            }
-        ));
         let err = validate_batch_governed(
             &schema,
             &g,
@@ -2286,7 +2237,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let exec = ExecCtx::with_budget(Budget::unlimited()).with_cancel(&token);
-        let err = validate_governed(&schema, &g, exec).unwrap_err();
+        let err = validate_batch_governed(&schema, &g, exec).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled));
     }
 
@@ -2310,7 +2261,7 @@ mod tests {
             Shape::geq(1, p("p"), Shape::True),
         )])
         .unwrap();
-        let err = validate_governed(
+        let err = validate_batch_governed(
             &schema,
             &g,
             ExecCtx::with_budget(Budget::unlimited().max_depth(16)),

@@ -4,6 +4,7 @@
 //! paper's grammar (§2).
 
 pub mod table1;
+pub mod table2;
 
 use proptest::prelude::*;
 

@@ -16,13 +16,11 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use shape_fragments::core::{fragment_governed, neighborhood_governed};
+use shape_fragments::core::{fragment_governed, neighborhood};
 use shape_fragments::govern::{Budget, BudgetKind, CancelToken, EngineError, ExecCtx};
 use shape_fragments::rdf::{ntriples, turtle};
 use shape_fragments::shacl::parser::parse_shapes_turtle;
-use shape_fragments::shacl::validator::{
-    validate, validate_batch_governed, validate_governed, Context,
-};
+use shape_fragments::shacl::validator::{validate, validate_batch_governed, Context};
 use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::{eval_select_governed, parse_select, EvalConfig};
 use shapefrag_rdf::{Graph, GraphAccess, Iri, Term, Triple};
@@ -262,7 +260,7 @@ fn deep_shape_validation_hits_depth_limit() {
     .unwrap();
     let graph = cyclic_graph();
     let exec = ExecCtx::with_budget(Budget::unlimited().max_depth(64));
-    match validate_governed(&schema, &graph, exec) {
+    match validate_batch_governed(&schema, &graph, exec) {
         Err(EngineError::DepthLimit { limit }) => assert_eq!(limit, 64),
         other => panic!("expected DepthLimit, got {other:?}"),
     }
@@ -270,8 +268,7 @@ fn deep_shape_validation_hits_depth_limit() {
 
 /// Governed depth counts the NNF the deciders walk, where `¬` is pushed
 /// into the atoms: a 100 000-deep `¬¬…¬(≥1 p.⊤)` is `≥1 p.⊤` and decides
-/// under the same depth guard of 64, with no overflow and no `DepthLimit`,
-/// on both the per-node and the batch driver.
+/// under the same depth guard of 64, with no overflow and no `DepthLimit`.
 #[test]
 fn deep_negation_chain_decides_within_depth_limit() {
     const DEPTH: usize = 100_000; // even: the chain means ≥1 p.⊤
@@ -294,13 +291,9 @@ fn deep_negation_chain_decides_within_depth_limit() {
     .unwrap();
     let graph = cyclic_graph();
     let governed = || ExecCtx::with_budget(Budget::unlimited().max_depth(64));
-    let expected = validate_governed(&flat, &graph, ExecCtx::unbounded()).unwrap();
+    let expected = validate_batch_governed(&flat, &graph, ExecCtx::unbounded()).unwrap();
     assert!(expected.conforms());
     assert_eq!(expected.checked, 1);
-    assert_eq!(
-        validate_governed(&deep, &graph, governed()),
-        Ok(expected.clone())
-    );
     assert_eq!(
         validate_batch_governed(&deep, &graph, governed()),
         Ok(expected)
@@ -333,10 +326,6 @@ fn step_budget_faults_are_structured_across_the_stack() {
     )])
     .unwrap();
     assert!(matches!(
-        validate_governed(&named, &graph, tiny()),
-        Err(EngineError::BudgetExceeded { .. })
-    ));
-    assert!(matches!(
         validate_batch_governed(&named, &graph, tiny()),
         Err(EngineError::BudgetExceeded { .. })
     ));
@@ -347,9 +336,10 @@ fn step_budget_faults_are_structured_across_the_stack() {
 
     let mut ctx = Context::new(&schema, &graph).with_exec(tiny());
     let v = graph.id_of(&e("n0")).unwrap();
+    neighborhood(&mut ctx, v, &star_walk_shape());
     assert!(matches!(
-        neighborhood_governed(&mut ctx, v, &star_walk_shape()),
-        Err(EngineError::BudgetExceeded { .. })
+        ctx.take_fault(),
+        Some(EngineError::BudgetExceeded { .. })
     ));
 }
 
@@ -428,10 +418,6 @@ fn frozen_backend_honors_step_budgets() {
     )])
     .unwrap();
     assert!(matches!(
-        validate_governed(&named, &frozen, tiny()),
-        Err(EngineError::BudgetExceeded { .. })
-    ));
-    assert!(matches!(
         validate_batch_governed(&named, &frozen, tiny()),
         Err(EngineError::BudgetExceeded { .. })
     ));
@@ -442,9 +428,10 @@ fn frozen_backend_honors_step_budgets() {
 
     let mut ctx = Context::new(&schema, &frozen).with_exec(tiny());
     let v = frozen.id_of(&e("n0")).unwrap();
+    neighborhood(&mut ctx, v, &star_walk_shape());
     assert!(matches!(
-        neighborhood_governed(&mut ctx, v, &star_walk_shape()),
-        Err(EngineError::BudgetExceeded { .. })
+        ctx.take_fault(),
+        Some(EngineError::BudgetExceeded { .. })
     ));
 }
 

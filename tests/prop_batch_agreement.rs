@@ -9,6 +9,9 @@
 //! - `Context::conforms_all` agrees pointwise with `Context::conforms`,
 //! - `fragment_ids` (batch) equals `fragment_ids_per_node`.
 //!
+//! The two per-node extraction references are the Table 2 oracle in
+//! `tests/common/table2.rs`.
+//!
 //! Schemas are generated with *forward* `hasShape` references so several
 //! definitions share sub-shapes — the case the conformance memo dedupes.
 //!
@@ -21,11 +24,9 @@ mod common;
 use proptest::prelude::*;
 
 use common::table1::Table1;
+use common::table2::{fragment_ids_per_node, validate_extract_fragment_per_node};
 use common::{graph_strategy, path_strategy, shape_strategy};
-use shape_fragments::core::{
-    fragment_ids, fragment_ids_per_node, validate_extract_fragment,
-    validate_extract_fragment_per_node,
-};
+use shape_fragments::core::{fragment_ids, validate_extract_fragment};
 use shape_fragments::rdf::{Graph, GraphAccess, Term, TermId, Triple};
 use shape_fragments::shacl::validator::{validate, validate_batch, Context};
 use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};

@@ -10,8 +10,9 @@
 //! unlimited budget plus an unfired cancellation token) must agree
 //! **exactly** with
 //!
-//! - the unbounded `validate_extract_fragment` and the per-node reference
-//!   `validate_extract_fragment_per_node`, report and fragment alike;
+//! - the unbounded `validate_extract_fragment` and the per-node Table 2
+//!   oracle `validate_extract_fragment_per_node` (`tests/common/table2.rs`),
+//!   report and fragment alike;
 //! - the request-shape fragment `Frag(G, { φ ∧ τ })` that `fragment`
 //!   computes over the unfrozen graph.
 
@@ -19,10 +20,10 @@ mod common;
 
 use proptest::prelude::*;
 
+use common::table2::validate_extract_fragment_per_node;
 use common::{graph_strategy, shape_strategy};
 use shape_fragments::core::{
-    fragment, validate_extract_fragment, validate_extract_fragment_governed,
-    validate_extract_fragment_per_node, SchemaFragment,
+    fragment, validate_extract_fragment, validate_extract_fragment_governed, SchemaFragment,
 };
 use shape_fragments::govern::{Budget, CancelToken, ExecCtx};
 use shape_fragments::rdf::{FrozenGraph, Term};

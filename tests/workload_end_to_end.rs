@@ -4,15 +4,17 @@
 //! the SHACL write→parse round trip — and the Vardi shapes on a DBLP slice
 //! against the paper's oracles.
 
+mod common;
+
+use common::table2::{fragment_ids_per_node, validate_extract_fragment_per_node};
 use shape_fragments::core::neighborhood::materialize;
 use shape_fragments::core::to_sparql::fragment_via_sparql;
 use shape_fragments::core::{
-    fragment_ids_per_node, schema_fragment, validate_extract_fragment,
-    validate_extract_fragment_governed,
+    schema_fragment, validate_extract_fragment, validate_extract_fragment_governed,
 };
 use shape_fragments::govern::ExecCtx;
 use shape_fragments::rdf::Term;
-use shape_fragments::shacl::validator::validate;
+use shape_fragments::shacl::validator::{validate, validate_batch};
 use shape_fragments::shacl::{schema_to_turtle, PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::eval::EvalConfig;
 use shape_fragments::workloads::dblp::{authored_by, vardi_shape, Bibliography, DblpConfig};
@@ -22,6 +24,45 @@ use shape_fragments::workloads::tyrolean::{generate, sample_induced, TyroleanCon
 fn sample() -> shape_fragments::rdf::Graph {
     let full = generate(&TyroleanConfig::new(600, 0xE2E));
     sample_induced(&full, 200, 1)
+}
+
+/// The report drivers and the extraction driver agree with their per-node
+/// references on a Tyrolean sample of about 19k triples (close to the
+/// benchmark's cli-tyrolean graph) with the full 57-shape suite: per-node
+/// `validate`, `validate_batch` over the mutable graph and `validate_batch`
+/// over its frozen snapshot give one report, and
+/// `validate_extract_fragment` gives the per-node Table 2 oracle's report
+/// and fragment.
+#[test]
+fn batch_frozen_and_per_node_drivers_agree_at_workload_scale() {
+    let full = generate(&TyroleanConfig::new(6_000, 0xBA7C));
+    let graph = sample_induced(&full, 3_000, 300);
+    let frozen = graph.freeze();
+    let schema = Schema::new(benchmark_shapes()).expect("57-shape suite is nonrecursive");
+
+    let reference = validate(&schema, &graph);
+    assert!(graph.len() > 15_000, "workload-scale sample");
+    assert!(reference.checked > 500, "targets were selected");
+    assert_eq!(
+        reference,
+        validate_batch(&schema, &graph),
+        "batch vs per-node"
+    );
+    assert_eq!(
+        reference,
+        validate_batch(&schema, &frozen),
+        "frozen vs mutable"
+    );
+
+    let (node_report, node_frag) = validate_extract_fragment_per_node(&schema, &frozen);
+    let (report, frag) = validate_extract_fragment(&schema, &frozen);
+    assert_eq!(node_report, report, "extraction report vs per-node");
+    assert_eq!(reference, report, "extraction report vs validation");
+    assert_eq!(
+        node_frag.to_graph(&frozen),
+        frag.to_graph(&frozen),
+        "extraction fragment vs per-node"
+    );
 }
 
 #[test]
