@@ -563,28 +563,10 @@ impl ContainmentMatrix {
     }
 }
 
-/// Per-definition folded statuses, references-first like
-/// [`analyze_defs`](crate::analyze_defs); on recursive schemas every
-/// reference conservatively stays `Unknown`.
+/// Per-definition folded statuses, by the same references-first fold as
+/// [`analyze_defs`](crate::analyze_defs).
 fn def_statuses(defs: &[ShapeDef]) -> BTreeMap<Term, Status> {
-    let rg = refgraph::analyze_refs(defs);
-    let mut def_status: BTreeMap<Term, Status> = defs
-        .iter()
-        .map(|d| (d.name.clone(), Status::Unknown))
-        .collect();
-    let order: Vec<Term> = rg
-        .topo
-        .unwrap_or_else(|| defs.iter().map(|d| d.name.clone()).collect());
-    let by_name: BTreeMap<&Term, &ShapeDef> = defs.iter().map(|d| (&d.name, d)).collect();
-    for name in &order {
-        let Some(def) = by_name.get(name) else {
-            continue;
-        };
-        let phi = Nnf::from_shape(&def.shape);
-        let (_, status, _) = fold::fold_nnf(&phi, &def_status);
-        def_status.insert((*name).clone(), status);
-    }
-    def_status
+    crate::fold_defs(defs, refgraph::analyze_refs(defs).topo, |_, _, _, _, _| {})
 }
 
 /// Redundant-shape findings derived from a matrix: `SF-W030` for

@@ -105,57 +105,44 @@ fn resolve_span(spans: &SchemaSpans, name: &Term, code: &str) -> Option<Span> {
 pub fn analyze_defs(defs: &[ShapeDef], spans: Option<&SchemaSpans>) -> Vec<Diagnostic> {
     let rg = refgraph::analyze_refs(defs);
     let mut diags = rg.diagnostics;
-    let mut def_status: BTreeMap<Term, Status> = defs
-        .iter()
-        .map(|d| (d.name.clone(), Status::Unknown))
-        .collect();
-    // Fold references-first so statuses resolve across definitions; in
-    // recursive schemas every reference conservatively stays Unknown.
-    let order: Vec<Term> = rg
-        .topo
-        .clone()
-        .unwrap_or_else(|| defs.iter().map(|d| d.name.clone()).collect());
-    let by_name: BTreeMap<&Term, &ShapeDef> = defs.iter().map(|d| (&d.name, d)).collect();
-    for name in &order {
-        let Some(def) = by_name.get(name) else {
-            continue;
-        };
-        let phi = Nnf::from_shape(&def.shape);
-        let (_, phi_status, mut local) = fold::fold_nnf(&phi, &def_status);
-        let tau = Nnf::from_shape(&def.target);
-        let (_, tau_status, tau_diags) = fold::fold_nnf(&tau, &def_status);
-        local.extend(tau_diags);
-        local.extend(fold::path_warnings(&phi));
-        local.extend(fold::path_warnings(&tau));
-        def_status.insert((*name).clone(), phi_status);
-        let targeted = tau_status != Status::Unsat;
-        if targeted && phi_status == Status::Unsat {
-            local.push(Diagnostic::new(
-                codes::UNSATISFIABLE_DEF,
-                Severity::Deny,
-                None,
-                "definition is statically unsatisfiable: every target match is \
-                 reported as a violation"
-                    .to_string(),
-            ));
-        }
-        if targeted && phi_status == Status::Valid {
-            local.push(Diagnostic::new(
-                codes::ALWAYS_TRUE_DEF,
-                Severity::Warn,
-                None,
-                "shape expression is statically always satisfied: targets can \
-                 never fail validation"
-                    .to_string(),
-            ));
-        }
-        for mut d in local {
-            if d.shape.is_none() {
-                d.shape = Some((*name).clone());
+    fold_defs(
+        defs,
+        rg.topo,
+        |def, phi, phi_status, mut local, def_status| {
+            let tau = Nnf::from_shape(&def.target);
+            let (_, tau_status, tau_diags) = fold::fold_nnf(&tau, def_status);
+            local.extend(tau_diags);
+            local.extend(fold::path_warnings(phi));
+            local.extend(fold::path_warnings(&tau));
+            let targeted = tau_status != Status::Unsat;
+            if targeted && phi_status == Status::Unsat {
+                local.push(Diagnostic::new(
+                    codes::UNSATISFIABLE_DEF,
+                    Severity::Deny,
+                    None,
+                    "definition is statically unsatisfiable: every target match is \
+                     reported as a violation"
+                        .to_string(),
+                ));
             }
-            diags.push(d);
-        }
-    }
+            if targeted && phi_status == Status::Valid {
+                local.push(Diagnostic::new(
+                    codes::ALWAYS_TRUE_DEF,
+                    Severity::Warn,
+                    None,
+                    "shape expression is statically always satisfied: targets can \
+                     never fail validation"
+                        .to_string(),
+                ));
+            }
+            for mut d in local {
+                if d.shape.is_none() {
+                    d.shape = Some(def.name.clone());
+                }
+                diags.push(d);
+            }
+        },
+    );
     if let Some(spans) = spans {
         for d in &mut diags {
             if d.span.is_none() {
@@ -168,6 +155,35 @@ pub fn analyze_defs(defs: &[ShapeDef], spans: Option<&SchemaSpans>) -> Vec<Diagn
     // Deny findings first; otherwise stable (preserves per-def order).
     diags.sort_by_key(|d| std::cmp::Reverse(d.severity));
     diags
+}
+
+/// Folds every definition's shape references-first (in `topo` order), so
+/// statuses resolve across definitions; without a topological order (a
+/// recursive schema) every reference conservatively stays `Unknown`.
+/// `visit` sees each definition with its NNF shape, that shape's folded
+/// status and findings, and the statuses resolved so far, before the
+/// definition's own status is recorded. Returns every definition's status.
+pub(crate) fn fold_defs(
+    defs: &[ShapeDef],
+    topo: Option<Vec<Term>>,
+    mut visit: impl FnMut(&ShapeDef, &Nnf, Status, Vec<Diagnostic>, &BTreeMap<Term, Status>),
+) -> BTreeMap<Term, Status> {
+    let mut def_status: BTreeMap<Term, Status> = defs
+        .iter()
+        .map(|d| (d.name.clone(), Status::Unknown))
+        .collect();
+    let order = topo.unwrap_or_else(|| defs.iter().map(|d| d.name.clone()).collect());
+    let by_name: BTreeMap<&Term, &ShapeDef> = defs.iter().map(|d| (&d.name, d)).collect();
+    for name in &order {
+        let Some(def) = by_name.get(name) else {
+            continue;
+        };
+        let phi = Nnf::from_shape(&def.shape);
+        let (_, status, local) = fold::fold_nnf(&phi, &def_status);
+        visit(def, &phi, status, local, &def_status);
+        def_status.insert(name.clone(), status);
+    }
+    def_status
 }
 
 /// [`analyze_defs`] over an already-constructed (hence nonrecursive)

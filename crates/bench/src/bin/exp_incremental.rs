@@ -1,4 +1,4 @@
-//! **Incremental validation experiment** — delta-overlay maintenance vs.
+//! **Incremental validation experiment** — compact-first incremental maintenance vs.
 //! re-freeze + from-scratch revalidation.
 //!
 //! Seeds an [`IncrementalValidator`] with the Tyrolean 57-shape suite
@@ -9,8 +9,8 @@
 //! of
 //!
 //! - the incremental path: `apply_governed` with an unlimited budget
-//!   (change-impact routing + selective memo invalidation over the
-//!   [`DeltaGraph`](shapefrag_rdf::DeltaGraph) overlay), and
+//!   (the batch folded into a new frozen graph, then change-impact
+//!   routing + selective memo invalidation over it), and
 //! - the scratch path: replay the edits into a mutable graph, re-freeze,
 //!   and `validate_batch` the snapshot (what a non-incremental server
 //!   has to do per batch),

@@ -1,15 +1,17 @@
-//! Incremental validation over delta overlays with change-impact routing
-//! (DESIGN.md §14).
+//! Incremental validation with change-impact routing (DESIGN.md §14).
 //!
-//! [`IncrementalValidator`] owns a [`DeltaGraph`] overlay, the per-shape
-//! conformance bits of the last full report, and a shared
-//! [`ConformanceMemo`]. Applying an [`EditScript`] routes the batch of
-//! touched `(s, p, o)` ids through the analyze crate's
+//! [`IncrementalValidator`] owns the current [`FrozenGraph`], an empty
+//! [`DeltaGraph`] edit buffer on top of it, the per-shape conformance
+//! bits of the last full report, and a shared [`ConformanceMemo`].
+//! Applying an [`EditScript`] is compact-first: the script is staged into
+//! the buffer, the buffer is folded into a new frozen graph (ids stay
+//! stable), and everything after that reads the frozen graph. The batch
+//! of touched `(s, p, o)` ids is routed through the analyze crate's
 //! [`ImpactProfile`]s — the transitive predicate alphabet, wildcard flag,
 //! and read depth of every shape definition — to the *affected focus-node
-//! set* per shape, then re-runs only those `(shape, focus)` pairs while
-//! selectively dropping the matching memo cells. Everything outside the
-//! impact region is reused verbatim.
+//! set* per shape, then only those `(shape, focus)` pairs re-run while
+//! the matching memo cells are dropped. Everything outside the impact
+//! region is reused verbatim.
 //!
 //! ## Soundness (sketch; the full argument is in DESIGN.md §14)
 //!
@@ -23,7 +25,7 @@
 //! Equivalently, `n` lies in the *ancestor* BFS of `depth` hops from the
 //! readable endpoints — walking in-edges for forward-alphabet predicates
 //! and out-edges for inverse-alphabet ones — over the *old ∪ new* graph
-//! (the post-edit overlay plus this batch's removed edges as extra
+//! (the post-edit frozen graph plus this batch's removed edges as extra
 //! adjacency). Direction is what keeps the sets small: an undirected ball
 //! would flood through hub objects (every `rdf:type` class node links all
 //! its instances two hops apart), while ancestor sets only grow through
@@ -46,9 +48,9 @@
 //! for its own definition, so each impact drops only that definition's
 //! cells; a `hasShape` reference reads the referenced definition's cells,
 //! which that definition's own impact (over its own profile) drops.
-//! Governed runs snapshot the overlay before mutating; a mid-batch fault
-//! restores it and fully clears the memo — the memo is always either
-//! correctly maintained or empty, never half-invalidated.
+//! A mid-batch fault restores the pre-batch frozen graph (an `Arc`, kept
+//! aside before the fold) and fully clears the memo — the memo is always
+//! either correctly maintained or empty, never half-invalidated.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -153,18 +155,20 @@ enum Impact {
     Set(BTreeSet<TermId>),
 }
 
-/// Incrementally-maintained validation state: a delta overlay over a
-/// frozen base snapshot, the `(focus, conforms)` rows of the current
-/// report per definition, and the shared conformance memo.
+/// Incrementally-maintained validation state: the current frozen graph
+/// with an empty edit buffer on top, the `(focus, conforms)` rows of the
+/// current report per definition, and the shared conformance memo.
 ///
 /// The maintained report is **bit-identical** to
-/// [`shapefrag_shacl::validate_batch`] run from scratch on the overlay:
-/// same `checked` count, same violations in the same
+/// [`shapefrag_shacl::validate_batch`] run from scratch on the current
+/// graph: same `checked` count, same violations in the same
 /// (definition-major, target-minor) order.
 pub struct IncrementalValidator {
     schema: Arc<Schema>,
     /// Impact profile per definition, in `schema.iter()` order.
     profiles: Vec<ImpactProfile>,
+    /// The edit buffer over the current frozen graph (`delta.base()`);
+    /// it holds edits only while a batch is being staged.
     delta: DeltaGraph,
     memo: Arc<ConformanceMemo>,
     /// Per definition (in `schema.iter()` order): the current target row,
@@ -175,14 +179,13 @@ pub struct IncrementalValidator {
 impl IncrementalValidator {
     /// Seeds the state with a full validation of `base`.
     pub fn new(schema: Arc<Schema>, base: Arc<FrozenGraph>) -> Self {
-        let delta = DeltaGraph::new(base);
         let profiles = impact_profiles(schema.iter());
         let memo = Arc::new(ConformanceMemo::new());
         let empty = vec![Vec::new(); schema.len()];
         let impacts: Vec<Impact> = (0..schema.len()).map(|_| Impact::All).collect();
         let state = revalidate(
             &schema,
-            &delta,
+            base.as_ref(),
             &empty,
             &memo,
             &impacts,
@@ -192,7 +195,7 @@ impl IncrementalValidator {
         IncrementalValidator {
             schema,
             profiles,
-            delta,
+            delta: DeltaGraph::new(base),
             memo,
             state,
         }
@@ -203,7 +206,8 @@ impl IncrementalValidator {
         &self.schema
     }
 
-    /// The current graph: base snapshot plus this overlay's edits.
+    /// The edit buffer; between batches it is empty, and its
+    /// [`base`](DeltaGraph::base) is the current frozen graph.
     pub fn graph(&self) -> &DeltaGraph {
         &self.delta
     }
@@ -230,17 +234,12 @@ impl IncrementalValidator {
         report
     }
 
-    /// Re-freezes base + overlay into a fresh snapshot and resets the
-    /// overlay to empty on top of it. Ids are stable across compaction
-    /// (the overlay's interner is carried over), so the rows and the memo
-    /// survive; the memo is re-bound to the compacted fingerprint.
-    pub fn compact(&mut self) {
-        let frozen = Arc::new(self.delta.compact());
-        self.delta = DeltaGraph::new(frozen);
-        self.memo.rebind(&self.schema, &self.delta);
-    }
+    /// A no-op: every batch is already folded into the frozen graph by
+    /// [`apply_governed`](Self::apply_governed), so there is never an
+    /// overlay left to compact.
+    pub fn compact(&mut self) {}
 
-    /// Applies the script's effective edits to the overlay; returns the
+    /// Applies the script's effective edits to the buffer; returns the
     /// touched ids and, separately, the removed edges (for old-graph
     /// adjacency in impact routing), or `None` when nothing changed.
     #[allow(clippy::type_complexity)]
@@ -270,10 +269,11 @@ impl IncrementalValidator {
 
     fn route_and_invalidate(
         &self,
+        graph: &FrozenGraph,
         touched: &[(TermId, TermId, TermId)],
         removed: &[(TermId, TermId, TermId)],
     ) -> Vec<Impact> {
-        let impacts = plan_impacts(&self.profiles, &self.delta, touched, removed);
+        let impacts = plan_impacts(&self.profiles, graph, touched, removed);
         for (def, impact) in self.schema.iter().zip(&impacts) {
             let sid = self
                 .schema
@@ -290,22 +290,24 @@ impl IncrementalValidator {
 
     /// Applies an edit batch under `budget` (and `cancel`, if given) and
     /// returns the incrementally-maintained report — identical to a
-    /// from-scratch `validate_batch` on the post-edit overlay. Target
-    /// recomputation and the re-checks draw on one context holding
-    /// `budget`. On a fault the overlay is rolled back to its pre-batch
-    /// contents, the rows are left untouched, and the memo is fully
-    /// cleared — the state is never half-updated.
+    /// from-scratch `validate_batch` on the post-edit graph. The staged
+    /// batch is first folded into a new frozen graph, which impact
+    /// routing and the re-checks then read; target recomputation and the
+    /// re-checks draw on one context holding `budget`. On a fault the
+    /// pre-batch frozen graph is restored, the rows are left untouched,
+    /// and the memo is fully cleared — the state is never half-updated.
     pub fn apply_governed(
         &mut self,
         script: &EditScript,
         budget: Budget,
         cancel: Option<&CancelToken>,
     ) -> Result<ValidationReport, EngineError> {
-        let saved = self.delta.clone();
+        let saved = Arc::clone(self.delta.base());
         let Some((touched, removed)) = self.stage(script) else {
             return Ok(self.report());
         };
-        let impacts = self.route_and_invalidate(&touched, &removed);
+        let frozen = self.delta.fold();
+        let impacts = self.route_and_invalidate(&frozen, &touched, &removed);
         let exec = ExecCtx::with_budget(budget);
         let exec = match cancel {
             Some(token) => exec.with_cancel(token),
@@ -313,7 +315,7 @@ impl IncrementalValidator {
         };
         match revalidate(
             &self.schema,
-            &self.delta,
+            frozen.as_ref(),
             &self.state,
             &self.memo,
             &impacts,
@@ -324,7 +326,7 @@ impl IncrementalValidator {
                 Ok(self.report())
             }
             Err(e) => {
-                self.delta = saved;
+                self.delta = DeltaGraph::new(saved);
                 self.memo.clear();
                 Err(e)
             }
@@ -332,7 +334,7 @@ impl IncrementalValidator {
     }
 }
 
-/// Adjacency the post-edit overlay no longer has: the edges removed by
+/// Adjacency the post-edit graph no longer has: the edges removed by
 /// this batch, split by traversal direction (`out` keyed by subject,
 /// `in` keyed by object) so the ancestor BFS can walk them like live
 /// edges.
@@ -342,10 +344,11 @@ struct RemovedAdj {
     r#in: HashMap<TermId, Vec<(TermId, TermId)>>,
 }
 
-/// Computes the per-definition impact of one edit batch.
-fn plan_impacts(
+/// Computes the per-definition impact of one edit batch over the
+/// post-edit `graph`.
+fn plan_impacts<G: GraphAccess>(
     profiles: &[ImpactProfile],
-    delta: &DeltaGraph,
+    graph: &G,
     touched: &[(TermId, TermId, TermId)],
     removed: &[(TermId, TermId, TermId)],
 ) -> Vec<Impact> {
@@ -360,12 +363,12 @@ fn plan_impacts(
             let alphabet: BTreeSet<TermId> = prof
                 .preds
                 .iter()
-                .filter_map(|p| delta.id_of_iri(p))
+                .filter_map(|p| graph.id_of_iri(p))
                 .collect();
             let inv_alphabet: BTreeSet<TermId> = prof
                 .inv_preds
                 .iter()
-                .filter_map(|p| delta.id_of_iri(p))
+                .filter_map(|p| graph.id_of_iri(p))
                 .collect();
             // A touched triple is readable at its subject when its
             // predicate is in the (forward-or-any) alphabet, and at its
@@ -388,7 +391,7 @@ fn plan_impacts(
                 Impact::All
             } else {
                 Impact::Set(affected_nodes(
-                    delta,
+                    graph,
                     &removed_adj,
                     seeds,
                     prof,
@@ -405,12 +408,12 @@ fn plan_impacts(
 /// touched triple. A forward step (`p` in the alphabet) moves
 /// subject → object during evaluation, so its reverse walks in-edges; an
 /// inverse step (`p` in `inv_preds`) moves object → subject, so its
-/// reverse walks out-edges. Runs over old ∪ new (the overlay plus this
-/// batch's removed edges), bounded by the profile depth (`None` runs to
+/// reverse walks out-edges. Runs over old ∪ new (the post-edit graph plus
+/// this batch's removed edges), bounded by the profile depth (`None` runs to
 /// fixpoint — safe because ancestor sets don't explode through hub
 /// *objects* the way undirected balls do).
-fn affected_nodes(
-    delta: &DeltaGraph,
+fn affected_nodes<G: GraphAccess>(
+    graph: &G,
     removed_adj: &RemovedAdj,
     seeds: BTreeSet<TermId>,
     prof: &ImpactProfile,
@@ -432,7 +435,7 @@ fn affected_nodes(
         for n in frontier {
             // Reverse of a forward step ending at `n`: the subjects of
             // alphabet-labeled in-edges.
-            for (p, s) in delta.in_edges_ids(n) {
+            for (p, s) in graph.in_edges_ids(n) {
                 if fwd(p) && seen.insert(s) {
                     next.push(s);
                 }
@@ -446,7 +449,7 @@ fn affected_nodes(
             }
             // Reverse of an inverse step ending at `n`: the objects of
             // inverse-alphabet-labeled out-edges.
-            for (p, o) in delta.out_edges_ids(n) {
+            for (p, o) in graph.out_edges_ids(n) {
                 if inv(p) && seen.insert(o) {
                     next.push(o);
                 }
@@ -465,20 +468,20 @@ fn affected_nodes(
     seen
 }
 
-/// Recomputes every definition's target row over `delta`, re-checking
+/// Recomputes every definition's target row over `graph`, re-checking
 /// exactly the impact-routed `(shape, focus)` pairs and reusing every
 /// other bit from `state`. Must be called after memo invalidation; it
 /// re-binds the memo to the post-edit fingerprint itself.
-fn revalidate(
+fn revalidate<G: GraphAccess>(
     schema: &Schema,
-    delta: &DeltaGraph,
+    graph: &G,
     state: &[Vec<(TermId, bool)>],
     memo: &Arc<ConformanceMemo>,
     impacts: &[Impact],
     exec: ExecCtx,
 ) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
-    memo.rebind(schema, delta);
-    let mut ctx = Context::with_memo(schema, delta, Arc::clone(memo)).with_exec(exec);
+    memo.rebind(schema, graph);
+    let mut ctx = Context::with_memo(schema, graph, Arc::clone(memo)).with_exec(exec);
     let mut rows = Vec::with_capacity(schema.len());
     for ((def, old), impact) in schema.iter().zip(state).zip(impacts) {
         ctx.exec().check_now()?;
@@ -669,9 +672,10 @@ mod tests {
 
         let mut delta = DeltaGraph::new(Arc::new(g.freeze()));
         let touched = delta.insert(&t("alice", "name", "extra")).unwrap();
-        let impacts = plan_impacts(&profiles, &delta, &[touched], &[]);
-        let alice = delta.id_of(&term("alice")).unwrap();
-        let bob = delta.id_of(&term("bob")).unwrap();
+        let graph = delta.fold();
+        let impacts = plan_impacts(&profiles, graph.as_ref(), &[touched], &[]);
+        let alice = graph.id_of(&term("alice")).unwrap();
+        let bob = graph.id_of(&term("bob")).unwrap();
         let Impact::Set(set) = &impacts[0] else {
             panic!("expected a routed focus set");
         };
@@ -697,8 +701,9 @@ mod tests {
 
         let mut delta = DeltaGraph::new(Arc::new(g.freeze()));
         let touched = delta.insert(&t("root", "child", "kid2")).unwrap();
-        let impacts = plan_impacts(&profiles, &delta, &[touched], &[]);
-        let kid2 = delta.id_of(&term("kid2")).unwrap();
+        let graph = delta.fold();
+        let impacts = plan_impacts(&profiles, graph.as_ref(), &[touched], &[]);
+        let kid2 = graph.id_of(&term("kid2")).unwrap();
         let Impact::Set(set) = &impacts[0] else {
             panic!("expected a routed focus set");
         };
@@ -717,9 +722,13 @@ mod tests {
             &mut inc,
             &EditScript::new([EditOp::Add(t("bob", "name", "b"))]),
         );
+        // The batch is already folded into the frozen graph; `compact`
+        // changes nothing.
+        assert_eq!(inc.graph().delta_len(), 0);
+        let base = Arc::clone(inc.graph().base());
         let before = inc.report();
         inc.compact();
-        assert_eq!(inc.graph().delta_len(), 0);
+        assert!(Arc::ptr_eq(inc.graph().base(), &base));
         assert_eq!(inc.report(), before);
         // And edits keep flowing after compaction.
         let report = apply(
@@ -735,13 +744,16 @@ mod tests {
         let g = seed_graph();
         let mut inc = validator(&schema, &g);
         let before = inc.report();
+        let base = Arc::clone(inc.graph().base());
         let len_before = inc.graph().len();
         let script = EditScript::new([EditOp::Add(t("carol", "type", "Person"))]);
         let err = inc
             .apply_governed(&script, Budget::unlimited().steps(0), None)
             .unwrap_err();
         assert!(matches!(err, EngineError::BudgetExceeded { .. }));
-        // Overlay rolled back, rows untouched, memo fully cleared.
+        // The pre-batch frozen graph is back, rows untouched, memo fully
+        // cleared.
+        assert!(Arc::ptr_eq(inc.graph().base(), &base));
         assert_eq!(inc.graph().len(), len_before);
         assert_eq!(inc.graph().delta_len(), 0);
         assert_eq!(inc.report(), before);

@@ -2,12 +2,15 @@
 //!
 //! All read-only kernels (path evaluation, validation, neighborhood
 //! collection, SPARQL) are generic over [`GraphAccess`], so they run
-//! unchanged over the three backends: the mutable [`Graph`](crate::Graph)
-//! builder, the immutable [`FrozenGraph`](crate::FrozenGraph) (contiguous
-//! CSR arrays) and the [`DeltaGraph`](crate::DeltaGraph) write overlay.
+//! unchanged over the mutable [`Graph`](crate::Graph) builder and the
+//! immutable [`FrozenGraph`](crate::FrozenGraph) (contiguous CSR arrays).
 //! `Graph` answers its adjacency reads from a `FrozenGraph` snapshot, so
-//! there are two adjacency implementations: the CSR and the overlay's
-//! merge over it.
+//! product reads go through one adjacency implementation, the CSR: the
+//! CLI and the server read frozen graphs, and the incremental engine
+//! folds each edit batch into a new one before reading it. The
+//! [`DeltaGraph`](crate::DeltaGraph) edit buffer also implements the
+//! trait, as a merge over its base; only the agreement suites and the
+//! benchmark's traced mirror read through it.
 //!
 //! Implementations must agree exactly — same triples, same ids, same
 //! deterministic iteration order (ascending by id at every level). The

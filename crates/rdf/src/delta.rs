@@ -1,10 +1,17 @@
-//! Write overlay over a [`FrozenGraph`]: adds and tombstones on top of an
+//! Edit buffer over a [`FrozenGraph`]: adds and tombstones on top of an
 //! immutable CSR base.
 //!
-//! A [`DeltaGraph`] is the continuous-ingest write path. The base snapshot
-//! stays frozen and shared (`Arc`); edits land in two small tree-indexed
-//! sides — `added` (triples not in the base) and `removed` (tombstones over
-//! base triples) — and every read path serves the *merged* view:
+//! A [`DeltaGraph`] is where the incremental engine stages an edit batch
+//! before folding it into the next frozen graph ([`DeltaGraph::fold`]).
+//! The base snapshot stays frozen and shared (`Arc`); edits land in two
+//! small tree-indexed sides — `added` (triples not in the base) and
+//! `removed` (tombstones over base triples). [`DeltaGraph::compact`]
+//! builds the next base from one linear merge of the base's ascending
+//! triples, minus the ascending tombstones, with the ascending added side.
+//!
+//! The overlay also implements [`GraphAccess`] over the *merged* view. No
+//! product path reads through it (every published graph is frozen); the
+//! agreement suites hold it to the same contract as the other backends:
 //!
 //! - forward/backward adjacency merges the base's sorted CSR run (minus
 //!   tombstones) with the added side's sorted run, two-way, still ascending;
@@ -24,11 +31,12 @@
 //!   from `added`, removing an absent triple is a no-op;
 //! - `len == base.len() - removed.len() + added.len()` at all times.
 //!
-//! **Id stability**: the interner starts as a clone of the base's (the
-//! clone shares each term allocation), so every base id keeps its meaning
-//! and new terms extend the id space densely. [`DeltaGraph::compact`]
-//! re-freezes the merged view over that same interner, which is why memo
-//! entries and collected id-triples survive compaction unchanged.
+//! **Id stability**: the overlay shares the base's interner, and copies it
+//! (each term allocation still shared) only when an edit interns a new
+//! term, so every base id keeps its meaning and new terms extend the id
+//! space densely. [`DeltaGraph::compact`] re-freezes the merged view over
+//! that same interner, which is why memo entries and collected id-triples
+//! survive compaction unchanged.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::iter::Peekable;
@@ -208,6 +216,14 @@ impl DeltaIndex {
     fn preds_out(&self, s: TermId) -> impl Iterator<Item = TermId> + '_ {
         self.spo.get(&s).into_iter().flat_map(|m| m.keys().copied())
     }
+
+    /// Every triple of this side, ascending by (s, p, o).
+    fn iter(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
+        self.spo.iter().flat_map(|(&s, by_p)| {
+            by_p.iter()
+                .flat_map(move |(&p, objs)| objs.iter().map(move |&o| (s, p, o)))
+        })
+    }
 }
 
 /// A mutable overlay over an immutable [`FrozenGraph`]; see the module docs
@@ -215,9 +231,10 @@ impl DeltaIndex {
 #[derive(Debug, Clone)]
 pub struct DeltaGraph {
     base: Arc<FrozenGraph>,
-    /// Clone of the base interner, extended by delta-only terms. Base ids
-    /// are a stable prefix of this id space.
-    terms: Interner,
+    /// The base's interner, shared until an edit interns a new term; then
+    /// this overlay's own copy, extended by delta-only terms. Base ids are
+    /// a stable prefix of this id space.
+    terms: Arc<Interner>,
     added: DeltaIndex,
     removed: DeltaIndex,
     len: usize,
@@ -226,7 +243,7 @@ pub struct DeltaGraph {
 impl DeltaGraph {
     /// An empty overlay: the merged view equals the base.
     pub fn new(base: Arc<FrozenGraph>) -> DeltaGraph {
-        let terms = base.interner().clone();
+        let terms = Arc::clone(base.interner());
         let len = base.len();
         DeltaGraph {
             base,
@@ -271,9 +288,16 @@ impl DeltaGraph {
     /// view changed (re-adding a live triple is a no-op; re-adding a
     /// tombstoned base triple clears the tombstone).
     pub fn insert(&mut self, triple: &Triple) -> Option<(TermId, TermId, TermId)> {
-        let (s, p, o) =
-            self.terms
-                .intern_triple(&triple.subject, &triple.predicate, &triple.object);
+        let (s, p, o) = match self.terms.triple_ids(triple) {
+            Some(ids) if triple.subject.is_subject() => ids,
+            // A term the id space lacks (or a literal subject, which
+            // `intern_triple` rejects): intern into this overlay's own copy.
+            _ => Arc::make_mut(&mut self.terms).intern_triple(
+                &triple.subject,
+                &triple.predicate,
+                &triple.object,
+            ),
+        };
         self.insert_ids(s, p, o).then_some((s, p, o))
     }
 
@@ -323,10 +347,40 @@ impl DeltaGraph {
     /// The compacted graph keeps this overlay's interner (base ids plus
     /// delta ids, unchanged), so everything keyed by id — memo entries,
     /// compiled paths, stored target lists — remains valid against the new
-    /// base. Cost is one full index rebuild, amortized by running it only
-    /// when `delta_len()` crosses the caller's threshold.
+    /// base. The id log is one linear merge of the base's ascending
+    /// triples, minus the ascending tombstones, with the ascending added
+    /// side; no per-subject overlay read is involved.
     pub fn compact(&self) -> FrozenGraph {
-        FrozenGraph::from_log(self.terms.clone(), self.iter_ids().collect())
+        FrozenGraph::from_log(Arc::clone(&self.terms), self.merged_log())
+    }
+
+    /// Compacts in place: re-freezes the merged view and resets this
+    /// overlay, empty, on top of the result, which it returns. The new
+    /// base shares this overlay's interner, so a batch that interns no new
+    /// term copies no interner at all.
+    pub fn fold(&mut self) -> Arc<FrozenGraph> {
+        let base = Arc::new(self.compact());
+        self.base = Arc::clone(&base);
+        self.added = DeltaIndex::default();
+        self.removed = DeltaIndex::default();
+        base
+    }
+
+    /// The merged view's id triples, ascending by (s, p, o).
+    fn merged_log(&self) -> Vec<(TermId, TermId, TermId)> {
+        let mut tombstones = self.removed.iter().peekable();
+        // `removed` is a subset of the base, so one forward pointer over
+        // it drops exactly the tombstoned base triples.
+        let live_base = self.base.iter_ids().filter(move |t| {
+            let dead = tombstones.peek() == Some(t);
+            if dead {
+                tombstones.next();
+            }
+            !dead
+        });
+        let mut log = Vec::with_capacity(self.len);
+        log.extend(merge(live_base, self.added.iter()));
+        log
     }
 }
 
@@ -580,6 +634,27 @@ mod tests {
         let d2 = DeltaGraph::new(Arc::new(compacted));
         assert_eq!(d2.len(), d.len());
         assert_eq!(d2.delta_len(), 0);
+    }
+
+    #[test]
+    fn fold_shares_the_interner_until_an_edit_interns_a_term() {
+        let mut d = DeltaGraph::new(base());
+        // Edits over known terms copy no interner: the folded base shares
+        // the previous one.
+        let before = Arc::clone(d.base().interner());
+        d.remove(&t("a", "p", "b"));
+        d.insert(&t("d", "q", "c"));
+        let folded = d.fold();
+        assert!(Arc::ptr_eq(folded.interner(), &before));
+        assert_eq!((d.delta_len(), d.len()), (0, folded.len()));
+        // A new term gives the overlay its own copy, which the next fold
+        // then shares.
+        d.insert(&t("a", "p", "new"));
+        assert!(!Arc::ptr_eq(&d.terms, &before));
+        let folded = d.fold();
+        assert!(Arc::ptr_eq(folded.interner(), &d.terms));
+        assert!(folded.id_of(&Term::iri("new")).is_some());
+        assert!(before.get(&Term::iri("new")).is_none());
     }
 
     #[test]

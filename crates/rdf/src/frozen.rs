@@ -18,8 +18,9 @@
 //! Freeze invariants (checked by `tests/prop_frozen_agreement.rs`):
 //!
 //! - **Id stability**: the interner is a clone of the source `Graph`'s
-//!   (cloning bumps `Arc` refcounts, not allocations), so a `TermId` means
-//!   the same term in both and compiled paths / memo keys can be reused
+//!   (cloning bumps `Arc` refcounts, not allocations), or the very
+//!   interner of the overlay it is folded from, so a `TermId` means the
+//!   same term in both and compiled paths / memo keys can be reused
 //!   across them.
 //! - **Sortedness**: every adjacency run is ascending by id, and
 //!   [`GraphAccess::iter_ids`] yields triples ascending by (subject,
@@ -28,6 +29,7 @@
 //!   the source `Graph` are not reflected.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::access::GraphAccess;
 use crate::graph::{Graph, Interner, TermId};
@@ -163,7 +165,9 @@ impl CsrIndex {
 /// invariants. Build with a frozen loader or [`Graph::freeze`].
 #[derive(Debug, Default, Clone)]
 pub struct FrozenGraph {
-    terms: Interner,
+    /// Shared with the overlay a graph is folded from, and with the next
+    /// fold while no edit interns a new term.
+    terms: Arc<Interner>,
     /// Forward adjacency: `(s, p) → [o]`.
     fwd: CsrIndex,
     /// Backward adjacency: `(o, p) → [s]`.
@@ -199,7 +203,8 @@ impl FrozenGraph {
     /// and `(o, p, s)` orders with two stable counting passes over the
     /// dense ids — by predicate, then by object — and builds each index
     /// from the order keyed for it.
-    pub(crate) fn from_log(terms: Interner, mut triples: Vec<IdTriple>) -> Self {
+    pub(crate) fn from_log(terms: impl Into<Arc<Interner>>, mut triples: Vec<IdTriple>) -> Self {
+        let terms = terms.into();
         triples.sort_unstable();
         triples.dedup();
         let n_terms = terms.len();
@@ -247,9 +252,9 @@ impl FrozenGraph {
     }
 
     /// The snapshot's interner (shared id space with the source graph);
-    /// the delta overlay clones it to extend the id space without
-    /// renumbering.
-    pub(crate) fn interner(&self) -> &Interner {
+    /// the delta overlay shares it, and copies it only to extend the id
+    /// space without renumbering.
+    pub(crate) fn interner(&self) -> &Arc<Interner> {
         &self.terms
     }
 

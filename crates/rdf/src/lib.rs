@@ -4,8 +4,9 @@
 //! values with the paper's `<` partial order and `~` language-tag relation,
 //! the mutable [`Graph`] builder, the [`FrozenGraph`] CSR that serves every
 //! adjacency read (a `Graph` reads through a lazily built snapshot), the
-//! [`DeltaGraph`] write overlay, the [`GraphAccess`] read trait over all
-//! three, and N-Triples / Turtle I/O.
+//! [`DeltaGraph`] edit buffer that folds edit batches into a new
+//! `FrozenGraph`, the [`GraphAccess`] read trait over all three, and
+//! N-Triples / Turtle I/O.
 //!
 //! This crate is self-contained (no external RDF dependencies) and provides
 //! the data model assumed by the paper's preliminaries (§2): nodes

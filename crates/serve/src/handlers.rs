@@ -33,26 +33,6 @@ use crate::http::{Request, Response};
 use crate::state::{json_escape, report_json, Snapshot, Updater};
 use crate::{ServeConfig, ServerState};
 
-/// Runs `$body` with `$g` bound to the snapshot's read view: the delta
-/// overlay when one is published, the frozen base otherwise. A macro
-/// because [`shapefrag_rdf::GraphAccess`] is not object-safe (its
-/// accessors return `impl Iterator`), so the two arms monomorphize
-/// separately.
-macro_rules! with_view {
-    ($snapshot:expr, |$g:ident| $body:expr) => {
-        match &$snapshot.delta {
-            Some(d) => {
-                let $g = d.as_ref();
-                $body
-            }
-            None => {
-                let $g = $snapshot.frozen.as_ref();
-                $body
-            }
-        }
-    };
-}
-
 /// Maps an engine fault to its HTTP response.
 pub fn engine_error_response(e: &EngineError) -> Response {
     let body = |code: &str, msg: &str| {
@@ -217,11 +197,7 @@ fn handle_validate(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
                 .stats
                 .validate_cache_misses
                 .fetch_add(1, Ordering::Relaxed);
-            match with_view!(snapshot, |g| validate_batch_governed(
-                &snapshot.schema,
-                g,
-                exec
-            )) {
+            match validate_batch_governed(&snapshot.schema, snapshot.frozen.as_ref(), exec) {
                 Ok(report) => (snapshot.store_report(report), "miss"),
                 Err(e) => return engine_error_response(&e),
             }
@@ -291,13 +267,9 @@ fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
             .fragment_cache_misses
             .fetch_add(1, Ordering::Relaxed);
     }
-    let body = with_view!(snapshot, |g| fragment_ids_governed(
-        &snapshot.schema,
-        g,
-        &shapes,
-        exec
-    )
-    .map(|ids| ntriples::serialize_ids(g, ids)));
+    let graph = snapshot.frozen.as_ref();
+    let body = fragment_ids_governed(&snapshot.schema, graph, &shapes, exec)
+        .map(|ids| ntriples::serialize_ids(graph, ids));
     match body {
         Ok(body) => {
             if let Some(name) = cached {
@@ -363,12 +335,12 @@ fn handle_sparql(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>) -
         Ok(q) => q,
         Err(e) => return engine_error_response(&EngineError::from(e)),
     };
-    match with_view!(snapshot, |g| eval_select_governed(
-        g,
+    match eval_select_governed(
+        snapshot.frozen.as_ref(),
         &query,
         &EvalConfig::indexed(),
         &exec,
-    )) {
+    ) {
         Ok(rows) => Response::json(200, bindings_json(&query.out_vars(), &rows, snapshot.epoch)),
         Err(e) => engine_error_response(&e),
     }
@@ -384,7 +356,7 @@ fn handle_reload(state: &ServerState, req: &Request) -> Response {
         state.snapshots.swap(|epoch| {
             let (schema, graph) = crate::load_source(&state.source)
                 .map_err(|msg| error_response(400, "reload-failed", &msg))?;
-            Ok::<_, Response>(Snapshot::new(epoch, schema, Arc::new(graph), None))
+            Ok::<_, Response>(Snapshot::new(epoch, schema, Arc::new(graph)))
         })
     } else {
         let graph = match parse_body_graph(req) {
@@ -394,7 +366,7 @@ fn handle_reload(state: &ServerState, req: &Request) -> Response {
         let schema = Arc::clone(&state.snapshots.load().schema);
         state
             .snapshots
-            .swap(|epoch| Ok::<_, Response>(Snapshot::new(epoch, schema, Arc::new(graph), None)))
+            .swap(|epoch| Ok::<_, Response>(Snapshot::new(epoch, schema, Arc::new(graph))))
     };
     match built {
         Ok(snapshot) => {
@@ -410,7 +382,7 @@ fn handle_reload(state: &ServerState, req: &Request) -> Response {
                 format!(
                     "{{\"epoch\":{},\"triples\":{},\"shapes\":{}}}",
                     snapshot.epoch,
-                    snapshot.triples,
+                    snapshot.frozen.len(),
                     snapshot.schema.len()
                 ),
             )
@@ -420,13 +392,14 @@ fn handle_reload(state: &ServerState, req: &Request) -> Response {
 }
 
 /// `POST /update` — applies a signed N-Triples edit script (`+`/`-`
-/// line prefixes, see [`EditScript::parse`]) to the continuous-ingest
-/// overlay, revalidates incrementally under the request's budget, and
-/// epoch-swaps the merged view. Readers never block: they keep their
-/// snapshot clone while the new epoch is published. The new epoch carries
-/// the incrementally-maintained report, which the response embeds, so a
-/// plain `/validate` on it is a hit. The first update (or the first after
-/// a reload) seeds the incremental state with a full validation.
+/// line prefixes, see [`EditScript::parse`]) through the incremental
+/// engine, which folds it into a new frozen graph and revalidates
+/// incrementally under the request's budget, and epoch-swaps that graph.
+/// Readers never block: they keep their snapshot clone while the new
+/// epoch is published. The new epoch carries the incrementally-maintained
+/// report, which the response embeds, so a plain `/validate` on it is a
+/// hit. The first update (or the first after a reload) seeds the
+/// incremental state with a full validation.
 fn handle_update(state: &ServerState, req: &Request) -> Response {
     let budget = match budget_from_headers(req, &state.cfg) {
         Ok(b) => b,
@@ -446,12 +419,11 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
         // First update, or the snapshot moved under us (reload): seed the
         // incremental state from the published view. This is the one full
         // validation; every subsequent update is impact-routed.
-        let base = match &current.delta {
-            Some(d) => Arc::new(d.compact()),
-            None => Arc::clone(&current.frozen),
-        };
         *slot = Some(Updater {
-            inc: IncrementalValidator::new(Arc::clone(&current.schema), base),
+            inc: IncrementalValidator::new(
+                Arc::clone(&current.schema),
+                Arc::clone(&current.frozen),
+            ),
             epoch: current.epoch,
         });
     }
@@ -461,13 +433,11 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
         .apply_governed(&script, budget, Some(&state.cancel))
     {
         Ok(report) => {
-            let graph = updater.inc.graph();
             let published = state.snapshots.swap(|epoch| {
                 let snapshot = Snapshot::new(
                     epoch,
                     Arc::clone(updater.inc.schema()),
-                    Arc::clone(graph.base()),
-                    Some(Arc::new(graph.clone())),
+                    Arc::clone(updater.inc.graph().base()),
                 );
                 snapshot.store_report(report);
                 Ok::<_, Response>(snapshot)
@@ -486,12 +456,10 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
                     Response::json(
                         200,
                         format!(
-                            "{{\"epoch\":{},\"applied\":{},\"triples\":{},\"delta_added\":{},\"delta_removed\":{},\"report\":{}}}",
+                            "{{\"epoch\":{},\"applied\":{},\"triples\":{},\"report\":{}}}",
                             snap.epoch,
                             script.len(),
-                            snap.triples,
-                            snap.delta_added,
-                            snap.delta_removed,
+                            snap.frozen.len(),
                             report
                         ),
                     )
@@ -503,52 +471,19 @@ fn handle_update(state: &ServerState, req: &Request) -> Response {
     }
 }
 
-/// `POST /compact` — re-freezes base + overlay into a fresh snapshot and
-/// publishes it with an empty overlay. Ids are stable across compaction,
-/// so the incremental rows and memo survive, the next update stays cheap,
-/// and the new epoch carries the maintained report unchanged. A no-op (200, `"compacted":false`) when no overlay exists.
+/// `POST /compact` — a no-op kept on the wire: every `/update` already
+/// publishes a frozen graph, so there is no overlay to re-freeze. Answers
+/// 200 with the current epoch, which it does not swap.
 fn handle_compact(state: &ServerState) -> Response {
-    let mut slot = state.updater.lock().unwrap_or_else(|e| e.into_inner());
     let current = state.snapshots.load();
-    let stale = slot.as_ref().is_none_or(|u| u.epoch != current.epoch);
-    if stale || current.delta.is_none() {
-        return Response::json(
-            200,
-            format!(
-                "{{\"epoch\":{},\"triples\":{},\"compacted\":false}}",
-                current.epoch, current.triples
-            ),
-        );
-    }
-    let updater = slot.as_mut().expect("checked above");
-    updater.inc.compact();
-    let published = state.snapshots.swap(|epoch| {
-        let snapshot = Snapshot::new(
-            epoch,
-            Arc::clone(updater.inc.schema()),
-            Arc::clone(updater.inc.graph().base()),
-            None,
-        );
-        snapshot.store_report(updater.inc.report());
-        Ok::<_, Response>(snapshot)
-    });
-    match published {
-        Ok(snap) => {
-            updater.epoch = snap.epoch;
-            state
-                .stats
-                .compactions
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Response::json(
-                200,
-                format!(
-                    "{{\"epoch\":{},\"triples\":{},\"compacted\":true}}",
-                    snap.epoch, snap.triples
-                ),
-            )
-        }
-        Err(resp) => resp,
-    }
+    Response::json(
+        200,
+        format!(
+            "{{\"epoch\":{},\"triples\":{},\"compacted\":false}}",
+            current.epoch,
+            current.frozen.len()
+        ),
+    )
 }
 
 /// `GET /healthz` — liveness plus the current epoch. Never gated: health
@@ -559,7 +494,8 @@ pub fn handle_healthz(state: &ServerState) -> Response {
         200,
         format!(
             "{{\"status\":\"ok\",\"epoch\":{},\"triples\":{}}}",
-            snapshot.epoch, snapshot.triples
+            snapshot.epoch,
+            snapshot.frozen.len()
         ),
     )
 }
@@ -571,10 +507,8 @@ pub fn handle_stats(state: &ServerState) -> Response {
         200,
         state.stats.to_json(
             snapshot.epoch,
-            snapshot.triples,
+            snapshot.frozen.len(),
             snapshot.schema.len(),
-            snapshot.delta_added,
-            snapshot.delta_removed,
             &state.gate,
             state.started,
         ),

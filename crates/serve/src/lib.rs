@@ -10,10 +10,10 @@
 //! | `GET  /analyze`   | static schema diagnostics as JSON |
 //! | `POST /sparql`    | SELECT query over the resident snapshot |
 //! | `POST /reload`    | epoch-swap a new snapshot (re-read source, or body = new data graph) |
-//! | `POST /update`    | apply a signed N-Triples edit script to a delta overlay and epoch-swap the merged view; answers with the incrementally-maintained report |
-//! | `POST /compact`   | re-freeze base + overlay into a fresh snapshot (epoch swap, overlay reset) |
+//! | `POST /update`    | apply a signed N-Triples edit script, fold it into a new frozen graph and epoch-swap it; answers with the incrementally-maintained report |
+//! | `POST /compact`   | no-op kept on the wire: every `/update` epoch is already frozen (200, `"compacted":false`, no epoch swap) |
 //! | `GET  /healthz`   | liveness + current epoch (never gated) |
-//! | `GET  /stats`     | counters and gauges, including delta sizes and the queue-wait / service time split (never gated) |
+//! | `GET  /stats`     | counters and gauges, including the queue-wait / service time split (never gated) |
 //!
 //! Robustness is the design center (DESIGN.md §13):
 //!
@@ -28,8 +28,8 @@
 //!   pointer, so readers never block and old epochs drain and drop.
 //! - **Per-epoch results live on their snapshot**: the epoch's validation
 //!   report (stored by the first plain `/validate` that completes, or
-//!   seeded by `/update` and `/compact` from the incremental engine) and
-//!   its single-shape fragment bodies. A hit checks the deadline and
+//!   seeded by `/update` from the incremental engine) and its
+//!   single-shape fragment bodies. A hit checks the deadline and
 //!   shutdown, then answers without charging the step or memory budget
 //!   (`x-validate-cache` / `x-fragment-cache`; counted in `/stats`).
 //! - **Hostile-client limits**: head/body size caps, per-read socket
@@ -201,7 +201,7 @@ impl Server {
     /// the listener, and starts the accept loop.
     pub fn start(cfg: ServeConfig, source: SnapshotSource) -> Result<Server, String> {
         let (schema, graph) = load_source(&source)?;
-        let first = Snapshot::new(1, schema, Arc::new(graph), None);
+        let first = Snapshot::new(1, schema, Arc::new(graph));
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
         let addr = listener
@@ -476,11 +476,6 @@ ex:bad rdf:type ex:Paper .
         &body[start..body.len() - 1]
     }
 
-    /// A report body without its leading `"epoch"` field.
-    fn without_epoch(report: &str) -> &str {
-        &report[report.find(',').expect("report has fields")..]
-    }
-
     /// A numeric `/stats` counter.
     fn stat(addr: SocketAddr, name: &str) -> u64 {
         let s = client::request(addr, "GET", "/stats", &[], b"")
@@ -588,12 +583,12 @@ ex:only rdf:type ex:Paper ; ex:author ex:zed ."#,
         let u = client::request(addr, "POST", "/update", &[], script).unwrap();
         assert_eq!(u.status, 200, "{}", u.text());
         assert!(u.text().contains("\"epoch\":2"), "{}", u.text());
-        assert!(u.text().contains("\"delta_added\":2"), "{}", u.text());
+        assert!(u.text().contains("\"triples\":5"), "{}", u.text());
         assert!(u.text().contains("\"conforms\":false"), "{}", u.text());
         assert!(u.text().contains("new"), "{}", u.text());
         assert!(!u.text().contains("bad\"}"), "{}", u.text());
 
-        // Readers see the merged view at the new epoch. /update stored its
+        // Readers see the edited graph at the new epoch. /update stored its
         // report on the epoch, so /validate answers from it, byte for byte.
         let (status, v, cache) = validate(addr, &[]);
         assert_eq!(status, 200);
@@ -603,15 +598,30 @@ ex:only rdf:type ex:Paper ; ex:author ex:zed ."#,
         assert!(v.contains("\"conforms\":false"));
         assert!(v.contains("new"));
         // The stored report agrees with a from-scratch validation of the
-        // merged view, posted as a body.
+        // edited graph, posted as a body.
         let merged = format!("{DATA}ex:bad ex:author ex:bea .\nex:new rdf:type ex:Paper .\n");
         let scratch = client::request(addr, "POST", "/validate", &[], merged.as_bytes()).unwrap();
         assert_eq!(scratch.status, 200, "{}", scratch.text());
         assert_eq!(scratch.text(), v);
 
-        // /stats surfaces the overlay and the timing split.
+        // A single-shape /fragment on the /update epoch is the fragment of
+        // the replayed graph, byte for byte.
+        let shape = "http://example.org/PaperShape";
+        let f = client::request(addr, "POST", "/fragment", &[], shape.as_bytes()).unwrap();
+        assert_eq!(f.status, 200, "{}", f.text());
+        let (schema, _) = parse_shapes_turtle_with_spans(SHAPES).unwrap();
+        let def = schema.get(&shapefrag_rdf::Term::iri(shape)).unwrap();
+        let replayed = turtle::parse(&merged).unwrap();
+        let ids = shapefrag_core::fragment_ids(
+            &schema,
+            &replayed,
+            &[def.shape.clone().and(def.target.clone())],
+        );
+        assert_eq!(f.text(), ntriples::serialize_ids(&replayed, ids));
+
+        // /stats surfaces the graph size and the timing split.
         let s = client::request(addr, "GET", "/stats", &[], b"").unwrap();
-        assert!(s.text().contains("\"delta_added\":2"), "{}", s.text());
+        assert!(s.text().contains("\"triples\":5"), "{}", s.text());
         assert!(s.text().contains("\"updates\":1"), "{}", s.text());
         assert!(s.text().contains("\"queue_wait_us\":"), "{}", s.text());
         assert!(s.text().contains("\"service_us\":"), "{}", s.text());
@@ -626,23 +636,15 @@ ex:only rdf:type ex:Paper ; ex:author ex:zed ."#,
         assert_eq!(cache.as_deref(), Some("hit"));
         assert_eq!(v, update_report(&u2.text()));
 
-        // Compaction re-freezes and resets the overlay; the view and
-        // report are unchanged.
+        // Every /update epoch is already frozen, so /compact is a no-op:
+        // it answers with the current epoch, swaps none, and leaves the
+        // stored report in place.
         let c = client::request(addr, "POST", "/compact", &[], b"").unwrap();
         assert_eq!(c.status, 200);
-        assert!(c.text().contains("\"compacted\":true"), "{}", c.text());
-        let s2 = client::request(addr, "GET", "/stats", &[], b"").unwrap();
-        assert!(s2.text().contains("\"delta_added\":0"), "{}", s2.text());
-        assert!(s2.text().contains("\"compactions\":1"), "{}", s2.text());
-        // The compacted epoch carries the same report.
+        assert_eq!(c.text(), r#"{"epoch":3,"triples":4,"compacted":false}"#);
         let (_, v2, cache) = validate(addr, &[]);
         assert_eq!(cache.as_deref(), Some("hit"));
-        assert!(v2.contains("\"epoch\":4"), "{v2}");
-        assert_eq!(without_epoch(&v2), without_epoch(&v));
-
-        // A second compact with no overlay is a cheap no-op.
-        let c2 = client::request(addr, "POST", "/compact", &[], b"").unwrap();
-        assert!(c2.text().contains("\"compacted\":false"), "{}", c2.text());
+        assert_eq!(v2, v);
 
         // A budget-starved update faults with 429 + Retry-After and rolls
         // back: the epoch does not move and the report is unchanged.

@@ -22,32 +22,23 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use shapefrag_core::IncrementalValidator;
-use shapefrag_rdf::{DeltaGraph, FrozenGraph, Term};
+use shapefrag_rdf::{FrozenGraph, Term};
 use shapefrag_shacl::validator::ValidationReport;
 use shapefrag_shacl::Schema;
 
 /// One immutable published epoch: a schema and a frozen data graph,
-/// optionally overlaid with the continuous-ingest delta, plus the results
-/// computed against that view. The view never changes, so a result
-/// computed once answers every later request on the epoch. A new epoch
-/// starts with no results, except that `/update` and `/compact` publish
-/// theirs with the incremental engine's report of the view.
+/// plus the results computed against it. The graph never changes, so a
+/// result computed once answers every later request on the epoch. A new
+/// epoch starts with no results, except that `/update` publishes its
+/// epoch with the incremental engine's report of the graph.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Monotonic epoch number, starting at 1.
     pub epoch: u64,
     pub schema: Arc<Schema>,
+    /// The epoch's data graph: loaded at boot or `POST /reload`, or
+    /// folded by the incremental engine on `POST /update`.
     pub frozen: Arc<FrozenGraph>,
-    /// Delta overlay published by `POST /update`; readers evaluate the
-    /// merged view. `None` after boot, `POST /reload`, or
-    /// `POST /compact`.
-    pub delta: Option<Arc<DeltaGraph>>,
-    /// Triples in the published view (base − removed + added).
-    pub triples: usize,
-    /// Overlay additions (0 without a delta).
-    pub delta_added: usize,
-    /// Overlay tombstones (0 without a delta).
-    pub delta_removed: usize,
     /// The view's validation report. Set only from a run that completed:
     /// a faulted run leaves it empty.
     report: OnceLock<EpochReport>,
@@ -65,26 +56,12 @@ pub struct EpochReport {
 }
 
 impl Snapshot {
-    /// An epoch over `frozen`, or over `delta` when an overlay is
-    /// published, with no results computed yet.
-    pub(crate) fn new(
-        epoch: u64,
-        schema: Arc<Schema>,
-        frozen: Arc<FrozenGraph>,
-        delta: Option<Arc<DeltaGraph>>,
-    ) -> Snapshot {
-        let (triples, delta_added, delta_removed) = match &delta {
-            Some(d) => (d.len(), d.added_len(), d.removed_len()),
-            None => (frozen.len(), 0, 0),
-        };
+    /// An epoch over `frozen` with no results computed yet.
+    pub(crate) fn new(epoch: u64, schema: Arc<Schema>, frozen: Arc<FrozenGraph>) -> Snapshot {
         Snapshot {
             epoch,
             schema,
             frozen,
-            delta,
-            triples,
-            delta_added,
-            delta_removed,
             report: OnceLock::new(),
             fragments: Mutex::new(BTreeMap::new()),
         }
@@ -123,9 +100,8 @@ impl Snapshot {
     }
 }
 
-/// The continuous-ingest state behind `POST /update` and `POST /compact`:
-/// the incrementally-maintained validator plus the epoch it last
-/// published. An epoch moved by anything else (a `POST /reload`) makes
+/// The continuous-ingest state behind `POST /update`: the
+/// incrementally-maintained validator plus the epoch it last published. An epoch moved by anything else (a `POST /reload`) makes
 /// the updater stale; the handlers detect the mismatch and reseed from
 /// the current snapshot.
 pub struct Updater {
@@ -194,8 +170,6 @@ pub struct Stats {
     pub reloads: AtomicU64,
     /// Successful `POST /update` edit batches (epoch swaps).
     pub updates: AtomicU64,
-    /// Successful `POST /compact` re-freezes (epoch swaps).
-    pub compactions: AtomicU64,
     /// Cumulative microseconds requests spent waiting for a gate slot
     /// (including requests that were ultimately shed). Reported
     /// separately from service time so queue pressure is visible even
@@ -251,14 +225,11 @@ impl Stats {
 
     /// Renders the counters plus live gauges (read off the gate) as a
     /// JSON object body.
-    #[allow(clippy::too_many_arguments)]
     pub fn to_json(
         &self,
         epoch: u64,
         triples: usize,
         shapes: usize,
-        delta_added: usize,
-        delta_removed: usize,
         gate: &crate::gate::Gate,
         started: Instant,
     ) -> String {
@@ -266,11 +237,10 @@ impl Stats {
         format!(
             concat!(
                 "{{\"epoch\":{},\"uptime_ms\":{},\"triples\":{},\"shapes\":{},",
-                "\"delta_added\":{},\"delta_removed\":{},",
                 "\"inflight\":{},\"queued\":{},\"concurrency_cap\":{},",
                 "\"queue_wait_us\":{},\"service_us\":{},",
                 "\"received\":{},\"admitted\":{},\"shed\":{},\"panics\":{},",
-                "\"reloads\":{},\"updates\":{},\"compactions\":{},",
+                "\"reloads\":{},\"updates\":{},",
                 "\"fragment_cache_hits\":{},\"fragment_cache_misses\":{},",
                 "\"validate_cache_hits\":{},\"validate_cache_misses\":{},",
                 "\"connections\":{},\"connections_refused\":{},",
@@ -281,8 +251,6 @@ impl Stats {
             started.elapsed().as_millis(),
             triples,
             shapes,
-            delta_added,
-            delta_removed,
             gate.inflight(),
             gate.waiting(),
             gate.cap(),
@@ -294,7 +262,6 @@ impl Stats {
             g(&self.panics),
             g(&self.reloads),
             g(&self.updates),
-            g(&self.compactions),
             g(&self.fragment_cache_hits),
             g(&self.fragment_cache_misses),
             g(&self.validate_cache_hits),
@@ -385,7 +352,6 @@ mod tests {
             epoch,
             Arc::new(Schema::empty()),
             Arc::new(Graph::new().freeze()),
-            None,
         )
     }
 

@@ -357,7 +357,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 /// `shapefrag update` — seeds an incremental validator over the frozen
-/// data graph, applies the edit script through the delta overlay, and
+/// data graph, applies the edit script (folded into a new frozen graph), and
 /// prints the incrementally-maintained report (identical to re-validating
 /// the edited graph from scratch, but only impact-routed pairs re-run).
 fn cmd_update(args: &[String]) -> Result<ExitCode, CliError> {
@@ -375,13 +375,10 @@ fn cmd_update(args: &[String]) -> Result<ExitCode, CliError> {
         Ok(report) => report,
         Err(e) => return Ok(resource_fault_exit(&e)),
     };
-    let graph = inc.graph();
     eprintln!(
-        "update: {} edit(s) applied, graph {} triples (+{} / -{} in overlay)",
+        "update: {} edit(s) applied, graph {} triples",
         script.len(),
-        graph.len(),
-        graph.added_len(),
-        graph.removed_len()
+        inc.graph().len()
     );
     println!("{report}");
     Ok(if report.conforms() {
@@ -445,7 +442,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
          cap {} inflight / {} queued)",
         server.addr,
         snapshot.epoch,
-        snapshot.triples,
+        snapshot.frozen.len(),
         snapshot.schema.len(),
         server.state().cfg.max_inflight,
         server.state().cfg.queue_depth,

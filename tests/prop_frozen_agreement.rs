@@ -20,8 +20,10 @@
 //! - **Constructor and writer agreement** — the frozen loaders, `freeze`
 //!   and `DeltaGraph::compact` share one sort-based CSR constructor; a
 //!   document loaded frozen equals `parse(text).freeze()` id for id, a
-//!   compacted overlay equals a fresh freeze of the same edits, and the
-//!   id-level N-Triples writer writes the bytes of the materialized graph.
+//!   compacted overlay equals a fresh freeze of the same edits (also when
+//!   it is folded after every batch, as the incremental engine does), and
+//!   the id-level N-Triples writer writes the bytes of the materialized
+//!   graph.
 
 mod common;
 
@@ -299,6 +301,76 @@ proptest! {
             }
         }
         assert_same_view(&d.compact(), &replayed.freeze())?;
+    }
+
+    /// Folding the overlay after every batch, as the incremental engine
+    /// does, keeps the frozen graph equal to a linear scan of the replayed
+    /// triples and to a fresh freeze of them. Every case runs batches that
+    /// intern new terms, orphan a node, and remove every edge of a
+    /// predicate, each after that batch's random edits.
+    #[test]
+    fn per_batch_compaction_agrees_with_scan_and_fresh_freeze(
+        g in graph_strategy(14),
+        batches in prop::collection::vec(
+            (prop::collection::vec(edit_strategy(), 0..6), 0u8..24),
+            3..6,
+        ),
+        shift in 0usize..3,
+    ) {
+        let mut d = DeltaGraph::new(Arc::new(g.freeze()));
+        let mut replayed = g;
+        for (i, (edits, pick)) in batches.into_iter().enumerate() {
+            let mut ops = edits;
+            // The graph as of the batch's random edits.
+            let mut now = replayed.clone();
+            for (add, t) in &ops {
+                if *add {
+                    now.insert(t.clone());
+                } else {
+                    now.remove(t);
+                }
+            }
+            let orphan = common::node_term(pick % 6);
+            match (i + shift) % 3 {
+                // Fresh subject, predicate and object terms.
+                0 => ops.push((
+                    true,
+                    Triple::new(
+                        Term::iri(format!("{}fresh{i}", common::NS)),
+                        common::iri(&format!("q{i}")),
+                        Term::iri(format!("{}fresh{i}o", common::NS)),
+                    ),
+                )),
+                // Orphan a node: retract every triple it is an endpoint of.
+                1 => ops.extend(
+                    now.iter()
+                        .filter(|t| t.subject == orphan || t.object == orphan)
+                        .map(|t| (false, t)),
+                ),
+                // Retract every edge of a predicate.
+                _ => {
+                    let p = common::pred(pick % 4);
+                    ops.extend(now.iter().filter(|t| t.predicate == p).map(|t| (false, t)));
+                }
+            }
+            for (add, t) in ops {
+                if add {
+                    prop_assert_eq!(d.insert(&t).is_some(), replayed.insert(t));
+                } else {
+                    prop_assert_eq!(d.remove(&t).is_some(), replayed.remove(&t));
+                }
+            }
+            let frozen = d.fold();
+            prop_assert_eq!(d.delta_len(), 0);
+            if (i + shift) % 3 == 1 {
+                if let Some(id) = frozen.id_of(&orphan) {
+                    prop_assert!(!frozen.node_ids_slice().contains(&id));
+                }
+            }
+            let expected: BTreeSet<Triple> = replayed.iter().collect();
+            assert_matches_scan(frozen.as_ref(), &expected)?;
+            assert_same_view(frozen.as_ref(), &replayed.freeze())?;
+        }
     }
 
     /// Each backend answers every accessor as a scan of its sorted triple
