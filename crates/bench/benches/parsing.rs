@@ -4,7 +4,9 @@
 //! `emit` groups set the CLI's id-level paths beside the `Graph` round
 //! trips they replace: the frozen loaders against `parse` + `freeze`, and
 //! the fragment's id-triple writer against `to_graph` + `serialize`;
-//! `load/freeze` times the CSR build on its own.
+//! `load/freeze` times the CSR build on its own, and
+//! `load/ntriples_frozen_dblp` the N-Triples load of the Fig. 3 DBLP slice
+//! the `cli-dblp` benchmark workload reads (3.6k triples, 1.5k terms).
 
 use std::time::Duration;
 
@@ -13,6 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use shapefrag_core::validate_extract_fragment;
 use shapefrag_rdf::{ntriples, turtle};
 use shapefrag_shacl::parser::parse_shapes_turtle;
+use shapefrag_workloads::dblp::{Bibliography, DblpConfig};
 use shapefrag_workloads::shapes57::benchmark_schema;
 use shapefrag_workloads::tyrolean::{generate, TyroleanConfig};
 
@@ -81,7 +84,22 @@ fn bench_parsing(c: &mut Criterion) {
     group.bench_function("ntriples_frozen", |b| {
         b.iter(|| ntriples::parse_frozen(&nt).unwrap());
     });
-    // The CSR build alone (plus the interner clone `freeze` makes).
+    // The 2010–2021 DBLP slice at 96 papers and 52 new authors a year: many
+    // short statements over few distinct terms, so the per-statement cost
+    // of lexing and interning shows.
+    let dblp = ntriples::serialize(
+        &Bibliography::generate(&DblpConfig {
+            papers_per_year: 96,
+            new_authors_per_year: 52,
+            ..DblpConfig::default()
+        })
+        .full_graph(),
+    );
+    group.throughput(Throughput::Bytes(dblp.len() as u64));
+    group.bench_function("ntriples_frozen_dblp", |b| {
+        b.iter(|| ntriples::parse_frozen(&dblp).unwrap());
+    });
+    // The CSR build alone (`freeze` shares the graph's interner).
     group.throughput(Throughput::Elements(graph.len() as u64));
     group.bench_function("freeze", |b| {
         b.iter(|| graph.freeze());

@@ -192,7 +192,7 @@ impl Graph {
     /// anything keyed by id — compiled paths, conformance memos, collected
     /// id-triples — transfers between the backends.
     pub fn freeze(&self) -> FrozenGraph {
-        FrozenGraph::from_log(self.terms.clone(), self.iter_ids().collect())
+        FrozenGraph::from_log(Arc::clone(&self.terms), self.iter_ids().collect())
     }
 }
 

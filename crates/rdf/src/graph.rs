@@ -13,10 +13,9 @@
 //! frozen loaders' output. Writers that only walk the triples in order
 //! (N-Triples, Turtle) never build the snapshot.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::sync::{Arc, OnceLock};
 
 use crate::access::GraphAccess;
@@ -57,79 +56,98 @@ pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
-/// Both the id→term table and the term→id map point at one shared
-/// allocation per distinct term (`Arc<Term>`), instead of storing every
-/// term twice. Lookups borrow: by `&Term`, or by the [`TermKey`] strings a
-/// parser lexed, so a hit allocates nothing. The map keeps std's keyed
-/// `RandomState`: the parsers intern untrusted documents (posted
-/// `/validate` and `/update` bodies), and an unkeyed hash would let one
-/// craft colliding IRIs.
+/// The term table behind every id space: `terms[id]` is the term, and
+/// `slots` is an open-addressing table (linear probing, at most half
+/// full) from each term's hash to its id. A lookup hashes the key once —
+/// by `&Term`, or by the [`TermKey`] strings a parser lexed — and compares
+/// keys only on a tag match, so a hit builds nothing; a miss stores the
+/// term in the empty slot the probe ended on, without hashing again.
+/// Growing re-places the slots by their stored hashes, never by the terms.
+///
+/// The hash is std's keyed `RandomState`: the parsers intern untrusted
+/// documents (posted `/validate` and `/update` bodies), and an unkeyed
+/// hash would let one craft colliding IRIs that turn every insert into a
+/// scan. A clone keeps the keys, so its slots stay valid.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Interner {
-    pub(crate) lookup: HashMap<Arc<Term>, TermId>,
-    pub(crate) terms: Vec<Arc<Term>>,
+    terms: Vec<Term>,
+    /// `hash << 32 | (id + 1)` per slot, with the low 32 bits of the
+    /// term's hash; `0` marks an empty slot. The length is zero, or a
+    /// power of two of at least 16 and at least twice the term count.
+    slots: Vec<u64>,
+    hasher: RandomState,
 }
-
-/// The lookup form shared by [`Term`] and [`TermKey`]: both hash and
-/// compare as their key, so the map can be probed with either.
-trait Keyed {
-    fn key(&self) -> TermKey<'_>;
-}
-
-impl Keyed for Term {
-    fn key(&self) -> TermKey<'_> {
-        Term::key(self)
-    }
-}
-
-impl Keyed for TermKey<'_> {
-    fn key(&self) -> TermKey<'_> {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn Keyed + 'a> for Arc<Term> {
-    fn borrow(&self) -> &(dyn Keyed + 'a) {
-        &**self
-    }
-}
-
-impl Hash for dyn Keyed + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
-}
-
-impl PartialEq for dyn Keyed + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn Keyed + '_ {}
 
 impl Interner {
-    pub(crate) fn intern(&mut self, term: &Term) -> TermId {
-        match self.lookup.get(term) {
-            Some(&id) => id,
-            None => self.insert(term.clone()),
+    /// An interner pre-sized for about `terms` distinct terms.
+    pub(crate) fn with_capacity(terms: usize) -> Self {
+        Interner {
+            terms: Vec::with_capacity(terms),
+            slots: vec![0; (2 * terms).next_power_of_two().max(16)],
+            hasher: RandomState::new(),
         }
+    }
+
+    pub(crate) fn intern(&mut self, term: &Term) -> TermId {
+        self.intern_with(term.key(), || term.clone())
     }
 
     /// Interns the term `key` spells, building it only on a miss.
     pub(crate) fn intern_key(&mut self, key: TermKey<'_>) -> TermId {
-        match self.get_key(key) {
-            Some(id) => id,
-            None => self.insert(key.to_term()),
+        self.intern_with(key, || key.to_term())
+    }
+
+    fn intern_with(&mut self, key: TermKey<'_>, make: impl FnOnce() -> Term) -> TermId {
+        if 2 * self.terms.len() >= self.slots.len() {
+            self.grow();
+        }
+        let hash = self.hash(key);
+        match self.probe(hash, key) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = TermId(self.terms.len() as u32);
+                self.terms.push(make());
+                self.slots[slot] = u64::from(hash) << 32 | (u64::from(id.0) + 1);
+                id
+            }
         }
     }
 
-    fn insert(&mut self, term: Term) -> TermId {
-        let shared = Arc::new(term);
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(Arc::clone(&shared));
-        self.lookup.insert(shared, id);
-        id
+    fn hash(&self, key: TermKey<'_>) -> u32 {
+        self.hasher.hash_one(key) as u32
+    }
+
+    /// The id of `key`, or the empty slot its probe ended on. `slots` must
+    /// hold an empty slot.
+    fn probe(&self, hash: u32, key: TermKey<'_>) -> Result<TermId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Err(i);
+            }
+            let id = (slot as u32).wrapping_sub(1);
+            if (slot >> 32) as u32 == hash && self.terms[id as usize].key() == key {
+                return Ok(TermId(id));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the slot table (at least 16 slots), re-placing each id by
+    /// its stored hash.
+    fn grow(&mut self) {
+        let mut slots = vec![0u64; (2 * self.slots.len()).max(16)];
+        let mask = slots.len() - 1;
+        for &slot in self.slots.iter().filter(|&&s| s != 0) {
+            let mut i = (slot >> 32) as usize & mask;
+            while slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            slots[i] = slot;
+        }
+        self.slots = slots;
     }
 
     /// Interns a triple's terms in subject, predicate, object order — the
@@ -152,11 +170,14 @@ impl Interner {
     }
 
     pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
-        self.lookup.get(term).copied()
+        self.get_key(term.key())
     }
 
     fn get_key(&self, key: TermKey<'_>) -> Option<TermId> {
-        self.lookup.get(&key as &dyn Keyed).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(self.hash(key), key).ok()
     }
 
     /// The ids of a triple's terms, if all three are interned.
@@ -183,7 +204,6 @@ impl Interner {
 /// and object in that order, exactly as [`Graph::insert`] does, so both
 /// finishes — [`TripleLog::into_graph`] and [`TripleLog::into_frozen`] —
 /// hand out the ids `parse(text).freeze()` would.
-#[derive(Default)]
 pub(crate) struct TripleLog {
     terms: Interner,
     triples: Vec<(TermId, TermId, TermId)>,
@@ -192,16 +212,46 @@ pub(crate) struct TripleLog {
     /// and 68% of cli-dblp's triples repeat the previous subject), and
     /// comparing the strings beats hashing them.
     last_subject: Option<TermId>,
+    /// `id + 1` of recently pushed terms (`0`: empty), direct-mapped by
+    /// [`digest`]: predicates, datatypes and popular objects recur, and a
+    /// verified hit skips the keyed hash. A digest collision only costs
+    /// a miss, so the unkeyed digest opens no collision attack.
+    recent: Box<[u32; RECENT]>,
+}
+
+/// Entries of [`TripleLog::recent`].
+const RECENT: usize = 256;
+
+/// A cheap unkeyed digest of a term's text: its length and last eight
+/// bytes, mixed. Only selects a [`TripleLog::recent`] entry.
+fn digest(key: TermKey<'_>) -> usize {
+    let text = |s: &str| {
+        let b = s.as_bytes();
+        let tail = match b.len().checked_sub(8) {
+            Some(at) => u64::from_le_bytes(b[at..].try_into().expect("eight bytes")),
+            None => b.iter().fold(0, |h, &x| h << 8 | u64::from(x)),
+        };
+        tail ^ b.len() as u64
+    };
+    let h = match key {
+        TermKey::Iri(s) => text(s),
+        TermKey::Blank(s) => !text(s),
+        TermKey::Literal {
+            lexical, datatype, ..
+        } => text(lexical) ^ (datatype.len() as u64).rotate_left(32),
+    };
+    (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % RECENT
 }
 
 impl TripleLog {
     /// A log pre-sized for about `triples` statements.
     pub(crate) fn with_capacity(triples: usize) -> Self {
-        let mut log = TripleLog::default();
-        log.terms.lookup.reserve(triples);
-        log.terms.terms.reserve(triples);
-        log.triples.reserve(triples);
-        log
+        TripleLog {
+            terms: Interner::with_capacity(triples),
+            triples: Vec::with_capacity(triples),
+            last_subject: None,
+            recent: Box::new([0; RECENT]),
+        }
     }
 
     /// Appends one triple, given as borrowed terms; `s` is never a literal.
@@ -209,17 +259,38 @@ impl TripleLog {
         debug_assert!(!matches!(s, TermKey::Literal { .. }));
         let s = match self.last_subject {
             Some(id) if self.terms.resolve(id).key() == s => id,
-            _ => *self.last_subject.insert(self.terms.intern_key(s)),
+            _ => {
+                let id = self.intern(s);
+                *self.last_subject.insert(id)
+            }
         };
-        let p = self.terms.intern_key(TermKey::Iri(p));
-        let o = self.terms.intern_key(o);
+        let p = self.intern(TermKey::Iri(p));
+        let o = self.intern(o);
         self.triples.push((s, p, o));
+    }
+
+    /// Interns `key`, trying its [`TripleLog::recent`] entry first.
+    fn intern(&mut self, key: TermKey<'_>) -> TermId {
+        let slot = digest(key);
+        if let Some(id) = self.recent[slot].checked_sub(1).map(TermId) {
+            if self.terms.resolve(id).key() == key {
+                return id;
+            }
+        }
+        let id = self.terms.intern_key(key);
+        self.recent[slot] = id.0 + 1;
+        id
+    }
+
+    /// Number of triples pushed, duplicates included.
+    pub(crate) fn len(&self) -> usize {
+        self.triples.len()
     }
 
     /// Finishes the log into a mutable [`Graph`].
     pub(crate) fn into_graph(self) -> Graph {
         Graph {
-            terms: self.terms,
+            terms: Arc::new(self.terms),
             triples: self.triples.into_iter().collect(),
             snapshot: OnceLock::new(),
         }
@@ -235,7 +306,9 @@ impl TripleLog {
 /// see the module docs for how reads are served.
 #[derive(Default)]
 pub struct Graph {
-    pub(crate) terms: Interner,
+    /// Shared with the snapshot and with clones; a mutation that interns
+    /// copies it only while one of those still holds it.
+    pub(crate) terms: Arc<Interner>,
     /// The triples as ids, ascending by (s, p, o).
     triples: BTreeSet<(TermId, TermId, TermId)>,
     /// The CSR snapshot behind the adjacency reads: built on the first one,
@@ -281,9 +354,11 @@ impl Graph {
     /// Inserts a triple; returns `true` if it was not already present.
     pub fn insert(&mut self, triple: Triple) -> bool {
         self.snapshot.take();
-        let ids = self
-            .terms
-            .intern_triple(&triple.subject, &triple.predicate, &triple.object);
+        let ids = Arc::make_mut(&mut self.terms).intern_triple(
+            &triple.subject,
+            &triple.predicate,
+            &triple.object,
+        );
         self.triples.insert(ids)
     }
 
@@ -324,7 +399,7 @@ impl Graph {
         if let Some(mapped) = map[id.0 as usize] {
             return mapped;
         }
-        let mapped = self.terms.intern(other.term(id));
+        let mapped = Arc::make_mut(&mut self.terms).intern(other.term(id));
         map[id.0 as usize] = Some(mapped);
         mapped
     }
@@ -339,7 +414,7 @@ impl Graph {
     /// yet mentioned in the graph).
     pub fn intern(&mut self, term: &Term) -> TermId {
         self.snapshot.take();
-        self.terms.intern(term)
+        Arc::make_mut(&mut self.terms).intern(term)
     }
 
     /// Resolves an id back to its term.
@@ -566,18 +641,27 @@ mod tests {
     }
 
     #[test]
-    fn interner_shares_one_allocation_per_term() {
+    fn interner_hit_builds_no_term() {
         let mut i = Interner::default();
         let id = i.intern(&Term::iri("shared"));
-        assert_eq!(i.intern(&Term::iri("shared")), id);
-        // The `terms` slot and the `lookup` key are the same allocation.
-        assert_eq!(Arc::strong_count(&i.terms[id.0 as usize]), 2);
+        let built = std::cell::Cell::new(0);
+        let key = TermKey::Iri("shared");
+        let hit = i.intern_with(key, || {
+            built.set(built.get() + 1);
+            key.to_term()
+        });
+        assert_eq!((hit, built.get(), i.len()), (id, 0, 1));
+        let miss = i.intern_with(TermKey::Iri("other"), || {
+            built.set(built.get() + 1);
+            Term::iri("other")
+        });
+        assert_eq!((miss, built.get(), i.len()), (TermId(1), 1, 2));
         assert_eq!(i.resolve(id), &Term::iri("shared"));
     }
 
     #[test]
-    fn interner_hits_by_key_without_allocating() {
-        let mut i = Interner::default();
+    fn interner_ids_are_stable_across_intern_intern_key_and_get() {
+        let mut i = Interner::with_capacity(1);
         let lit = Term::Literal(crate::term::Literal::lang_string("chat", "FR"));
         let id = i.intern(&lit);
         let key = TermKey::Literal {
@@ -586,17 +670,30 @@ mod tests {
             datatype: crate::vocab::rdf::LANG_STRING,
         };
         assert_eq!(i.intern_key(key), id);
-        assert_eq!(Arc::strong_count(&i.terms[id.0 as usize]), 2);
         let iri = i.intern_key(TermKey::Iri("http://e/a"));
         assert_eq!(i.get(&Term::iri("http://e/a")), Some(iri));
-        assert_eq!(i.len(), 2);
+        assert_eq!(i.get(&Term::blank("http://e/a")), None);
+        // Enough terms to grow the slot table several times: every id
+        // still resolves, and is found again, by either lookup.
+        let ids: Vec<TermId> = (0..1000)
+            .map(|k| i.intern_key(TermKey::Blank(&format!("b{k}"))))
+            .collect();
+        let copy = i.clone();
+        for (k, &b) in ids.iter().enumerate() {
+            let term = Term::blank(format!("b{k}"));
+            assert_eq!(i.resolve(b), &term);
+            assert_eq!(i.intern(&term), b);
+            assert_eq!(copy.get(&term), Some(b));
+        }
+        assert_eq!((i.intern(&lit), i.get(&lit)), (id, Some(id)));
+        assert_eq!(i.len(), 1002);
     }
 
     #[test]
     fn log_reuses_a_repeated_subject_id() {
         // Subject reuse must not change the ids interning subject,
         // predicate, object in order hands out.
-        let mut log = TripleLog::default();
+        let mut log = TripleLog::with_capacity(0);
         let (a, b) = (TermKey::Iri("a"), TermKey::Blank("b"));
         log.push(a, "p", b);
         log.push(a, "p", a);
@@ -639,6 +736,26 @@ mod tests {
         assert_eq!(copy.objects_for(&a, &p).len(), 2);
         assert_eq!(g.objects_for(&a, &p).len(), 1);
         assert_eq!(g.node_ids().len(), 2);
+    }
+
+    #[test]
+    fn freeze_shares_the_interner_until_the_graph_interns_again() {
+        let mut g = Graph::from_triples([t("a", "p", "b")]);
+        let frozen = g.freeze();
+        assert!(Arc::ptr_eq(frozen.interner(), &g.terms));
+        // Interning copies the shared interner: the snapshot keeps its
+        // id space, and the graph's ids stay as they were.
+        g.insert(t("a", "p", "c"));
+        assert!(!Arc::ptr_eq(frozen.interner(), &g.terms));
+        assert_eq!(frozen.term_count(), 3);
+        assert_eq!(g.term_count(), 4);
+        assert_eq!(frozen.id_of(&Term::iri("c")), None);
+        assert_eq!(g.id_of(&Term::iri("b")), frozen.id_of(&Term::iri("b")));
+        // With no snapshot left holding it, interning copies nothing.
+        drop(frozen);
+        let terms = Arc::as_ptr(&g.terms);
+        g.insert(t("d", "p", "e"));
+        assert_eq!(Arc::as_ptr(&g.terms), terms);
     }
 
     #[test]

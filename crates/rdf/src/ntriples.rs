@@ -3,8 +3,10 @@
 //! N-Triples is the exchange format used by the experiment harness for data
 //! graphs (one triple per line, absolute IRIs only), which makes loading
 //! large generated graphs fast and allocation-light compared to full Turtle.
-//! Each line is lexed by the byte-level lexer the Turtle reader uses, so
-//! error columns count characters from the start of the line.
+//! A line of the plain shape is lexed in one pass that also finds its end
+//! ([`crate::lex::plain_statement`], shared with the Turtle reader); any
+//! other line by the byte-level lexer the Turtle reader uses, so error
+//! columns count characters from the start of the line.
 
 use std::borrow::Cow;
 
@@ -14,19 +16,9 @@ use crate::access::GraphAccess;
 use crate::error::{LossyLoad, ParseError};
 use crate::frozen::FrozenGraph;
 use crate::graph::{Graph, TermId, TripleLog};
-use crate::lex::{Lexer, TermRef, NTRIPLES};
-use crate::term::{literal_escaped, Iri, Term, Triple};
+use crate::lex::{plain_statement, Lexer, TermRef, NTRIPLES};
+use crate::term::{literal_escaped, Iri, Term, TermKey, Triple};
 use crate::vocab::{rdf, xsd};
-
-/// Statement-count estimate for pre-sizing the graph: the format is
-/// line-oriented, so the newline count bounds the triple count.
-fn estimated_statements(input: &str) -> usize {
-    bytecount_newlines(input) + 1
-}
-
-fn bytecount_newlines(input: &str) -> usize {
-    input.as_bytes().iter().filter(|&&b| b == b'\n').count()
-}
 
 /// Parses an N-Triples document into a [`Graph`].
 pub fn parse(input: &str) -> Result<Graph, ParseError> {
@@ -42,20 +34,9 @@ pub fn parse_frozen(input: &str) -> Result<FrozenGraph, ParseError> {
 
 /// The one N-Triples document parser, writing into an id log.
 fn parse_log(input: &str) -> Result<TripleLog, ParseError> {
-    let mut log = TripleLog::with_capacity(estimated_statements(input));
-    for (lineno, line) in statement_lines(input) {
-        let (s, p, o) = statement(line, lineno)?;
-        log.push(s.key(), &p, o.key());
-    }
+    let mut log = TripleLog::with_capacity(input.len() / 100);
+    parse_into(input, &mut log, Err)?;
     Ok(log)
-}
-
-/// Non-blank, non-comment lines, untrimmed, with their 1-based numbers.
-fn statement_lines(input: &str) -> impl Iterator<Item = (usize, &str)> {
-    input.lines().enumerate().filter_map(|(i, line)| {
-        let text = line.trim_start();
-        (!text.is_empty() && !text.starts_with('#')).then_some((i + 1, line))
-    })
 }
 
 /// Error-recovering parse: the format is line-oriented, so recovery is
@@ -63,21 +44,53 @@ fn statement_lines(input: &str) -> impl Iterator<Item = (usize, &str)> {
 /// and is skipped, every well-formed line contributes its triple.
 pub fn parse_lossy(input: &str) -> LossyLoad {
     let mut report = LossyLoad::default();
-    let mut log = TripleLog::with_capacity(estimated_statements(input));
-    for (lineno, line) in statement_lines(input) {
-        match statement(line, lineno) {
-            Ok((s, p, o)) => {
-                log.push(s.key(), &p, o.key());
-                report.statements_ok += 1;
-            }
-            Err(e) => {
-                report.diagnostics.push(e);
-                report.statements_skipped += 1;
-            }
-        }
-    }
+    let mut log = TripleLog::with_capacity(input.len() / 100);
+    let ok = parse_into(input, &mut log, |e| {
+        report.diagnostics.push(e);
+        Ok(())
+    });
+    debug_assert!(ok.is_ok());
+    report.statements_skipped = report.diagnostics.len();
+    report.statements_ok = log.len();
     report.graph = log.into_graph();
     report
+}
+
+/// Splits `input` into lines and appends each statement line's triple to
+/// `log`, in one pass: a line of the plain shape is lexed where it starts
+/// (and its end found by that same scan), any other line is cut at its
+/// `\n` (a `\r` before it dropped, as `str::lines` does) and lexed by
+/// [`statement`]. Blank and comment lines are skipped. A malformed line's
+/// error goes to `on_error`, and parsing stops if that returns it.
+fn parse_into(
+    input: &str,
+    log: &mut TripleLog,
+    mut on_error: impl FnMut(ParseError) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    let mut rest = input;
+    let mut lineno = 0;
+    while !rest.is_empty() {
+        lineno += 1;
+        if let Some(st) = plain_statement(rest) {
+            log.push(TermKey::Iri(st.subject), st.predicate, st.object);
+            rest = rest.get(st.len + 1..).unwrap_or("");
+            continue;
+        }
+        let (line, next) = match rest.split_once('\n') {
+            Some((line, next)) => (line.strip_suffix('\r').unwrap_or(line), next),
+            None => (rest, ""),
+        };
+        rest = next;
+        let text = line.trim_start();
+        if text.is_empty() || text.starts_with('#') {
+            continue;
+        }
+        match statement(line, lineno) {
+            Ok((s, p, o)) => log.push(s.key(), &p, o.key()),
+            Err(e) => on_error(e)?,
+        }
+    }
+    Ok(())
 }
 
 /// Parses one N-Triples statement. Error columns count characters from
@@ -398,6 +411,26 @@ mod tests {
             let err = parse_line(line, 2).unwrap_err();
             assert_eq!((err.line, err.column, err.code), expected, "{line:?}");
         }
+    }
+
+    #[test]
+    fn lines_are_cut_like_str_lines() {
+        // A `\r` before `\n` is not part of the line, so the missing `.`
+        // is reported at the line's end; a `\r` anywhere else is.
+        let cases = [
+            ("<a> <p> <b>\r\n", (1, 12)),
+            ("<a> <p> <b> .\n<a> <p> <b>\r\r\n", (2, 13)),
+            ("<a> <p> <b>\r", (1, 13)),
+            ("\n\n# c\r\n  \n<a> <p> <b>\n", (5, 12)),
+        ];
+        for (doc, expected) in cases {
+            let err = parse(doc).unwrap_err();
+            assert_eq!((err.line, err.column), expected, "{doc:?}");
+            let err = &parse_lossy(doc).diagnostics[0];
+            assert_eq!((err.line, err.column), expected, "{doc:?}");
+        }
+        let doc = "<a> <p> <b> .\r\n<a> <p> \"x\"@en .\r\n";
+        assert_eq!(parse(doc).unwrap().len(), 2);
     }
 
     #[test]

@@ -235,8 +235,8 @@ pub fn push_escaped_literal(out: &mut String, s: &str) {
 
 /// A node: an element of `N = I ∪ B ∪ L`.
 ///
-/// `Hash` goes through the term's borrowed strings, so an interner can look
-/// a term up by the strings a parser lexed without building the `Term`.
+/// `Hash` goes through the term's borrowed strings ([`TermKey`]), as the
+/// interner hashes them.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Term {
     Iri(Iri),

@@ -20,10 +20,10 @@ use crate::access::GraphAccess;
 use crate::error::{LossyLoad, ParseError};
 use crate::frozen::FrozenGraph;
 use crate::graph::{Graph, TripleLog};
-use crate::lex::{Lexer, TermRef, TURTLE};
+use crate::lex::{plain_statement, Lexer, TermRef, TURTLE};
 use crate::ntriples::{write_sorted, write_term};
 use crate::span::{Span, TripleSpans};
-use crate::term::{Iri, Term};
+use crate::term::{Iri, Term, TermKey};
 use crate::vocab::{rdf, xsd};
 
 /// Deepest allowed nesting of blank-node property lists `[...]` and
@@ -162,6 +162,9 @@ impl<'a> Parser<'a> {
     /// Parses one statement (a directive or a triples block with its
     /// terminating `.`); the cursor must be on its first character.
     fn parse_statement(&mut self) -> Result<(), ParseError> {
+        if self.lex.peek() == Some('<') && self.plain_statement() {
+            return Ok(());
+        }
         if self.lex.peek() == Some('@') {
             self.lex.bump();
             if self.lex.eat_keyword("prefix") {
@@ -188,6 +191,32 @@ impl<'a> Parser<'a> {
         self.parse_triples_block()?;
         self.lex.skip_ws();
         self.lex.expect('.')
+    }
+
+    /// Takes the statement at the cursor when its line has the plain shape
+    /// the N-Triples reader shares ([`plain_statement`]) and none of its
+    /// IRIs is relative to a declared `@base`; otherwise consumes nothing
+    /// and returns `false`, leaving the statement to the general path.
+    fn plain_statement(&mut self) -> bool {
+        let Some(st) = plain_statement(self.lex.rest()) else {
+            return false;
+        };
+        if !self.base.is_empty() && st.iris().any(|iri| !iri.contains(':')) {
+            return false;
+        }
+        if self.spans.is_some() {
+            // The subject and the blanks before the predicate are ASCII,
+            // so its byte offset is its column offset.
+            let at = self.lex.here();
+            let subject = TermRef::Iri(Cow::Borrowed(st.subject));
+            self.note_subject(&subject, at);
+            let predicate_at = Span::new(at.line, at.column + st.predicate_at);
+            self.note_predicate(&subject, st.predicate, predicate_at);
+        }
+        self.log
+            .push(TermKey::Iri(st.subject), st.predicate, st.object);
+        self.lex.advance_in_line(st.len);
+        true
     }
 
     /// After a statement-level error: advances to just past the next `.`

@@ -47,7 +47,7 @@ pub mod state;
 
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -132,29 +132,36 @@ pub enum SnapshotSource {
 
 /// Parses the source into a deny-gated schema and a frozen data graph.
 pub(crate) fn load_source(source: &SnapshotSource) -> Result<(Arc<Schema>, FrozenGraph), String> {
-    let (shapes_text, data_text, data_is_nt) = match source {
-        SnapshotSource::Files { shapes, data } => {
-            let shapes_text = std::fs::read_to_string(shapes)
-                .map_err(|e| format!("cannot read {}: {e}", shapes.display()))?;
-            let data_text = std::fs::read_to_string(data)
-                .map_err(|e| format!("cannot read {}: {e}", data.display()))?;
-            let is_nt = data
-                .extension()
-                .is_some_and(|x| x == "nt" || x == "ntriples");
-            (shapes_text, data_text, is_nt)
-        }
-        SnapshotSource::Inline { shapes, data } => (shapes.clone(), data.clone(), false),
+    let shapes_text = match source {
+        SnapshotSource::Files { shapes, .. } => read(shapes)?,
+        SnapshotSource::Inline { shapes, .. } => shapes.clone(),
     };
     let (schema, _spans) =
         parse_shapes_turtle_with_spans(&shapes_text).map_err(|e| format!("shapes: {e}"))?;
     handlers::check_schema(&schema)?;
+    Ok((Arc::new(schema), load_data(source)?))
+}
+
+/// Parses the source's data graph into a frozen graph.
+fn load_data(source: &SnapshotSource) -> Result<FrozenGraph, String> {
+    let (data_text, data_is_nt) = match source {
+        SnapshotSource::Files { data, .. } => (
+            read(data)?,
+            data.extension()
+                .is_some_and(|x| x == "nt" || x == "ntriples"),
+        ),
+        SnapshotSource::Inline { data, .. } => (data.clone(), false),
+    };
     let parse = if data_is_nt {
         ntriples::parse_frozen
     } else {
         turtle::parse_frozen
     };
-    let graph = parse(&data_text).map_err(|e| format!("data: {e}"))?;
-    Ok((Arc::new(schema), graph))
+    parse(&data_text).map_err(|e| format!("data: {e}"))
+}
+
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
 /// Everything the connection threads share.
@@ -201,6 +208,31 @@ impl Server {
     /// the listener, and starts the accept loop.
     pub fn start(cfg: ServeConfig, source: SnapshotSource) -> Result<Server, String> {
         let (schema, graph) = load_source(&source)?;
+        Server::boot(cfg, source, schema, graph)
+    }
+
+    /// [`Server::start`] for a caller that has already parsed the source's
+    /// shapes graph and gated it through the static analyzer (the CLI
+    /// does, to print the findings with their positions): only the data
+    /// graph is loaded at boot. `POST /reload` still re-reads, parses and
+    /// gates the whole source.
+    pub fn start_with_schema(
+        cfg: ServeConfig,
+        source: SnapshotSource,
+        schema: Schema,
+    ) -> Result<Server, String> {
+        let graph = load_data(&source)?;
+        Server::boot(cfg, source, Arc::new(schema), graph)
+    }
+
+    /// Publishes the first epoch, binds the listener, and starts the
+    /// accept loop.
+    fn boot(
+        cfg: ServeConfig,
+        source: SnapshotSource,
+        schema: Arc<Schema>,
+        graph: FrozenGraph,
+    ) -> Result<Server, String> {
         let first = Snapshot::new(1, schema, Arc::new(graph));
         let listener =
             TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
@@ -838,5 +870,30 @@ ex:S a sh:NodeShape ;
             Err(msg) => assert!(msg.contains("static analysis"), "{msg}"),
             Ok(_) => panic!("deny-level schema must not boot"),
         }
+    }
+
+    #[test]
+    fn a_pre_gated_schema_boots_without_reparsing_the_source() {
+        // The inline shapes text is not Turtle: booting with the caller's
+        // schema never parses it, while `/reload` re-reads the source and
+        // refuses it.
+        let (schema, _) = parse_shapes_turtle_with_spans(SHAPES).unwrap();
+        let server = Server::start_with_schema(
+            ServeConfig::default(),
+            SnapshotSource::Inline {
+                shapes: "not turtle".to_string(),
+                data: DATA.to_string(),
+            },
+            schema,
+        )
+        .expect("server boots");
+        let addr = server.addr;
+        let (status, body, _) = validate(addr, &[]);
+        assert_eq!(status, 200);
+        assert!(body.contains("\"conforms\":false"), "{body}");
+        let reload = client::request(addr, "POST", "/reload", &[], b"").unwrap();
+        assert_eq!(reload.status, 400, "{}", reload.text());
+        assert!(reload.text().contains("shapes:"), "{}", reload.text());
+        assert_eq!(server.shutdown(Duration::from_secs(1)), 0);
     }
 }

@@ -23,8 +23,8 @@
 //! - `explain` prints why/why-not provenance for one focus node.
 //! - `translate` prints the generated SPARQL fragment query (§5.1).
 //! - `update` applies a signed N-Triples edit script (`+`/`-` line
-//!   prefixes) to a delta overlay over the frozen data graph and prints
-//!   the incrementally-maintained report (DESIGN.md §14).
+//!   prefixes): it folds the script into a new frozen data graph and
+//!   prints the incrementally-maintained report (DESIGN.md §14).
 //! - `serve` runs the long-lived HTTP server (see DESIGN.md §13).
 //!
 //! Exit codes: `0` success (for `validate`/`explain`: the data conforms;
@@ -424,16 +424,18 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     let [shapes_path, data_path] = positional.as_slice() else {
         return Err(usage().into());
     };
-    // Load the schema through the CLI gate first so deny-level findings
-    // exit 3 exactly like every other schema-loading command; the server
-    // then re-reads the same files for its first epoch.
-    load_schema(shapes_path)?;
-    let server = Server::start(
+    // The CLI gate parses and analyzes the schema once, so deny-level
+    // findings exit 3 exactly like every other schema-loading command; the
+    // server boots on that schema and loads only the data. `/reload`
+    // re-reads both files.
+    let schema = load_schema(shapes_path)?;
+    let server = Server::start_with_schema(
         cfg,
         SnapshotSource::Files {
             shapes: shapes_path.into(),
             data: data_path.into(),
         },
+        schema,
     )
     .map_err(CliError::Message)?;
     let snapshot = server.state().snapshots.load();

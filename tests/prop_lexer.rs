@@ -7,6 +7,14 @@
 //! generator meant, their frozen loaders must agree with `parse` +
 //! `freeze` id for id, serialization must round-trip, and one injected bad
 //! byte must be reported at the character position counted here.
+//!
+//! A second generator interleaves lines of the plain shape both readers
+//! lex in one pass (`<s> <p> <o>|"lit"[@lang|^^<dt>] .`) with lines that
+//! must leave it for the general path: escapes, non-ASCII IRIs, upper-case
+//! language tags, trailing comments, CRLF, `@base`-relative IRIs, and
+//! whitespace inside `<…>` (an IRI character to N-Triples, an error to
+//! Turtle). The readers must agree with `parse` + `freeze` id for id and
+//! report an injected bad byte where it is.
 
 use proptest::prelude::*;
 
@@ -221,10 +229,137 @@ impl Doc {
         };
         let mut text = self.text.clone();
         text.insert(at, bad);
-        let before = &text[..end];
-        let line = before.matches('\n').count() + 1;
+        let damaged = Doc {
+            text,
+            ..Doc::default()
+        };
+        let position = damaged.position(end);
+        (damaged.text, position)
+    }
+}
+
+/// `((kind, subject body, predicate body), (literal object?, object body
+/// or lexical form, suffix: none / lang / datatype), (language tag,
+/// pick))`. Kinds 0–2 are plain lines; the others each break the plain
+/// shape one way (see [`Doc::mixed`]).
+type LineSpec = ((u8, String, String), (bool, String, u8), (String, usize));
+
+fn line_spec() -> impl Strategy<Value = LineSpec> {
+    (
+        (0u8..10, "[a-zA-Z0-9_./#-]{0,12}", "[a-zA-Z0-9_./#-]{0,12}"),
+        (any::<bool>(), "[a-zA-Z0-9 <>#.,;:@^_-]{0,12}", 0u8..3),
+        ("[a-z]{1,3}(-[a-z0-9]{1,3})?", 0usize..64),
+    )
+}
+
+const BASE: &str = "http://b/";
+
+/// A document of [`LineSpec`] lines in one syntax, and where it fails.
+struct Mixed {
+    doc: Doc,
+    /// Turtle's `(line, column)` for the first whitespace inside `<…>`;
+    /// N-Triples reads such an IRI with the space in it.
+    whitespace_error: Option<(usize, usize)>,
+}
+
+impl Doc {
+    /// One `(line, column)` per byte offset, counted in characters.
+    fn position(&self, end: usize) -> (usize, usize) {
+        let before = &self.text[..end];
         let column = before.rsplit('\n').next().unwrap().chars().count() + 1;
-        (text, (line, column))
+        (before.matches('\n').count() + 1, column)
+    }
+
+    /// Renders `lines`, with Turtle's `@base` declaration before line
+    /// `base_at` when writing Turtle. By kind:
+    /// 0–2 plain; 3 an escape in the object; 4 a non-ASCII character in
+    /// the subject IRI and one in the object; 5 an upper-case language
+    /// tag; 6 a trailing comment; 7 a CRLF line end; 8 a space inside the
+    /// predicate IRI; 9 a relative subject IRI (verbatim before `@base`,
+    /// resolved after it, verbatim in N-Triples).
+    fn mixed(lines: &[LineSpec], turtle: bool, base_at: usize) -> Mixed {
+        let mut doc = Doc::default();
+        let mut whitespace_error = None;
+        let mut base = "";
+        for (n, ((kind, s, p), (literal, o, suffix), (lang, pick))) in lines.iter().enumerate() {
+            if turtle && n == base_at {
+                doc.text.push_str(&format!("@base <{BASE}> .\n"));
+                base = BASE;
+            }
+            let plain = |run: &str| vec![(0u8, 0usize, run.to_owned())];
+            let odd = |k: u8| (k, *pick, String::new());
+            doc.sites.push((doc.text.len(), Site::Subject));
+            let subject = match kind {
+                9 => {
+                    doc.text.push_str("<rel/");
+                    let rel = format!("rel/{}", doc.body(&plain(s), false));
+                    doc.text.push('>');
+                    Term::iri(if turtle { format!("{base}{rel}") } else { rel })
+                }
+                4 => Term::Iri(doc.iri("http://e/s/", &[(0, 0, s.clone()), odd(2)])),
+                _ => Term::Iri(doc.iri("http://e/s/", &plain(s))),
+            };
+            doc.text.push(if pick % 5 == 0 { '\t' } else { ' ' });
+            let predicate = if *kind == 8 {
+                doc.text.push_str("<http://e/p/");
+                let head = doc.body(&plain(p), false);
+                doc.text.push(' ');
+                if turtle && whitespace_error.is_none() {
+                    whitespace_error = Some(doc.position(doc.text.len()));
+                }
+                let tail = doc.body(&plain("x"), false);
+                doc.text.push('>');
+                Iri::new(format!("http://e/p/{head} {tail}"))
+            } else {
+                doc.iri("http://e/p/", &plain(p))
+            };
+            doc.text.push(' ');
+            // IRIs take the IRI characters of the object text.
+            let o_iri: String = o
+                .chars()
+                .filter(|c| c.is_ascii_alphanumeric() || "_./#-".contains(*c))
+                .collect();
+            let mut body = plain(if *literal { o } else { &o_iri });
+            match kind {
+                3 => body.push(odd(3)),
+                4 => body.push(odd(2)),
+                _ => {}
+            }
+            let object = if *literal {
+                doc.text.push('"');
+                let lexical = doc.body(&body, true);
+                doc.text.push('"');
+                Term::Literal(match suffix {
+                    0 => Literal::string(lexical),
+                    1 => {
+                        let tag = if *kind == 5 {
+                            lang.to_ascii_uppercase()
+                        } else {
+                            lang.clone()
+                        };
+                        doc.text.push('@');
+                        doc.text.push_str(&tag);
+                        Literal::lang_string(lexical, &tag)
+                    }
+                    _ => {
+                        doc.text.push_str("^^");
+                        Literal::typed(lexical, doc.iri("http://dt/", &plain(&o_iri)))
+                    }
+                })
+            } else {
+                Term::Iri(doc.iri("http://e/o/", &body))
+            };
+            doc.text.push_str(match kind {
+                6 => " . # a comment, \\ not an escape\n",
+                7 => " .\r\n",
+                _ => " .\n",
+            });
+            doc.triples.push(Triple::new(subject, predicate, object));
+        }
+        Mixed {
+            doc,
+            whitespace_error,
+        }
     }
 }
 
@@ -291,6 +426,36 @@ proptest! {
     ) {
         let (text, expected) = Doc::render(&specs).damaged(k);
         for (name, parse, parse_frozen) in READERS {
+            let err = parse(&text).unwrap_err();
+            prop_assert_eq!((err.line, err.column), expected, "{}: {} in {:?}", name, err, text);
+            prop_assert_eq!(parse_frozen(&text).unwrap_err(), err);
+        }
+    }
+
+    /// Plain lines interleaved with lines that leave the plain lane read
+    /// as the generator meant, freeze id for id like `parse` + `freeze`,
+    /// and report one injected bad byte where it is; Turtle rejects
+    /// whitespace inside `<…>` where it is.
+    #[test]
+    fn plain_lines_interleave_with_fallbacks(
+        lines in prop::collection::vec(line_spec(), 1..16),
+        base_at in 0usize..16,
+        k in 0usize..1_000,
+    ) {
+        for (name, parse, parse_frozen) in READERS {
+            let turtle = name == "turtle";
+            let Mixed { doc, whitespace_error } = Doc::mixed(&lines, turtle, base_at);
+            if let Some(expected) = whitespace_error {
+                let err = parse(&doc.text).unwrap_err();
+                prop_assert_eq!((err.line, err.column), expected, "{}: {} in {:?}", name, err, doc.text);
+                prop_assert_eq!(parse_frozen(&doc.text).unwrap_err(), err);
+                continue;
+            }
+            let graph = parse(&doc.text)
+                .map_err(|e| TestCaseError::fail(format!("{name}: {e} in {:?}", doc.text)))?;
+            prop_assert_eq!(&graph, &Graph::from_triples(doc.triples.iter().cloned()));
+            frozen_agrees(&parse_frozen(&doc.text).unwrap(), &graph)?;
+            let (text, expected) = doc.damaged(k);
             let err = parse(&text).unwrap_err();
             prop_assert_eq!((err.line, err.column), expected, "{}: {} in {:?}", name, err, text);
             prop_assert_eq!(parse_frozen(&text).unwrap_err(), err);
