@@ -566,7 +566,8 @@ impl ContainmentMatrix {
 /// Per-definition folded statuses, by the same references-first fold as
 /// [`analyze_defs`](crate::analyze_defs).
 fn def_statuses(defs: &[ShapeDef]) -> BTreeMap<Term, Status> {
-    crate::fold_defs(defs, refgraph::analyze_refs(defs).topo, |_, _, _, _, _| {})
+    let forms = crate::DefForms::of_defs(defs);
+    crate::fold_defs(&forms, refgraph::refs_of(&forms).topo, |_, _, _, _| {})
 }
 
 /// Redundant-shape findings derived from a matrix: `SF-W030` for

@@ -49,6 +49,7 @@ pub use fold::{fold_nnf, path_warnings, tests_conflict, Status};
 pub use impact::{impact_profiles, ImpactProfile};
 pub use refgraph::{analyze_refs, RefGraph};
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use shapefrag_rdf::vocab::sh;
@@ -98,51 +99,94 @@ fn resolve_span(spans: &SchemaSpans, name: &Term, code: &str) -> Option<Span> {
         .or_else(|| spans.def(name))
 }
 
+/// One definition as the passes read it, with the NNF of its shape
+/// expression and of its target. The shape's NNF is borrowed from the
+/// schema when there is one, and derived otherwise.
+pub(crate) struct DefForms<'a> {
+    pub(crate) def: &'a ShapeDef,
+    pub(crate) shape: Cow<'a, Nnf>,
+    pub(crate) target: Nnf,
+}
+
+impl<'a> DefForms<'a> {
+    fn new(def: &'a ShapeDef, shape: Cow<'a, Nnf>) -> Self {
+        DefForms {
+            def,
+            shape,
+            target: Nnf::from_shape(&def.target),
+        }
+    }
+
+    /// Raw definitions, in their order.
+    pub(crate) fn of_defs(defs: &'a [ShapeDef]) -> Vec<Self> {
+        defs.iter()
+            .map(|d| DefForms::new(d, Cow::Owned(Nnf::from_shape(&d.shape))))
+            .collect()
+    }
+
+    /// A schema's definitions in name order, with the NNF the schema
+    /// computed when it was built.
+    fn of_schema(schema: &'a Schema) -> Vec<Self> {
+        schema
+            .iter()
+            .map(|d| DefForms::new(d, Cow::Borrowed(schema.def_nnf(&d.name, false))))
+            .collect()
+    }
+}
+
 /// Runs the full analysis over raw shape definitions (pre-[`Schema`], so
 /// recursive and otherwise rejected inputs are *reported*, not errored).
 /// Pass the spans from [`shapefrag_shacl::parser::parse_shape_defs_turtle`]
 /// to get source positions on the findings.
 pub fn analyze_defs(defs: &[ShapeDef], spans: Option<&SchemaSpans>) -> Vec<Diagnostic> {
-    let rg = refgraph::analyze_refs(defs);
+    analyze(&DefForms::of_defs(defs), spans)
+}
+
+/// [`analyze_defs`] over an already-constructed (hence nonrecursive)
+/// schema. Reads each definition's NNF from the schema, so nothing is
+/// cloned or re-derived beyond the targets' NNF.
+pub fn analyze_schema(schema: &Schema, spans: Option<&SchemaSpans>) -> Vec<Diagnostic> {
+    analyze(&DefForms::of_schema(schema), spans)
+}
+
+/// The passes behind [`analyze_defs`] and [`analyze_schema`].
+fn analyze(forms: &[DefForms], spans: Option<&SchemaSpans>) -> Vec<Diagnostic> {
+    let rg = refgraph::refs_of(forms);
     let mut diags = rg.diagnostics;
-    fold_defs(
-        defs,
-        rg.topo,
-        |def, phi, phi_status, mut local, def_status| {
-            let tau = Nnf::from_shape(&def.target);
-            let (_, tau_status, tau_diags) = fold::fold_nnf(&tau, def_status);
-            local.extend(tau_diags);
-            local.extend(fold::path_warnings(phi));
-            local.extend(fold::path_warnings(&tau));
-            let targeted = tau_status != Status::Unsat;
-            if targeted && phi_status == Status::Unsat {
-                local.push(Diagnostic::new(
-                    codes::UNSATISFIABLE_DEF,
-                    Severity::Deny,
-                    None,
-                    "definition is statically unsatisfiable: every target match is \
+    fold_defs(forms, rg.topo, |form, phi_status, mut local, def_status| {
+        let (def, phi, tau) = (form.def, &*form.shape, &form.target);
+        let (_, tau_status, tau_diags) = fold::fold_nnf(tau, def_status);
+        local.extend(tau_diags);
+        local.extend(fold::path_warnings(phi));
+        local.extend(fold::path_warnings(tau));
+        let targeted = tau_status != Status::Unsat;
+        if targeted && phi_status == Status::Unsat {
+            local.push(Diagnostic::new(
+                codes::UNSATISFIABLE_DEF,
+                Severity::Deny,
+                None,
+                "definition is statically unsatisfiable: every target match is \
                      reported as a violation"
-                        .to_string(),
-                ));
-            }
-            if targeted && phi_status == Status::Valid {
-                local.push(Diagnostic::new(
-                    codes::ALWAYS_TRUE_DEF,
-                    Severity::Warn,
-                    None,
-                    "shape expression is statically always satisfied: targets can \
+                    .to_string(),
+            ));
+        }
+        if targeted && phi_status == Status::Valid {
+            local.push(Diagnostic::new(
+                codes::ALWAYS_TRUE_DEF,
+                Severity::Warn,
+                None,
+                "shape expression is statically always satisfied: targets can \
                      never fail validation"
-                        .to_string(),
-                ));
+                    .to_string(),
+            ));
+        }
+        for mut d in local {
+            if d.shape.is_none() {
+                d.shape = Some(def.name.clone());
             }
-            for mut d in local {
-                if d.shape.is_none() {
-                    d.shape = Some(def.name.clone());
-                }
-                diags.push(d);
-            }
-        },
-    );
+            diags.push(d);
+        }
+    });
     if let Some(spans) = spans {
         for d in &mut diags {
             if d.span.is_none() {
@@ -160,37 +204,29 @@ pub fn analyze_defs(defs: &[ShapeDef], spans: Option<&SchemaSpans>) -> Vec<Diagn
 /// Folds every definition's shape references-first (in `topo` order), so
 /// statuses resolve across definitions; without a topological order (a
 /// recursive schema) every reference conservatively stays `Unknown`.
-/// `visit` sees each definition with its NNF shape, that shape's folded
+/// `visit` sees each definition with its NNF forms, its shape's folded
 /// status and findings, and the statuses resolved so far, before the
 /// definition's own status is recorded. Returns every definition's status.
 pub(crate) fn fold_defs(
-    defs: &[ShapeDef],
+    forms: &[DefForms],
     topo: Option<Vec<Term>>,
-    mut visit: impl FnMut(&ShapeDef, &Nnf, Status, Vec<Diagnostic>, &BTreeMap<Term, Status>),
+    mut visit: impl FnMut(&DefForms, Status, Vec<Diagnostic>, &BTreeMap<Term, Status>),
 ) -> BTreeMap<Term, Status> {
-    let mut def_status: BTreeMap<Term, Status> = defs
+    let mut def_status: BTreeMap<Term, Status> = forms
         .iter()
-        .map(|d| (d.name.clone(), Status::Unknown))
+        .map(|f| (f.def.name.clone(), Status::Unknown))
         .collect();
-    let order = topo.unwrap_or_else(|| defs.iter().map(|d| d.name.clone()).collect());
-    let by_name: BTreeMap<&Term, &ShapeDef> = defs.iter().map(|d| (&d.name, d)).collect();
+    let order = topo.unwrap_or_else(|| forms.iter().map(|f| f.def.name.clone()).collect());
+    let by_name: BTreeMap<&Term, &DefForms> = forms.iter().map(|f| (&f.def.name, f)).collect();
     for name in &order {
-        let Some(def) = by_name.get(name) else {
+        let Some(form) = by_name.get(name) else {
             continue;
         };
-        let phi = Nnf::from_shape(&def.shape);
-        let (_, status, local) = fold::fold_nnf(&phi, &def_status);
-        visit(def, &phi, status, local, &def_status);
+        let (_, status, local) = fold::fold_nnf(&form.shape, &def_status);
+        visit(form, status, local, &def_status);
         def_status.insert(name.clone(), status);
     }
     def_status
-}
-
-/// [`analyze_defs`] over an already-constructed (hence nonrecursive)
-/// schema.
-pub fn analyze_schema(schema: &Schema, spans: Option<&SchemaSpans>) -> Vec<Diagnostic> {
-    let defs: Vec<ShapeDef> = schema.iter().cloned().collect();
-    analyze_defs(&defs, spans)
 }
 
 #[cfg(test)]

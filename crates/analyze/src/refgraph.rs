@@ -26,6 +26,7 @@ use shapefrag_rdf::Term;
 use shapefrag_shacl::{Nnf, Shape, ShapeDef};
 
 use crate::diagnostic::{codes, Diagnostic, Severity};
+use crate::DefForms;
 
 /// Result of the reference-graph pass.
 #[derive(Debug, Clone, Default)]
@@ -124,6 +125,12 @@ fn tarjan(n: usize, adj: &[Vec<(usize, bool)>]) -> Vec<Vec<usize>> {
 /// Runs the reference-graph pass over raw definitions (pre-`Schema`, so
 /// recursive inputs are analyzable rather than rejected).
 pub fn analyze_refs(defs: &[ShapeDef]) -> RefGraph {
+    refs_of(&DefForms::of_defs(defs))
+}
+
+/// [`analyze_refs`] over definitions whose NNF forms are at hand.
+pub(crate) fn refs_of(forms: &[DefForms]) -> RefGraph {
+    let defs: Vec<&ShapeDef> = forms.iter().map(|f| f.def).collect();
     let names: Vec<&Term> = defs.iter().map(|d| &d.name).collect();
     let id_of: BTreeMap<&Term, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
 
@@ -131,10 +138,11 @@ pub fn analyze_refs(defs: &[ShapeDef]) -> RefGraph {
 
     // Edges (per def, deduplicated) and undefined references.
     let mut adj: Vec<Vec<(usize, bool)>> = vec![Vec::new(); defs.len()];
-    for (i, def) in defs.iter().enumerate() {
+    for (i, form) in forms.iter().enumerate() {
+        let def = form.def;
         let mut refs: Vec<(Term, bool)> = Vec::new();
-        collect_refs(&Nnf::from_shape(&def.shape), &mut refs);
-        collect_refs(&Nnf::from_shape(&def.target), &mut refs);
+        collect_refs(&form.shape, &mut refs);
+        collect_refs(&form.target, &mut refs);
         let mut undefined_reported: Vec<&Term> = Vec::new();
         for (name, parity) in &refs {
             match id_of.get(name) {

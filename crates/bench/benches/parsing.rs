@@ -6,18 +6,24 @@
 //! the fragment's id-triple writer against `to_graph` + `serialize`;
 //! `load/freeze` times the CSR build on its own, and
 //! `load/ntriples_frozen_dblp` the N-Triples load of the Fig. 3 DBLP slice
-//! the `cli-dblp` benchmark workload reads (3.6k triples, 1.5k terms).
+//! the `cli-dblp` benchmark workload reads (3.6k triples, 1.5k terms), and
+//! `load/shapes57_gated` the start-up every CLI command pays on the 57-shape
+//! suite: the shapes graph parsed with spans, translated and gated through
+//! the analyzer.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use shapefrag_analyze::analyze_schema;
 use shapefrag_core::validate_extract_fragment;
 use shapefrag_rdf::{ntriples, turtle};
-use shapefrag_shacl::parser::parse_shapes_turtle;
+use shapefrag_shacl::parser::{parse_shapes_turtle, parse_shapes_turtle_with_spans};
+use shapefrag_shacl::schema_to_turtle;
 use shapefrag_workloads::dblp::{Bibliography, DblpConfig};
 use shapefrag_workloads::shapes57::benchmark_schema;
 use shapefrag_workloads::tyrolean::{generate, TyroleanConfig};
+use shapefrag_workloads::TRANSLATION_SAMPLE_TTL;
 
 fn config() -> Criterion {
     Criterion::default()
@@ -25,24 +31,6 @@ fn config() -> Criterion {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500))
 }
-
-const SHAPES_TTL: &str = r#"
-@prefix sh: <http://www.w3.org/ns/shacl#> .
-@prefix ex: <http://e/> .
-@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
-ex:S1 a sh:NodeShape ; sh:targetClass ex:Paper ;
-  sh:property [ sh:path ex:author ; sh:minCount 1 ;
-                sh:qualifiedValueShape [ sh:class ex:Student ] ;
-                sh:qualifiedMinCount 1 ] ;
-  sh:property [ sh:path ex:year ; sh:datatype xsd:integer ;
-                sh:minInclusive 1900 ; sh:maxInclusive 2030 ] ;
-  sh:property [ sh:path ( ex:venue ex:name ) ; sh:minCount 1 ] .
-ex:S2 a sh:NodeShape ; sh:targetSubjectsOf ex:reviews ;
-  sh:or ( ex:S3 ex:S4 ) ; sh:closed true ; sh:ignoredProperties ( ex:x ) .
-ex:S3 a sh:NodeShape ; sh:property [ sh:path ex:score ; sh:lessThan ex:max ] .
-ex:S4 a sh:NodeShape ; sh:property [ sh:path ex:label ; sh:uniqueLang true ;
-  sh:languageIn ( "en" "de" ) ] .
-"#;
 
 fn bench_parsing(c: &mut Criterion) {
     let graph = generate(&TyroleanConfig::new(4_000, 3));
@@ -99,6 +87,16 @@ fn bench_parsing(c: &mut Criterion) {
     group.bench_function("ntriples_frozen_dblp", |b| {
         b.iter(|| ntriples::parse_frozen(&dblp).unwrap());
     });
+    // The CLI's start-up on the 57-shape suite as the benchmark writes it
+    // (519 triples, 212 definitions).
+    let shapes57 = schema_to_turtle(&benchmark_schema());
+    group.throughput(Throughput::Bytes(shapes57.len() as u64));
+    group.bench_function("shapes57_gated", |b| {
+        b.iter(|| {
+            let (schema, spans) = parse_shapes_turtle_with_spans(&shapes57).unwrap();
+            analyze_schema(&schema, Some(&spans))
+        });
+    });
     // The CSR build alone (`freeze` shares the graph's interner).
     group.throughput(Throughput::Elements(graph.len() as u64));
     group.bench_function("freeze", |b| {
@@ -118,7 +116,7 @@ fn bench_parsing(c: &mut Criterion) {
     group.finish();
 
     c.bench_function("shapes_graph_translation", |b| {
-        b.iter(|| parse_shapes_turtle(SHAPES_TTL).unwrap());
+        b.iter(|| parse_shapes_turtle(TRANSLATION_SAMPLE_TTL).unwrap());
     });
 }
 

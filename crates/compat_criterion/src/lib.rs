@@ -7,6 +7,10 @@
 //! cost, it takes `sample_size` timed batches within `measurement_time`
 //! and reports the median per-iteration time. No HTML reports, no
 //! statistical regression analysis.
+//!
+//! As in `criterion`, the first argument that is not a flag filters the
+//! benchmarks: only those whose `group/name` contains it run, so
+//! `cargo bench --bench parsing -- load/shapes57` runs one case.
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
@@ -20,6 +24,8 @@ pub struct Criterion {
     sample_size: usize,
     measurement_time: Duration,
     warm_up_time: Duration,
+    /// Runs only benchmarks whose full name contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -28,6 +34,7 @@ impl Default for Criterion {
             sample_size: 20,
             measurement_time: Duration::from_secs(2),
             warm_up_time: Duration::from_millis(300),
+            filter: None,
         }
     }
 }
@@ -49,9 +56,22 @@ impl Criterion {
         self
     }
 
-    /// Accepted for CLI compatibility; filtering is not implemented.
+    /// Applies the command line: see [`Criterion::with_args`].
     pub fn configure_from_args(self) -> Self {
+        self.with_args(std::env::args().skip(1))
+    }
+
+    /// Takes the first argument that is not a flag (`cargo bench` passes
+    /// `--bench`) as a substring filter on `group/name`; other arguments
+    /// are ignored.
+    fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Self {
+        self.filter = args.into_iter().find(|a| !a.starts_with('-'));
         self
+    }
+
+    /// True iff the benchmark named `name` (`group/name`) is to run.
+    fn selects(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
@@ -191,6 +211,9 @@ fn time_one<F: FnMut(&mut Bencher)>(f: &mut F, iters: u64) -> Duration {
 }
 
 fn run_benchmark<F: FnMut(&mut Bencher)>(name: &str, config: &Criterion, mut f: F) {
+    if !config.selects(name) {
+        return;
+    }
     // Warm up and estimate per-iteration cost, growing the batch until the
     // warm-up budget is spent.
     let mut iters: u64 = 1;
@@ -252,7 +275,7 @@ fn format_duration(d: Duration) -> String {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
+            let mut criterion: $crate::Criterion = $config.configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -290,5 +313,36 @@ mod tests {
         group.bench_with_input(BenchmarkId::new("param", 3), &3u64, |b, n| b.iter(|| n * 2));
         group.finish();
         c.bench_function("top-level", |b| b.iter(|| 1 + 1));
+    }
+
+    #[test]
+    fn the_first_non_flag_argument_filters_by_substring() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let c = Criterion::default().with_args(args(&["--bench", "load/shapes57"]));
+        assert!(c.selects("load/shapes57_gated"));
+        assert!(!c.selects("load/turtle_frozen"));
+        assert!(!c.selects("shapes_graph_translation"));
+        let c = Criterion::default().with_args(args(&["--bench"]));
+        assert!(c.selects("load/turtle_frozen"));
+
+        // A filtered-out benchmark never runs its closure.
+        let mut c = Criterion::default()
+            .sample_size(2)
+            .measurement_time(Duration::from_millis(10))
+            .warm_up_time(Duration::from_millis(1))
+            .with_args(args(&["kept"]));
+        let (mut kept, mut skipped) = (0, 0);
+        let mut group = c.benchmark_group("g");
+        group.bench_function("kept", |b| {
+            kept += 1;
+            b.iter(|| 1 + 1)
+        });
+        group.bench_function("other", |b| {
+            skipped += 1;
+            b.iter(|| 1 + 1)
+        });
+        group.finish();
+        assert!(kept > 0);
+        assert_eq!(skipped, 0);
     }
 }

@@ -173,7 +173,7 @@ impl Interner {
         self.get_key(term.key())
     }
 
-    fn get_key(&self, key: TermKey<'_>) -> Option<TermId> {
+    pub(crate) fn get_key(&self, key: TermKey<'_>) -> Option<TermId> {
         if self.slots.is_empty() {
             return None;
         }
@@ -254,8 +254,14 @@ impl TripleLog {
         }
     }
 
-    /// Appends one triple, given as borrowed terms; `s` is never a literal.
-    pub(crate) fn push(&mut self, s: TermKey<'_>, p: &str, o: TermKey<'_>) {
+    /// Appends one triple, given as borrowed terms, and returns its ids;
+    /// `s` is never a literal.
+    pub(crate) fn push(
+        &mut self,
+        s: TermKey<'_>,
+        p: &str,
+        o: TermKey<'_>,
+    ) -> (TermId, TermId, TermId) {
         debug_assert!(!matches!(s, TermKey::Literal { .. }));
         let s = match self.last_subject {
             Some(id) if self.terms.resolve(id).key() == s => id,
@@ -267,6 +273,7 @@ impl TripleLog {
         let p = self.intern(TermKey::Iri(p));
         let o = self.intern(o);
         self.triples.push((s, p, o));
+        (s, p, o)
     }
 
     /// Interns `key`, trying its [`TripleLog::recent`] entry first.

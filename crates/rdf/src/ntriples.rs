@@ -86,7 +86,9 @@ fn parse_into(
             continue;
         }
         match statement(line, lineno) {
-            Ok((s, p, o)) => log.push(s.key(), &p, o.key()),
+            Ok((s, p, o)) => {
+                log.push(s.key(), &p, o.key());
+            }
             Err(e) => on_error(e)?,
         }
     }

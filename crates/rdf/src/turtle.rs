@@ -13,17 +13,18 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write;
+use std::sync::Arc;
 
 use shapefrag_govern::ErrorCode;
 
-use crate::access::GraphAccess;
 use crate::error::{LossyLoad, ParseError};
 use crate::frozen::FrozenGraph;
 use crate::graph::{Graph, TripleLog};
 use crate::lex::{plain_statement, Lexer, TermRef, TURTLE};
 use crate::ntriples::{write_sorted, write_term};
-use crate::span::{Span, TripleSpans};
-use crate::term::{Iri, Term, TermKey};
+use crate::span::{Span, SpanLog, TripleSpans};
+use crate::term::{Term, TermKey};
 use crate::vocab::{rdf, xsd};
 
 /// Deepest allowed nesting of blank-node property lists `[...]` and
@@ -48,14 +49,17 @@ pub fn parse_frozen(input: &str) -> Result<FrozenGraph, ParseError> {
     Ok(parser.log.into_frozen())
 }
 
-/// [`parse`], additionally recording where each subject and each
+/// [`parse_frozen`], additionally recording where each subject and each
 /// `(subject, predicate)` pair first appeared. The shapes-graph parser
 /// threads these positions into analyzer diagnostics.
-pub fn parse_with_spans(input: &str) -> Result<(Graph, TripleSpans), ParseError> {
+pub fn parse_with_spans(input: &str) -> Result<(FrozenGraph, TripleSpans), ParseError> {
     let mut parser = Parser::new(input);
-    parser.spans = Some(TripleSpans::default());
+    parser.spans = Some(SpanLog::default());
     parser.parse_document()?;
-    Ok((parser.log.into_graph(), parser.spans.unwrap_or_default()))
+    let spans = parser.spans.take().unwrap_or_default();
+    let graph = parser.log.into_frozen();
+    let spans = spans.finish(Arc::clone(graph.interner()));
+    Ok((graph, spans))
 }
 
 /// Error-recovering parse: statements that fail are skipped up to the next
@@ -102,7 +106,10 @@ struct Parser<'a> {
     depth: usize,
     /// When set, subject / predicate source positions are recorded as
     /// statements parse (see [`parse_with_spans`]).
-    spans: Option<TripleSpans>,
+    spans: Option<SpanLog>,
+    /// Buffers of dropped terms, reused for the next expanded prefixed
+    /// name, `@base`-relative IRI or generated blank label.
+    spare: Vec<String>,
 }
 
 impl<'a> Parser<'a> {
@@ -118,18 +125,45 @@ impl<'a> Parser<'a> {
             blank_counter: 0,
             depth: 0,
             spans: None,
+            spare: Vec::new(),
         }
     }
 
-    fn note_subject(&mut self, subject: &TermRef<'_>, at: Span) {
-        if let Some(spans) = &mut self.spans {
-            spans.record_subject(&subject.to_term(), at);
+    /// Notes a subject or predicate occurrence at `at` when spans are
+    /// recorded; the caller binds the note to ids once they are interned.
+    fn note(&mut self, at: Span) -> Option<usize> {
+        self.spans.as_mut().map(|spans| spans.open(at))
+    }
+
+    /// An empty buffer, reused when one is spare.
+    fn buffer(&mut self) -> String {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf
+    }
+
+    /// Keeps the buffer of a text the parser is done with.
+    fn recycle(&mut self, text: Cow<'a, str>) {
+        if let Cow::Owned(buf) = text {
+            self.spare.push(buf);
         }
     }
 
-    fn note_predicate(&mut self, subject: &TermRef<'_>, predicate: &str, at: Span) {
-        if let Some(spans) = &mut self.spans {
-            spans.record_predicate(&subject.to_term(), &Iri::new(predicate), at);
+    /// [`Parser::recycle`] for every text of a term.
+    fn recycle_term(&mut self, term: TermRef<'a>) {
+        match term {
+            TermRef::Iri(text) | TermRef::Blank(text) => self.recycle(text),
+            TermRef::Literal {
+                lexical,
+                language,
+                datatype,
+            } => {
+                self.recycle(lexical);
+                if let Some(language) = language {
+                    self.recycle(language);
+                }
+                self.recycle(datatype);
+            }
         }
     }
 
@@ -146,7 +180,9 @@ impl<'a> Parser<'a> {
 
     fn fresh_blank(&mut self) -> TermRef<'a> {
         self.blank_counter += 1;
-        TermRef::Blank(Cow::Owned(format!("gen{}", self.blank_counter)))
+        let mut label = self.buffer();
+        write!(label, "gen{}", self.blank_counter).expect("writing to a String");
+        TermRef::Blank(Cow::Owned(label))
     }
 
     fn parse_document(&mut self) -> Result<(), ParseError> {
@@ -204,17 +240,18 @@ impl<'a> Parser<'a> {
         if !self.base.is_empty() && st.iris().any(|iri| !iri.contains(':')) {
             return false;
         }
-        if self.spans.is_some() {
+        let (s, p, _) = self
+            .log
+            .push(TermKey::Iri(st.subject), st.predicate, st.object);
+        if let Some(spans) = &mut self.spans {
             // The subject and the blanks before the predicate are ASCII,
             // so its byte offset is its column offset.
             let at = self.lex.here();
-            let subject = TermRef::Iri(Cow::Borrowed(st.subject));
-            self.note_subject(&subject, at);
-            let predicate_at = Span::new(at.line, at.column + st.predicate_at);
-            self.note_predicate(&subject, st.predicate, predicate_at);
+            let subject = spans.open(at);
+            spans.bind_subject(subject, s);
+            let predicate = spans.open(Span::new(at.line, at.column + st.predicate_at));
+            spans.bind_predicate(predicate, s, p);
         }
-        self.log
-            .push(TermKey::Iri(st.subject), st.predicate, st.object);
         self.lex.advance_in_line(st.len);
         true
     }
@@ -340,20 +377,35 @@ impl<'a> Parser<'a> {
         } else {
             self.parse_subject()?
         };
-        self.note_subject(&subject, at);
-        self.parse_predicate_object_list(&subject)
+        let note = self.note(at);
+        self.parse_predicate_object_list(&subject, note)?;
+        self.recycle_term(subject);
+        Ok(())
     }
 
-    fn parse_predicate_object_list(&mut self, subject: &TermRef<'_>) -> Result<(), ParseError> {
+    /// The predicate-object list of `subject`, whose span note (if any) is
+    /// `subject_note`.
+    fn parse_predicate_object_list(
+        &mut self,
+        subject: &TermRef<'_>,
+        subject_note: Option<usize>,
+    ) -> Result<(), ParseError> {
         loop {
             self.lex.skip_ws();
             let at = self.lex.here();
             let predicate = self.parse_predicate()?;
-            self.note_predicate(subject, &predicate, at);
+            let predicate_note = self.note(at);
             loop {
                 self.lex.skip_ws();
                 let object = self.parse_object()?;
-                self.log.push(subject.key(), &predicate, object.key());
+                let (s, p, _) = self.log.push(subject.key(), &predicate, object.key());
+                if let (Some(spans), Some(sn), Some(pn)) =
+                    (&mut self.spans, subject_note, predicate_note)
+                {
+                    spans.bind_subject(sn, s);
+                    spans.bind_predicate(pn, s, p);
+                }
+                self.recycle_term(object);
                 self.lex.skip_ws();
                 if self.lex.peek() == Some(',') {
                     self.lex.bump();
@@ -361,6 +413,7 @@ impl<'a> Parser<'a> {
                     break;
                 }
             }
+            self.recycle(predicate);
             self.lex.skip_ws();
             if self.lex.peek() == Some(';') {
                 self.lex.bump();
@@ -550,7 +603,11 @@ impl<'a> Parser<'a> {
         let iri = self.lex.iri_body()?;
         // Simple relative-reference handling: concatenate with base.
         if !self.base.is_empty() && !iri.contains(':') {
-            Ok(Cow::Owned(format!("{}{}", self.base, iri)))
+            let mut buf = self.buffer();
+            buf.push_str(&self.base);
+            buf.push_str(&iri);
+            self.recycle(iri);
+            Ok(Cow::Owned(buf))
         } else {
             Ok(iri)
         }
@@ -581,12 +638,18 @@ impl<'a> Parser<'a> {
         let prefix = self.lex.since(start);
         self.lex.expect(':')?;
         let local = self.parse_local_name()?;
-        let ns = self.prefixes.get(prefix).ok_or_else(|| {
-            self.lex
+        let Some(ns) = self.prefixes.get(prefix) else {
+            return Err(self
+                .lex
                 .error(format!("undeclared prefix '{prefix}:'"))
-                .code(ErrorCode::UndeclaredPrefix)
-        })?;
-        Ok(Cow::Owned(format!("{ns}{local}")))
+                .code(ErrorCode::UndeclaredPrefix));
+        };
+        let mut iri = self.spare.pop().unwrap_or_default();
+        iri.clear();
+        iri.push_str(ns);
+        iri.push_str(&local);
+        self.recycle(local);
+        Ok(Cow::Owned(iri))
     }
 
     /// The local part of a prefixed name, with `\`-escapes decoded.
@@ -630,14 +693,18 @@ impl<'a> Parser<'a> {
         let at = self.lex.here();
         self.lex.expect('[')?;
         let node = self.fresh_blank();
-        self.note_subject(&node, at);
+        let note = self.note(at);
         self.lex.skip_ws();
         if self.lex.peek() == Some(']') {
             self.lex.bump();
+            if let (Some(spans), Some(note), TermRef::Blank(label)) = (&mut self.spans, note, &node)
+            {
+                spans.bind_blank(note, label);
+            }
             self.depth -= 1;
             return Ok(node);
         }
-        self.parse_predicate_object_list(&node)?;
+        self.parse_predicate_object_list(&node, note)?;
         self.lex.skip_ws();
         self.lex.expect(']')?;
         self.depth -= 1;
@@ -663,7 +730,9 @@ impl<'a> Parser<'a> {
             let cell = self.fresh_blank();
             self.log.push(cell.key(), rdf::FIRST, item.key());
             self.log.push(cell.key(), rdf::REST, tail.key());
-            tail = cell;
+            self.recycle_term(item);
+            let used = std::mem::replace(&mut tail, cell);
+            self.recycle_term(used);
         }
         Ok(tail)
     }
@@ -689,29 +758,6 @@ fn is_pname_char(c: char) -> bool {
 /// [`is_pname_char`] on ASCII bytes.
 fn is_pname_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
-}
-
-/// Reads an `rdf:first`/`rdf:rest` list starting at `head` from a graph.
-/// Returns `None` if the list is malformed (missing links or cycles).
-pub fn read_list(graph: &Graph, head: &Term) -> Option<Vec<Term>> {
-    let nil = Term::Iri(rdf::nil());
-    let mut items = Vec::new();
-    let mut current = head.clone();
-    let mut steps = 0usize;
-    while current != nil {
-        steps += 1;
-        if steps > graph.len() + 1 {
-            return None; // cycle
-        }
-        let firsts = graph.objects_for(&current, &rdf::first());
-        let rests = graph.objects_for(&current, &rdf::rest());
-        if firsts.len() != 1 || rests.len() != 1 {
-            return None;
-        }
-        items.push(firsts[0].clone());
-        current = rests[0].clone();
-    }
-    Some(items)
 }
 
 /// Serializes a graph as Turtle with the given prefix map
@@ -751,8 +797,20 @@ pub fn serialize(graph: &Graph, prefixes: &[(&str, &str)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Triple;
+    use crate::access::GraphAccess;
+    use crate::term::{Iri, Triple};
     use crate::vocab::xsd;
+
+    /// The items of the `rdf:first`/`rdf:rest` list at `head`.
+    fn list_items(g: &Graph, head: &Term) -> Vec<Term> {
+        let mut items = Vec::new();
+        let mut cell = head.clone();
+        while cell != Term::Iri(rdf::nil()) {
+            items.push(g.objects_for(&cell, &rdf::first())[0].clone());
+            cell = g.objects_for(&cell, &rdf::rest())[0].clone();
+        }
+        items
+    }
 
     #[test]
     fn basic_triples() {
@@ -912,7 +970,7 @@ ex:s ex:langs ( "en" "fr" "de" ) ."#,
         // 1 root triple + 3 first + 3 rest
         assert_eq!(g.len(), 7);
         let head = &g.objects_for(&Term::iri("http://e/s"), &Iri::new("http://e/langs"))[0];
-        let items = read_list(&g, &Term::clone(head)).unwrap();
+        let items = list_items(&g, head);
         assert_eq!(items.len(), 3);
         assert_eq!(items[0].as_literal().unwrap().lexical(), "en");
     }
@@ -922,7 +980,7 @@ ex:s ex:langs ( "en" "fr" "de" ) ."#,
         let g = parse("@prefix ex: <http://e/> .\nex:s ex:p ( ) .").unwrap();
         let objs = g.objects_for(&Term::iri("http://e/s"), &Iri::new("http://e/p"));
         assert_eq!(objs[0], &Term::Iri(rdf::nil()));
-        assert_eq!(read_list(&g, objs[0]).unwrap().len(), 0);
+        assert!(list_items(&g, objs[0]).is_empty());
     }
 
     #[test]

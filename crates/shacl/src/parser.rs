@@ -8,20 +8,30 @@
 //! members, `sh:qualifiedValueShape`); every reachable shape node receives a
 //! definition in the resulting [`Schema`]. A shape node with an `sh:path` is
 //! treated as a property shape, any other as a node shape.
+//!
+//! The translation reads the shapes graph by term id. Each vocabulary IRI
+//! it consults is resolved to an id once per graph, each read of a shape
+//! node's property is a lookup in that node's CSR run, and list and
+//! worklist walks stay on ids; a [`Term`] is cloned only where a [`Shape`]
+//! stores one. Wherever a property has several objects they are taken in
+//! [`Term`] order, so definitions, and the first error reported, do not
+//! depend on how the graph numbered its terms. Source spans
+//! ([`SchemaSpans`]) are keyed by the same ids and are resolved only when
+//! a diagnostic asks for one.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use shapefrag_govern::{EngineError, ErrorCode};
-use shapefrag_rdf::turtle::{self, read_list};
+use shapefrag_rdf::turtle;
 use shapefrag_rdf::vocab::{rdf, rdfs, sh};
-use shapefrag_rdf::{Graph, GraphAccess, Iri, Literal, Span, Term, TripleSpans};
+use shapefrag_rdf::{GraphAccess, Iri, Literal, Span, Term, TermId, TripleSpans};
 
 use crate::node_test::{NodeKind, NodeTest};
 use crate::path::PathExpr;
 use crate::schema::{Schema, SchemaError, ShapeDef};
 use crate::shape::{PathOrId, Shape};
-use crate::writer::SHX_NS;
+use crate::writer::shx;
 
 /// An error translating a shapes graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +104,8 @@ impl SchemaSpans {
 
 /// Parses Turtle text into a schema (shapes graph → formal schema).
 pub fn parse_shapes_turtle(text: &str) -> Result<Schema, ShaclParseError> {
-    let graph =
-        turtle::parse(text).map_err(|e| ShaclParseError::with_code(e.code, e.to_string()))?;
+    let graph = turtle::parse_frozen(text)
+        .map_err(|e| ShaclParseError::with_code(e.code, e.to_string()))?;
     schema_from_shapes_graph(&graph)
 }
 
@@ -124,111 +134,283 @@ pub fn parse_shape_defs_turtle(
 }
 
 /// Translates a SHACL shapes graph `S` into a schema `t(S)` (Appendix A).
-pub fn schema_from_shapes_graph(shapes: &Graph) -> Result<Schema, ShaclParseError> {
+pub fn schema_from_shapes_graph(shapes: &impl GraphAccess) -> Result<Schema, ShaclParseError> {
     Ok(Schema::new(defs_from_shapes_graph(shapes)?)?)
 }
 
 /// The translation underlying [`schema_from_shapes_graph`], without the
-/// schema well-formedness checks (duplicate names, recursion).
-pub fn defs_from_shapes_graph(shapes: &Graph) -> Result<Vec<ShapeDef>, ShaclParseError> {
-    let tr = Translator { g: shapes };
+/// schema well-formedness checks (duplicate names, recursion). The
+/// definitions come out ordered by name.
+pub fn defs_from_shapes_graph(shapes: &impl GraphAccess) -> Result<Vec<ShapeDef>, ShaclParseError> {
+    let tr = Translator {
+        g: shapes,
+        v: Vocab::of(shapes),
+    };
     let shape_nodes = tr.collect_shape_nodes()?;
-    let mut defs = Vec::new();
+    let mut defs = Vec::with_capacity(shape_nodes.len());
     for node in shape_nodes {
-        if node.is_literal() {
+        let name = tr.term(node);
+        if name.is_literal() {
             // A malformed document can reference a literal where a shape is
             // expected (e.g. as an `sh:node` object); shape names must be
             // IRIs or blank nodes.
             return Err(ShaclParseError::new(format!(
-                "literal used as a shape: {node}"
+                "literal used as a shape: {name}"
             )));
         }
-        let expr = tr.translate_shape(&node)?;
-        let target = tr.translate_target(&node)?;
-        defs.push(ShapeDef::new(node, expr, target));
+        let expr = tr.translate_shape(node)?;
+        let target = tr.translate_target(node)?;
+        defs.push(ShapeDef::new(name.clone(), expr, target));
     }
     Ok(defs)
 }
 
-struct Translator<'g> {
-    g: &'g Graph,
+/// Declares [`Vocab`]: one field per IRI the translation reads.
+macro_rules! vocab {
+    ($($field:ident = $iri:expr),+ $(,)?) => {
+        /// The vocabulary IRIs the translation reads, as ids of one shapes
+        /// graph; `None` when the graph does not mention the IRI, so no
+        /// triple carries it.
+        struct Vocab {
+            $($field: Option<TermId>),+
+        }
+
+        impl Vocab {
+            fn of(g: &impl GraphAccess) -> Vocab {
+                Vocab {
+                    $($field: g.id_of_iri(&$iri)),+
+                }
+            }
+        }
+    };
 }
 
-impl<'g> Translator<'g> {
-    fn objects(&self, x: &Term, p: &Iri) -> Vec<Term> {
-        let mut v: Vec<Term> = self.g.objects_for(x, p).into_iter().cloned().collect();
-        v.sort();
-        v
+vocab! {
+    rdf_type = rdf::type_(),
+    first = rdf::first(),
+    rest = rdf::rest(),
+    nil = rdf::nil(),
+    node_shape = sh::node_shape(),
+    property_shape = sh::property_shape(),
+    path = sh::path(),
+    inverse_path = sh::inverse_path(),
+    alternative_path = sh::alternative_path(),
+    zero_or_more_path = sh::zero_or_more_path(),
+    one_or_more_path = sh::one_or_more_path(),
+    zero_or_one_path = sh::zero_or_one_path(),
+    negated_property_set = shx("negatedPropertySet"),
+    node = sh::node(),
+    property = sh::property(),
+    and = sh::and(),
+    or = sh::or(),
+    not = sh::not(),
+    xone = sh::xone(),
+    class = sh::class(),
+    datatype = sh::datatype(),
+    node_kind = sh::node_kind(),
+    min_exclusive = sh::min_exclusive(),
+    min_inclusive = sh::min_inclusive(),
+    max_exclusive = sh::max_exclusive(),
+    max_inclusive = sh::max_inclusive(),
+    min_length = sh::min_length(),
+    max_length = sh::max_length(),
+    pattern = sh::pattern(),
+    flags = sh::flags(),
+    language_in = sh::language_in(),
+    unique_lang = sh::unique_lang(),
+    equals = sh::equals(),
+    disjoint = sh::disjoint(),
+    less_than = sh::less_than(),
+    less_than_or_equals = sh::less_than_or_equals(),
+    more_than = shx("moreThan"),
+    more_than_or_equals = shx("moreThanOrEquals"),
+    min_count = sh::min_count(),
+    max_count = sh::max_count(),
+    qualified_value_shape = sh::qualified_value_shape(),
+    qualified_min_count = sh::qualified_min_count(),
+    qualified_max_count = sh::qualified_max_count(),
+    qualified_value_shapes_disjoint = sh::qualified_value_shapes_disjoint(),
+    closed = sh::closed(),
+    ignored_properties = sh::ignored_properties(),
+    has_value = sh::has_value(),
+    in_ = sh::in_(),
+    deactivated = sh::deactivated(),
+    target_node = sh::target_node(),
+    target_class = sh::target_class(),
+    target_subjects_of = sh::target_subjects_of(),
+    target_objects_of = sh::target_objects_of(),
+}
+
+struct Translator<'g, G> {
+    g: &'g G,
+    v: Vocab,
+}
+
+impl<'g, G: GraphAccess> Translator<'g, G> {
+    fn term(&self, id: TermId) -> &'g Term {
+        self.g.term(id)
     }
 
-    fn list_objects(&self, x: &Term, p: &Iri) -> Result<Vec<Term>, ShaclParseError> {
+    /// The IRI of a vocabulary id that an object was read through, for
+    /// messages.
+    fn iri(&self, p: Option<TermId>) -> &'g Term {
+        self.term(p.expect("a property with an object is interned"))
+    }
+
+    /// Sorts ids by their terms.
+    fn sort(&self, ids: &mut [TermId]) {
+        ids.sort_unstable_by(|a, b| self.term(*a).cmp(self.term(*b)));
+    }
+
+    /// The objects of `(x, p)`, in term order.
+    fn objects(&self, x: TermId, p: Option<TermId>) -> Vec<TermId> {
+        let Some(p) = p else {
+            return Vec::new();
+        };
+        let mut out: Vec<TermId> = self.g.objects_ids(x, p).collect();
+        if out.len() > 1 {
+            self.sort(&mut out);
+        }
+        out
+    }
+
+    /// The least object of `(x, p)` in term order.
+    fn first_object(&self, x: TermId, p: Option<TermId>) -> Option<TermId> {
+        self.g
+            .objects_ids(x, p?)
+            .min_by(|a, b| self.term(*a).cmp(self.term(*b)))
+    }
+
+    /// True iff `(x, p)` has an object.
+    fn has(&self, x: TermId, p: Option<TermId>) -> bool {
+        p.is_some_and(|p| self.g.objects_ids(x, p).next().is_some())
+    }
+
+    /// True iff some object of `(x, p)` is a literal spelled `true`.
+    fn is_true(&self, x: TermId, p: Option<TermId>) -> bool {
+        p.is_some_and(|p| {
+            self.g
+                .objects_ids(x, p)
+                .any(|v| matches!(self.term(v), Term::Literal(l) if l.lexical() == "true"))
+        })
+    }
+
+    /// The only object of `(x, p)`, if it has exactly one.
+    fn only_object(&self, x: TermId, p: Option<TermId>) -> Option<TermId> {
+        let mut objects = self.g.objects_ids(x, p?);
+        let first = objects.next()?;
+        objects.next().is_none().then_some(first)
+    }
+
+    /// Reads the `rdf:first`/`rdf:rest` list starting at `head`. Returns
+    /// `None` if it is malformed (missing or repeated links, or a cycle).
+    fn list(&self, head: TermId) -> Option<Vec<TermId>> {
+        let mut items = Vec::new();
+        let mut current = head;
+        let mut steps = 0usize;
+        while Some(current) != self.v.nil {
+            steps += 1;
+            if steps > self.g.len() + 1 {
+                return None; // cycle
+            }
+            items.push(self.only_object(current, self.v.first)?);
+            current = self.only_object(current, self.v.rest)?;
+        }
+        Some(items)
+    }
+
+    /// The lists of the objects of `(x, p)`, in term order of their heads.
+    fn list_objects(&self, x: TermId, p: Option<TermId>) -> Result<Vec<TermId>, ShaclParseError> {
         let mut out = Vec::new();
         for head in self.objects(x, p) {
-            let items = read_list(self.g, &head).ok_or_else(|| {
-                ShaclParseError::new(format!("malformed SHACL list at {head} for {p}"))
+            let items = self.list(head).ok_or_else(|| {
+                ShaclParseError::new(format!(
+                    "malformed SHACL list at {} for {}",
+                    self.term(head),
+                    self.iri(p)
+                ))
             })?;
             out.extend(items);
         }
         Ok(out)
     }
 
+    /// The list at each object of `(x, p)`, in term order of their heads;
+    /// a malformed one fails with `message`.
+    fn lists(
+        &self,
+        x: TermId,
+        p: Option<TermId>,
+        message: &str,
+    ) -> Result<Vec<Vec<TermId>>, ShaclParseError> {
+        self.objects(x, p)
+            .into_iter()
+            .map(|head| self.list(head).ok_or_else(|| ShaclParseError::new(message)))
+            .collect()
+    }
+
+    /// `hasShape` of the shape named by `y`.
+    fn has_shape(&self, y: TermId) -> Shape {
+        Shape::HasShape(self.term(y).clone())
+    }
+
+    /// `hasValue` of the term `y`.
+    fn has_value(&self, y: TermId) -> Shape {
+        Shape::HasValue(self.term(y).clone())
+    }
+
+    /// The IRI `y` names, if it is one.
+    fn as_iri(&self, y: TermId) -> Option<Iri> {
+        match self.term(y) {
+            Term::Iri(p) => Some(p.clone()),
+            _ => None,
+        }
+    }
+
     /// All shape nodes: declared ones plus everything reachable through
-    /// shape-referencing properties.
-    fn collect_shape_nodes(&self) -> Result<Vec<Term>, ShaclParseError> {
-        let type_p = rdf::type_();
-        let mut queue: Vec<Term> = Vec::new();
-        for t in self
-            .g
-            .triples_matching(None, Some(&type_p), Some(&Term::Iri(sh::node_shape())))
-        {
-            queue.push(t.subject);
+    /// shape-referencing properties, in term order.
+    fn collect_shape_nodes(&self) -> Result<Vec<TermId>, ShaclParseError> {
+        let mut queue: Vec<TermId> = Vec::new();
+        if let Some(type_) = self.v.rdf_type {
+            for class in [self.v.node_shape, self.v.property_shape]
+                .into_iter()
+                .flatten()
+            {
+                queue.extend(self.g.subjects_ids(class, type_));
+            }
         }
-        for t in
-            self.g
-                .triples_matching(None, Some(&type_p), Some(&Term::Iri(sh::property_shape())))
-        {
-            queue.push(t.subject);
-        }
-        queue.sort();
-        let mut seen: HashSet<Term> = HashSet::new();
+        self.sort(&mut queue);
+        let mut seen = vec![false; self.g.term_count()];
         let mut out = Vec::new();
         while let Some(node) = queue.pop() {
-            if !seen.insert(node.clone()) {
+            if std::mem::replace(&mut seen[node.0 as usize], true) {
                 continue;
             }
             // References to other shapes.
             for p in [
-                sh::node(),
-                sh::property(),
-                sh::not(),
-                sh::qualified_value_shape(),
+                self.v.node,
+                self.v.property,
+                self.v.not,
+                self.v.qualified_value_shape,
             ] {
-                queue.extend(self.objects(&node, &p));
+                queue.extend(self.objects(node, p));
             }
-            for p in [sh::and(), sh::or(), sh::xone()] {
-                queue.extend(self.list_objects(&node, &p)?);
+            for p in [self.v.and, self.v.or, self.v.xone] {
+                queue.extend(self.list_objects(node, p)?);
             }
             out.push(node);
         }
-        out.sort();
+        self.sort(&mut out);
         Ok(out)
     }
 
-    fn is_property_shape(&self, x: &Term) -> bool {
-        !self.objects(x, &sh::path()).is_empty()
-    }
-
     /// `t_nodeshape` / `t_propertyshape` dispatch.
-    fn translate_shape(&self, x: &Term) -> Result<Shape, ShaclParseError> {
+    fn translate_shape(&self, x: TermId) -> Result<Shape, ShaclParseError> {
         // sh:deactivated true — the shape imposes no constraint.
-        if self
-            .objects(x, &sh::deactivated())
-            .iter()
-            .any(|v| matches!(v, Term::Literal(l) if l.lexical() == "true"))
-        {
+        if self.is_true(x, self.v.deactivated) {
             return Ok(Shape::True);
         }
-        if self.is_property_shape(x) {
+        if self.has(x, self.v.path) {
             self.translate_property_shape(x)
         } else {
             self.translate_node_shape(x)
@@ -236,7 +418,7 @@ impl<'g> Translator<'g> {
     }
 
     /// Appendix A.1: `t_nodeshape(d_x)`.
-    fn translate_node_shape(&self, x: &Term) -> Result<Shape, ShaclParseError> {
+    fn translate_node_shape(&self, x: TermId) -> Result<Shape, ShaclParseError> {
         let mut conj = Vec::new();
         conj.extend(self.t_shape(x));
         conj.extend(self.t_logic(x)?);
@@ -246,23 +428,20 @@ impl<'g> Translator<'g> {
         conj.extend(self.t_closed(x)?);
         conj.extend(self.t_pair_id(x));
         // languageIn applied to the focus node itself.
-        for head in self.objects(x, &sh::language_in()) {
-            let langs = read_list(self.g, &head)
-                .ok_or_else(|| ShaclParseError::new("malformed sh:languageIn list"))?;
-            conj.push(Shape::disj_of(langs.iter().filter_map(lang_term).collect()));
-        }
+        conj.extend(self.t_language_in(x)?);
         Ok(Shape::conj(conj))
     }
 
     /// Appendix A.3: `t_propertyshape(d_x)`.
-    fn translate_property_shape(&self, x: &Term) -> Result<Shape, ShaclParseError> {
-        let paths = self.objects(x, &sh::path());
+    fn translate_property_shape(&self, x: TermId) -> Result<Shape, ShaclParseError> {
+        let paths = self.objects(x, self.v.path);
         if paths.len() != 1 {
             return Err(ShaclParseError::new(format!(
-                "property shape {x} must have exactly one sh:path"
+                "property shape {} must have exactly one sh:path",
+                self.term(x)
             )));
         }
-        let e = self.translate_path(&paths[0])?;
+        let e = self.translate_path(paths[0])?;
         let mut conj = Vec::new();
         conj.extend(self.t_card(&e, x));
         conj.extend(self.t_pair_path(&e, x));
@@ -273,46 +452,37 @@ impl<'g> Translator<'g> {
     }
 
     /// A.1.1 `t_shape`: sh:node / sh:property become `hasShape` references.
-    fn t_shape(&self, x: &Term) -> Vec<Shape> {
+    fn t_shape(&self, x: TermId) -> Vec<Shape> {
         let mut out = Vec::new();
-        for y in self.objects(x, &sh::node()) {
-            out.push(Shape::HasShape(y));
-        }
-        for y in self.objects(x, &sh::property()) {
-            out.push(Shape::HasShape(y));
+        for p in [self.v.node, self.v.property] {
+            out.extend(self.objects(x, p).into_iter().map(|y| self.has_shape(y)));
         }
         out
     }
 
     /// A.1.2 `t_logic`: sh:and, sh:or, sh:not, sh:xone.
-    fn t_logic(&self, x: &Term) -> Result<Vec<Shape>, ShaclParseError> {
+    fn t_logic(&self, x: TermId) -> Result<Vec<Shape>, ShaclParseError> {
         let mut out = Vec::new();
-        for head in self.objects(x, &sh::and()) {
-            let items = read_list(self.g, &head)
-                .ok_or_else(|| ShaclParseError::new("malformed sh:and list"))?;
+        for items in self.lists(x, self.v.and, "malformed sh:and list")? {
             out.push(Shape::conj(
-                items.into_iter().map(Shape::HasShape).collect(),
+                items.into_iter().map(|y| self.has_shape(y)).collect(),
             ));
         }
-        for head in self.objects(x, &sh::or()) {
-            let items = read_list(self.g, &head)
-                .ok_or_else(|| ShaclParseError::new("malformed sh:or list"))?;
+        for items in self.lists(x, self.v.or, "malformed sh:or list")? {
             out.push(Shape::disj_of(
-                items.into_iter().map(Shape::HasShape).collect(),
+                items.into_iter().map(|y| self.has_shape(y)).collect(),
             ));
         }
-        for y in self.objects(x, &sh::not()) {
-            out.push(Shape::HasShape(y).not());
+        for y in self.objects(x, self.v.not) {
+            out.push(self.has_shape(y).not());
         }
-        for head in self.objects(x, &sh::xone()) {
-            let items = read_list(self.g, &head)
-                .ok_or_else(|| ShaclParseError::new("malformed sh:xone list"))?;
+        for items in self.lists(x, self.v.xone, "malformed sh:xone list")? {
             let mut branches = Vec::new();
-            for (i, y) in items.iter().enumerate() {
-                let mut branch = vec![Shape::HasShape(y.clone())];
-                for (j, z) in items.iter().enumerate() {
+            for (i, &y) in items.iter().enumerate() {
+                let mut branch = vec![self.has_shape(y)];
+                for (j, &z) in items.iter().enumerate() {
                     if i != j {
-                        branch.push(Shape::HasShape(z.clone()).not());
+                        branch.push(self.has_shape(z).not());
                     }
                 }
                 branches.push(Shape::conj(branch));
@@ -324,24 +494,20 @@ impl<'g> Translator<'g> {
 
     /// A.1.3 `t_tests`: class, datatype, nodeKind, value ranges, string
     /// constraints.
-    fn t_tests(&self, x: &Term) -> Result<Vec<Shape>, ShaclParseError> {
+    fn t_tests(&self, x: TermId) -> Result<Vec<Shape>, ShaclParseError> {
         let mut out = Vec::new();
         // sh:class → ≥1 rdf:type/rdfs:subClassOf*.hasValue(y)
-        for y in self.objects(x, &sh::class()) {
-            out.push(Shape::geq(
-                1,
-                PathExpr::Prop(rdf::type_()).then(PathExpr::Prop(rdfs::sub_class_of()).star()),
-                Shape::HasValue(y),
-            ));
+        for y in self.objects(x, self.v.class) {
+            out.push(Shape::geq(1, type_path(), self.has_value(y)));
         }
-        for y in self.objects(x, &sh::datatype()) {
-            let Term::Iri(dt) = y else {
+        for y in self.objects(x, self.v.datatype) {
+            let Some(dt) = self.as_iri(y) else {
                 return Err(ShaclParseError::new("sh:datatype requires an IRI"));
             };
             out.push(Shape::Test(NodeTest::Datatype(dt)));
         }
-        for y in self.objects(x, &sh::node_kind()) {
-            let Term::Iri(kind_iri) = &y else {
+        for y in self.objects(x, self.v.node_kind) {
+            let Term::Iri(kind_iri) = self.term(y) else {
                 return Err(ShaclParseError::new("sh:nodeKind requires an IRI"));
             };
             let kind = match kind_iri.as_str() {
@@ -357,40 +523,46 @@ impl<'g> Translator<'g> {
         }
         for (prop, make) in [
             (
-                sh::min_exclusive(),
+                self.v.min_exclusive,
                 NodeTest::MinExclusive as fn(Literal) -> NodeTest,
             ),
-            (sh::min_inclusive(), NodeTest::MinInclusive),
-            (sh::max_exclusive(), NodeTest::MaxExclusive),
-            (sh::max_inclusive(), NodeTest::MaxInclusive),
+            (self.v.min_inclusive, NodeTest::MinInclusive),
+            (self.v.max_exclusive, NodeTest::MaxExclusive),
+            (self.v.max_inclusive, NodeTest::MaxInclusive),
         ] {
-            for y in self.objects(x, &prop) {
-                let Term::Literal(bound) = y else {
-                    return Err(ShaclParseError::new(format!("{prop} requires a literal")));
+            for y in self.objects(x, prop) {
+                let Term::Literal(bound) = self.term(y) else {
+                    return Err(ShaclParseError::new(format!(
+                        "{} requires a literal",
+                        self.iri(prop)
+                    )));
                 };
-                out.push(Shape::Test(make(bound)));
+                out.push(Shape::Test(make(bound.clone())));
             }
         }
         for (prop, make) in [
-            (sh::min_length(), NodeTest::MinLength as fn(u32) -> NodeTest),
-            (sh::max_length(), NodeTest::MaxLength),
+            (
+                self.v.min_length,
+                NodeTest::MinLength as fn(u32) -> NodeTest,
+            ),
+            (self.v.max_length, NodeTest::MaxLength),
         ] {
-            for y in self.objects(x, &prop) {
-                let n = int_value(&y)
-                    .ok_or_else(|| ShaclParseError::new(format!("{prop} requires an integer")))?;
+            for y in self.objects(x, prop) {
+                let n = int_value(self.term(y)).ok_or_else(|| {
+                    ShaclParseError::new(format!("{} requires an integer", self.iri(prop)))
+                })?;
                 out.push(Shape::Test(make(n)));
             }
         }
         let flags = self
-            .objects(x, &sh::flags())
-            .first()
-            .and_then(|t| t.as_literal().map(|l| l.lexical().to_owned()))
+            .first_object(x, self.v.flags)
+            .and_then(|t| self.term(t).as_literal().map(|l| l.lexical()))
             .unwrap_or_default();
-        for y in self.objects(x, &sh::pattern()) {
-            let Term::Literal(lit) = y else {
+        for y in self.objects(x, self.v.pattern) {
+            let Term::Literal(lit) = self.term(y) else {
                 return Err(ShaclParseError::new("sh:pattern requires a literal"));
             };
-            let test = NodeTest::pattern(lit.lexical(), &flags)
+            let test = NodeTest::pattern(lit.lexical(), flags)
                 .map_err(|e| ShaclParseError::new(e.to_string()))?;
             out.push(Shape::Test(test));
         }
@@ -398,84 +570,81 @@ impl<'g> Translator<'g> {
     }
 
     /// A.1.6 `t_value`: sh:hasValue.
-    fn t_value(&self, x: &Term) -> Vec<Shape> {
-        self.objects(x, &sh::has_value())
+    fn t_value(&self, x: TermId) -> Vec<Shape> {
+        self.objects(x, self.v.has_value)
             .into_iter()
-            .map(Shape::HasValue)
+            .map(|y| self.has_value(y))
             .collect()
     }
 
     /// A.1.6 `t_in`: sh:in.
-    fn t_in(&self, x: &Term) -> Result<Vec<Shape>, ShaclParseError> {
-        let mut out = Vec::new();
-        for head in self.objects(x, &sh::in_()) {
-            let items = read_list(self.g, &head)
-                .ok_or_else(|| ShaclParseError::new("malformed sh:in list"))?;
-            out.push(Shape::disj_of(
-                items.into_iter().map(Shape::HasValue).collect(),
-            ));
-        }
-        Ok(out)
+    fn t_in(&self, x: TermId) -> Result<Vec<Shape>, ShaclParseError> {
+        Ok(self
+            .lists(x, self.v.in_, "malformed sh:in list")?
+            .into_iter()
+            .map(|items| Shape::disj_of(items.into_iter().map(|y| self.has_value(y)).collect()))
+            .collect())
+    }
+
+    /// `sh:languageIn`: one disjunction of language tests per list.
+    fn t_language_in(&self, x: TermId) -> Result<Vec<Shape>, ShaclParseError> {
+        Ok(self
+            .lists(x, self.v.language_in, "malformed sh:languageIn list")?
+            .into_iter()
+            .map(|langs| {
+                Shape::disj_of(
+                    langs
+                        .into_iter()
+                        .filter_map(|l| lang_term(self.term(l)))
+                        .collect(),
+                )
+            })
+            .collect())
     }
 
     /// A.1.6 `t_closed`: sh:closed / sh:ignoredProperties. `P` collects the
     /// (IRI) paths of the shape's property shapes plus ignored properties.
-    fn t_closed(&self, x: &Term) -> Result<Vec<Shape>, ShaclParseError> {
-        let closed = self
-            .objects(x, &sh::closed())
-            .iter()
-            .any(|v| matches!(v, Term::Literal(l) if l.lexical() == "true"));
-        if !closed {
+    fn t_closed(&self, x: TermId) -> Result<Vec<Shape>, ShaclParseError> {
+        if !self.is_true(x, self.v.closed) {
             return Ok(Vec::new());
         }
         let mut allowed: BTreeSet<Iri> = BTreeSet::new();
-        for prop_shape in self.objects(x, &sh::property()) {
-            for path in self.objects(&prop_shape, &sh::path()) {
-                if let Term::Iri(p) = path {
-                    allowed.insert(p);
-                }
-            }
+        for prop_shape in self.objects(x, self.v.property) {
+            let paths = self.objects(prop_shape, self.v.path);
+            allowed.extend(paths.into_iter().filter_map(|path| self.as_iri(path)));
         }
-        for item in self.list_objects(x, &sh::ignored_properties())? {
-            if let Term::Iri(p) = item {
-                allowed.insert(p);
-            }
+        for item in self.list_objects(x, self.v.ignored_properties)? {
+            allowed.extend(self.as_iri(item));
         }
         Ok(vec![Shape::Closed(allowed)])
     }
 
     /// A.1.4 `t_pair(id, d_x)`: property-pair components on a node shape.
-    fn t_pair_id(&self, x: &Term) -> Vec<Shape> {
+    fn t_pair_id(&self, x: TermId) -> Vec<Shape> {
         // lessThan / lessThanOrEquals are not allowed on node shapes → ⊥.
-        if !self.objects(x, &sh::less_than()).is_empty()
-            || !self.objects(x, &sh::less_than_or_equals()).is_empty()
-        {
+        if self.has(x, self.v.less_than) || self.has(x, self.v.less_than_or_equals) {
             return vec![Shape::False];
         }
         let mut out = Vec::new();
-        for y in self.objects(x, &sh::equals()) {
-            if let Term::Iri(p) = y {
-                out.push(Shape::Eq(PathOrId::Id, p));
-            }
+        for y in self.objects(x, self.v.equals) {
+            out.extend(self.as_iri(y).map(|p| Shape::Eq(PathOrId::Id, p)));
         }
-        for y in self.objects(x, &sh::disjoint()) {
-            if let Term::Iri(p) = y {
-                out.push(Shape::Disj(PathOrId::Id, p));
-            }
+        for y in self.objects(x, self.v.disjoint) {
+            out.extend(self.as_iri(y).map(|p| Shape::Disj(PathOrId::Id, p)));
         }
         out
     }
 
     /// A.3.1 `t_card`: sh:minCount / sh:maxCount.
-    fn t_card(&self, e: &PathExpr, x: &Term) -> Vec<Shape> {
+    fn t_card(&self, e: &PathExpr, x: TermId) -> Vec<Shape> {
         let mut out = Vec::new();
-        for y in self.objects(x, &sh::min_count()) {
-            if let Some(n) = int_value(&y) {
+        for y in self.objects(x, self.v.min_count) {
+            if let Some(n) = int_value(self.term(y)) {
                 out.push(Shape::geq(n, e.clone(), Shape::True));
             }
         }
-        for y in self.objects(x, &sh::max_count()) {
-            if let Some(n) = int_value(&y) {
+        for y in self.objects(x, self.v.max_count) {
+            if let Some(n) = int_value(self.term(y)) {
                 out.push(Shape::leq(n, e.clone(), Shape::True));
             }
         }
@@ -484,26 +653,21 @@ impl<'g> Translator<'g> {
 
     /// A.3.2 `t_pair(E, d_x)`: property-pair components on a property
     /// shape, including the `shx:` extension pairs (Remark 2.3).
-    fn t_pair_path(&self, e: &PathExpr, x: &Term) -> Vec<Shape> {
+    fn t_pair_path(&self, e: &PathExpr, x: TermId) -> Vec<Shape> {
         let mut out = Vec::new();
         for (prop, make) in [
             (
-                sh::equals(),
+                self.v.equals,
                 (|e, p| Shape::Eq(PathOrId::Path(e), p)) as fn(PathExpr, Iri) -> Shape,
             ),
-            (sh::disjoint(), |e, p| Shape::Disj(PathOrId::Path(e), p)),
-            (sh::less_than(), Shape::LessThan),
-            (sh::less_than_or_equals(), Shape::LessThanEq),
-            (Iri::new(format!("{SHX_NS}moreThan")), Shape::MoreThan),
-            (
-                Iri::new(format!("{SHX_NS}moreThanOrEquals")),
-                Shape::MoreThanEq,
-            ),
+            (self.v.disjoint, |e, p| Shape::Disj(PathOrId::Path(e), p)),
+            (self.v.less_than, Shape::LessThan),
+            (self.v.less_than_or_equals, Shape::LessThanEq),
+            (self.v.more_than, Shape::MoreThan),
+            (self.v.more_than_or_equals, Shape::MoreThanEq),
         ] {
-            for y in self.objects(x, &prop) {
-                if let Term::Iri(p) = y {
-                    out.push(make(e.clone(), p));
-                }
+            for y in self.objects(x, prop) {
+                out.extend(self.as_iri(y).map(|p| make(e.clone(), p)));
             }
         }
         out
@@ -511,58 +675,44 @@ impl<'g> Translator<'g> {
 
     /// A.3.3 `t_qual`: qualified value shapes with optional sibling
     /// disjointness.
-    fn t_qual(&self, e: &PathExpr, x: &Term) -> Result<Vec<Shape>, ShaclParseError> {
-        let q: Vec<Term> = self.objects(x, &sh::qualified_value_shape());
+    fn t_qual(&self, e: &PathExpr, x: TermId) -> Result<Vec<Shape>, ShaclParseError> {
+        let q = self.objects(x, self.v.qualified_value_shape);
         if q.is_empty() {
             return Ok(Vec::new());
         }
-        let qmin: Vec<u32> = self
-            .objects(x, &sh::qualified_min_count())
-            .iter()
-            .filter_map(int_value)
-            .collect();
-        let qmax: Vec<u32> = self
-            .objects(x, &sh::qualified_max_count())
-            .iter()
-            .filter_map(int_value)
-            .collect();
-        let disjoint_siblings = self
-            .objects(x, &sh::qualified_value_shapes_disjoint())
-            .iter()
-            .any(|v| matches!(v, Term::Literal(l) if l.lexical() == "true"));
+        let counts = |p| -> Vec<u32> {
+            self.objects(x, p)
+                .into_iter()
+                .filter_map(|n| int_value(self.term(n)))
+                .collect()
+        };
+        let qmin = counts(self.v.qualified_min_count);
+        let qmax = counts(self.v.qualified_max_count);
 
         // Sibling shapes: qualified value shapes of the *other* property
-        // shapes attached to any parent of x.
-        let mut siblings: BTreeSet<Term> = BTreeSet::new();
-        if disjoint_siblings {
-            let parents: Vec<Term> = self
-                .g
-                .triples_matching(None, Some(&sh::property()), Some(x))
-                .into_iter()
-                .map(|t| t.subject)
-                .collect();
-            for v in parents {
-                for y in self.objects(&v, &sh::property()) {
-                    if &y == x {
-                        continue;
-                    }
-                    for w in self.objects(&y, &sh::qualified_value_shape()) {
-                        siblings.insert(w);
-                    }
+        // shapes attached to any parent of x, in term order.
+        let mut siblings: Vec<TermId> = Vec::new();
+        if let (true, Some(property)) = (
+            self.is_true(x, self.v.qualified_value_shapes_disjoint),
+            self.v.property,
+        ) {
+            for v in self.g.subjects_ids(x, property) {
+                for y in self.g.objects_ids(v, property).filter(|&y| y != x) {
+                    siblings.extend(self.objects(y, self.v.qualified_value_shape));
                 }
             }
+            self.sort(&mut siblings);
+            siblings.dedup();
         }
 
-        let qualify = |y: &Term| -> Shape {
-            let mut conj = vec![Shape::HasShape(y.clone())];
-            for s in &siblings {
-                conj.push(Shape::HasShape(s.clone()).not());
-            }
+        let qualify = |y: TermId| -> Shape {
+            let mut conj = vec![self.has_shape(y)];
+            conj.extend(siblings.iter().map(|&s| self.has_shape(s).not()));
             Shape::conj(conj)
         };
 
         let mut out = Vec::new();
-        for y in &q {
+        for &y in &q {
             for &n in &qmin {
                 out.push(Shape::geq(n, e.clone(), qualify(y)));
             }
@@ -576,18 +726,14 @@ impl<'g> Translator<'g> {
     /// A.3.4 `t_all`: components that apply to all value nodes of a
     /// property shape, wrapped in `∀E.(…)`, plus the special `sh:hasValue`
     /// treatment (`≥1 E.hasValue(v)`).
-    fn t_all(&self, e: &PathExpr, x: &Term) -> Result<Vec<Shape>, ShaclParseError> {
+    fn t_all(&self, e: &PathExpr, x: TermId) -> Result<Vec<Shape>, ShaclParseError> {
         let mut inner = Vec::new();
         inner.extend(self.t_shape(x));
         inner.extend(self.t_logic(x)?);
         inner.extend(self.t_tests(x)?);
         inner.extend(self.t_in(x)?);
         inner.extend(self.t_closed(x)?);
-        for head in self.objects(x, &sh::language_in()) {
-            let langs = read_list(self.g, &head)
-                .ok_or_else(|| ShaclParseError::new("malformed sh:languageIn list"))?;
-            inner.push(Shape::disj_of(langs.iter().filter_map(lang_term).collect()));
-        }
+        inner.extend(self.t_language_in(x)?);
         let mut out = Vec::new();
         if !inner.is_empty() {
             out.push(Shape::for_all(e.clone(), Shape::conj(inner)));
@@ -601,12 +747,8 @@ impl<'g> Translator<'g> {
     }
 
     /// A.3.5 `t_uniquelang`.
-    fn t_uniquelang(&self, e: &PathExpr, x: &Term) -> Vec<Shape> {
-        let unique = self
-            .objects(x, &sh::unique_lang())
-            .iter()
-            .any(|v| matches!(v, Term::Literal(l) if l.lexical() == "true"));
-        if unique {
+    fn t_uniquelang(&self, e: &PathExpr, x: TermId) -> Vec<Shape> {
+        if self.is_true(x, self.v.unique_lang) {
             vec![Shape::UniqueLang(e.clone())]
         } else {
             Vec::new()
@@ -614,7 +756,7 @@ impl<'g> Translator<'g> {
     }
 
     /// A.2 `t_path`: SHACL property paths → path expressions.
-    fn translate_path(&self, pp: &Term) -> Result<PathExpr, ShaclParseError> {
+    fn translate_path(&self, pp: TermId) -> Result<PathExpr, ShaclParseError> {
         self.translate_path_at(pp, 0)
     }
 
@@ -622,7 +764,7 @@ impl<'g> Translator<'g> {
     /// document can make `sh:inversePath` (or any other structured-path
     /// property) point around a blank-node cycle; without the guard the
     /// translation recurses forever.
-    fn translate_path_at(&self, pp: &Term, depth: usize) -> Result<PathExpr, ShaclParseError> {
+    fn translate_path_at(&self, pp: TermId, depth: usize) -> Result<PathExpr, ShaclParseError> {
         const MAX_PATH_DEPTH: usize = 128;
         if depth > MAX_PATH_DEPTH {
             return Err(ShaclParseError::with_code(
@@ -630,90 +772,94 @@ impl<'g> Translator<'g> {
                 format!("property path nesting deeper than {MAX_PATH_DEPTH} levels (cyclic path structure?)"),
             ));
         }
-        if let Term::Iri(p) = pp {
-            return Ok(PathExpr::Prop(p.clone()));
+        if let Some(p) = self.as_iri(pp) {
+            return Ok(PathExpr::Prop(p));
         }
         // Blank node: structured path.
-        if let Some(y) = self
-            .objects(pp, &Iri::new(format!("{SHX_NS}negatedPropertySet")))
-            .first()
-        {
+        if let Some(y) = self.first_object(pp, self.v.negated_property_set) {
             // Extension (Remark 6.3): a negated property set.
-            let items = read_list(self.g, y)
+            let items = self
+                .list(y)
                 .ok_or_else(|| ShaclParseError::new("malformed shx:negatedPropertySet list"))?;
             let mut props = Vec::new();
             for item in items {
-                match item {
-                    Term::Iri(p) => props.push(p),
-                    other => {
-                        return Err(ShaclParseError::new(format!(
-                            "negated property sets may only contain IRIs, got {other}"
-                        )))
-                    }
-                }
+                let Some(p) = self.as_iri(item) else {
+                    return Err(ShaclParseError::new(format!(
+                        "negated property sets may only contain IRIs, got {}",
+                        self.term(item)
+                    )));
+                };
+                props.push(p);
             }
             return Ok(PathExpr::neg_props(props));
         }
-        if let Some(y) = self.objects(pp, &sh::inverse_path()).first() {
-            return Ok(self.translate_path_at(y, depth + 1)?.inverse());
+        let nested = |p, wrap: fn(PathExpr) -> PathExpr| {
+            self.first_object(pp, p)
+                .map(|y| Ok(wrap(self.translate_path_at(y, depth + 1)?)))
+        };
+        if let Some(e) = nested(self.v.inverse_path, PathExpr::inverse) {
+            return e;
         }
-        if let Some(y) = self.objects(pp, &sh::zero_or_more_path()).first() {
-            return Ok(self.translate_path_at(y, depth + 1)?.star());
+        if let Some(e) = nested(self.v.zero_or_more_path, PathExpr::star) {
+            return e;
         }
-        if let Some(y) = self.objects(pp, &sh::one_or_more_path()).first() {
-            return Ok(self.translate_path_at(y, depth + 1)?.plus());
+        if let Some(e) = nested(self.v.one_or_more_path, PathExpr::plus) {
+            return e;
         }
-        if let Some(y) = self.objects(pp, &sh::zero_or_one_path()).first() {
-            return Ok(self.translate_path_at(y, depth + 1)?.opt());
+        if let Some(e) = nested(self.v.zero_or_one_path, PathExpr::opt) {
+            return e;
         }
-        if let Some(y) = self.objects(pp, &sh::alternative_path()).first() {
-            let items = read_list(self.g, y)
+        if let Some(y) = self.first_object(pp, self.v.alternative_path) {
+            let items = self
+                .list(y)
                 .ok_or_else(|| ShaclParseError::new("malformed sh:alternativePath list"))?;
-            let mut parts = items.iter().map(|t| self.translate_path_at(t, depth + 1));
+            let mut parts = items.iter().map(|&t| self.translate_path_at(t, depth + 1));
             let first = parts
                 .next()
                 .ok_or_else(|| ShaclParseError::new("empty sh:alternativePath"))??;
             return parts.try_fold(first, |acc, next| Ok(acc.or(next?)));
         }
         // A SHACL list: a sequence path.
-        if let Some(items) = read_list(self.g, pp) {
-            let mut parts = items.iter().map(|t| self.translate_path_at(t, depth + 1));
+        if let Some(items) = self.list(pp) {
+            let mut parts = items.iter().map(|&t| self.translate_path_at(t, depth + 1));
             let first = parts
                 .next()
                 .ok_or_else(|| ShaclParseError::new("empty sequence path"))??;
             return parts.try_fold(first, |acc, next| Ok(acc.then(next?)));
         }
         Err(ShaclParseError::new(format!(
-            "unrecognized property path {pp}"
+            "unrecognized property path {}",
+            self.term(pp)
         )))
     }
 
     /// A.4 `t_target`: target declarations → target shapes.
-    fn translate_target(&self, x: &Term) -> Result<Shape, ShaclParseError> {
+    fn translate_target(&self, x: TermId) -> Result<Shape, ShaclParseError> {
         let mut targets = Vec::new();
-        for y in self.objects(x, &sh::target_node()) {
-            targets.push(Shape::HasValue(y));
+        for y in self.objects(x, self.v.target_node) {
+            targets.push(self.has_value(y));
         }
-        for y in self.objects(x, &sh::target_class()) {
-            targets.push(Shape::geq(
-                1,
-                PathExpr::Prop(rdf::type_()).then(PathExpr::Prop(rdfs::sub_class_of()).star()),
-                Shape::HasValue(y),
-            ));
+        for y in self.objects(x, self.v.target_class) {
+            targets.push(Shape::geq(1, type_path(), self.has_value(y)));
         }
-        for y in self.objects(x, &sh::target_subjects_of()) {
-            if let Term::Iri(p) = y {
+        for y in self.objects(x, self.v.target_subjects_of) {
+            if let Some(p) = self.as_iri(y) {
                 targets.push(Shape::geq(1, PathExpr::Prop(p), Shape::True));
             }
         }
-        for y in self.objects(x, &sh::target_objects_of()) {
-            if let Term::Iri(p) = y {
+        for y in self.objects(x, self.v.target_objects_of) {
+            if let Some(p) = self.as_iri(y) {
                 targets.push(Shape::geq(1, PathExpr::Prop(p).inverse(), Shape::True));
             }
         }
         // No targets → ⊥ (the shape is never checked via targets).
         Ok(Shape::disj_of(targets))
     }
+}
+
+/// `rdf:type/rdfs:subClassOf*`, the path of `sh:class` and `sh:targetClass`.
+fn type_path() -> PathExpr {
+    PathExpr::Prop(rdf::type_()).then(PathExpr::Prop(rdfs::sub_class_of()).star())
 }
 
 fn int_value(t: &Term) -> Option<u32> {

@@ -20,7 +20,7 @@ use crate::shape::{PathOrId, Shape};
 /// The extension namespace for constructs beyond SHACL core.
 pub const SHX_NS: &str = "http://shapefragments.example.org/ext#";
 
-fn shx(local: &str) -> Iri {
+pub(crate) fn shx(local: &str) -> Iri {
     Iri::new(format!("{SHX_NS}{local}"))
 }
 
